@@ -6,11 +6,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstring>
 
@@ -23,6 +26,10 @@ namespace {
 
 constexpr std::size_t kFramePrefixBytes = 4;
 constexpr int kMaxPollTimeoutMs = 60'000;
+/// send() writes a connection's queue out once this many bytes are unwritten.
+constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+/// Frames per sendmsg gather call.
+constexpr std::size_t kMaxGatherFrames = IOV_MAX;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -230,10 +237,14 @@ SocketTransport::OutFrame SocketTransport::make_frame(const Message& message) {
 }
 
 void SocketTransport::send(Message message) {
+  const bool loopback = nodes_.count(message.destination) != 0;
+  // Frame before counting: an oversize message throws without being counted
+  // as sent.
+  OutFrame frame = loopback ? OutFrame{} : make_frame(message);
   ++stats_.messages_sent;
   stats_.bytes_sent += message.payload.size();
 
-  if (nodes_.count(message.destination)) {
+  if (loopback) {
     // Loopback: same-process destination. Queued, not delivered inline, to
     // honor the Transport contract (and match the simulator's semantics of
     // send() never re-entering node callbacks).
@@ -251,7 +262,7 @@ void SocketTransport::send(Message message) {
       // it flushes in order on reconnect. Only overflow drops.
       PeerLink& link = links_[message.destination];
       if (link.pending.size() < config_.backoff_queue_max_frames) {
-        link.pending.push_back(make_frame(message));
+        link.pending.push_back(std::move(frame));
         return;
       }
     }
@@ -259,8 +270,15 @@ void SocketTransport::send(Message message) {
     return;
   }
   Connection& conn = *connections_.at(fd);
-  conn.wqueue.push_back(make_frame(message));
-  try_flush(conn);  // opportunistic: most frames go out without a poll pass
+  conn.wbytes += frame.bytes.size();
+  conn.wqueue.push_back(std::move(frame));
+  // Coalesce: most frames wait for the next poll pass and go out in one
+  // gather write. Flush now once the queue fills a gather write, or once it
+  // holds more frames than a dying connection could re-park on its link.
+  if (conn.wbytes >= kFlushBytes ||
+      conn.wqueue.size() > config_.backoff_queue_max_frames) {
+    try_flush(conn);
+  }
 }
 
 int SocketTransport::route_fd(NodeId destination, bool* backoff_wait) {
@@ -335,6 +353,7 @@ int SocketTransport::route_fd(NodeId destination, bool* backoff_wait) {
     // Frames parked during the down window go out first, in send order,
     // ahead of whatever frame triggered this connect.
     for (OutFrame& frame : link.pending) {
+      conn->wbytes += frame.bytes.size();
       conn->wqueue.push_back(std::move(frame));
     }
     link.pending.clear();
@@ -351,22 +370,43 @@ int SocketTransport::route_fd(NodeId destination, bool* backoff_wait) {
 
 void SocketTransport::try_flush(Connection& conn) {
   if (conn.connecting) return;
+  std::array<iovec, kMaxGatherFrames> iov;
   while (!conn.wqueue.empty()) {
-    OutFrame& front = conn.wqueue.front();
-    const std::size_t left = front.bytes.size() - conn.woff;
-    const ssize_t n = ::send(conn.fd, front.bytes.data() + conn.woff, left,
-                             MSG_NOSIGNAL);
+    // Gather the queue's head; the first frame resumes at the write offset.
+    std::size_t count = 0;
+    std::size_t offered = 0;
+    for (auto it = conn.wqueue.begin();
+         it != conn.wqueue.end() && count < iov.size(); ++it, ++count) {
+      const std::size_t skip = count == 0 ? conn.woff : 0;
+      iov[count].iov_base = it->bytes.data() + skip;
+      iov[count].iov_len = it->bytes.size() - skip;
+      offered += iov[count].iov_len;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // short write
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // buffer full
       close_connection(conn.fd);
       return;
     }
     made_io_progress_ = true;
-    conn.woff += static_cast<std::size_t>(n);
-    if (conn.woff == front.bytes.size()) {
+    // Retire every fully written frame. A short write can end inside any
+    // frame of the gather; the offset then points into that frame.
+    std::size_t written = static_cast<std::size_t>(n);
+    conn.wbytes -= written;
+    while (written > 0) {
+      const std::size_t left = conn.wqueue.front().bytes.size() - conn.woff;
+      if (written < left) {
+        conn.woff += written;
+        break;
+      }
+      written -= left;
       conn.wqueue.pop_front();
       conn.woff = 0;
     }
+    if (static_cast<std::size_t>(n) < offered) return;  // short write
   }
 }
 

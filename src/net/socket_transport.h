@@ -9,11 +9,18 @@
 //
 // where the payload runs to the end of the body (the prefix delimits it).
 // The event loop handles partial reads (frames are reassembled across recv
-// boundaries) and short writes (a per-connection frame queue with a write
-// offset, flushed on POLLOUT). A body that fails to decode is counted in
-// malformed_frames() and skipped — the length prefix keeps the stream in
-// sync, so one corrupt frame never poisons the connection; only an insane
-// length prefix (> max_frame_bytes) forces a close.
+// boundaries) and coalesced writes: send() appends the frame to its
+// connection's write queue, and the queue goes out as sendmsg gather writes
+// (up to IOV_MAX frames per call) once its unwritten bytes reach 64 KiB, once
+// it holds more than backoff_queue_max_frames frames, or on the next
+// poll()/run_until_idle() pass, which polls every non-empty queue for
+// POLLOUT. A short write keeps a byte offset into the queue's front frame.
+// The frame bound means a dying connection never holds more unwritten frames
+// than its park queue can take back (0 keeps every send write-through). A
+// body that fails to decode is counted in malformed_frames() and skipped —
+// the length prefix keeps the stream in sync, so one corrupt frame never
+// poisons the connection; only an insane length prefix (> max_frame_bytes)
+// forces a close.
 //
 // Routing: a destination is resolved in order against (1) locally attached
 // nodes (delivered through the poll loop, never inline), (2) the configured
@@ -85,6 +92,9 @@ struct SocketTransportConfig {
   /// of a dying outbound connection, queue on the peer link and flush on
   /// reconnect, up to this many; overflow is counted undeliverable. 0
   /// disables queueing (every down-link send drops — pre-fix behaviour).
+  /// send() also writes a live connection's queue out once it holds more
+  /// frames than this, so unless the kernel buffer is full, the frames a
+  /// dying connection still holds fit back here.
   std::size_t backoff_queue_max_frames = 1024;
   /// Frame bodies above this are treated as a framing attack: the connection
   /// is closed (no resync is possible once the prefix is untrusted).
@@ -152,6 +162,7 @@ class SocketTransport final : public Transport {
     std::vector<std::uint8_t> rbuf;        ///< partial-frame reassembly
     std::deque<OutFrame> wqueue;
     std::size_t woff = 0;                  ///< bytes of wqueue.front() written
+    std::size_t wbytes = 0;                ///< unwritten bytes in wqueue
   };
   struct Timer {
     double when = 0.0;
@@ -193,6 +204,8 @@ class SocketTransport final : public Transport {
   /// Length-prefixed wire form of one message (checked against
   /// max_frame_bytes).
   OutFrame make_frame(const Message& message);
+  /// Writes the queue front-first with sendmsg gather calls until it is
+  /// empty or the kernel buffer is full; a write error closes `conn`.
   void try_flush(Connection& conn);
   std::size_t read_ready(Connection& conn);
   std::size_t parse_frames(Connection& conn);

@@ -4,7 +4,10 @@
 // implementation the same way:
 //
 //   - send() enqueues a message toward its destination; it never blocks and
-//     never delivers inline.
+//     never delivers inline. A sent message may wait in the sender until its
+//     next poll()/run_until_idle() (the socket transport coalesces writes),
+//     so a caller that stops driving the transport after sending — a
+//     shutdown path — calls run_until_idle() first.
 //   - poll(deadline) makes progress until `deadline` (in the transport's own
 //     clock, see now()); it MAY return early as soon as at least one message
 //     has been delivered to a locally attached node, and returns the number
@@ -92,7 +95,8 @@ class Transport {
   virtual bool attached(NodeId id) const = 0;
 
   /// Enqueues `message` toward its destination. Never delivers inline; the
-  /// caller observes delivery through poll()/run_until_idle().
+  /// caller observes delivery through poll()/run_until_idle(). The message
+  /// may not leave this process until the next poll()/run_until_idle().
   virtual void send(Message message) = 0;
 
   /// The transport's clock, in seconds. Virtual time on the simulator,

@@ -224,6 +224,108 @@ TEST(SocketTransportTest, ByteAccountingMatchesAcrossEndpoints) {
   EXPECT_EQ(server.malformed_frames(), 0u);
 }
 
+void expect_same_stats(const NetworkStats& a, const NetworkStats& b) {
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
+  EXPECT_EQ(a.messages_undeliverable, b.messages_undeliverable);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+}
+
+TEST(SocketTransportTest, OversizeFrameIsRefusedBeforeItIsCounted) {
+  TempDir dir;
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = "unix:" + dir.sock("cap");
+  SocketTransport server(server_cfg);
+  CollectNode sink;
+  server.attach(2, sink);
+
+  SocketTransportConfig client_cfg;
+  client_cfg.peers[2] = server_cfg.listen;
+  client_cfg.max_frame_bytes = 64;
+  SocketTransport client(client_cfg);
+
+  client.send(make_msg(1, 2, 1, {1}));
+  ASSERT_TRUE(pump_until({&client, &server},
+                         [&] { return sink.received.size() == 1; }));
+
+  // A body over max_frame_bytes is a caller error: refused before it is
+  // framed, queued or counted.
+  const NetworkStats before = client.stats();
+  EXPECT_THROW(
+      client.send(make_msg(1, 2, 2, std::vector<std::uint8_t>(100, 0xEE))),
+      std::invalid_argument);
+  expect_same_stats(client.stats(), before);
+
+  // The connection is untouched: the next valid frame still delivers.
+  client.send(make_msg(1, 2, 3, {3}));
+  ASSERT_TRUE(pump_until({&client, &server},
+                         [&] { return sink.received.size() == 2; }));
+  EXPECT_EQ(sink.received[1].type, 3u);
+  EXPECT_EQ(sink.received[1].payload, (std::vector<std::uint8_t>{3}));
+  EXPECT_EQ(client.stats().messages_sent, 2u);
+  EXPECT_EQ(client.stats().bytes_sent, 2u);
+  EXPECT_EQ(client.stats().messages_undeliverable, 0u);
+  EXPECT_EQ(server.malformed_frames(), 0u);
+}
+
+TEST(SocketTransportTest, CoalescedFramesSurviveShortGatherWrites) {
+  TempDir dir;
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = "unix:" + dir.sock("gather");
+  SocketTransport server(server_cfg);
+  CollectNode sink;
+  server.attach(2, sink);
+
+  SocketTransportConfig client_cfg;
+  client_cfg.peers[2] = server_cfg.listen;
+  SocketTransport client(client_cfg);
+
+  // Mostly tiny frames, every 7th a few KB, every 97th ~70 KB: the queue
+  // crosses the 64 KiB flush mark, then the kernel buffer fills against the
+  // unpolled receiver and thousands of frames pile up, so later gathers are
+  // capped at IOV_MAX and short writes end inside frames of a batch.
+  constexpr std::size_t kFrames = 4000;
+  auto payload_for = [](std::size_t i) {
+    std::size_t size = 1 + (i * 17) % 61;
+    if (i % 7 == 0) size = 1 + (i * 31) % 4096;
+    if (i % 97 == 0) size = 70'000 - i % 13;
+    std::vector<std::uint8_t> payload(size);
+    for (std::size_t b = 0; b < size; ++b) {
+      payload[b] = static_cast<std::uint8_t>((i * 131 + b * 7) >> 1);
+    }
+    return payload;
+  };
+  std::size_t total_bytes = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    std::vector<std::uint8_t> payload = payload_for(i);
+    total_bytes += payload.size();
+    client.send(make_msg(1, 2, static_cast<std::uint32_t>(i),
+                         std::move(payload)));
+  }
+
+  ASSERT_TRUE(pump_until({&client, &server},
+                         [&] { return sink.received.size() >= kFrames; },
+                         20.0));
+  ASSERT_EQ(sink.received.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(sink.received[i].type, i) << "frame " << i << " out of order";
+    EXPECT_EQ(sink.received[i].source, 1u);
+    EXPECT_EQ(sink.received[i].destination, 2u);
+    ASSERT_EQ(sink.received[i].payload, payload_for(i)) << "frame " << i;
+  }
+  EXPECT_EQ(server.malformed_frames(), 0u);
+  EXPECT_EQ(client.malformed_frames(), 0u);
+  EXPECT_EQ(client.stats().messages_sent, kFrames);
+  EXPECT_EQ(client.stats().bytes_sent, total_bytes);
+  EXPECT_EQ(server.stats().messages_delivered, kFrames);
+  EXPECT_EQ(server.stats().bytes_delivered, total_bytes);
+  EXPECT_EQ(client.stats().messages_undeliverable, 0u);
+  EXPECT_EQ(server.stats().messages_undeliverable, 0u);
+  EXPECT_EQ(client.undeliverable_to(2), 0u);
+}
+
 TEST(SocketTransportTest, UnroutableDestinationCountsUndeliverable) {
   SocketTransport transport({});
   transport.send(make_msg(1, 77, 0, {1}));
