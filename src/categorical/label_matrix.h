@@ -10,18 +10,22 @@
 // entry per *present* cell, dual-indexed:
 //
 //   - CSR-by-user: per-user rows sorted by object id, always current;
-//     `user_entries(s)` is an allocation-free span over a row.
+//     `user_entries(s)` is an allocation-free span over a row. The vote
+//     folds (categorical/voting.h) walk these rows one canonical user block
+//     at a time; per-object counts are kept eagerly.
 //   - CSC-by-object: contiguous (user, label) column arrays sorted by user
 //     id, built lazily from the rows and cached until the next mutation.
-//     `object_entries(n)` is an allocation-free view into the cache.
+//     `object_entries(n)` is an allocation-free view into the cache. No
+//     built-in kernel needs it; it serves callers that want whole columns.
 //
 // Iteration order is identical to the historical dense layout (user-major,
 // object-ascending within a user; user-ascending within an object), so
 // kernels that accumulate in traversal order produce bit-identical results.
 //
 // Thread safety: mutations and the first indexed read are not synchronized.
-// Call `ensure_object_index()` once before reading `object_entries` from
-// multiple threads; after that, all const accessors are safe concurrently.
+// A caller of `object_entries` from multiple threads calls
+// `ensure_object_index()` once first; after that, all const accessors are
+// safe concurrently. Row reads need no such step.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +97,10 @@ class LabelMatrix {
   /// Builds the CSC-by-object view if it is stale. Const (the cache is
   /// logically part of the matrix); call before concurrent column reads.
   void ensure_object_index() const;
+
+  /// Whether the column index is built and current. The per-object folds
+  /// never build it; tests use this to hold them to that.
+  bool object_index_built() const { return object_index_built_; }
 
   /// Applies f(user, object, label) to every present cell, user-major and
   /// object-ascending within a user (the historical dense traversal order).

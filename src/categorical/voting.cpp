@@ -16,45 +16,17 @@ void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
                "fold_label_scores: weights size != num users");
   DPTD_REQUIRE(scores.size() == m.num_objects() * L,
                "fold_label_scores: scores size != num_objects * num_labels");
-  const std::size_t block_size = m.plan().block_size;
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const LabelMatrix& shard = m.shard(s);
-    const std::size_t base = m.user_base(s);
-    shard.ensure_object_index();
-    // Parallel across objects; shards are reduced in ascending order, so the
-    // fold chain per (object, label) bin is independent of the shard count.
-    for_each_range(pool, m.num_objects(), [&](std::size_t begin,
-                                              std::size_t end) {
-      std::vector<double> acc(L, 0.0);
-      std::vector<double> seg(L, 0.0);
-      for (std::size_t n = begin; n < end; ++n) {
-        const auto col = shard.object_entries(n);
-        if (col.empty()) continue;
-        for (std::size_t v = 0; v < L; ++v) {
-          acc[v] = scores[n * L + v];
-          seg[v] = 0.0;
-        }
-        // Columns are user-ascending, so a segment ends exactly when the
-        // local user id reaches the current block's end — one comparison per
-        // claim, one division per segment (see truth/sharded_stats.h).
-        std::size_t block = (base + col.users[0]) / block_size;
-        std::size_t block_end = (block + 1) * block_size - base;
-        for (std::size_t i = 0; i < col.size(); ++i) {
-          const std::size_t user = col.users[i];  // shard-local id
-          if (user >= block_end) {
-            for (std::size_t v = 0; v < L; ++v) {
-              acc[v] += seg[v];
-              seg[v] = 0.0;
-            }
-            block = (base + user) / block_size;
-            block_end = (block + 1) * block_size - base;
-          }
-          seg[col.labels[i]] += weights[base + user];
-        }
-        for (std::size_t v = 0; v < L; ++v) scores[n * L + v] = acc[v] + seg[v];
-      }
-    });
-  }
+  // An object a block touched chains all L bins, the ones the block left at
+  // +0.0 included; an object it did not touch chains nothing (see
+  // truth::detail::fold_row_blocks).
+  truth::detail::fold_row_blocks<double>(
+      m, pool, L,
+      [&](std::size_t user, const LabelMatrix::Entry& e, std::span<double> seg) {
+        seg[e.label] += weights[user];
+      },
+      [&](std::size_t n, std::span<const double> seg) {
+        for (std::size_t v = 0; v < L; ++v) scores[n * L + v] += seg[v];
+      });
 }
 
 std::vector<Label> truths_from_scores(std::span<const double> scores,

@@ -11,6 +11,14 @@ namespace {
 constexpr double kSqrt2 = 1.4142135623730950488016887242097;
 constexpr double kInvSqrt2Pi = 0.39894228040143267793994605993438;
 
+// std::lgamma also writes the global `signgam`, a data race when kernels
+// call it from pool threads (CATD's per-user chi-squared quantiles). The
+// reentrant form computes the same value and keeps the sign local.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Acklam's inverse normal CDF rational approximation.
 double acklam(double p) {
   static constexpr double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
@@ -68,7 +76,7 @@ double regularized_gamma_p(double a, double x) {
   if (x == 0.0) return 0.0;
   constexpr int kMaxIter = 500;
   constexpr double kEps = 1e-14;
-  const double gln = std::lgamma(a);
+  const double gln = log_gamma(a);
   if (x < a + 1.0) {
     // Series representation.
     double ap = a;
@@ -120,7 +128,7 @@ double chi_squared_quantile(double p_upper, double dof) {
     const double f = regularized_gamma_p(a, x / 2.0) - target;
     // d/dx P(a, x/2) = (x/2)^{a-1} e^{-x/2} / (2 Gamma(a)).
     const double logpdf =
-        (a - 1.0) * std::log(x / 2.0) - x / 2.0 - std::lgamma(a);
+        (a - 1.0) * std::log(x / 2.0) - x / 2.0 - log_gamma(a);
     const double fp = 0.5 * std::exp(logpdf);
     if (fp <= 0.0) break;
     const double step = f / fp;

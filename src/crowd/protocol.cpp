@@ -130,12 +130,7 @@ StatsEnvelope StatsEnvelope::decode(std::span<const std::uint8_t> bytes) {
   StatsEnvelope msg;
   msg.op_id = dec.read_varint();
   msg.op = dec.read_u8();
-  const std::uint64_t length = dec.read_varint();
-  if (length > dec.remaining()) {
-    throw DecodeError("StatsEnvelope: body length exceeds payload");
-  }
-  msg.body.resize(static_cast<std::size_t>(length));
-  for (std::size_t i = 0; i < msg.body.size(); ++i) msg.body[i] = dec.read_u8();
+  msg.body = dec.read_bytes();  // mirror of encode's write_bytes
   if (!dec.done()) throw DecodeError("StatsEnvelope: trailing bytes");
   return msg;
 }

@@ -82,20 +82,22 @@ LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
 }
 
 void ParticipantIndex::build(const std::vector<net::NodeId>& participants) {
-  size_ = participants.size();
-  rows_.clear();
-  identity_ = true;
+  ParticipantIndex built;
+  built.size_ = participants.size();
   for (std::size_t i = 0; i < participants.size(); ++i) {
     if (participants[i] != static_cast<net::NodeId>(i)) {
-      identity_ = false;
+      built.identity_ = false;
       break;
     }
   }
-  if (identity_) return;
-  rows_.reserve(participants.size());
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    rows_.emplace(participants[i], i);
+  if (!built.identity_) {
+    built.rows_.reserve(participants.size());
+    for (std::size_t i = 0; i < participants.size(); ++i) {
+      DPTD_REQUIRE(built.rows_.emplace(participants[i], i).second,
+                   "ParticipantIndex: participant id repeated in the roster");
+    }
   }
+  *this = std::move(built);
 }
 
 std::optional<std::size_t> ParticipantIndex::row_of(net::NodeId user) const {
@@ -218,10 +220,10 @@ void CrowdServer::start_round(std::uint64_t round,
                               const std::vector<net::NodeId>& user_ids) {
   DPTD_REQUIRE(!round_open_, "CrowdServer: a round is already open");
   DPTD_REQUIRE(!user_ids.empty(), "CrowdServer: no participants");
+  index_.build(user_ids);  // refuses a repeated id before any state changes
   current_round_ = round;
   round_open_ = true;
   participants_ = user_ids;
-  index_.build(participants_);
   builder_.emplace(participants_.size(), config_.num_objects);
   rejected_ = 0;
   duplicates_ = 0;

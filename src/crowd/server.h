@@ -146,6 +146,9 @@ LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
 /// their ingestion semantics can never diverge.
 class ParticipantIndex {
  public:
+  /// Throws std::invalid_argument, leaving the index unchanged, when an id
+  /// repeats: its second row could never be filled, so the round would wait
+  /// for its deadline.
   void build(const std::vector<net::NodeId>& participants);
   /// The matrix row of `user`, or nullopt when `user` is not enrolled this
   /// round (byzantine or stale id).

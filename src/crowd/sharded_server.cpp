@@ -41,10 +41,10 @@ void ShardedServer::start_round(std::uint64_t round,
                                 const std::vector<net::NodeId>& user_ids) {
   DPTD_REQUIRE(!round_open_, "ShardedServer: a round is already open");
   DPTD_REQUIRE(!user_ids.empty(), "ShardedServer: no participants");
+  index_.build(user_ids);  // refuses a repeated id before any state changes
   current_round_ = round;
   round_open_ = true;
   participants_ = user_ids;
-  index_.build(participants_);
   plan_ = data::ShardPlan::create(participants_.size(), config_.num_shards,
                                   config_.stats_block_size);
   if (config_.ingest_threads > 0) {

@@ -17,19 +17,24 @@ namespace dptd::data {
 /// store is one entry per *present* cell, reachable through two views:
 ///
 ///   - CSR-by-user: per-user rows sorted by object id. Always up to date;
-///     `user_entries(s)` is an allocation-free span over a row.
+///     `user_entries(s)` is an allocation-free span over a row. The
+///     per-object folds of truth/sharded_stats.h walk these rows one
+///     canonical user block at a time; per-object counts are kept eagerly.
 ///   - CSC-by-object: contiguous (user, value) column arrays sorted by user
-///     id, built lazily from the rows and cached until the next mutation.
-///     `object_entries(n)` is an allocation-free view into the cache.
+///     id (16 B per claim), built lazily from the rows and cached until the
+///     next mutation. `object_entries(n)` is an allocation-free view into the
+///     cache. Only callers that need whole columns build it: the median,
+///     GTM and CATD initializations and a shard node's kGather.
 ///
 /// Iteration order is identical to the historical dense layout (user-major,
 /// object-ascending within a user; user-ascending within an object), so
 /// kernels that accumulate in traversal order produce bit-identical results.
 ///
 /// Thread safety: mutations and the first indexed read are not synchronized.
-/// Call `ensure_object_index()` once before reading `object_entries` /
-/// `object_values` / `object_users` from multiple threads; after that, all
-/// const accessors are safe to call concurrently.
+/// A caller of `object_entries` / `object_values` / `object_users` from
+/// multiple threads calls `ensure_object_index()` once first; after that,
+/// all const accessors are safe to call concurrently. Row reads need no
+/// such step.
 class ObservationMatrix {
  public:
   /// One present cell as seen from a user's row.
@@ -85,6 +90,10 @@ class ObservationMatrix {
   /// Builds the CSC-by-object view if it is stale. Const (the cache is
   /// logically part of the matrix); call before concurrent column reads.
   void ensure_object_index() const;
+
+  /// Whether the column index is built and current. The per-object folds
+  /// never build it; tests use this to hold them to that.
+  bool object_index_built() const { return object_index_built_; }
 
   /// Present values claimed for `object` (ordered by user id), paired with
   /// the contributing user ids.

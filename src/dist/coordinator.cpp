@@ -532,6 +532,9 @@ bool Coordinator::begin_round(std::uint64_t round,
                               std::vector<net::NodeId> participants) {
   DPTD_REQUIRE(!round_planned_, "Coordinator: a round is already open");
   DPTD_REQUIRE(!participants.empty(), "Coordinator: no participants");
+  // Refuses a repeated id before any state changes or Setup goes out.
+  crowd::ParticipantIndex index;
+  index.build(participants);
   while (!roster_.empty()) {
     plan_ = data::ShardPlan::create(participants.size(), roster_.size(),
                                     config_.block_size);
@@ -575,7 +578,7 @@ bool Coordinator::begin_round(std::uint64_t round,
       round_open_ = true;
       round_planned_ = true;
       participants_ = std::move(participants);
-      index_.build(participants_);
+      index_ = std::move(index);
       reports_routed_ = 0;
       reports_unroutable_ = 0;
       reports_undeliverable_ = 0;

@@ -254,6 +254,11 @@ std::vector<std::uint8_t> ShardNode::execute(
           setup.num_labels > truth::kMaxBridgedLabels) {
         throw DecodeError("SetupBody: invalid label alphabet");
       }
+      try {
+        index_.build(setup.participants);  // unchanged if it throws
+      } catch (const std::invalid_argument&) {
+        throw DecodeError("SetupBody: participant id repeated");
+      }
       round_ = setup.round;
       round_open_ = true;
       num_objects_ = static_cast<std::size_t>(setup.num_objects);
@@ -261,7 +266,6 @@ std::vector<std::uint8_t> ShardNode::execute(
       num_labels_ = static_cast<std::size_t>(setup.num_labels);
       user_base_ =
           plan.user_begin(static_cast<std::size_t>(setup.shard_index));
-      index_.build(setup.participants);
       const std::size_t local_users = setup.participants.size();
       if (builder_.has_value()) {
         builder_->reshape(local_users, num_objects_);
@@ -307,9 +311,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       summary.rejected_reports = ingest_stats_.rejected_reports;
       summary.invalid_labels = ingest_stats_.invalid_labels;
       summary.object_counts.resize(num_objects_);
-      matrix_->ensure_object_index();
       for (std::size_t n = 0; n < num_objects_; ++n) {
-        summary.object_counts[n] = matrix_->object_entries(n).size();
+        summary.object_counts[n] = matrix_->object_observation_count(n);
       }
       return summary.encode();
     }

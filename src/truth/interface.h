@@ -93,9 +93,10 @@ class TruthDiscovery {
 /// Users with zero weight are kept (contribute nothing unless every weight on
 /// an object is zero, in which case the unweighted mean is used).
 ///
-/// Accumulated as a canonical block-chained fold over the CSC-by-object
-/// views (see truth/sharded_stats.h), so results are bit-identical for any
-/// pool size (including serial) and any shard count.
+/// Accumulated as a canonical block-chained fold that walks the user-major
+/// rows one block at a time (see truth/sharded_stats.h), so results are
+/// bit-identical for any pool size (including serial) and any shard count,
+/// and the column index is never built.
 std::vector<double> weighted_aggregate(const data::ObservationMatrix& obs,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);

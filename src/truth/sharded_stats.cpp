@@ -1,42 +1,105 @@
 #include "truth/sharded_stats.h"
 
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+
 #include "common/check.h"
 
 namespace dptd::truth {
+
+namespace detail {
+
+void pipeline_blocks(ThreadPool* pool, std::size_t blocks, std::size_t window,
+                     const std::function<void(std::size_t, std::size_t)>& compute,
+                     const std::function<void(std::size_t)>& chain) {
+  if (pool == nullptr || pool->size() <= 1 || blocks <= 1) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      compute(0, b);
+      chain(b);
+    }
+    return;
+  }
+  DPTD_REQUIRE(window > 0, "pipeline_blocks: window must be positive");
+  std::mutex mu;
+  std::condition_variable block_done;  // a worker finished a block
+  std::condition_variable slot_free;   // the chain moved on, or a stop
+  std::size_t next = 0;                // next block to claim; guarded by mu
+  std::size_t chained = 0;             // blocks chained; guarded by mu
+  std::vector<char> done(window, 0);   // ring slot holds a finished block
+  std::exception_ptr error;            // first failure; guarded by mu
+  for (std::size_t worker = 0; worker < pool->size(); ++worker) {
+    pool->submit([&, worker] {
+      for (;;) {
+        std::size_t b = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          slot_free.wait(lock, [&] {
+            return next == blocks || next < chained + window;
+          });
+          if (next == blocks) return;
+          b = next++;
+        }
+        std::exception_ptr failure;
+        try {
+          compute(worker, b);
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          done[b % window] = 1;
+          if (failure != nullptr && error == nullptr) error = failure;
+        }
+        block_done.notify_one();
+      }
+    });
+  }
+  for (std::size_t b = 0; b < blocks; ++b) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      block_done.wait(lock,
+                      [&] { return done[b % window] != 0 || error != nullptr; });
+      if (error != nullptr) break;
+    }
+    try {
+      chain(b);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (error == nullptr) error = std::current_exception();
+      break;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      done[b % window] = 0;
+      ++chained;
+    }
+    slot_free.notify_all();
+  }
+  // Stop the workers (after a failure some blocks are never claimed) and
+  // wait until none of them touches this frame's state.
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    next = blocks;
+  }
+  slot_free.notify_all();
+  pool->wait_idle();
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+}  // namespace detail
 
 void fold_object_moments(const data::ShardedMatrix& m, ThreadPool* pool,
                          std::span<RunningStats> out) {
   DPTD_REQUIRE(out.size() == m.num_objects(),
                "fold_object_moments: output size != num objects");
-  const std::size_t block_size = m.plan().block_size;
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const data::ObservationMatrix& shard = m.shard(s);
-    const std::size_t base = m.user_base(s);
-    shard.ensure_object_index();
-    for_each_range(pool, m.num_objects(), [&](std::size_t begin,
-                                              std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        const auto col = shard.object_entries(n);
-        if (col.empty()) continue;
-        RunningStats acc = out[n];
-        RunningStats seg;
-        std::size_t block = (base + col.users[0]) / block_size;
-        std::size_t block_end = (block + 1) * block_size - base;
-        for (std::size_t i = 0; i < col.size(); ++i) {
-          const std::size_t user = col.users[i];  // shard-local id
-          if (user >= block_end) {
-            acc.merge(seg);
-            seg = RunningStats();
-            block = (base + user) / block_size;
-            block_end = (block + 1) * block_size - base;
-          }
-          seg.add(col.values[i]);
-        }
-        acc.merge(seg);
-        out[n] = acc;
-      }
-    });
-  }
+  detail::fold_row_blocks<RunningStats>(
+      m, pool, 1,
+      [](std::size_t, const data::ObservationMatrix::Entry& e,
+         std::span<RunningStats> seg) { seg[0].add(e.value); },
+      [&](std::size_t n, std::span<const RunningStats> seg) {
+        out[n].merge(seg[0]);
+      });
 }
 
 GatheredColumns gather_object_values(const data::ShardedMatrix& m,

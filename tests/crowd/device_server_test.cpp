@@ -425,6 +425,32 @@ TEST(CrowdServer, OpenRoundRejectsSecondStart) {
   EXPECT_THROW(server.start_round(2, {0}), std::invalid_argument);
 }
 
+TEST(CrowdServer, RepeatedRosterIdIsRefusedAtRoundOpen) {
+  // Regression: a roster with a repeated id used to be accepted. Its second
+  // row could never be filled, so the round stayed open until its deadline,
+  // closed with 2 of 3 reports, and published to user 5 twice.
+  Harness h;
+  ServerConfig config;
+  config.id = kServerId;
+  config.num_objects = 1;
+  config.collection_window_seconds = 30.0;
+  CrowdServer server(config, truth::make_method("mean"), h.network);
+  UserDevice five(device_config(5), {0}, {4.0}, h.network);
+  UserDevice seven(device_config(7), {0}, {6.0}, h.network);
+
+  EXPECT_THROW(server.start_round(1, {5, 7, 5}), std::invalid_argument);
+  EXPECT_EQ(h.network.stats().messages_sent, 0u);  // no TaskAnnounce
+
+  // The refusal changed nothing: a valid round opens right after and closes
+  // on its last report, long before the deadline.
+  server.start_round(1, {5, 7});
+  h.sim.run_until(5.0);
+  ASSERT_EQ(server.outcomes().size(), 1u);
+  EXPECT_EQ(server.outcomes()[0].reports_expected, 2u);
+  EXPECT_EQ(server.outcomes()[0].reports_received, 2u);
+  EXPECT_EQ(five.published_truths().size(), 1u);
+}
+
 TEST(CrowdServer, ValidatesConfiguration) {
   Harness h;
   ServerConfig config;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "crowd/device.h"
 #include "crowd/server.h"
@@ -333,6 +334,29 @@ TEST(ShardedServer, MoreShardsThanBlocksClampGracefully) {
   ASSERT_EQ(server.outcomes().size(), 1u);
   EXPECT_EQ(server.outcomes()[0].reports_received, 3u);
   EXPECT_EQ(server.outcomes()[0].shard_stats.size(), 2u);
+}
+
+TEST(ShardedServer, RepeatedRosterIdIsRefusedAtRoundOpen) {
+  // Regression: a roster with a repeated id used to be accepted, and the
+  // round then waited for its deadline for a row nobody could fill.
+  for (std::size_t ingest_threads : {0, 2}) {
+    SCOPED_TRACE("ingest_threads=" + std::to_string(ingest_threads));
+    Harness h;
+    ServerConfig config = sharded_config(2, 2);
+    config.collection_window_seconds = 30.0;
+    config.ingest_threads = ingest_threads;
+    ShardedServer server(config, truth::make_method("mean"), h.network);
+
+    EXPECT_THROW(server.start_round(1, {5, 7, 6, 5}), std::invalid_argument);
+    EXPECT_EQ(h.network.stats().messages_sent, 0u);  // no TaskAnnounce
+
+    server.start_round(1, {5, 7, 6, 8});
+    for (std::size_t user = 5; user <= 8; ++user) send_report(h, user, 2);
+    h.sim.run_until(5.0);
+    ASSERT_EQ(server.outcomes().size(), 1u);
+    EXPECT_EQ(server.outcomes()[0].reports_received, 4u);
+    EXPECT_EQ(server.outcomes()[0].reports_rejected, 0u);
+  }
 }
 
 TEST(ShardedServer, ValidatesConfiguration) {

@@ -362,6 +362,27 @@ TEST(DistributedProtocol, EmptyRosterFailsBeginRoundCleanly) {
   EXPECT_TRUE(fleet.coordinator->roster().empty());
 }
 
+TEST(DistributedProtocol, RepeatedRosterIdIsRefusedBeforeAnySetup) {
+  // Regression: a roster with a repeated id used to be accepted; the shard
+  // owning the repeat then waited for a row nobody could fill.
+  const data::Dataset dataset = random_dataset(41, 16, 3, 0.2);
+  Fleet fleet(2, crh_spec(), dataset.num_objects());
+  std::vector<net::NodeId> roster = participant_ids(16);
+  roster[9] = roster[3];
+  const std::size_t sent = fleet.network.stats().messages_sent;
+  EXPECT_THROW(fleet.coordinator->begin_round(1, roster),
+               std::invalid_argument);
+  EXPECT_EQ(fleet.network.stats().messages_sent, sent);  // no kSetup went out
+
+  ASSERT_TRUE(fleet.coordinator->begin_round(1, participant_ids(16)));
+  send_dataset(fleet, dataset, 1);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  const truth::Result reference = make_method(crh_spec())->run_sharded(
+      data::ShardedMatrix::partition(dataset.observations, 2, kTestBlock));
+  expect_bitwise_equal(reference, outcome.result, "after refusal");
+}
+
 TEST(DistributedProtocol, TruncatedResponsesAreCountedNeverFatal) {
   // Satellite bugfix: the coordinator decode path must treat DecodeError /
   // short payloads as a per-node malformed_messages stat instead of aborting.
@@ -597,6 +618,51 @@ TEST(DistributedProtocol, StaleSetupFromAnAbandonedPlanIsRejected) {
   ASSERT_EQ(reply.op_id, 8u);
   const IngestSummaryBody summary = IngestSummaryBody::decode(reply.body);
   EXPECT_EQ(summary.reports_received, 16u);
+  EXPECT_EQ(summary.rejected_reports, 0u);
+}
+
+TEST(DistributedProtocol, SetupWithARepeatedIdIsMalformedNotFatal) {
+  // A kSetup whose roster slice repeats an id is refused like any malformed
+  // body: counted, unanswered, and with the open round left as it was.
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7779;
+  fleet.network.attach(kRecorder, recorder);
+
+  SetupBody setup;
+  setup.round = 1;
+  setup.num_users = 4;
+  setup.num_shards = 1;
+  setup.shard_index = 0;
+  setup.num_objects = 2;
+  setup.block_size = kTestBlock;
+  setup.participants = {5, 7, 8, 9};
+  deliver_request(shard, kRecorder, 1, ShardOp::kSetup, setup.encode());
+
+  SetupBody repeated = setup;
+  repeated.round = 2;
+  repeated.participants = {5, 7, 5, 9};
+  deliver_request(shard, kRecorder, 2, ShardOp::kSetup, repeated.encode());
+  EXPECT_EQ(shard.malformed_messages(), 1u);
+
+  for (net::NodeId user : setup.participants) {
+    crowd::Report report;
+    report.round = 1;
+    report.user_id = user;
+    report.objects = {0, 1};
+    report.values = {1.0, 2.0};
+    shard.on_message(crowd::make_message(
+        user, shard.id(), crowd::MessageType::kReport, report.encode()));
+  }
+  deliver_request(shard, kRecorder, 3, ShardOp::kFinalizeIngest, {});
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 2u);  // ops 1 and 3, never op 2
+  const crowd::StatsEnvelope reply =
+      crowd::StatsEnvelope::decode(recorder.received.back().payload);
+  ASSERT_EQ(reply.op_id, 3u);
+  const IngestSummaryBody summary = IngestSummaryBody::decode(reply.body);
+  EXPECT_EQ(summary.reports_received, 4u);
   EXPECT_EQ(summary.rejected_reports, 0u);
 }
 
