@@ -3,8 +3,10 @@
 // producer stalls while the ring is full instead of growing memory without
 // bound) and batch dequeue so the consumer amortizes one lock acquisition
 // over many items. This is the hand-off primitive of the parallel ingestion
-// pipeline (crowd::IngestPipeline): the network thread pushes routed reports,
-// one worker per queue drains them.
+// pipeline (crowd::IngestPipeline), where an item is a whole batch of routed
+// reports: the network thread pushes one batch per lock acquisition and one
+// worker per queue pops them, so the pipeline's lock, wake-up and capacity
+// accounting are per batch, not per report.
 //
 // FIFO is global: items pop in exactly the order pushes acquired the lock.
 // With a single producer thread — the pipeline's configuration — that is the

@@ -10,6 +10,9 @@ IngestPipeline::IngestPipeline(IngestPipelineConfig config) : config_(config) {
   DPTD_REQUIRE(config_.max_batch > 0,
                "IngestPipeline: max_batch must be positive");
   if (config_.num_workers == 0) config_.num_workers = 1;
+  batch_size_ = config_.max_batch < config_.queue_capacity
+                    ? config_.max_batch
+                    : config_.queue_capacity;
 }
 
 IngestPipeline::~IngestPipeline() { stop_workers(); }
@@ -18,6 +21,13 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
                                  std::size_t num_objects, std::uint64_t round,
                                  const LabelIngestPolicy& labels) {
   DPTD_REQUIRE(num_objects > 0, "IngestPipeline: num_objects must be positive");
+  for (const auto& worker : workers_) {
+    DPTD_REQUIRE(worker->staged.records.empty() &&
+                     worker->processed.load(std::memory_order_seq_cst) ==
+                         worker->pushed,
+                 "IngestPipeline: begin_round before the previous round was "
+                 "drained");
+  }
   const std::size_t num_shards = plan.num_shards;
   const std::size_t num_workers =
       config_.num_workers < num_shards ? config_.num_workers : num_shards;
@@ -25,8 +35,9 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   // Workers survive rounds when the topology is stable; a shard- or
   // worker-count change tears them down and rebuilds. All shard/counter
   // state below is written while every worker is quiescent (blocked on an
-  // empty queue after the previous round's drain); the queue mutex on the
-  // first push of the new round publishes it to the worker.
+  // empty queue: the check above saw every handed-over report processed);
+  // the queue mutex on the first hand-off of the new round publishes it to
+  // the worker.
   if (workers_.size() != num_workers || shards_.size() != num_shards) {
     stop_workers();
     shards_.clear();
@@ -34,7 +45,8 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
     workers_.clear();
     workers_.reserve(num_workers);
     for (std::size_t w = 0; w < num_workers; ++w) {
-      workers_.push_back(std::make_unique<Worker>(config_.queue_capacity));
+      workers_.push_back(
+          std::make_unique<Worker>(config_.queue_capacity / batch_size_));
     }
   }
 
@@ -72,38 +84,57 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   }
 }
 
-void IngestPipeline::submit(std::size_t row, std::vector<std::uint8_t> payload,
+void IngestPipeline::submit(std::size_t row,
+                            std::span<const std::uint8_t> payload,
                             bool is_label) {
-  Item item;
-  item.is_label = is_label;
-  item.owned = std::move(payload);
-  item.view = item.owned;
-  enqueue(row, std::move(item));
+  stage(row, payload, is_label, /*copy=*/true);
 }
 
 void IngestPipeline::submit_view(std::size_t row,
                                  std::span<const std::uint8_t> payload,
                                  bool is_label) {
-  Item item;
-  item.is_label = is_label;
-  item.view = payload;
-  enqueue(row, std::move(item));
+  stage(row, payload, is_label, /*copy=*/false);
 }
 
-void IngestPipeline::enqueue(std::size_t row, Item item) {
-  item.shard = plan_.shard_of_user(row);
-  item.local_user = row - plan_.user_begin(item.shard);
-  Worker& worker = *workers_[worker_of_shard_[item.shard]];
+void IngestPipeline::stage(std::size_t row,
+                           std::span<const std::uint8_t> payload,
+                           bool is_label, bool copy) {
+  Record record;
+  record.shard = plan_.shard_of_user(row);
+  record.local_user = row - plan_.user_begin(record.shard);
+  record.size = payload.size();
+  record.is_label = is_label;
+  Worker& worker = *workers_[worker_of_shard_[record.shard]];
+  Batch& batch = worker.staged;
+  if (copy) {
+    record.offset = batch.arena.size();
+    batch.arena.insert(batch.arena.end(), payload.begin(), payload.end());
+  } else {
+    record.external = payload.data();
+  }
+  batch.records.push_back(record);
+  if (batch.records.size() == batch_size_) hand_off(worker);
+}
+
+void IngestPipeline::hand_off(Worker& worker) {
+  const std::size_t reports = worker.staged.records.size();
+  if (reports == 0) return;
+  const std::size_t arena_bytes = worker.staged.arena.size();
   // push() blocks on backpressure; it can refuse only when the queue was
   // closed (shutdown racing a submit — a caller bug). Failing loudly here
   // keeps pushed == processed reachable, so drain() can never hang on a
-  // silently dropped item.
-  DPTD_CHECK(worker.queue.push(std::move(item)),
+  // silently dropped batch.
+  DPTD_CHECK(worker.queue.push(std::move(worker.staged)),
              "IngestPipeline: submit after shutdown");
-  ++worker.pushed;
+  worker.pushed += reports;
+  // The next batch likely needs as many bytes as this one did.
+  worker.staged = Batch{};
+  worker.staged.records.reserve(batch_size_);
+  worker.staged.arena.reserve(arena_bytes);
 }
 
 void IngestPipeline::drain() {
+  for (const auto& worker : workers_) hand_off(*worker);
   // seq_cst choreography against the worker's post-batch sequence
   // (processed.store; draining_.load): if the worker's final store is not
   // yet visible to the predicate below, the worker's subsequent draining_
@@ -151,15 +182,19 @@ std::vector<data::ObservationMatrix> IngestPipeline::finalize_shards() {
 }
 
 void IngestPipeline::worker_loop(Worker& worker) {
-  std::vector<Item> batch;
-  batch.reserve(config_.max_batch);
+  std::vector<Batch> popped;
   while (true) {
-    batch.clear();
-    const std::size_t n = worker.queue.wait_pop_batch(batch, config_.max_batch);
-    if (n == 0) return;  // closed and empty: shutdown
-    for (Item& item : batch) process_item(worker, item);
+    popped.clear();
+    if (worker.queue.wait_pop_batch(popped, 1) == 0) {
+      return;  // closed and empty: shutdown
+    }
+    const Batch& batch = popped.front();
+    for (const Record& record : batch.records) {
+      process_record(worker, batch, record);
+    }
     worker.processed.store(
-        worker.processed.load(std::memory_order_relaxed) + n,
+        worker.processed.load(std::memory_order_relaxed) +
+            batch.records.size(),
         std::memory_order_seq_cst);
     if (draining_.load(std::memory_order_seq_cst)) {
       // Lock-then-notify so the coordinator is either not yet waiting (and
@@ -170,18 +205,24 @@ void IngestPipeline::worker_loop(Worker& worker) {
   }
 }
 
-void IngestPipeline::process_item(Worker& worker, Item& item) {
-  ShardState& shard = shards_[item.shard];
+void IngestPipeline::process_record(Worker& worker, const Batch& batch,
+                                    const Record& record) {
+  const std::span<const std::uint8_t> payload =
+      record.external != nullptr
+          ? std::span<const std::uint8_t>(record.external, record.size)
+          : std::span<const std::uint8_t>(batch.arena).subspan(record.offset,
+                                                               record.size);
+  ShardState& shard = shards_[record.shard];
   data::ObservationMatrixBuilder& builder = *shard.builder;
-  if (item.is_label) {
+  if (record.is_label) {
     LabelReport report;
     try {
-      report = LabelReport::decode(item.view);
+      report = LabelReport::decode(payload);
     } catch (const DecodeError&) {
       ++shard.stats.rejected_reports;
       return;
     }
-    if (builder.has_row(item.local_user)) {
+    if (builder.has_row(record.local_user)) {
       ++shard.stats.duplicates_ignored;
       return;
     }
@@ -189,27 +230,28 @@ void IngestPipeline::process_item(Worker& worker, Item& item) {
     // worker that owns the shard — never on the network thread. The stream is
     // keyed by the GLOBAL row, so the bits match serial ingestion exactly.
     const std::size_t global_user =
-        plan_.user_begin(item.shard) + item.local_user;
+        plan_.user_begin(record.shard) + record.local_user;
     const LabelIngestOutcome outcome =
-        ingest_label_claims(builder, item.local_user, global_user, report,
+        ingest_label_claims(builder, record.local_user, global_user, report,
                             num_objects_, labels_, round_);
     if (outcome.malformed) ++shard.stats.malformed_reports;
     shard.stats.invalid_labels += outcome.invalid_labels;
   } else {
     Report report;
     try {
-      report = Report::decode(item.view);
+      report = Report::decode(payload);
     } catch (const DecodeError&) {
       // The header peeked fine (it routed here) but the claim arrays are
       // garbage: count it on the owning shard, exactly once.
       ++shard.stats.rejected_reports;
       return;
     }
-    if (builder.has_row(item.local_user)) {
+    if (builder.has_row(record.local_user)) {
       ++shard.stats.duplicates_ignored;
       return;
     }
-    if (ingest_report_claims(builder, item.local_user, report, num_objects_)) {
+    if (ingest_report_claims(builder, record.local_user, report,
+                             num_objects_)) {
       ++shard.stats.malformed_reports;
     }
   }

@@ -1,8 +1,8 @@
 // Parallel pipelined report ingestion: the network thread only *routes* —
-// an O(1) header peek resolves the owning shard — and enqueues the raw
-// encoded report onto a bounded ring queue; worker threads drain the queues
-// in batches and run the expensive half of ingestion (full decode, claim
-// sanitization, dedup, row append) against the shard builders they own.
+// an O(1) header peek resolves the owning shard — and stages the raw encoded
+// report in its worker's batch; worker threads run the expensive half of
+// ingestion (full decode, claim sanitization, dedup, row append) against the
+// shard builders they own.
 //
 // Topology: K shards (data::ShardPlan) are split contiguously across
 // W = min(ingest workers, K) worker threads. Each worker has ONE queue fed
@@ -11,15 +11,24 @@
 // atomics: per-shard ingestion statistics are plain worker-local counters,
 // merged after the drain barrier at round close.
 //
-// Determinism by construction: each queue is FIFO from a single producer,
-// and a shard's reports all travel through the one queue of its owning
-// worker, so per-shard ingestion order — and therefore dedup outcomes and
-// the finalized sub-matrix — is bitwise identical to serial ingestion, for
-// every worker count including zero.
+// Batched hand-off: the producer stages each worker's reports in one batch —
+// a byte arena holding the payloads submit() copies, plus one fixed-size
+// record per report (submit_view() records point at the caller's bytes
+// instead). Once a batch holds max_batch reports it is handed over under one
+// queue lock, and the worker takes one batch per lock acquisition; drain()
+// hands over partial batches first. So the per-report cost on the network
+// thread is a record and a memcpy, not an allocation and a lock.
 //
-// Backpressure: queues are bounded; when one fills, the producer blocks in
-// submit() until the worker catches up, so a slow shard throttles intake
-// instead of growing memory without bound.
+// Determinism by construction: a batch keeps its reports in submission
+// order, each queue is FIFO from a single producer, and a shard's reports
+// all travel through the one queue of its owning worker, so per-shard
+// ingestion order — and therefore dedup outcomes and the finalized
+// sub-matrix — is bitwise identical to serial ingestion, for every worker
+// count and batch size.
+//
+// Backpressure: queues are bounded in reports; when one fills, the producer
+// blocks on the hand-off until the worker catches up, so a slow shard
+// throttles intake instead of growing memory without bound.
 #pragma once
 
 #include <atomic>
@@ -39,9 +48,13 @@ namespace dptd::crowd {
 struct IngestPipelineConfig {
   /// Worker threads; clamped to the round's shard count, min 1.
   std::size_t num_workers = 1;
-  /// Ring slots per worker queue — the backpressure bound.
+  /// The backpressure bound, counted in reports: a worker's queue holds at
+  /// most this many handed-over reports (whole batches, at least one), and a
+  /// hand-off to a full queue blocks the producer.
   std::size_t queue_capacity = 4096;
-  /// Max reports a worker dequeues per lock acquisition.
+  /// Reports per hand-off, capped at queue_capacity: the producer hands a
+  /// worker its staged batch under one queue lock once it holds this many,
+  /// and the worker dequeues one batch per lock acquisition.
   std::size_t max_batch = 128;
 };
 
@@ -57,7 +70,9 @@ class IngestPipeline {
   /// zeroed, workers started (re-used across rounds when the shard/worker
   /// topology is unchanged — the builder storage is recycled via reshape()).
   /// The previous round, if any, must have been drained (finalize_shards or
-  /// drain); this is the caller's round-close barrier. Categorical rounds
+  /// drain); this is the caller's round-close barrier, and begin_round
+  /// throws std::invalid_argument, changing nothing, while any report of the
+  /// previous round is still staged or being ingested. Categorical rounds
   /// additionally pass the round number and the label policy: label-range
   /// validation and the policy's optional k-RR sampling run on the worker
   /// that owns the report's shard (never on the producer/network thread),
@@ -67,25 +82,29 @@ class IngestPipeline {
                    std::uint64_t round = 0,
                    const LabelIngestPolicy& labels = {});
 
-  /// Producer side (one thread): enqueues the encoded report `payload` for
-  /// the matrix row `row` (the caller has already peeked the header and
-  /// resolved row + round, and verified the message kind matches the round —
-  /// `is_label` selects the LabelReport decode path on the worker). Blocks
-  /// when the owning worker's queue is full.
-  void submit(std::size_t row, std::vector<std::uint8_t> payload,
+  /// Producer side (one thread): stages the encoded report `payload` for the
+  /// matrix row `row` in the owning worker's batch, copying the bytes into
+  /// the batch arena, so the caller's buffer is free once submit returns (the
+  /// caller has already peeked the header and resolved row + round, and
+  /// verified the message kind matches the round — `is_label` selects the
+  /// LabelReport decode path on the worker). Hands the batch over when it is
+  /// full, blocking while the worker's queue is full.
+  void submit(std::size_t row, std::span<const std::uint8_t> payload,
               bool is_label = false);
-  /// Zero-copy variant: `payload` must outlive the next drain() (e.g. a
-  /// pre-encoded benchmark corpus).
+  /// Zero-copy variant: stages a view of `payload`, which must outlive the
+  /// next drain() (e.g. a pre-encoded benchmark corpus).
   void submit_view(std::size_t row, std::span<const std::uint8_t> payload,
                    bool is_label = false);
 
-  /// Blocks until every submitted report has been fully ingested (the round
-  /// close barrier). After drain() returns, counters and builders are exact
-  /// and safe to read from the calling thread.
+  /// Hands over every partial batch, then blocks until every submitted
+  /// report has been fully ingested (the round close barrier). After drain()
+  /// returns, counters and builders are exact and safe to read from the
+  /// calling thread.
   void drain();
 
   /// Distinct users ingested so far, summed across workers. Monotone and
-  /// cheap (one relaxed load per worker); exact only after drain().
+  /// cheap (one relaxed load per worker); exact only after drain() — reports
+  /// still staged in a partial batch are not counted before it.
   std::size_t distinct_reporters() const;
 
   /// Per-shard accounting for the round. Call only after drain().
@@ -101,15 +120,23 @@ class IngestPipeline {
   std::size_t num_shards() const { return shards_.size(); }
 
  private:
-  struct Item {
+  /// One staged report: `size` encoded bytes at `external` (submit_view) or,
+  /// when that is null, at `offset` in the batch arena (submit copied them;
+  /// an offset stays valid while the arena grows).
+  struct Record {
     std::size_t shard = 0;
     std::size_t local_user = 0;
+    const std::uint8_t* external = nullptr;
+    std::size_t offset = 0;
+    std::size_t size = 0;
     bool is_label = false;  ///< decode as LabelReport instead of Report
-    /// The encoded report: `view` points into `owned` or into caller-owned
-    /// memory (the zero-copy path). Moving an Item keeps `view` valid —
-    /// vector moves never relocate the heap buffer.
-    std::span<const std::uint8_t> view;
-    std::vector<std::uint8_t> owned;
+  };
+
+  /// The unit of hand-off: up to batch_size_ records, in submission order,
+  /// and the arena holding the bytes submit() copied.
+  struct Batch {
+    std::vector<std::uint8_t> arena;
+    std::vector<Record> records;
   };
 
   /// Builder + round counters of one shard; written only by the owning
@@ -119,26 +146,37 @@ class IngestPipeline {
     ShardIngestStats stats;
   };
 
-  /// One worker thread: a bounded queue, its thread, and the padded counter
-  /// mirrors the coordinator polls (sole writer: the worker itself).
+  /// One worker thread: a bounded queue of batches, its thread, the batch
+  /// the producer is filling for it, and the padded counter mirrors the
+  /// coordinator polls (sole writer: the worker itself).
   struct Worker {
-    explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
+    explicit Worker(std::size_t queue_slots) : queue(queue_slots) {}
 
-    BoundedMpscQueue<Item> queue;
+    BoundedMpscQueue<Batch> queue;
     std::thread thread;
     std::size_t shard_begin = 0;
     std::size_t shard_end = 0;
-    std::size_t pushed = 0;  ///< producer-thread-local
+    Batch staged;            ///< producer-thread-local: not yet handed over
+    std::size_t pushed = 0;  ///< producer-thread-local: reports handed over
     alignas(64) std::atomic<std::size_t> processed{0};
     alignas(64) std::atomic<std::size_t> distinct{0};
   };
 
-  void enqueue(std::size_t row, Item item);
+  /// Routes `row` to its worker and appends its record (and, when `copy`,
+  /// its bytes) to that worker's staged batch; hands a full batch over.
+  void stage(std::size_t row, std::span<const std::uint8_t> payload,
+             bool is_label, bool copy);
+  /// Pushes the worker's staged batch, if any, onto its queue (blocking while
+  /// the queue is full) and starts an empty one.
+  void hand_off(Worker& worker);
   void worker_loop(Worker& worker);
-  void process_item(Worker& worker, Item& item);
+  void process_record(Worker& worker, const Batch& batch,
+                      const Record& record);
   void stop_workers();
 
   IngestPipelineConfig config_;
+  /// Reports per hand-off: min(max_batch, queue_capacity).
+  std::size_t batch_size_ = 0;
   data::ShardPlan plan_;
   std::size_t num_objects_ = 0;
   std::uint64_t round_ = 0;

@@ -14,11 +14,12 @@
 // Ingestion runs in one of two modes selected by ServerConfig::ingest_threads:
 // synchronous (0: decode + dedup + append inline on the network thread, the
 // original path) or pipelined (N >= 1: the network thread peeks the report
-// header, routes, and enqueues the raw payload onto a bounded queue; worker
-// threads owning the shard builders do the expensive decode/sanitize/append —
-// see crowd::IngestPipeline). The two modes produce bitwise-identical
-// matrices: each shard's queue is FIFO from the single network thread. Round
-// close drains every queue behind a barrier before finalizing.
+// header, routes, and copies the raw payload into its worker's batch, handed
+// over a batch at a time onto a bounded queue; worker threads owning the
+// shard builders do the expensive decode/sanitize/append — see
+// crowd::IngestPipeline). The two modes produce bitwise-identical matrices:
+// each shard's queue is FIFO from the single network thread. Round close
+// drains every queue behind a barrier before finalizing.
 //
 // Same threat model and wire protocol as CrowdServer: the server sees only
 // perturbed reports, malformed or byzantine reports are dropped or sanitized

@@ -49,21 +49,23 @@ void Network::send(Message message) {
       latency_.base_seconds +
       (latency_.jitter_seconds > 0.0 ? uniform(rng_, 0.0, latency_.jitter_seconds)
                                      : 0.0);
-  sim_->schedule(delay, [this, msg = std::move(message)]() mutable {
-    // Resolve the destination NOW, not at send time: the original node may
-    // have detached (undeliverable) or been replaced under the same id (the
-    // replacement receives). A send-time Node* would dangle across a
-    // detach + destroy + re-attach cycle — the shard failure/rejoin flow.
-    const auto it = nodes_.find(msg.destination);
-    if (it == nodes_.end()) {
-      ++stats_.messages_undeliverable;
-      ++undeliverable_by_dest_[msg.destination];
-      return;
-    }
-    ++stats_.messages_delivered;
-    stats_.bytes_delivered += msg.payload.size();
-    it->second->on_message(msg);
-  });
+  sim_->deliver(delay, *this, std::move(message));
+}
+
+void Network::deliver(const Message& message) {
+  // Resolve the destination NOW, not at send time: the original node may
+  // have detached (undeliverable) or been replaced under the same id (the
+  // replacement receives). A send-time Node* would dangle across a
+  // detach + destroy + re-attach cycle — the shard failure/rejoin flow.
+  const auto it = nodes_.find(message.destination);
+  if (it == nodes_.end()) {
+    ++stats_.messages_undeliverable;
+    ++undeliverable_by_dest_[message.destination];
+    return;
+  }
+  ++stats_.messages_delivered;
+  stats_.bytes_delivered += message.payload.size();
+  it->second->on_message(message);
 }
 
 std::size_t Network::poll(double deadline) {

@@ -2,6 +2,13 @@
 // per-link latency with jitter, probabilistic drops, and traffic accounting.
 // This is the simulator-backed implementation of net::Transport; the
 // socket-backed twin lives in net/socket_transport.h.
+//
+// Deliveries are Simulator::deliver events and fire in the simulator's
+// (due time, scheduling order) order, interleaved with timers. Without
+// jitter a link's due times never decrease, so its deliveries ride the
+// simulator's FIFO lane (unless another link on the same simulator queued a
+// later one); a delivery due before the lane's last entry takes the event
+// heap. The order is the same either way.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +71,10 @@ class Network final : public Transport {
   Simulator& simulator() { return *sim_; }
 
  private:
+  friend class Simulator;
+  /// Fires one scheduled delivery (called by the simulator).
+  void deliver(const Message& message);
+
   Simulator* sim_;
   LatencyModel latency_;
   Rng rng_;

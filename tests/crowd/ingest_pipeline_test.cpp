@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -248,6 +249,138 @@ TEST(IngestPipeline, ReusedAcrossRoundsWithChangingTopology) {
     const auto matrices = pipeline.finalize_shards();
     EXPECT_EQ(matrices.size(), plan.num_shards);
   }
+}
+
+// --- Batched hand-off -------------------------------------------------------
+
+/// Per-shard stats the serial reference ingestion yields for the stream.
+std::vector<ShardIngestStats> serial_stats(
+    const data::ShardPlan& plan, const std::vector<std::size_t>& rows) {
+  std::vector<ShardIngestStats> stats(plan.num_shards);
+  std::vector<bool> seen(plan.num_users, false);
+  for (const std::size_t row : rows) {
+    ShardIngestStats& shard = stats[plan.shard_of_user(row)];
+    if (seen[row]) {
+      ++shard.duplicates_ignored;
+    } else {
+      seen[row] = true;
+      ++shard.reports_received;
+    }
+  }
+  return stats;
+}
+
+TEST(IngestPipeline, EveryBatchBoundaryMatchesSerialIngestionBitwise) {
+  // Each worker gets exactly `per_worker` reports, at and around the batch
+  // and queue boundaries, interleaved across workers. Every third report is
+  // staged zero-copy, so submit and submit_view records share batches; the
+  // second config caps the hand-off at queue_capacity < max_batch.
+  constexpr std::size_t kObjects = 3;
+  constexpr std::size_t kShardUsers = 40;
+  const data::ShardPlan plan = data::ShardPlan::create(3 * kShardUsers, 3, 1);
+  ASSERT_EQ(plan.num_shards, 3u);
+  for (const auto& [capacity, batch] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{8, 4}, {3, 8}}) {
+    for (const std::size_t per_worker :
+         {std::size_t{0}, std::size_t{1}, batch - 1, batch, batch + 1,
+          capacity + batch + 1}) {
+      for (const std::size_t workers : {1u, 2u, 3u}) {
+        const std::string context =
+            "capacity=" + std::to_string(capacity) +
+            " max_batch=" + std::to_string(batch) +
+            " per_worker=" + std::to_string(per_worker) +
+            " workers=" + std::to_string(workers);
+        // Worker w owns shards [w*3/W, (w+1)*3/W): users of that range, each
+        // user twice in a row with different values (the first must win).
+        std::vector<std::size_t> rows;
+        std::vector<std::vector<std::uint8_t>> payloads;
+        for (std::size_t i = 0; i < per_worker; ++i) {
+          for (std::size_t w = 0; w < workers; ++w) {
+            const std::size_t begin = w * 3 / workers * kShardUsers;
+            const std::size_t end = (w + 1) * 3 / workers * kShardUsers;
+            const std::size_t row = begin + (i / 2 * 7) % (end - begin);
+            rows.push_back(row);
+            payloads.push_back(
+                encode_report(row, kObjects, 0.5 * static_cast<double>(i)));
+          }
+        }
+        const std::vector<data::ObservationMatrix> reference =
+            serial_reference(plan, kObjects, rows, payloads);
+        const std::vector<ShardIngestStats> reference_stats =
+            serial_stats(plan, rows);
+
+        IngestPipelineConfig config;
+        config.num_workers = workers;
+        config.queue_capacity = capacity;
+        config.max_batch = batch;
+        IngestPipeline pipeline(config);
+        pipeline.begin_round(plan, kObjects);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          if (i % 3 == 0) {
+            pipeline.submit_view(rows[i], payloads[i]);
+          } else {
+            pipeline.submit(rows[i], payloads[i]);
+          }
+        }
+        const std::vector<data::ObservationMatrix> shards =
+            pipeline.finalize_shards();
+        ASSERT_EQ(shards.size(), reference.size()) << context;
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+          expect_bitwise_equal(shards[s], reference[s],
+                               context + " shard " + std::to_string(s));
+        }
+        const std::vector<ShardIngestStats> stats = pipeline.shard_stats();
+        std::size_t distinct = 0;
+        for (std::size_t s = 0; s < stats.size(); ++s) {
+          EXPECT_EQ(stats[s].reports_received,
+                    reference_stats[s].reports_received)
+              << context << " shard " << s;
+          EXPECT_EQ(stats[s].duplicates_ignored,
+                    reference_stats[s].duplicates_ignored)
+              << context << " shard " << s;
+          distinct += reference_stats[s].reports_received;
+        }
+        EXPECT_EQ(pipeline.distinct_reporters(), distinct) << context;
+      }
+    }
+  }
+}
+
+TEST(IngestPipeline, BeginRoundRefusesUndrainedReportsUntilDrained) {
+  constexpr std::size_t kObjects = 2;
+  const data::ShardPlan plan = data::ShardPlan::create(8, 2, 2);
+  IngestPipelineConfig config;
+  config.num_workers = 2;
+  config.max_batch = 4;
+  IngestPipeline pipeline(config);
+  pipeline.begin_round(plan, kObjects);
+  pipeline.submit(1, encode_report(1, kObjects));  // staged, not handed over
+  EXPECT_THROW(pipeline.begin_round(plan, kObjects), std::invalid_argument);
+
+  // The refused call changed nothing: the staged report still lands.
+  pipeline.drain();
+  EXPECT_EQ(pipeline.distinct_reporters(), 1u);
+  EXPECT_EQ(pipeline.shard_stats()[plan.shard_of_user(1)].reports_received,
+            1u);
+
+  pipeline.begin_round(plan, kObjects, /*round=*/2);
+  std::vector<std::size_t> rows;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t u = 0; u < plan.num_users; ++u) {
+    rows.push_back(u);
+    payloads.push_back(encode_report(u, kObjects, 0.75));
+    pipeline.submit(rows.back(), payloads.back());
+  }
+  const std::vector<data::ObservationMatrix> shards =
+      pipeline.finalize_shards();
+  const std::vector<data::ObservationMatrix> reference =
+      serial_reference(plan, kObjects, rows, payloads);
+  ASSERT_EQ(shards.size(), reference.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    expect_bitwise_equal(shards[s], reference[s],
+                         "after drain, shard " + std::to_string(s));
+  }
+  EXPECT_EQ(pipeline.distinct_reporters(), plan.num_users);
 }
 
 // --- End-to-end: ShardedServer in pipelined mode -------------------------

@@ -1,10 +1,12 @@
 #include "data/io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "data/synthetic.h"
 
@@ -80,7 +82,9 @@ TEST(DataIo, RejectsEmptyFile) {
 }
 
 TEST(DataIo, FileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "dptd_io_test";
+  // Per process, so concurrent test runs on one host never share it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("dptd_io_test_FileRoundTrip_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string obs_path = (dir / "obs.csv").string();
   const std::string truth_path = (dir / "truth.csv").string();

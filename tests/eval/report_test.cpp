@@ -3,10 +3,12 @@
 #include "eval/report.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/csv.h"
 
@@ -16,7 +18,14 @@ namespace {
 class ReportFiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "dptd_report_test";
+    // One directory per test and process: ctest runs these tests in
+    // parallel, and each TearDown deletes its own directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("dptd_report_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -2,10 +2,12 @@
 // generation through the simulated crowd sensing network to accounting, and
 // consistency between the local pipeline and the distributed session.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "core/accountant.h"
 #include "core/empirical.h"
@@ -104,7 +106,10 @@ TEST(EndToEnd, FloorplanScenarioThroughPipeline) {
 }
 
 TEST(EndToEnd, DatasetSurvivesDiskRoundTripThroughPipeline) {
-  const auto dir = std::filesystem::temp_directory_path() / "dptd_e2e";
+  // Per process, so concurrent test runs on one host never share it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("dptd_e2e_DatasetSurvivesDiskRoundTrip_" +
+                    std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string obs_path = (dir / "obs.csv").string();
   const std::string truth_path = (dir / "truth.csv").string();
