@@ -9,15 +9,10 @@
 //    per wall-clock second of the close phase (finalize + converge +
 //    collect).
 //  - bytes_per_iteration / messages_per_iteration: protocol traffic of the
-//    iterate phase alone, from the coordinator's NetworkStats delta. Grows
-//    with K (one chain hop per shard per collective) — the cost model the
-//    README's distributed-mode section describes.
-//
-// The simulator rows carry a second axis, batch:{0,1}: the same round with
-// kBatch collective coalescing off and on. Bits are identical either way (the
-// equivalence suites enforce it); the batched rows exist to show the
-// messages_per_iteration drop the coalescing buys (CRH: 6K -> 4K frames per
-// iteration).
+//    iteration loop alone, from the coordinator's NetworkStats delta. Grows
+//    with K (one chain hop per shard per collective; CRH pays 4K frames per
+//    iteration) — the cost model the README's distributed-mode section
+//    describes.
 #include <benchmark/benchmark.h>
 
 #include <sys/stat.h>
@@ -91,11 +86,10 @@ dptd::crowd::Report make_report(std::size_t user, std::uint64_t round = 1) {
 /// the whole protocol runs through a zero-schedule FaultInjectionTransport —
 /// no fault ever fires, so the row prices the decorator's overhead (one
 /// virtual hop plus an Rng draw per send) against the bare-Network rows at
-/// equal (shards, batch).
+/// equal shards.
 void run_distributed_round_crh(benchmark::State& state,
                                bool fault_passthrough) {
   const auto num_shards = static_cast<std::size_t>(state.range(0));
-  const bool batch = state.range(1) != 0;
 
   MethodSpec spec;
   spec.kind = MethodSpec::Kind::kCrh;
@@ -123,7 +117,6 @@ void run_distributed_round_crh(benchmark::State& state,
     config.id = kCoordinatorId;
     config.num_objects = kObjects;
     config.block_size = kBlock;
-    config.batch_collectives = batch;
     Coordinator coordinator(config, spec, network);
     std::vector<std::unique_ptr<ShardNode>> shards;
     for (std::size_t i = 0; i < num_shards; ++i) {
@@ -189,8 +182,11 @@ void BM_DistributedRoundCrh(benchmark::State& state) {
   run_distributed_round_crh(state, /*fault_passthrough=*/false);
 }
 BENCHMARK(BM_DistributedRoundCrh)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "batch"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->ArgName("shards")
     ->Unit(benchmark::kSecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -198,13 +194,14 @@ BENCHMARK(BM_DistributedRoundCrh)
 // The chaos suites decorate every transport with FaultInjectionTransport;
 // this row proves the decorator is free when its schedule is empty, so the
 // fault layer can stay in integration rigs without distorting measurements.
-// Compare against BM_DistributedRoundCrh at equal (shards, batch).
+// Compare against BM_DistributedRoundCrh at equal shards.
 void BM_DistributedRoundCrhFaultPassthrough(benchmark::State& state) {
   run_distributed_round_crh(state, /*fault_passthrough=*/true);
 }
 BENCHMARK(BM_DistributedRoundCrhFaultPassthrough)
-    ->ArgsProduct({{1, 4}, {1}})
-    ->ArgNames({"shards", "batch"})
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("shards")
     ->Unit(benchmark::kSecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -217,9 +214,8 @@ BENCHMARK(BM_DistributedRoundCrhFaultPassthrough)
 // shard kernels, which the simulator row already times at the million-user
 // scale. Results stay bitwise identical to the simulator rows' method output
 // at equal K and block size (the multiprocess equivalence suite enforces it);
-// this row exists to price the transport swap. It runs with the production
-// default (batched collectives), so each iteration really does cost 4K
-// kernel round trips, not 6K.
+// this row exists to price the transport swap: each iteration costs 4K
+// kernel round trips.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kUdsUsers = 100'000;

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "truth/categorical.h"
+#include "truth/fold_backend.h"
 #include "truth/sharded_stats.h"
 
 namespace dptd::categorical {
@@ -102,77 +104,21 @@ void vote_weights_from_disagreement(std::span<const double> disagreement,
 }
 
 VotingResult majority_vote(const ShardedLabelMatrix& m, ThreadPool* pool) {
-  VotingResult result;
-  result.weights.assign(m.num_users(), 1.0);
-  std::vector<double> scores(m.num_objects() * m.num_labels(), 0.0);
-  fold_label_scores(m, pool, result.weights, scores);
-  result.truths = truths_from_scores(scores, m.num_objects(), m.num_labels());
-  result.iterations = 1;
-  result.converged = true;
-  return result;
+  truth::LocalBackend backend(m, pool);
+  return truth::run_majority_vote(backend, m.num_labels());
 }
 
 VotingResult weighted_vote(const ShardedLabelMatrix& m,
                            const WeightedVotingConfig& config, ThreadPool* pool,
                            std::span<const double> warm_weights,
                            std::span<const Label> warm_truths) {
-  DPTD_REQUIRE(config.max_iterations > 0,
-               "weighted_vote: max_iterations must be positive");
-  DPTD_REQUIRE(config.min_disagreement_fraction > 0.0 &&
-                   config.min_disagreement_fraction < 1.0,
-               "weighted_vote: min_disagreement_fraction must be in (0,1)");
   DPTD_REQUIRE(warm_weights.empty() || warm_weights.size() == m.num_users(),
                "weighted_vote: warm weights size != num users");
   DPTD_REQUIRE(warm_truths.empty() || warm_truths.size() == m.num_objects(),
                "weighted_vote: warm truths size != num objects");
-
-  VotingResult result;
-  if (warm_weights.empty()) {
-    result.weights.assign(m.num_users(), 1.0);
-  } else {
-    result.weights.assign(warm_weights.begin(), warm_weights.end());
-  }
-  std::vector<double> scores(m.num_objects() * m.num_labels(), 0.0);
-  if (warm_truths.empty()) {
-    fold_label_scores(m, pool, result.weights, scores);
-    result.truths = truths_from_scores(scores, m.num_objects(), m.num_labels());
-  } else {
-    for (Label t : warm_truths) {
-      DPTD_REQUIRE(t < m.num_labels(), "weighted_vote: warm truth label");
-    }
-    result.truths.assign(warm_truths.begin(), warm_truths.end());
-  }
-
-  std::vector<double> disagreement(m.num_users(), 0.0);
-  for (std::size_t it = 1; it <= config.max_iterations; ++it) {
-    // Weight update: disagreement count per user, CRH Eq. (3) on 0/1 loss.
-    vote_disagreement(m, pool, result.truths, disagreement);
-    const double total =
-        truth::block_chain_sum(disagreement, m.plan().block_size);
-    if (total <= 0.0) {
-      // Unanimous agreement with the estimates: uniform weights, done.
-      std::fill(result.weights.begin(), result.weights.end(), 1.0);
-      result.iterations = it;
-      result.converged = true;
-      return result;
-    }
-    vote_weights_from_disagreement(disagreement, total,
-                                   config.min_disagreement_fraction,
-                                   result.weights);
-
-    std::fill(scores.begin(), scores.end(), 0.0);
-    fold_label_scores(m, pool, result.weights, scores);
-    std::vector<Label> next =
-        truths_from_scores(scores, m.num_objects(), m.num_labels());
-    const bool unchanged = next == result.truths;
-    result.truths = std::move(next);
-    result.iterations = it;
-    if (unchanged) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
+  truth::LocalBackend backend(m, pool);
+  return truth::run_weighted_vote(backend, config, m.num_labels(),
+                                  warm_weights, warm_truths);
 }
 
 VotingResult majority_vote(const LabelMatrix& claims) {

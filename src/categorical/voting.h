@@ -10,8 +10,10 @@
 // user-block order (flat within a block of plan.block_size users, block
 // partials chained ascending) and per-user disagreement counts totalled by
 // truth::block_chain_sum. Shard boundaries are block-aligned, so a K-shard
-// run is bitwise identical to the single-shard run for any K — and the
-// distributed coordinator reproduces the exact same chain over the wire.
+// run is bitwise identical to the single-shard run for any K. The drivers
+// run truth::run_majority_vote / truth::run_weighted_vote over an in-process
+// fold backend — the same loops the distributed coordinator runs over the
+// wire.
 #pragma once
 
 #include <span>

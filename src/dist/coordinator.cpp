@@ -1,16 +1,25 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
-#include "categorical/voting.h"
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/statistics.h"
 #include "truth/baselines.h"
-#include "truth/sharded_stats.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::dist {
+namespace {
+
+/// A shard exhausted its resends or sent a reply the coordinator cannot use.
+/// The close attempt (or begin_round) talking to it catches this and
+/// excludes the shard.
+struct ShardFailure {
+  net::NodeId shard = 0;
+};
+
+}  // namespace
 
 std::unique_ptr<truth::TruthDiscovery> make_method(const MethodSpec& spec) {
   switch (spec.kind) {
@@ -57,14 +66,17 @@ crowd::RoundRecord to_round_record(const DistributedOutcome& outcome) {
 
 Coordinator::Coordinator(CoordinatorConfig config, MethodSpec method,
                          net::Transport& network)
-    : config_(config), method_(method), network_(&network) {
+    : config_(config),
+      spec_(method),
+      method_(make_method(method)),
+      network_(&network) {
   DPTD_REQUIRE(config_.num_objects > 0,
                "Coordinator: num_objects must be positive");
   DPTD_REQUIRE(config_.block_size > 0,
                "Coordinator: block_size must be positive");
-  DPTD_REQUIRE(!method_.categorical() ||
-                   (method_.num_labels() >= 2 &&
-                    method_.num_labels() <= truth::kMaxBridgedLabels),
+  DPTD_REQUIRE(!spec_.categorical() ||
+                   (spec_.num_labels() >= 2 &&
+                    spec_.num_labels() <= truth::kMaxBridgedLabels),
                "Coordinator: categorical method needs an explicit label "
                "alphabet (2 <= num_labels <= kMaxBridgedLabels)");
   config_.rpc.validate();
@@ -161,7 +173,7 @@ void Coordinator::handle_response(const net::Message& message) {
   outstanding_.erase(it);
 }
 
-bool Coordinator::pump() {
+void Coordinator::pump() {
   while (!outstanding_.empty()) {
     double next = std::numeric_limits<double>::infinity();
     for (const auto& [id, p] : outstanding_) next = std::min(next, p.deadline);
@@ -179,10 +191,10 @@ bool Coordinator::pump() {
     for (auto& [id, p] : outstanding_) {
       if (p.deadline > now) continue;
       if (p.resends >= config_.rpc.max_resends) {
-        failed_shard_ = p.shard;
+        const net::NodeId shard = p.shard;
         outstanding_.clear();
         arrived_.clear();
-        return false;
+        throw ShardFailure{shard};
       }
       ++p.resends;
       ++round_resends_;
@@ -193,56 +205,35 @@ bool Coordinator::pump() {
                                          p.payload));
     }
   }
-  return true;
 }
 
-std::optional<std::vector<std::vector<std::uint8_t>>> Coordinator::call_all(
-    ShardOp op, const std::vector<net::NodeId>& targets,
-    const std::function<std::vector<std::uint8_t>(std::size_t)>& body_of) {
+std::vector<std::vector<std::uint8_t>> Coordinator::call_all(
+    const std::vector<net::NodeId>& targets,
+    const std::function<BatchItem(std::size_t)>& request_of) {
   std::vector<std::uint64_t> ids(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    BatchItem request = request_of(j);
     crowd::StatsEnvelope env;
     env.op_id = ++next_op_id_;
-    env.op = static_cast<std::uint8_t>(op);
-    env.body = body_of(i);
-    ids[i] = env.op_id;
+    env.op = static_cast<std::uint8_t>(request.op);
+    env.body = std::move(request.body);
+    ids[j] = env.op_id;
     Pending pending;
-    pending.shard = targets[i];
+    pending.shard = targets[j];
     pending.payload = env.encode();
     pending.deadline = network_->now() + config_.rpc.op_timeout_seconds;
-    network_->send(crowd::make_message(config_.id, targets[i],
+    network_->send(crowd::make_message(config_.id, targets[j],
                                        crowd::MessageType::kShardRequest,
                                        pending.payload));
     outstanding_.emplace(env.op_id, std::move(pending));
   }
-  if (!pump()) return std::nullopt;
+  pump();
   std::vector<std::vector<std::uint8_t>> out(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    out[i] = std::move(arrived_[ids[i]]);
-    arrived_.erase(ids[i]);
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    out[j] = std::move(arrived_[ids[j]]);
+    arrived_.erase(ids[j]);
   }
   return out;
-}
-
-std::optional<std::vector<std::uint8_t>> Coordinator::call(
-    net::NodeId target, ShardOp op, std::vector<std::uint8_t> body) {
-  auto replies = call_all(op, {target},
-                          [&](std::size_t) { return std::move(body); });
-  if (!replies.has_value()) return std::nullopt;
-  return std::move((*replies)[0]);
-}
-
-bool Coordinator::broadcast(ShardOp op,
-                            const std::vector<std::uint8_t>& body) {
-  return call_all(op, live_nodes(), [&](std::size_t) { return body; })
-      .has_value();
-}
-
-std::vector<net::NodeId> Coordinator::live_nodes() const {
-  std::vector<net::NodeId> nodes;
-  nodes.reserve(live_.size());
-  for (std::size_t i : live_) nodes.push_back(active_[i]);
-  return nodes;
 }
 
 std::size_t Coordinator::live_num_users() const {
@@ -251,279 +242,355 @@ std::size_t Coordinator::live_num_users() const {
   return users;
 }
 
-namespace {
-
-/// Decodes a shard response body; a DecodeError marks the shard byzantine
-/// (counted + declared failed) instead of propagating.
-template <typename T>
-std::optional<T> decode_or_fail(
-    net::NodeId shard, const std::vector<std::uint8_t>& bytes,
-    std::unordered_map<net::NodeId, std::size_t>& malformed,
-    std::optional<net::NodeId>& failed) {
-  try {
-    return T::decode(bytes);
-  } catch (const DecodeError&) {
-    ++malformed[shard];
-    failed = shard;
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Statistics collectives
+// RemoteBackend
 
-std::optional<std::vector<std::uint8_t>> Coordinator::chain_call(
-    net::NodeId shard, std::size_t index, ShardOp op,
-    std::vector<std::uint8_t> body, const BatchPrefixFn& prefix_of) {
-  if (!prefix_of) return call(shard, op, std::move(body));
-  Batch items = prefix_of(index);
-  if (items.empty()) return call(shard, op, std::move(body));
-  items.push_back(BatchItem{op, std::move(body)});
-  BatchBody batch;
-  batch.items = std::move(items);
-  auto reply = call(shard, ShardOp::kBatch, batch.encode());
-  if (!reply.has_value()) return std::nullopt;
-  auto decoded = decode_or_fail<BatchReplyBody>(shard, *reply,
-                                                malformed_by_node_,
-                                                failed_shard_);
-  if (!decoded.has_value() || decoded->bodies.size() != batch.items.size()) {
-    failed_shard_ = shard;
-    return std::nullopt;
-  }
-  return std::move(decoded->bodies.back());
-}
+/// The fold backend over the live shards of one close attempt. Every chained
+/// fold threads its accumulator through the live shards in ascending plan
+/// order; gather and collect go to all of them in parallel.
+///
+/// The one deferral rule: a register write is queued per live shard and
+/// rides as a kBatch prefix on the next frame that shard receives (a chain
+/// hop, a gather, the final collect or telemetry), executed first within one
+/// op id. It only mutates registers that same shard's own later ops read,
+/// so the deferral cannot change a bit. Writes still queued when a loop
+/// enters its iterations go out on their own first, so the iteration
+/// counters measure the loop alone. Queued writes die with the attempt.
+class RemoteBackend final : public truth::FoldBackend {
+ public:
+  explicit RemoteBackend(Coordinator& coordinator)
+      : c_(coordinator), queued_(coordinator.plan_.num_shards) {}
 
-std::vector<std::uint8_t> Coordinator::weights_slice_body(
-    const std::vector<double>& global, std::size_t i) const {
-  WeightsBody body;
-  body.uniform = false;
-  body.weights.assign(
-      global.begin() + static_cast<std::ptrdiff_t>(plan_.user_begin(i)),
-      global.begin() + static_cast<std::ptrdiff_t>(plan_.user_end(i)));
-  return body.encode();
-}
+  std::size_t num_users() const override { return c_.live_num_users(); }
+  std::size_t num_objects() const override { return c_.config_.num_objects; }
 
-bool Coordinator::set_weights_uniform() {
-  WeightsBody body;
-  body.uniform = true;
-  return broadcast(ShardOp::kSetWeights, body.encode());
-}
-
-bool Coordinator::set_weights_explicit(const std::vector<double>& global) {
-  DPTD_REQUIRE(global.size() == plan_.num_users,
-               "Coordinator: weight vector size != num users");
-  return call_all(ShardOp::kSetWeights, live_nodes(),
-                  [&](std::size_t j) {
-                    return weights_slice_body(global, live_[j]);
-                  })
-      .has_value();
-}
-
-std::optional<truth::AggregateStats> Coordinator::aggregate_chain(
-    const BatchPrefixFn& prefix_of) {
-  // The chained fold: each shard continues the accumulator exactly where the
-  // previous one stopped, reproducing the in-process ascending-shard fold.
-  AggregateBody body;
-  body.stats.reset(config_.num_objects);
-  for (std::size_t i : live_) {
-    const net::NodeId shard = active_[i];
-    auto reply = chain_call(shard, i, ShardOp::kAggregate, body.encode(),
-                            prefix_of);
-    if (!reply.has_value()) return std::nullopt;
-    auto next = decode_or_fail<AggregateBody>(shard, *reply,
-                                              malformed_by_node_,
-                                              failed_shard_);
-    if (!next.has_value() ||
-        next->stats.counts.size() != config_.num_objects) {
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    body = std::move(*next);
-  }
-  return std::move(body.stats);
-}
-
-std::optional<std::vector<double>> Coordinator::aggregate_truths(
-    const BatchPrefixFn& prefix_of) {
-  auto stats = aggregate_chain(prefix_of);
-  if (!stats.has_value()) return std::nullopt;
-  return truth::truths_from_aggregate(*stats, nullptr);
-}
-
-std::optional<std::vector<RunningStats>> Coordinator::moments_chain() {
-  std::vector<RunningStats> moments(config_.num_objects);
-  for (net::NodeId shard : live_nodes()) {
-    auto reply = call(shard, ShardOp::kMoments, encode_moments(moments));
-    if (!reply.has_value()) return std::nullopt;
-    try {
-      moments = decode_moments(*reply);
-    } catch (const DecodeError&) {
-      ++malformed_by_node_[shard];
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    if (moments.size() != config_.num_objects) {
-      failed_shard_ = shard;
-      return std::nullopt;
+  /// Weights are indexed by the round's planned users (an excluded shard's
+  /// slice is skipped); empty sends the one-byte uniform body.
+  void set_weights(std::span<const double> weights) override {
+    WeightsBody body;
+    body.uniform = weights.empty();
+    DPTD_REQUIRE(body.uniform || weights.size() == c_.plan_.num_users,
+                 "RemoteBackend: weights size != planned users");
+    for (std::size_t i : c_.live_) {
+      if (!body.uniform) {
+        body.weights.assign(weights.begin() + c_.plan_.user_begin(i),
+                            weights.begin() + c_.plan_.user_end(i));
+      }
+      queued_[i].push_back({ShardOp::kSetWeights, body.encode()});
     }
   }
-  return moments;
-}
+  void crh_prepare(truth::CrhLoss loss, double min_loss_fraction,
+                   std::span<const double> stddevs) override {
+    CrhPrepareBody body;
+    body.loss = static_cast<std::uint8_t>(loss);
+    body.min_loss_fraction = min_loss_fraction;
+    body.stddevs.assign(stddevs.begin(), stddevs.end());
+    write(ShardOp::kCrhPrepare, body.encode());
+  }
+  void crh_weights(double total) override {
+    write(ShardOp::kCrhWeights, total_body(total));
+  }
+  void gtm_prepare(const truth::GtmConfig& config,
+                   std::span<const double> shift,
+                   std::span<const double> scale) override {
+    GtmPrepareBody body;
+    body.quality_prior_alpha = config.quality_prior_alpha;
+    body.quality_prior_beta = config.quality_prior_beta;
+    body.min_variance = config.min_variance;
+    body.shift.assign(shift.begin(), shift.end());
+    body.scale.assign(scale.begin(), scale.end());
+    write(ShardOp::kGtmPrepare, body.encode());
+  }
+  void gtm_step(std::span<const double> truth_mean,
+                std::span<const double> truth_var) override {
+    GtmStepBody body;
+    body.truth_mean.assign(truth_mean.begin(), truth_mean.end());
+    body.truth_var.assign(truth_var.begin(), truth_var.end());
+    write(ShardOp::kGtmStep, body.encode());
+  }
+  void catd_prepare(double significance, double min_residual) override {
+    CatdPrepareBody body;
+    body.significance = significance;
+    body.min_residual = min_residual;
+    write(ShardOp::kCatdPrepare, body.encode());
+  }
+  void catd_weights(std::span<const double> truths) override {
+    TruthsBody body;
+    body.truths.assign(truths.begin(), truths.end());
+    write(ShardOp::kCatdWeights, body.encode());
+  }
+  void vote_prepare(std::size_t num_labels,
+                    double min_disagreement_fraction) override {
+    VotePrepareBody body;
+    body.num_labels = num_labels;
+    body.min_disagreement_fraction = min_disagreement_fraction;
+    write(ShardOp::kVotePrepare, body.encode());
+  }
+  void vote_weights(double total) override {
+    write(ShardOp::kVoteWeights, total_body(total));
+  }
 
-std::optional<std::vector<std::vector<double>>> Coordinator::gather_columns(
-    const BatchPrefixFn& prefix_of) {
-  // The gather has no carried state, so prefixed frames still go out in
-  // parallel: each shard executes its prefix (shard-local mutations only)
-  // before its own gather, which no other shard's reply depends on.
-  std::optional<std::vector<std::vector<std::uint8_t>>> replies;
-  const std::vector<net::NodeId> targets = live_nodes();
-  if (prefix_of) {
-    replies = call_all(ShardOp::kBatch, targets, [&](std::size_t j) {
+  void moments(std::span<RunningStats> acc) override {
+    std::vector<RunningStats> state(acc.begin(), acc.end());
+    for (std::size_t i : c_.live_) {
+      state = parse(i, hop(i, ShardOp::kMoments, encode_moments(state)),
+                    &decode_moments, [&](const std::vector<RunningStats>& m) {
+                      return m.size() == acc.size();
+                    });
+    }
+    std::copy(state.begin(), state.end(), acc.begin());
+  }
+  void aggregate(truth::AggregateStats& acc) override {
+    AggregateBody body;
+    body.stats = std::move(acc);
+    for (std::size_t i : c_.live_) {
+      body = parse(i, hop(i, ShardOp::kAggregate, body.encode()),
+                   &AggregateBody::decode, [&](const AggregateBody& next) {
+                     return next.stats.counts.size() == num_objects();
+                   });
+    }
+    acc = std::move(body.stats);
+  }
+  double crh_loss(std::span<const double> truths, double total) override {
+    CrhLossBody body;
+    body.truths.assign(truths.begin(), truths.end());
+    body.total = total;
+    for (std::size_t i : c_.live_) {
+      body.total = chained_total(i, ShardOp::kCrhLoss, body.encode());
+    }
+    return body.total;
+  }
+  void gtm_posterior(std::span<double> precision,
+                     std::span<double> weighted) override {
+    GtmFoldBody body;
+    body.precision.assign(precision.begin(), precision.end());
+    body.weighted.assign(weighted.begin(), weighted.end());
+    for (std::size_t i : c_.live_) {
+      body = parse(i, hop(i, ShardOp::kGtmFold, body.encode()),
+                   &GtmFoldBody::decode, [&](const GtmFoldBody& next) {
+                     return next.precision.size() == precision.size();
+                   });
+    }
+    std::copy(body.precision.begin(), body.precision.end(), precision.begin());
+    std::copy(body.weighted.begin(), body.weighted.end(), weighted.begin());
+  }
+  void vote_scores(std::span<double> scores) override {
+    VoteScoresBody body;
+    body.scores.assign(scores.begin(), scores.end());
+    for (std::size_t i : c_.live_) {
+      body = parse(i, hop(i, ShardOp::kVoteScores, body.encode()),
+                   &VoteScoresBody::decode, [&](const VoteScoresBody& next) {
+                     return next.scores.size() == scores.size();
+                   });
+    }
+    std::copy(body.scores.begin(), body.scores.end(), scores.begin());
+  }
+  double vote_disagreement(std::span<const categorical::Label> truths,
+                           double total) override {
+    VoteDisagreeBody body;
+    body.truths.assign(truths.begin(), truths.end());
+    body.total = total;
+    for (std::size_t i : c_.live_) {
+      body.total = chained_total(i, ShardOp::kVoteDisagree, body.encode());
+    }
+    return body.total;
+  }
+
+  truth::GatheredColumns gather() override {
+    // Fragments concatenated in ascending shard order ARE the global columns
+    // in user order (shard ranges are contiguous and ascending; excluded
+    // shards just leave their users out).
+    const auto replies = send(c_.live_, {{ShardOp::kGather, {}}});
+    std::vector<GatherBody> fragments;
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      fragments.push_back(parse(c_.live_[j], replies[j][0], &GatherBody::decode,
+                                [&](const GatherBody& fragment) {
+                                  return fragment.lengths.size() ==
+                                         num_objects();
+                                }));
+    }
+    truth::GatheredColumns columns;
+    columns.offsets.assign(num_objects() + 1, 0);
+    for (const GatherBody& fragment : fragments) {
+      for (std::size_t n = 0; n < num_objects(); ++n) {
+        columns.offsets[n + 1] += fragment.lengths[n];
+      }
+    }
+    for (std::size_t n = 0; n < num_objects(); ++n) {
+      columns.offsets[n + 1] += columns.offsets[n];
+    }
+    columns.values.resize(columns.offsets.back());
+    std::vector<std::size_t> cursor(columns.offsets.begin(),
+                                    columns.offsets.end() - 1);
+    for (const GatherBody& fragment : fragments) {
+      auto value = fragment.values.begin();
+      for (std::size_t n = 0; n < num_objects(); ++n) {
+        const auto len = static_cast<std::ptrdiff_t>(fragment.lengths[n]);
+        std::copy(value, value + len, columns.values.begin() + cursor[n]);
+        cursor[n] += fragment.lengths[n];
+        value += len;
+      }
+    }
+    return columns;
+  }
+
+  /// Surviving users only, concatenated ascending — on a degraded round
+  /// exactly the weight vector of the in-process survivor reference. The
+  /// shard telemetry rides the same frames.
+  std::vector<double> collect_weights() override {
+    const auto replies = send(c_.live_, {{ShardOp::kCollectWeights, {}},
+                                         {ShardOp::kGetTelemetry, {}}});
+    std::vector<double> weights;
+    weights.reserve(num_users());
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      const std::size_t i = c_.live_[j];
+      const WeightsBody slice = parse(
+          i, replies[j][0], &WeightsBody::decode, [&](const WeightsBody& w) {
+            return w.weights.size() == c_.plan_.shard_num_users(i);
+          });
+      weights.insert(weights.end(), slice.weights.begin(), slice.weights.end());
+      store_telemetry(i, replies[j][1]);
+    }
+    return weights;
+  }
+
+  void begin_iterations() override {
+    std::vector<std::size_t> queued;
+    for (std::size_t i : c_.live_) {
+      if (!queued_[i].empty()) queued.push_back(i);
+    }
+    if (!queued.empty()) send(queued, {});
+    at_begin_ = c_.network_->stats();
+  }
+  void end_iterations() override {
+    const net::NetworkStats& now = c_.network_->stats();
+    iteration_messages_ = now.messages_sent - at_begin_.messages_sent;
+    iteration_bytes_ = now.bytes_sent - at_begin_.bytes_sent;
+  }
+
+  /// kFinalizeIngest on every live shard: their ingest summaries.
+  std::vector<IngestSummaryBody> finalize() {
+    const auto replies = send(c_.live_, {{ShardOp::kFinalizeIngest, {}}});
+    std::vector<IngestSummaryBody> summaries;
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      summaries.push_back(parse(c_.live_[j], replies[j][0],
+                                &IngestSummaryBody::decode,
+                                [&](const IngestSummaryBody& summary) {
+                                  return summary.object_counts.size() ==
+                                         num_objects();
+                                }));
+    }
+    return summaries;
+  }
+
+  /// Shard-side robustness counters of every live shard, unless the final
+  /// collect already brought them.
+  void collect_telemetry() {
+    if (std::all_of(c_.live_.begin(), c_.live_.end(), [&](std::size_t i) {
+          return c_.telemetry_by_node_.contains(c_.active_[i]);
+        })) {
+      return;
+    }
+    const auto replies = send(c_.live_, {{ShardOp::kGetTelemetry, {}}});
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      store_telemetry(c_.live_[j], replies[j][0]);
+    }
+  }
+
+  std::size_t iteration_messages() const { return iteration_messages_; }
+  std::size_t iteration_bytes() const { return iteration_bytes_; }
+
+ private:
+  using Bodies = std::vector<std::vector<std::uint8_t>>;
+
+  void write(ShardOp op, const std::vector<std::uint8_t>& body) {
+    for (std::size_t i : c_.live_) queued_[i].push_back({op, body});
+  }
+
+  static std::vector<std::uint8_t> total_body(double total) {
+    CrhTotalBody body;
+    body.total = total;
+    return body.encode();
+  }
+
+  /// Sends each of `shards` (plan indices) one frame: its queued writes,
+  /// then `tail`. A lone item travels plain, anything more as one kBatch.
+  /// Returns each shard's reply bodies for `tail`. This is the one place a
+  /// batched reply is unpacked: it must carry exactly one body per item.
+  std::vector<Bodies> send(const std::vector<std::size_t>& shards,
+                           const std::vector<BatchItem>& tail) {
+    std::vector<net::NodeId> nodes;
+    for (std::size_t i : shards) nodes.push_back(c_.active_[i]);
+    std::vector<std::size_t> items(shards.size());
+    Bodies replies = c_.call_all(nodes, [&](std::size_t j) {
+      std::vector<BatchItem> frame = std::move(queued_[shards[j]]);
+      queued_[shards[j]].clear();
+      frame.insert(frame.end(), tail.begin(), tail.end());
+      items[j] = frame.size();
+      if (frame.size() == 1) return std::move(frame[0]);
       BatchBody batch;
-      batch.items = prefix_of(live_[j]);
-      batch.items.push_back(BatchItem{ShardOp::kGather, {}});
-      return batch.encode();
+      batch.items = std::move(frame);
+      return BatchItem{ShardOp::kBatch, batch.encode()};
     });
-  } else {
-    replies = call_all(ShardOp::kGather, targets,
-                       [](std::size_t) { return std::vector<std::uint8_t>{}; });
-  }
-  if (!replies.has_value()) return std::nullopt;
-  const std::size_t N = config_.num_objects;
-  std::vector<std::vector<double>> columns(N);
-  // Fragments concatenated in ascending shard order ARE the global columns
-  // in user order (shard ranges are contiguous and ascending; excluded
-  // shards just leave their users out).
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    std::vector<std::uint8_t> frag_bytes = std::move((*replies)[j]);
-    if (prefix_of) {
-      auto batched = decode_or_fail<BatchReplyBody>(
-          targets[j], frag_bytes, malformed_by_node_, failed_shard_);
-      if (!batched.has_value() || batched->bodies.empty()) {
-        failed_shard_ = targets[j];
-        return std::nullopt;
+    std::vector<Bodies> out(shards.size());
+    for (std::size_t j = 0; j < shards.size(); ++j) {
+      Bodies bodies;
+      if (items[j] == 1) {
+        bodies.push_back(std::move(replies[j]));
+      } else {
+        bodies = parse(shards[j], replies[j], &BatchReplyBody::decode,
+                       [&](const BatchReplyBody& reply) {
+                         return reply.bodies.size() == items[j];
+                       })
+                     .bodies;
       }
-      frag_bytes = std::move(batched->bodies.back());
+      out[j].assign(std::make_move_iterator(bodies.end() - tail.size()),
+                    std::make_move_iterator(bodies.end()));
     }
-    auto frag = decode_or_fail<GatherBody>(targets[j], frag_bytes,
-                                           malformed_by_node_, failed_shard_);
-    if (!frag.has_value() || frag->lengths.size() != N) {
-      failed_shard_ = targets[j];
-      return std::nullopt;
-    }
-    std::size_t cursor = 0;
-    for (std::size_t n = 0; n < N; ++n) {
-      const std::size_t len = static_cast<std::size_t>(frag->lengths[n]);
-      columns[n].insert(columns[n].end(), frag->values.begin() + cursor,
-                        frag->values.begin() + cursor + len);
-      cursor += len;
-    }
+    return out;
   }
-  return columns;
-}
 
-bool Coordinator::collect_telemetry() {
-  // The batched collect_weights pipelines kGetTelemetry into its frames; if
-  // that already covered every live shard this round, skip the extra RPC.
-  const std::vector<net::NodeId> targets = live_nodes();
-  const bool collected =
-      !targets.empty() &&
-      std::all_of(targets.begin(), targets.end(), [&](net::NodeId shard) {
-        return telemetry_by_node_.contains(shard);
-      });
-  if (collected) return true;
-  auto replies = call_all(ShardOp::kGetTelemetry, targets,
-                          [](std::size_t) { return std::vector<std::uint8_t>{}; });
-  if (!replies.has_value()) return false;
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    auto body = decode_or_fail<TelemetryBody>(targets[j], (*replies)[j],
-                                              malformed_by_node_,
-                                              failed_shard_);
-    if (!body.has_value()) return false;
-    telemetry_by_node_[targets[j]] = *body;
+  /// One chain hop: shard i continues the fold carried in `body`.
+  std::vector<std::uint8_t> hop(std::size_t i, ShardOp op,
+                                std::vector<std::uint8_t> body) {
+    return std::move(send({i}, {{op, std::move(body)}})[0][0]);
   }
-  return true;
-}
 
-std::optional<std::vector<double>> Coordinator::vote_scores_chain(
-    std::size_t num_labels, const BatchPrefixFn& prefix_of) {
-  // Same shape as aggregate_chain: the score table threads through the
-  // shards in ascending order, each continuing categorical::fold_label_scores
-  // exactly where the previous shard stopped.
-  VoteScoresBody body;
-  body.scores.assign(config_.num_objects * num_labels, 0.0);
-  for (std::size_t i : live_) {
-    const net::NodeId shard = active_[i];
-    auto reply = chain_call(shard, i, ShardOp::kVoteScores, body.encode(),
-                            prefix_of);
-    if (!reply.has_value()) return std::nullopt;
-    auto next = decode_or_fail<VoteScoresBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-    if (!next.has_value() ||
-        next->scores.size() != config_.num_objects * num_labels) {
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    body = std::move(*next);
+  /// A hop of a chained block sum: the reply is the running total.
+  double chained_total(std::size_t i, ShardOp op,
+                       std::vector<std::uint8_t> body) {
+    return parse(i, hop(i, op, std::move(body)), &CrhTotalBody::decode,
+                 [](const CrhTotalBody&) { return true; })
+        .total;
   }
-  return std::move(body.scores);
-}
 
-std::optional<std::vector<double>> Coordinator::collect_weights() {
-  const std::vector<net::NodeId> targets = live_nodes();
-  std::vector<std::vector<std::uint8_t>> slices;
-  if (config_.batch_collectives) {
-    // Pipeline the two independent round-close collectives in one frame per
-    // shard: the telemetry rides along, so close_round's collect_telemetry
-    // becomes a no-op. Both are reads — batching cannot change any bits.
-    BatchBody batch;
-    batch.items.push_back(BatchItem{ShardOp::kCollectWeights, {}});
-    batch.items.push_back(BatchItem{ShardOp::kGetTelemetry, {}});
-    const std::vector<std::uint8_t> encoded = batch.encode();
-    auto replies = call_all(ShardOp::kBatch, targets,
-                            [&](std::size_t) { return encoded; });
-    if (!replies.has_value()) return std::nullopt;
-    slices.resize(targets.size());
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      auto reply = decode_or_fail<BatchReplyBody>(
-          targets[j], (*replies)[j], malformed_by_node_, failed_shard_);
-      if (!reply.has_value() || reply->bodies.size() != 2) {
-        failed_shard_ = targets[j];
-        return std::nullopt;
-      }
-      auto telemetry = decode_or_fail<TelemetryBody>(
-          targets[j], reply->bodies[1], malformed_by_node_, failed_shard_);
-      if (!telemetry.has_value()) return std::nullopt;
-      telemetry_by_node_[targets[j]] = *telemetry;
-      slices[j] = std::move(reply->bodies[0]);
-    }
-  } else {
-    auto replies = call_all(ShardOp::kCollectWeights, targets,
-                            [](std::size_t) { return std::vector<std::uint8_t>{}; });
-    if (!replies.has_value()) return std::nullopt;
-    slices = std::move(*replies);
+  void store_telemetry(std::size_t i, const std::vector<std::uint8_t>& bytes) {
+    c_.telemetry_by_node_[c_.active_[i]] =
+        parse(i, bytes, &TelemetryBody::decode,
+              [](const TelemetryBody&) { return true; });
   }
-  // Surviving users only, concatenated ascending — on a degraded round this
-  // is exactly the weight vector of the in-process survivor reference.
-  std::vector<double> weights;
-  weights.reserve(live_num_users());
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    auto slice = decode_or_fail<WeightsBody>(targets[j], slices[j],
-                                             malformed_by_node_,
-                                             failed_shard_);
-    if (!slice.has_value() ||
-        slice->weights.size() != plan_.shard_num_users(live_[j])) {
-      failed_shard_ = targets[j];
-      return std::nullopt;
+
+  /// Decodes shard i's reply; an undecodable one, or one `valid` refuses,
+  /// counts as malformed and fails the shard.
+  template <typename Decode, typename Valid>
+  auto parse(std::size_t i, std::span<const std::uint8_t> bytes,
+             Decode decode, Valid valid) -> decltype(decode(bytes)) {
+    try {
+      auto reply = decode(bytes);
+      if (valid(reply)) return reply;
+    } catch (const DecodeError&) {
     }
-    weights.insert(weights.end(), slice->weights.begin(),
-                   slice->weights.end());
+    const net::NodeId node = c_.active_[i];
+    ++c_.malformed_by_node_[node];
+    throw ShardFailure{node};
   }
-  return weights;
-}
+
+  Coordinator& c_;
+  std::vector<std::vector<BatchItem>> queued_;  ///< per plan index
+  net::NetworkStats at_begin_;
+  std::size_t iteration_messages_ = 0;
+  std::size_t iteration_bytes_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Round lifecycle
@@ -541,7 +608,6 @@ bool Coordinator::begin_round(std::uint64_t round,
     active_.assign(roster_.begin(),
                    roster_.begin() +
                        static_cast<std::ptrdiff_t>(plan_.num_shards));
-    failed_shard_.reset();
     round_resends_ = 0;
     stats_at_begin_ = network_->stats();
     stale_at_begin_ = stale_responses_;
@@ -554,43 +620,42 @@ bool Coordinator::begin_round(std::uint64_t round,
       malformed_at_begin_[shard] =
           it == malformed_by_node_.end() ? 0 : it->second;
     }
-    const bool ok =
-        call_all(ShardOp::kSetup, active_,
-                 [&](std::size_t i) {
-                   SetupBody setup;
-                   setup.round = round;
-                   setup.num_users = participants.size();
-                   setup.num_shards = plan_.num_shards;
-                   setup.shard_index = i;
-                   setup.num_objects = config_.num_objects;
-                   setup.block_size = config_.block_size;
-                   setup.num_labels = method_.num_labels();
-                   setup.participants.assign(
-                       participants.begin() +
-                           static_cast<std::ptrdiff_t>(plan_.user_begin(i)),
-                       participants.begin() +
-                           static_cast<std::ptrdiff_t>(plan_.user_end(i)));
-                   return setup.encode();
-                 })
-            .has_value();
-    if (ok) {
-      round_ = round;
-      round_open_ = true;
-      round_planned_ = true;
-      participants_ = std::move(participants);
-      index_ = std::move(index);
-      reports_routed_ = 0;
-      reports_unroutable_ = 0;
-      reports_undeliverable_ = 0;
-      live_.resize(plan_.num_shards);
-      for (std::size_t i = 0; i < plan_.num_shards; ++i) live_[i] = i;
-      routed_by_shard_.assign(plan_.num_shards, 0);
-      undeliverable_by_shard_.assign(plan_.num_shards, 0);
-      return true;
+    try {
+      call_all(active_, [&](std::size_t i) {
+        SetupBody setup;
+        setup.round = round;
+        setup.num_users = participants.size();
+        setup.num_shards = plan_.num_shards;
+        setup.shard_index = i;
+        setup.num_objects = config_.num_objects;
+        setup.block_size = config_.block_size;
+        setup.num_labels = spec_.num_labels();
+        setup.participants.assign(
+            participants.begin() +
+                static_cast<std::ptrdiff_t>(plan_.user_begin(i)),
+            participants.begin() +
+                static_cast<std::ptrdiff_t>(plan_.user_end(i)));
+        return BatchItem{ShardOp::kSetup, setup.encode()};
+      });
+    } catch (const ShardFailure& failure) {
+      // A shard failed setup: drop it and re-plan over the survivors. The
+      // surviving shards get a fresh (idempotent) Setup with the new split.
+      remove_shard(failure.shard);
+      continue;
     }
-    // A shard failed setup: drop it and re-plan over the survivors. The
-    // surviving shards get a fresh (idempotent) Setup with the new split.
-    if (failed_shard_.has_value()) remove_shard(*failed_shard_);
+    round_ = round;
+    round_open_ = true;
+    round_planned_ = true;
+    participants_ = std::move(participants);
+    index_ = std::move(index);
+    reports_routed_ = 0;
+    reports_unroutable_ = 0;
+    reports_undeliverable_ = 0;
+    live_.resize(plan_.num_shards);
+    for (std::size_t i = 0; i < plan_.num_shards; ++i) live_[i] = i;
+    routed_by_shard_.assign(plan_.num_shards, 0);
+    undeliverable_by_shard_.assign(plan_.num_shards, 0);
+    return true;
   }
   active_.clear();
   return false;
@@ -647,66 +712,54 @@ DistributedOutcome Coordinator::close_round() {
     round_planned_ = false;
     active_.clear();
   };
-  const auto abort_round = [&]() {
+  const auto abort_round = [&](net::NodeId dead) {
     out.completed = false;
     out.aggregated = false;
-    out.failed_shard = failed_shard_;
-    if (failed_shard_.has_value()) remove_shard(*failed_shard_);
+    out.failed_shard = dead;
+    remove_shard(dead);
     finish();
     return out;
   };
 
   // One close attempt over the current live set: finalize (idempotent on the
   // shards, so a retried attempt re-serves summaries without re-ingesting),
-  // coverage, warm seed, method, telemetry.
-  enum class Attempt { kAggregated, kUncovered, kFailed };
+  // coverage, warm seed, the method's loop, telemetry. A shard failure
+  // anywhere in it throws ShardFailure, caught below.
+  enum class Attempt { kAggregated, kUncovered };
   const auto attempt = [&]() -> Attempt {
     out.shard_stats.clear();
     out.warm_started = false;
-    auto summaries =
-        call_all(ShardOp::kFinalizeIngest, live_nodes(),
-                 [](std::size_t) { return std::vector<std::uint8_t>{}; });
-    if (!summaries.has_value()) return Attempt::kFailed;
+    RemoteBackend backend(*this);
     std::vector<std::uint64_t> coverage(config_.num_objects, 0);
-    for (std::size_t j = 0; j < live_.size(); ++j) {
-      const net::NodeId node = active_[live_[j]];
-      auto summary = decode_or_fail<IngestSummaryBody>(
-          node, (*summaries)[j], malformed_by_node_, failed_shard_);
-      if (!summary.has_value() ||
-          summary->object_counts.size() != config_.num_objects) {
-        failed_shard_ = node;
-        return Attempt::kFailed;
-      }
+    for (const IngestSummaryBody& summary : backend.finalize()) {
       crowd::ShardIngestStats stats;
       stats.reports_received =
-          static_cast<std::size_t>(summary->reports_received);
+          static_cast<std::size_t>(summary.reports_received);
       stats.duplicates_ignored =
-          static_cast<std::size_t>(summary->duplicates_ignored);
+          static_cast<std::size_t>(summary.duplicates_ignored);
       stats.malformed_reports =
-          static_cast<std::size_t>(summary->malformed_reports);
+          static_cast<std::size_t>(summary.malformed_reports);
       stats.rejected_reports =
-          static_cast<std::size_t>(summary->rejected_reports);
-      stats.invalid_labels = static_cast<std::size_t>(summary->invalid_labels);
+          static_cast<std::size_t>(summary.rejected_reports);
+      stats.invalid_labels = static_cast<std::size_t>(summary.invalid_labels);
       out.shard_stats.push_back(stats);
       for (std::size_t n = 0; n < coverage.size(); ++n) {
-        coverage[n] += summary->object_counts[n];
+        coverage[n] += summary.object_counts[n];
       }
     }
-    for (std::uint64_t c : coverage) {
-      if (c == 0) {
-        // Uncovered objects: skip aggregation gracefully, exactly like the
-        // in-process servers. The warm state is left untouched.
-        DPTD_LOG_WARN << "round " << round_
-                      << ": uncovered objects, skipping aggregation";
-        if (!collect_telemetry()) return Attempt::kFailed;
-        return Attempt::kUncovered;
-      }
+    if (std::find(coverage.begin(), coverage.end(), 0u) != coverage.end()) {
+      // Uncovered objects: skip aggregation gracefully, exactly like the
+      // in-process servers. The warm state is left untouched.
+      DPTD_LOG_WARN << "round " << round_
+                    << ": uncovered objects, skipping aggregation";
+      backend.collect_telemetry();
+      return Attempt::kUncovered;
     }
 
     // Warm seed, mirroring crowd::aggregate_and_publish bit for bit. The
     // seed stays global-sized; live shards slice it by plan index.
     truth::WarmStart seed;
-    if (config_.warm_start && warm_.valid && method_.supports_warm_start()) {
+    if (config_.warm_start && warm_.valid && method_->supports_warm_start()) {
       seed.truths = warm_.result.truths;
       seed.weights =
           crowd::remap_warm_weights(warm_, participants_, plan_.num_users);
@@ -714,37 +767,34 @@ DistributedOutcome Coordinator::close_round() {
     }
     truth::validate_warm_start(plan_.num_users, config_.num_objects, seed);
 
-    auto result = run_method(seed);
-    if (!result.has_value()) return Attempt::kFailed;
-    // Shard-side robustness counters, collected after the method so the
-    // iterate-phase telemetry (mark_iterate_*) never includes these RPCs.
-    if (!collect_telemetry()) return Attempt::kFailed;
-    out.result = std::move(*result);
+    truth::Result result = method_->run_folds(backend, seed);
+    // After the loop, so the iteration counters never include these RPCs.
+    backend.collect_telemetry();
+    out.result = std::move(result);
+    out.iteration_messages = backend.iteration_messages();
+    out.iteration_bytes = backend.iteration_bytes();
     return Attempt::kAggregated;
   };
 
   for (;;) {
-    const Attempt a = attempt();
-    if (a == Attempt::kFailed) {
+    Attempt a{};
+    try {
+      a = attempt();
+    } catch (const ShardFailure& failure) {
       // Graceful degraded close: exclude the failed shard, account its
       // routed reports as lost (exactly: routed minus already-counted
       // undeliverable), and retry the close over the survivors. Each pass
       // shrinks the live set, so this terminates.
-      if (!failed_shard_.has_value()) return abort_round();
-      const net::NodeId dead = *failed_shard_;
+      const net::NodeId dead = failure.shard;
       const auto it = std::find_if(
           live_.begin(), live_.end(),
           [&](std::size_t i) { return active_[i] == dead; });
-      if (it == live_.end()) return abort_round();
+      if (it == live_.end()) return abort_round(dead);
       const std::size_t dead_index = *it;
       live_.erase(it);
+      // No survivors to close over: the whole round aborts.
+      if (live_.empty()) return abort_round(dead);
       remove_shard(dead);
-      failed_shard_.reset();
-      if (live_.empty()) {
-        // No survivors to close over: the whole round aborts.
-        failed_shard_ = dead;
-        return abort_round();
-      }
       out.degraded = true;
       out.excluded_shards.push_back(dead);
       out.reports_lost +=
@@ -755,15 +805,8 @@ DistributedOutcome Coordinator::close_round() {
       continue;
     }
     out.completed = true;
-    if (a == Attempt::kUncovered) {
-      out.aggregated = false;
-      finish();
-      return out;
-    }
-    out.aggregated = true;
-    out.iteration_messages = iteration_messages_;
-    out.iteration_bytes = iteration_bytes_;
-    if (!out.degraded) {
+    out.aggregated = a == Attempt::kAggregated;
+    if (out.aggregated && !out.degraded) {
       warm_.result = out.result;
       warm_.participants = participants_;
       warm_.valid = true;
@@ -773,550 +816,5 @@ DistributedOutcome Coordinator::close_round() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Method drivers
-
-void Coordinator::mark_iterate_begin() {
-  stats_at_iterate_ = network_->stats();
-  iteration_messages_ = 0;
-  iteration_bytes_ = 0;
-}
-
-void Coordinator::mark_iterate_end() {
-  const net::NetworkStats now = network_->stats();
-  iteration_messages_ = now.messages_sent - stats_at_iterate_.messages_sent;
-  iteration_bytes_ = now.bytes_sent - stats_at_iterate_.bytes_sent;
-}
-
-std::optional<truth::Result> Coordinator::run_method(
-    const truth::WarmStart& seed) {
-  switch (method_.kind) {
-    case MethodSpec::Kind::kCrh:
-      return run_crh(seed);
-    case MethodSpec::Kind::kGtm:
-      return run_gtm(seed);
-    case MethodSpec::Kind::kCatd:
-      return run_catd(seed);
-    case MethodSpec::Kind::kMean:
-      return run_mean();
-    case MethodSpec::Kind::kMedian:
-      return run_median();
-    case MethodSpec::Kind::kMajority:
-      return run_majority();
-    case MethodSpec::Kind::kVote:
-      return run_vote(seed);
-  }
-  return std::nullopt;
-}
-
-std::optional<truth::Result> Coordinator::run_crh(
-    const truth::WarmStart& seed) {
-  const truth::CrhConfig& c = method_.crh;
-  const std::size_t N = config_.num_objects;
-
-  std::vector<double> stddevs(N, 1.0);
-  if (c.loss == truth::CrhLoss::kNormalizedSquared) {
-    auto moments = moments_chain();
-    if (!moments.has_value()) return std::nullopt;
-    stddevs = truth::crh_stddevs_from_moments(*moments);
-  }
-  CrhPrepareBody prep;
-  prep.loss = static_cast<std::uint8_t>(c.loss);
-  prep.min_loss_fraction = c.min_loss_fraction;
-  prep.stddevs = stddevs;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
-
-  truth::Result result;
-  if (seed.weights.empty() && !seed.truths.empty()) {
-    // Warm truths skip the initial aggregation: there is no following
-    // collective to fold the prepare into, so broadcast it plain.
-    if (!broadcast(ShardOp::kCrhPrepare, prep_bytes)) return std::nullopt;
-    result.truths = seed.truths;
-  } else {
-    // Batched: [prepare, weights, aggregate-hop] in one frame per shard —
-    // both folded ops only touch registers this shard's own fold consumes.
-    WeightsBody uniform;
-    uniform.uniform = true;
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kCrhPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  seed.weights.empty()
-                                      ? uniform.encode()
-                                      : weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kCrhPrepare, prep_bytes)) return std::nullopt;
-      const bool ok = seed.weights.empty() ? set_weights_uniform()
-                                           : set_weights_explicit(seed.weights);
-      if (!ok) return std::nullopt;
-    }
-    auto truths = aggregate_truths(prefix);
-    if (!truths.has_value()) return std::nullopt;
-    result.truths = std::move(*truths);
-  }
-
-  mark_iterate_begin();
-  for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
-    // Loss chain: the running total threads through the shards, continuing
-    // the canonical block-chained sum across the fleet.
-    double total = 0.0;
-    for (net::NodeId shard : live_nodes()) {
-      CrhLossBody req;
-      req.truths = result.truths;
-      req.total = total;
-      auto reply = call(shard, ShardOp::kCrhLoss, req.encode());
-      if (!reply.has_value()) return std::nullopt;
-      auto resp = decode_or_fail<CrhTotalBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-      if (!resp.has_value()) return std::nullopt;
-      total = resp->total;
-    }
-    CrhTotalBody tot;
-    tot.total = total;
-    // Batched: the weight update rides each shard's aggregate hop instead of
-    // its own broadcast round-trip (6 -> 4 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> tot_bytes = tot.encode();
-      weights_prefix = [tot_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCrhWeights, tot_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCrhWeights, tot.encode())) return std::nullopt;
-    }
-
-    auto next = aggregate_truths(weights_prefix);
-    if (!next.has_value()) return std::nullopt;
-    const double change = truth::truth_change(result.truths, *next);
-    result.truths = std::move(*next);
-    result.iterations = it;
-    if (change < c.convergence.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  mark_iterate_end();
-
-  auto weights = collect_weights();
-  if (!weights.has_value()) return std::nullopt;
-  result.weights = std::move(*weights);
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_gtm(
-    const truth::WarmStart& seed) {
-  const truth::GtmConfig& g = method_.gtm;
-  const std::size_t N = config_.num_objects;
-
-  std::vector<double> shift(N, 0.0);
-  std::vector<double> scale(N, 1.0);
-  if (g.standardize) {
-    auto moments = moments_chain();
-    if (!moments.has_value()) return std::nullopt;
-    truth::gtm_standardization(*moments, shift, scale);
-  }
-  GtmPrepareBody prep;
-  prep.quality_prior_alpha = g.quality_prior_alpha;
-  prep.quality_prior_beta = g.quality_prior_beta;
-  prep.min_variance = g.min_variance;
-  prep.shift = shift;
-  prep.scale = scale;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
-
-  const double prior_precision = 1.0 / g.truth_prior_variance;
-  const double prior_weighted = g.truth_prior_mean / g.truth_prior_variance;
-
-  std::vector<double> truth_mean(N, 0.0);
-  std::vector<double> truth_var(N, 0.0);
-  const auto posterior_chain = [&](const BatchPrefixFn& prefix_of) -> bool {
-    GtmFoldBody body;
-    body.precision.assign(N, prior_precision);
-    body.weighted.assign(N, prior_weighted);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const net::NodeId shard = active_[i];
-      auto reply = chain_call(shard, i, ShardOp::kGtmFold, body.encode(),
-                              prefix_of);
-      if (!reply.has_value()) return false;
-      auto next = decode_or_fail<GtmFoldBody>(shard, *reply,
-                                              malformed_by_node_,
-                                              failed_shard_);
-      if (!next.has_value() || next->precision.size() != N) {
-        failed_shard_ = shard;
-        return false;
-      }
-      body = std::move(*next);
-    }
-    truth::gtm_posterior_from_stats(body.precision, body.weighted, truth_mean,
-                                    truth_var, nullptr);
-    return true;
-  };
-
-  if (!seed.weights.empty()) {
-    // GTM's weights ARE per-user precisions: seed the E-step with them.
-    // Batched: prepare + the weight slice ride each shard's fold hop.
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kGtmPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
-      if (!set_weights_explicit(seed.weights)) return std::nullopt;
-    }
-    if (!posterior_chain(prefix)) return std::nullopt;
-  } else if (!seed.truths.empty()) {
-    if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
-    for (std::size_t n = 0; n < N; ++n) {
-      truth_mean[n] = (seed.truths[n] - shift[n]) / scale[n];
-    }
-  } else {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t) {
-        return Batch{BatchItem{ShardOp::kGtmPrepare, prep_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
-    }
-    auto columns = gather_columns(prefix);
-    if (!columns.has_value()) return std::nullopt;
-    for (std::size_t n = 0; n < N; ++n) {
-      truth_mean[n] =
-          truth::gtm_standardized_median((*columns)[n], shift[n], scale[n]);
-    }
-  }
-
-  std::vector<double> prev_truths = truth_mean;
-  truth::Result result;
-  mark_iterate_begin();
-  for (std::size_t it = 1; it <= g.convergence.max_iterations; ++it) {
-    GtmStepBody step;
-    step.truth_mean = truth_mean;
-    step.truth_var = truth_var;
-    // Batched: the M-step broadcast rides each shard's fold hop instead of
-    // its own round-trip (4 -> 2 msgs/shard/iteration).
-    BatchPrefixFn step_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> step_bytes = step.encode();
-      step_prefix = [step_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kGtmStep, step_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmStep, step.encode())) return std::nullopt;
-    }
-    if (!posterior_chain(step_prefix)) return std::nullopt;
-
-    result.iterations = it;
-    const double change = truth::truth_change(prev_truths, truth_mean);
-    prev_truths = truth_mean;
-    if (change < g.convergence.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  mark_iterate_end();
-
-  result.truths.resize(N);
-  for (std::size_t n = 0; n < N; ++n) {
-    result.truths[n] = truth_mean[n] * scale[n] + shift[n];
-  }
-  auto weights = collect_weights();
-  if (!weights.has_value()) return std::nullopt;
-  result.weights = std::move(*weights);
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_catd(
-    const truth::WarmStart& seed) {
-  const truth::CatdConfig& c = method_.catd;
-  const std::size_t N = config_.num_objects;
-
-  CatdPrepareBody prep;
-  prep.significance = c.significance;
-  prep.min_residual = c.min_residual;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
-
-  truth::Result result;
-  if (!seed.weights.empty()) {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kCatdPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
-      if (!set_weights_explicit(seed.weights)) return std::nullopt;
-    }
-    auto truths = aggregate_truths(prefix);
-    if (!truths.has_value()) return std::nullopt;
-    result.truths = std::move(*truths);
-  } else if (!seed.truths.empty()) {
-    if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
-    result.truths = seed.truths;
-  } else {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCatdPrepare, prep_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
-    }
-    auto columns = gather_columns(prefix);
-    if (!columns.has_value()) return std::nullopt;
-    result.truths.resize(N);
-    for (std::size_t n = 0; n < N; ++n) {
-      DPTD_REQUIRE(!(*columns)[n].empty(),
-                   "Coordinator: object with no claims");
-      result.truths[n] = median((*columns)[n]);
-    }
-  }
-
-  mark_iterate_begin();
-  for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
-    TruthsBody req;
-    req.truths = result.truths;
-    // Batched: the weight update rides each shard's aggregate hop
-    // (4 -> 2 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> req_bytes = req.encode();
-      weights_prefix = [req_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCatdWeights, req_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdWeights, req.encode())) return std::nullopt;
-    }
-
-    auto next = aggregate_truths(weights_prefix);
-    if (!next.has_value()) return std::nullopt;
-    const double change = truth::truth_change(result.truths, *next);
-    result.truths = std::move(*next);
-    result.iterations = it;
-    if (change < c.convergence.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  mark_iterate_end();
-
-  auto weights = collect_weights();
-  if (!weights.has_value()) return std::nullopt;
-  result.weights = std::move(*weights);
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_mean() {
-  truth::Result result;
-  mark_iterate_begin();
-  BatchPrefixFn prefix;
-  if (config_.batch_collectives) {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    const std::vector<std::uint8_t> uniform_bytes = uniform.encode();
-    prefix = [uniform_bytes](std::size_t) {
-      return Batch{BatchItem{ShardOp::kSetWeights, uniform_bytes}};
-    };
-  } else {
-    if (!set_weights_uniform()) return std::nullopt;
-  }
-  auto truths = aggregate_truths(prefix);
-  if (!truths.has_value()) return std::nullopt;
-  mark_iterate_end();
-  result.truths = std::move(*truths);
-  result.weights.assign(live_num_users(), 1.0);
-  result.iterations = 1;
-  result.converged = true;
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_median() {
-  truth::Result result;
-  mark_iterate_begin();
-  auto columns = gather_columns();
-  if (!columns.has_value()) return std::nullopt;
-  mark_iterate_end();
-  result.truths.resize(config_.num_objects);
-  for (std::size_t n = 0; n < config_.num_objects; ++n) {
-    DPTD_REQUIRE(!(*columns)[n].empty(),
-                 "Coordinator: object with no claims");
-    result.truths[n] = median((*columns)[n]);
-  }
-  result.weights.assign(live_num_users(), 1.0);
-  result.iterations = 1;
-  result.converged = true;
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_majority() {
-  const std::size_t L = method_.majority.num_labels;
-  VotePrepareBody prep;
-  prep.num_labels = L;
-  prep.min_disagreement_fraction =
-      categorical::WeightedVotingConfig{}.min_disagreement_fraction;
-  const bool batched = config_.batch_collectives;
-  BatchPrefixFn prefix;
-  if (batched) {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    const std::vector<std::uint8_t> prep_bytes = prep.encode();
-    const std::vector<std::uint8_t> uniform_bytes = uniform.encode();
-    prefix = [prep_bytes, uniform_bytes](std::size_t) {
-      return Batch{BatchItem{ShardOp::kVotePrepare, prep_bytes},
-                   BatchItem{ShardOp::kSetWeights, uniform_bytes}};
-    };
-  } else {
-    if (!broadcast(ShardOp::kVotePrepare, prep.encode())) return std::nullopt;
-  }
-
-  truth::Result result;
-  mark_iterate_begin();
-  if (!batched && !set_weights_uniform()) return std::nullopt;
-  auto scores = vote_scores_chain(L, prefix);
-  if (!scores.has_value()) return std::nullopt;
-  mark_iterate_end();
-  const std::vector<categorical::Label> truths =
-      categorical::truths_from_scores(*scores, config_.num_objects, L);
-  result.truths.resize(truths.size());
-  for (std::size_t n = 0; n < truths.size(); ++n) {
-    result.truths[n] = static_cast<double>(truths[n]);
-  }
-  result.weights.assign(live_num_users(), 1.0);
-  result.iterations = 1;
-  result.converged = true;
-  return result;
-}
-
-std::optional<truth::Result> Coordinator::run_vote(
-    const truth::WarmStart& seed) {
-  // The exact categorical::weighted_vote control flow over the wire — same
-  // seed precedence, same unanimity short-circuit, same stop rule — so a
-  // K-node round is bitwise identical to the in-process run_sharded at any K.
-  const truth::WeightedVoteConfig& c = method_.vote;
-  const categorical::WeightedVotingConfig& v = c.voting;
-  const std::size_t L = c.num_labels;
-  const std::size_t N = config_.num_objects;
-
-  VotePrepareBody prep;
-  prep.num_labels = L;
-  prep.min_disagreement_fraction = v.min_disagreement_fraction;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
-
-  std::vector<categorical::Label> truths;
-  if (!seed.truths.empty()) {
-    // Prior truths skip the initial aggregation entirely; prior weights are
-    // irrelevant on this path (the first iteration overwrites them before
-    // any fold reads them), exactly like the in-process driver. There is no
-    // following chain to fold the prepare into, so broadcast it plain.
-    if (!broadcast(ShardOp::kVotePrepare, prep_bytes)) return std::nullopt;
-    truths = truth::labels_from_doubles(seed.truths, L);
-  } else {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kVotePrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  seed.weights.empty()
-                                      ? uniform.encode()
-                                      : weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kVotePrepare, prep_bytes)) return std::nullopt;
-      const bool ok = seed.weights.empty() ? set_weights_uniform()
-                                           : set_weights_explicit(seed.weights);
-      if (!ok) return std::nullopt;
-    }
-    auto scores = vote_scores_chain(L, prefix);
-    if (!scores.has_value()) return std::nullopt;
-    truths = categorical::truths_from_scores(*scores, N, L);
-  }
-
-  truth::Result result;
-  mark_iterate_begin();
-  for (std::size_t it = 1; it <= v.max_iterations; ++it) {
-    // Disagreement chain: the running total threads through the shards,
-    // continuing the canonical block-chained sum across the fleet.
-    double total = 0.0;
-    for (net::NodeId shard : live_nodes()) {
-      VoteDisagreeBody req;
-      req.truths = truths;
-      req.total = total;
-      auto reply = call(shard, ShardOp::kVoteDisagree, req.encode());
-      if (!reply.has_value()) return std::nullopt;
-      auto resp = decode_or_fail<CrhTotalBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-      if (!resp.has_value()) return std::nullopt;
-      total = resp->total;
-    }
-    // Broadcast even a non-positive total: the shards then land on uniform
-    // weights, matching the in-process unanimity short-circuit bit for bit.
-    // (Unanimity ends the iteration, so there is no chain to fold the weight
-    // update into — the decision is known before the frame shape is chosen,
-    // never speculated.)
-    CrhTotalBody tot;
-    tot.total = total;
-    if (total <= 0.0) {
-      if (!broadcast(ShardOp::kVoteWeights, tot.encode())) return std::nullopt;
-      result.iterations = it;
-      result.converged = true;
-      break;
-    }
-    // Batched: the weight update rides each shard's score-chain hop
-    // (6 -> 4 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> tot_bytes = tot.encode();
-      weights_prefix = [tot_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kVoteWeights, tot_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kVoteWeights, tot.encode())) return std::nullopt;
-    }
-
-    auto scores = vote_scores_chain(L, weights_prefix);
-    if (!scores.has_value()) return std::nullopt;
-    std::vector<categorical::Label> next =
-        categorical::truths_from_scores(*scores, N, L);
-    const bool unchanged = next == truths;
-    truths = std::move(next);
-    result.iterations = it;
-    if (unchanged) {
-      result.converged = true;
-      break;
-    }
-  }
-  mark_iterate_end();
-
-  result.truths.resize(N);
-  for (std::size_t n = 0; n < N; ++n) {
-    result.truths[n] = static_cast<double>(truths[n]);
-  }
-  auto weights = collect_weights();
-  if (!weights.has_value()) return std::nullopt;
-  result.weights = std::move(*weights);
-  return result;
-}
 
 }  // namespace dptd::dist

@@ -5,24 +5,35 @@
 //
 // Determinism contract: with zero link drops and no churn, a K-shard
 // distributed round is bitwise identical to the in-process
-// TruthDiscovery::run_sharded over the same matrix at the same K — the
-// coordinator runs the exact run_impl control flow, with every mergeable
-// statistic threaded through the shards as a chained fold (stats_wire.h) and
-// every per-user pass executed by the owning shard's local kernels.
+// TruthDiscovery::run_sharded over the same matrix at the same K. Each
+// method's loop is written once (TruthDiscovery::run_folds, truth/): the
+// in-process run drives it over a truth::LocalBackend, a close drives it
+// over a RemoteBackend (coordinator.cpp), which threads every mergeable
+// statistic through the live shards as a chained fold (stats_wire.h) and
+// turns every register write into a ShardOp the owning shard runs on its
+// own LocalBackend. The coordinator holds nothing per method.
+//
+// Frames: a register write is queued per live shard and rides as a kBatch
+// prefix on the next frame that shard receives (a chain hop, a gather, the
+// final collect); writes still queued when a loop enters its iterations go
+// out on their own, so DistributedOutcome::iteration_* count the loop alone.
 //
 // Failure model: every RPC has a timeout; a timed-out request is resent with
 // the SAME op id (shards execute exactly-once behind a monotonic op-id
 // watermark: equal ids replay the memoized response, older ids — delayed
 // duplicates, abandoned pre-re-plan requests — are dropped), so stragglers
 // and jitter reordering cost latency, never correctness. A shard that
-// exhausts max_resends mid-round is declared failed and the round closes
-// DEGRADED instead of aborting: the failed shard is excluded, its routed
-// reports are accounted as lost (exactly: routed minus already-counted
-// undeliverable), the close re-runs over the survivors — whose finalize is
-// idempotent, so retried phases re-serve summaries without re-ingesting —
-// and the outcome carries degraded/excluded_shards/reports_lost. The
-// degraded result is bitwise identical to an in-process run over the
-// survivors' concatenated sub-matrices (shard ranges stay block-aligned).
+// exhausts max_resends mid-round, or whose reply cannot be used (it fails to
+// decode, has the wrong size, or a batched reply carries a body count other
+// than the items sent — counted as malformed), is declared failed and the
+// round closes DEGRADED instead of aborting: the failed shard is excluded,
+// its routed reports are accounted as lost (exactly: routed minus
+// already-counted undeliverable), the close re-runs over the survivors —
+// whose finalize is idempotent, so retried phases re-serve summaries without
+// re-ingesting — and the outcome carries degraded/excluded_shards/
+// reports_lost. The degraded result is bitwise identical to an in-process
+// run over the survivors' concatenated sub-matrices (shard ranges stay
+// block-aligned).
 // The excluded shard also leaves the roster, so the next begin_round
 // re-plans and re-routes its users; degraded rounds do not update the warm
 // state (the excluded users' weights are gone — the next full round seeds
@@ -51,6 +62,8 @@
 
 namespace dptd::dist {
 
+class RemoteBackend;
+
 struct CoordinatorConfig {
   net::NodeId id = 9'000'000;  ///< out of the user- and shard-id ranges
   std::size_t num_objects = 0;
@@ -62,18 +75,11 @@ struct CoordinatorConfig {
   net::RpcPolicy rpc;
   /// Seed each round from the previous successful round (stable-id remap).
   bool warm_start = false;
-  /// Coalesce broadcast ops into the frames of the collective that follows
-  /// them (one kBatch per shard, one op_id per batch) and pipeline the
-  /// independent round-close collectives. Bitwise identical to the unbatched
-  /// protocol: a folded op only mutates shard-local registers consumed by
-  /// that same shard's own fold, so execution order across shards cannot
-  /// change the chain's bits. Off reproduces the one-frame-per-op wire shape.
-  bool batch_collectives = true;
 };
 
-/// Which method the coordinator drives, with its full configuration (the
-/// coordinator needs the config itself — not a TruthDiscovery instance —
-/// because it executes the iteration loop).
+/// Which method the coordinator drives, with its full configuration. The
+/// coordinator runs make_method(spec)'s loop (TruthDiscovery::run_folds);
+/// categorical kinds need the explicit alphabet a shard's Setup carries.
 struct MethodSpec {
   enum class Kind { kCrh, kGtm, kCatd, kMean, kMedian, kMajority, kVote };
   Kind kind = Kind::kCrh;
@@ -131,8 +137,9 @@ struct NodeCounters {
   /// telemetry collection.
   std::uint64_t stale_requests = 0;
   std::uint64_t malformed_messages = 0;
-  /// Coordinator-side, this round only: undecodable responses from this
-  /// shard, and sends toward it the transport could not deliver.
+  /// Coordinator-side, this round only: unusable responses from this shard
+  /// (malformed_by_node), and sends toward it the transport could not
+  /// deliver.
   std::size_t malformed_responses = 0;
   std::size_t messages_undeliverable = 0;
 };
@@ -176,7 +183,7 @@ struct DistributedOutcome {
   std::vector<crowd::ShardIngestStats> shard_stats;
   truth::Result result;
   net::NetworkStats network;  ///< whole-round traffic delta
-  /// Protocol traffic of the iterate phase alone (divide by
+  /// Protocol traffic of the method's iteration loop alone (divide by
   /// result.iterations for the per-iteration cost the bench reports).
   std::size_t iteration_messages = 0;
   std::size_t iteration_bytes = 0;
@@ -224,8 +231,9 @@ class Coordinator final : public net::Node {
   void on_message(const net::Message& message) override;
 
   const crowd::WarmState& warm() const { return warm_; }
-  /// DecodeError'd kShardResponse payloads per source node (the byzantine
-  /// counter the truncation fuzz test exercises).
+  /// Per source node: kShardResponse payloads that failed to decode (the
+  /// byzantine counter the truncation fuzz test exercises) and replies a
+  /// close could not use.
   const std::unordered_map<net::NodeId, std::size_t>& malformed_by_node()
       const {
     return malformed_by_node_;
@@ -234,6 +242,8 @@ class Coordinator final : public net::Node {
   std::size_t total_resends() const { return total_resends_; }
 
  private:
+  friend class RemoteBackend;
+
   struct Pending {
     net::NodeId shard = 0;
     std::vector<std::uint8_t> payload;  ///< encoded envelope, for resends
@@ -241,74 +251,25 @@ class Coordinator final : public net::Node {
     std::size_t resends = 0;
   };
 
-  // RPC core: send one request per target, pump the simulator (with
-  // timeout-and-resend) until every response arrives. nullopt on shard
-  // failure, with failed_shard_ set.
-  std::optional<std::vector<std::vector<std::uint8_t>>> call_all(
-      ShardOp op, const std::vector<net::NodeId>& targets,
-      const std::function<std::vector<std::uint8_t>(std::size_t)>& body_of);
-  std::optional<std::vector<std::uint8_t>> call(net::NodeId target, ShardOp op,
-                                                std::vector<std::uint8_t> body);
-  bool broadcast(ShardOp op, const std::vector<std::uint8_t>& body);
-  bool pump();
+  // RPC core: send targets[j] the request `request_of(j)` and pump the
+  // transport (with timeout-and-resend) until every response arrives.
+  // Throws ShardFailure (coordinator.cpp) naming a target that exhausts its
+  // resends.
+  std::vector<std::vector<std::uint8_t>> call_all(
+      const std::vector<net::NodeId>& targets,
+      const std::function<BatchItem(std::size_t)>& request_of);
+  void pump();
 
-  using Batch = std::vector<BatchItem>;
-  /// Batched-mode coalescing hook: the sub-ops to fold ahead of shard
-  /// `index`'s next chain-hop or gather frame. They execute before the main
-  /// op inside the same exactly-once unit (one op_id for the whole batch).
-  /// An unset function (the default) keeps the plain one-frame-per-op path.
-  using BatchPrefixFn = std::function<Batch(std::size_t)>;
-
-  /// One chain hop to `shard`: plain `op` when `prefix_of` is unset or empty,
-  /// else a kBatch frame [prefix..., op] whose last reply body is returned.
-  std::optional<std::vector<std::uint8_t>> chain_call(
-      net::NodeId shard, std::size_t index, ShardOp op,
-      std::vector<std::uint8_t> body, const BatchPrefixFn& prefix_of);
-  /// Encoded WeightsBody slice of `global` for shard `i` (plan user range).
-  std::vector<std::uint8_t> weights_slice_body(
-      const std::vector<double>& global, std::size_t i) const;
-
-  /// Node ids of the live shards, in ascending plan-index order.
-  std::vector<net::NodeId> live_nodes() const;
   /// Users owned by the live shards (== plan_.num_users when none excluded).
   std::size_t live_num_users() const;
 
-  // Statistics collectives over the live shards (ascending plan order).
-  bool set_weights_uniform();
-  bool set_weights_explicit(const std::vector<double>& global);
-  std::optional<truth::AggregateStats> aggregate_chain(
-      const BatchPrefixFn& prefix_of = {});
-  std::optional<std::vector<double>> aggregate_truths(
-      const BatchPrefixFn& prefix_of = {});
-  std::optional<std::vector<RunningStats>> moments_chain();
-  std::optional<std::vector<std::vector<double>>> gather_columns(
-      const BatchPrefixFn& prefix_of = {});
-  std::optional<std::vector<double>> collect_weights();
-  /// Chained categorical score fold (kVoteScores) over the active shards.
-  std::optional<std::vector<double>> vote_scores_chain(
-      std::size_t num_labels, const BatchPrefixFn& prefix_of = {});
-  /// kGetTelemetry over the active shards into telemetry_by_node_. No-op when
-  /// the batched collect_weights already piggybacked it this round.
-  bool collect_telemetry();
-
-  // Per-method drivers: the exact run_impl control flow over the wire.
-  std::optional<truth::Result> run_method(const truth::WarmStart& seed);
-  std::optional<truth::Result> run_crh(const truth::WarmStart& seed);
-  std::optional<truth::Result> run_gtm(const truth::WarmStart& seed);
-  std::optional<truth::Result> run_catd(const truth::WarmStart& seed);
-  std::optional<truth::Result> run_mean();
-  std::optional<truth::Result> run_median();
-  std::optional<truth::Result> run_majority();
-  std::optional<truth::Result> run_vote(const truth::WarmStart& seed);
-
   void route_report(const net::Message& message);
   void handle_response(const net::Message& message);
-  /// Snapshot / delta helpers for the iterate-phase traffic telemetry.
-  void mark_iterate_begin();
-  void mark_iterate_end();
 
   CoordinatorConfig config_;
-  MethodSpec method_;
+  MethodSpec spec_;
+  /// make_method(spec_): its run_folds is the loop a close runs.
+  std::unique_ptr<truth::TruthDiscovery> method_;
   net::Transport* network_;
 
   std::vector<net::NodeId> roster_;
@@ -333,9 +294,6 @@ class Coordinator final : public net::Node {
   std::size_t reports_unroutable_ = 0;
   std::size_t reports_undeliverable_ = 0;
   net::NetworkStats stats_at_begin_;
-  net::NetworkStats stats_at_iterate_;
-  std::size_t iteration_messages_ = 0;
-  std::size_t iteration_bytes_ = 0;
   /// Per-round deltas for NodeCounters: snapshots taken at begin_round.
   std::unordered_map<net::NodeId, std::size_t> undeliverable_at_begin_;
   std::unordered_map<net::NodeId, std::size_t> malformed_at_begin_;
@@ -348,7 +306,6 @@ class Coordinator final : public net::Node {
   std::uint64_t next_op_id_ = 0;
   std::unordered_map<std::uint64_t, Pending> outstanding_;
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> arrived_;
-  std::optional<net::NodeId> failed_shard_;
   std::size_t round_resends_ = 0;
   std::size_t total_resends_ = 0;
   std::size_t stale_responses_ = 0;

@@ -1,12 +1,9 @@
 #include "dist/shard_node.h"
 
-#include "categorical/voting.h"
+#include <stdexcept>
+
 #include "common/check.h"
 #include "truth/categorical.h"
-#include "truth/catd.h"
-#include "truth/crh.h"
-#include "truth/gtm.h"
-#include "truth/sharded_stats.h"
 
 namespace dptd::dist {
 
@@ -59,18 +56,9 @@ void ShardNode::reset_round_state() {
   index_.build({});
   builder_.reset();
   ingest_stats_ = {};
+  backend_.reset();
   view_.reset();
   matrix_.reset();
-  weights_.clear();
-  losses_.clear();
-  quality_.clear();
-  chi2_.clear();
-  disagreement_.clear();
-  crh_ = {};
-  gtm_ = {};
-  catd_ = {};
-  vote_ = {};
-  label_view_.reset();
   // last_op_id_ is deliberately NOT reset: the exactly-once watermark is the
   // dedup floor a real replica persists across restarts, and it is what keeps
   // delayed duplicates of pre-crash ops from re-executing after a rejoin.
@@ -209,9 +197,14 @@ void ShardNode::handle_request(const net::Message& message) {
   try {
     body = execute(static_cast<ShardOp>(env.op), env.body);
   } catch (const DecodeError&) {
-    // Malformed body (or an op that needs state this shard does not have):
-    // count and stay silent. The coordinator's resend/timeout machinery owns
-    // recovery; a corrupt message must never kill the shard.
+    // Malformed body: count and stay silent. The coordinator's
+    // resend/timeout machinery owns recovery; a corrupt message must never
+    // kill the shard.
+    ++malformed_messages_;
+    return;
+  } catch (const std::invalid_argument&) {
+    // A step the backend refuses (a wrong size, or state this shard does not
+    // have): malformed the same way.
     ++malformed_messages_;
     return;
   }
@@ -225,9 +218,9 @@ void ShardNode::handle_request(const net::Message& message) {
       id_, message.source, crowd::MessageType::kShardResponse, reply.encode()));
 }
 
-const data::ShardedMatrix& ShardNode::view() const {
-  if (!view_.has_value()) throw DecodeError("shard: no finalized matrix");
-  return *view_;
+truth::LocalBackend& ShardNode::backend() {
+  if (!backend_.has_value()) throw DecodeError("shard: no finalized matrix");
+  return *backend_;
 }
 
 std::vector<std::uint8_t> ShardNode::execute(
@@ -273,15 +266,9 @@ std::vector<std::uint8_t> ShardNode::execute(
         builder_.emplace(local_users, num_objects_);
       }
       ingest_stats_ = {};
+      backend_.reset();
       view_.reset();
       matrix_.reset();
-      weights_.clear();
-      losses_.clear();
-      quality_.clear();
-      chi2_.clear();
-      disagreement_.clear();
-      vote_ = {};
-      label_view_.reset();
       return {};
     }
     case ShardOp::kFinalizeIngest: {
@@ -289,21 +276,17 @@ std::vector<std::uint8_t> ShardNode::execute(
       // surviving shards under fresh op ids after abandoning the first
       // attempt, so a shard that already finalized must re-serve the summary
       // from its finalized matrix — re-running builder_->finalize() would
-      // move the ingested rows out and destroy the round's data.
+      // move the ingested rows out and destroy the round's data. Each close
+      // attempt starts from blank registers.
+      backend_.reset();
       if (!matrix_.has_value()) {
         if (!builder_.has_value()) throw DecodeError("shard: no open round");
         round_open_ = false;
-        const std::size_t local_users = builder_->num_users();
         view_.reset();
-        label_view_.reset();
         matrix_ = builder_->finalize();
         view_.emplace(data::ShardedMatrix::single(*matrix_, block_size_));
-        weights_.assign(local_users, 1.0);
-        losses_.assign(local_users, 0.0);
-        quality_.assign(local_users, 1.0);
-        chi2_.assign(local_users, 0.0);
-        disagreement_.assign(local_users, 0.0);
       }
+      backend_.emplace(*view_, nullptr);
       IngestSummaryBody summary;
       summary.reports_received = ingest_stats_.reports_received;
       summary.duplicates_ignored = ingest_stats_.duplicates_ignored;
@@ -316,198 +299,106 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       return summary.encode();
     }
+    // Every statistics op is one backend call: the body carries its
+    // arguments (and a chained fold's carried state), and the backend checks
+    // sizes and preparation.
     case ShardOp::kSetWeights: {
       const WeightsBody req = WeightsBody::decode(body);
-      const std::size_t local_users = view().num_users();
-      if (req.uniform) {
-        weights_.assign(local_users, 1.0);
-      } else {
-        if (req.weights.size() != local_users) {
-          throw DecodeError("WeightsBody: slice size mismatch");
-        }
-        weights_ = req.weights;
+      if (!req.uniform && req.weights.empty()) {
+        throw DecodeError("WeightsBody: empty explicit slice");
       }
+      backend().set_weights(req.weights);  // uniform carries no values
       return {};
     }
     case ShardOp::kMoments: {
       std::vector<RunningStats> moments = decode_moments(body);
-      if (moments.size() != num_objects_) {
-        throw DecodeError("moments: size != num objects");
-      }
-      truth::fold_object_moments(view(), nullptr, moments);
+      backend().moments(moments);
       return encode_moments(moments);
     }
     case ShardOp::kGather: {
-      const data::ShardedMatrix& v = view();
+      const truth::GatheredColumns columns = backend().gather();
       GatherBody out;
-      out.lengths.resize(num_objects_);
-      matrix_->ensure_object_index();
-      std::size_t total = 0;
       for (std::size_t n = 0; n < num_objects_; ++n) {
-        out.lengths[n] = matrix_->object_entries(n).size();
-        total += matrix_->object_entries(n).size();
+        const std::span<const double> column = columns.column(n);
+        out.lengths.push_back(column.size());
+        out.values.insert(out.values.end(), column.begin(), column.end());
       }
-      out.values.reserve(total);
-      for (std::size_t n = 0; n < num_objects_; ++n) {
-        const auto col = matrix_->object_entries(n);
-        out.values.insert(out.values.end(), col.values.begin(),
-                          col.values.end());
-      }
-      (void)v;
       return out.encode();
     }
     case ShardOp::kAggregate: {
       AggregateBody req = AggregateBody::decode(body);
-      if (req.stats.counts.size() != num_objects_) {
-        throw DecodeError("AggregateBody: size != num objects");
-      }
-      truth::weighted_aggregate_fold(view(), weights_, req.stats, nullptr);
+      backend().aggregate(req.stats);
       return req.encode();
     }
     case ShardOp::kCollectWeights: {
-      (void)view();  // weights are meaningless before finalize
       WeightsBody out;
       out.uniform = false;
-      out.weights = weights_;
+      out.weights = backend().collect_weights();
       return out.encode();
     }
     case ShardOp::kCrhPrepare: {
-      CrhPrepareBody req = CrhPrepareBody::decode(body);
-      if (req.stddevs.size() != num_objects_) {
-        throw DecodeError("CrhPrepareBody: stddevs size != num objects");
-      }
-      crh_ = std::move(req);
+      const CrhPrepareBody req = CrhPrepareBody::decode(body);
+      backend().crh_prepare(static_cast<truth::CrhLoss>(req.loss),
+                            req.min_loss_fraction, req.stddevs);
       return {};
     }
     case ShardOp::kCrhLoss: {
       const CrhLossBody req = CrhLossBody::decode(body);
-      if (req.truths.size() != num_objects_ ||
-          crh_.stddevs.size() != num_objects_) {
-        throw DecodeError("CrhLossBody: size mismatch or unprepared");
-      }
-      truth::crh_user_losses(view(), nullptr,
-                             static_cast<truth::CrhLoss>(crh_.loss),
-                             req.truths, crh_.stddevs, losses_);
       CrhTotalBody out;
-      // Continue the global block-chained loss sum from the preceding
-      // shards' running total; local blocks are the global blocks.
-      out.total = truth::block_chain_sum(losses_, block_size_, req.total);
+      out.total = backend().crh_loss(req.truths, req.total);
       return out.encode();
     }
     case ShardOp::kCrhWeights: {
-      const CrhTotalBody req = CrhTotalBody::decode(body);
-      (void)view();
-      weights_ = truth::crh_weights_from_losses(losses_, req.total,
-                                                crh_.min_loss_fraction);
+      backend().crh_weights(CrhTotalBody::decode(body).total);
       return {};
     }
     case ShardOp::kGtmPrepare: {
-      GtmPrepareBody req = GtmPrepareBody::decode(body);
-      if (req.shift.size() != num_objects_) {
-        throw DecodeError("GtmPrepareBody: size != num objects");
-      }
-      gtm_ = std::move(req);
+      const GtmPrepareBody req = GtmPrepareBody::decode(body);
+      truth::GtmConfig config;
+      config.quality_prior_alpha = req.quality_prior_alpha;
+      config.quality_prior_beta = req.quality_prior_beta;
+      config.min_variance = req.min_variance;
+      backend().gtm_prepare(config, req.shift, req.scale);
       return {};
     }
     case ShardOp::kGtmStep: {
       const GtmStepBody req = GtmStepBody::decode(body);
-      if (req.truth_mean.size() != num_objects_ ||
-          gtm_.shift.size() != num_objects_) {
-        throw DecodeError("GtmStepBody: size mismatch or unprepared");
-      }
-      truth::GtmConfig config;
-      config.quality_prior_alpha = gtm_.quality_prior_alpha;
-      config.quality_prior_beta = gtm_.quality_prior_beta;
-      config.min_variance = gtm_.min_variance;
-      truth::gtm_m_step(view(), nullptr, config, gtm_.shift, gtm_.scale,
-                        req.truth_mean, req.truth_var, quality_, weights_);
+      backend().gtm_step(req.truth_mean, req.truth_var);
       return {};
     }
     case ShardOp::kGtmFold: {
       GtmFoldBody req = GtmFoldBody::decode(body);
-      if (req.precision.size() != num_objects_ ||
-          gtm_.shift.size() != num_objects_) {
-        throw DecodeError("GtmFoldBody: size mismatch or unprepared");
-      }
-      truth::gtm_posterior_fold(view(), nullptr, gtm_.shift, gtm_.scale,
-                                weights_, req.precision, req.weighted);
+      backend().gtm_posterior(req.precision, req.weighted);
       return req.encode();
     }
     case ShardOp::kCatdPrepare: {
-      catd_ = CatdPrepareBody::decode(body);
-      if (catd_.significance <= 0.0 || catd_.significance >= 1.0) {
-        throw DecodeError("CatdPrepareBody: significance out of range");
-      }
-      chi2_.assign(view().num_users(), 0.0);
-      truth::catd_chi_squared(view(), nullptr, catd_.significance, chi2_);
+      const CatdPrepareBody req = CatdPrepareBody::decode(body);
+      backend().catd_prepare(req.significance, req.min_residual);
       return {};
     }
     case ShardOp::kCatdWeights: {
-      const TruthsBody req = TruthsBody::decode(body);
-      if (req.truths.size() != num_objects_) {
-        throw DecodeError("TruthsBody: size != num objects");
-      }
-      truth::catd_user_weights(view(), nullptr, chi2_, req.truths,
-                               catd_.min_residual, weights_);
+      backend().catd_weights(TruthsBody::decode(body).truths);
       return {};
     }
     case ShardOp::kVotePrepare: {
       const VotePrepareBody req = VotePrepareBody::decode(body);
-      if (req.num_labels < 2 || req.num_labels > truth::kMaxBridgedLabels ||
-          !(req.min_disagreement_fraction > 0.0) ||
-          req.min_disagreement_fraction >= 1.0) {
-        throw DecodeError("VotePrepareBody: invalid parameters");
-      }
-      const data::ShardedMatrix& v = view();
-      vote_ = req;
-      // Owned reinterpretation of the local sub-matrix: same sanitize-drop
-      // rule as the in-process bridge, so both deployments see identical
-      // label views.
-      label_view_.emplace(truth::label_view(
-          v, static_cast<std::size_t>(req.num_labels)));
-      disagreement_.assign(v.num_users(), 0.0);
+      backend().vote_prepare(static_cast<std::size_t>(req.num_labels),
+                             req.min_disagreement_fraction);
       return {};
     }
     case ShardOp::kVoteScores: {
       VoteScoresBody req = VoteScoresBody::decode(body);
-      if (!label_view_.has_value() ||
-          req.scores.size() !=
-              num_objects_ * static_cast<std::size_t>(vote_.num_labels)) {
-        throw DecodeError("VoteScoresBody: size mismatch or unprepared");
-      }
-      // Continue the global score chain: local blocks are the global blocks
-      // (the shard base is block-aligned), so folding on top of the carried
-      // table reproduces the in-process fold's bits.
-      categorical::fold_label_scores(*label_view_, nullptr, weights_,
-                                     req.scores);
+      backend().vote_scores(req.scores);
       return req.encode();
     }
     case ShardOp::kVoteDisagree: {
       const VoteDisagreeBody req = VoteDisagreeBody::decode(body);
-      if (!label_view_.has_value() || req.truths.size() != num_objects_) {
-        throw DecodeError("VoteDisagreeBody: size mismatch or unprepared");
-      }
-      categorical::vote_disagreement(*label_view_, nullptr, req.truths,
-                                     disagreement_);
       CrhTotalBody out;
-      out.total = truth::block_chain_sum(disagreement_, block_size_, req.total);
+      out.total = backend().vote_disagreement(req.truths, req.total);
       return out.encode();
     }
     case ShardOp::kVoteWeights: {
-      const CrhTotalBody req = CrhTotalBody::decode(body);
-      if (!label_view_.has_value() ||
-          disagreement_.size() != weights_.size()) {
-        throw DecodeError("kVoteWeights: shard not vote-prepared");
-      }
-      if (req.total <= 0.0) {
-        // Unanimous agreement — the in-process driver short-circuits to
-        // uniform weights; mirror it so collected weights match bitwise.
-        weights_.assign(weights_.size(), 1.0);
-      } else {
-        categorical::vote_weights_from_disagreement(
-            disagreement_, req.total, vote_.min_disagreement_fraction,
-            weights_);
-      }
+      backend().vote_weights(CrhTotalBody::decode(body).total);
       return {};
     }
     case ShardOp::kGetTelemetry: {
@@ -519,8 +410,8 @@ std::vector<std::uint8_t> ShardNode::execute(
     case ShardOp::kBatch: {
       // Sub-ops execute strictly in order; decode already refused lifecycle
       // ops and nesting, and every remaining op is idempotent, so a mid-batch
-      // DecodeError abort (reported as one malformed message, watermark not
-      // advanced) is safe for the coordinator to resend.
+      // abort (reported as one malformed message, watermark not advanced) is
+      // safe for the coordinator to resend.
       const BatchBody req = BatchBody::decode(body);
       BatchReplyBody out;
       out.bodies.reserve(req.items.size());

@@ -1,9 +1,11 @@
 // One shard of the distributed truth-discovery deployment: a net::Node that
 // owns its user range's streaming ingestion builder and answers the
-// coordinator's sufficient-statistics RPCs (dist/stats_wire.h) by running the
-// exact shard-side kernels the in-process run_sharded uses. Because its local
-// user range is block-aligned, every chained fold it continues reproduces the
-// global fold's bits (see stats_wire.h for the full argument).
+// coordinator's sufficient-statistics RPCs (dist/stats_wire.h). Every
+// statistics op is one call on a truth::LocalBackend over the finalized
+// local rows — the backend the in-process run_sharded uses — which owns the
+// per-user registers and prepared constants. Because the local user range is
+// block-aligned, every chained fold it continues reproduces the global
+// fold's bits (see stats_wire.h for the full argument).
 //
 // RPC semantics: exactly-once per op_id, enforced with a monotonic watermark.
 // Coordinator op ids are globally increasing, so the node keeps the highest
@@ -25,13 +27,13 @@
 #include <optional>
 #include <vector>
 
-#include "categorical/label_sharding.h"
 #include "crowd/protocol.h"
 #include "crowd/server.h"
 #include "data/builder.h"
 #include "data/sharding.h"
 #include "dist/stats_wire.h"
 #include "net/transport.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::dist {
 
@@ -91,7 +93,8 @@ class ShardNode final : public net::Node {
   std::vector<std::uint8_t> execute(ShardOp op,
                                     std::span<const std::uint8_t> body);
   void reset_round_state();
-  const data::ShardedMatrix& view() const;
+  /// The finalized round's backend; DecodeError before finalize.
+  truth::LocalBackend& backend();
 
   net::NodeId id_;
   net::Transport* network_;
@@ -111,22 +114,9 @@ class ShardNode final : public net::Node {
   std::optional<data::ObservationMatrix> matrix_;   ///< finalized local rows
   std::optional<data::ShardedMatrix> view_;         ///< borrows matrix_
 
-  // Per-local-user registers (CRH weights / GTM precisions / CATD weights all
-  // live in weights_ — each method's flow writes it before collection).
-  std::vector<double> weights_;
-  std::vector<double> losses_;        // CRH
-  std::vector<double> quality_;       // GTM
-  std::vector<double> chi2_;          // CATD
-  std::vector<double> disagreement_;  // categorical voting
-
-  // Prepared per-round constants.
-  CrhPrepareBody crh_;
-  GtmPrepareBody gtm_;
-  CatdPrepareBody catd_;
-  VotePrepareBody vote_;
-  /// Sparse label reinterpretation of the finalized local sub-matrix, built
-  /// by kVotePrepare (owned copy; the chained vote folds run over it).
-  std::optional<categorical::ShardedLabelMatrix> label_view_;
+  /// The statistics ops' fold backend over view_: it owns the per-user
+  /// registers and prepared constants. Rebuilt blank by every finalize.
+  std::optional<truth::LocalBackend> backend_;
 
   // Exactly-once RPC state: the highest executed op id (monotonic watermark,
   // never reset — see class comment) plus the response bytes of that op for

@@ -13,11 +13,15 @@
 // distributed run is bitwise identical to the in-process run_sharded at the
 // same K (and, by the block-fold contract, at every K).
 //
-// Per-user state (weights, losses, qualities) never crosses the wire during
-// iterations: it lives on the owning shard and only the final weight slices
-// are collected. Broadcast ops (truths, scalars, prepared constants) are
-// idempotent by construction; chained ops carry their full input state in the
-// request body, so a timeout-and-resend re-executes deterministically.
+// Each statistics op is one truth::FoldBackend call (truth/fold_backend.h):
+// the coordinator's RemoteBackend encodes the call, and the owning shard runs
+// it on its own LocalBackend. Per-user state (weights, losses, qualities)
+// never crosses the wire during iterations: it lives in the shard's backend
+// and only the final weight slices are collected. Register writes (weights,
+// truths, scalars, prepared constants) are idempotent by construction and
+// ride the next frame each shard receives as kBatch prefix items; chained ops
+// carry their full input state in the request body, so a timeout-and-resend
+// re-executes deterministically.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +50,22 @@ enum class ShardOp : std::uint8_t {
   // CRH.
   kCrhPrepare = 8,      ///< CrhPrepareBody -> empty ack
   kCrhLoss = 9,         ///< loss chain: CrhLossBody -> CrhTotalBody
-  kCrhWeights = 10,     ///< CrhTotalBody broadcast -> empty ack
+  kCrhWeights = 10,     ///< CrhTotalBody write -> empty ack
   // GTM.
   kGtmPrepare = 11,     ///< GtmPrepareBody -> empty ack
-  kGtmStep = 12,        ///< GtmStepBody broadcast (M-step) -> empty ack
+  kGtmStep = 12,        ///< GtmStepBody write (M-step) -> empty ack
   kGtmFold = 13,        ///< posterior chain: GtmFoldBody -> GtmFoldBody
   // CATD.
   kCatdPrepare = 14,    ///< CatdPrepareBody -> empty ack
-  kCatdWeights = 15,    ///< TruthsBody broadcast -> empty ack
+  kCatdWeights = 15,    ///< TruthsBody write -> empty ack
   // Telemetry.
   kGetTelemetry = 16,   ///< empty -> TelemetryBody (lifetime shard counters)
   // Categorical voting (majority / weighted vote over label claims).
   kVotePrepare = 17,    ///< VotePrepareBody -> empty ack (builds label view)
   kVoteScores = 18,     ///< score chain: VoteScoresBody -> VoteScoresBody
   kVoteDisagree = 19,   ///< disagreement chain: VoteDisagreeBody -> CrhTotalBody
-  kVoteWeights = 20,    ///< CrhTotalBody broadcast -> empty ack
-  // Batched collectives.
+  kVoteWeights = 20,    ///< CrhTotalBody write -> empty ack
+  // Queued writes riding another op's frame.
   kBatch = 21,          ///< BatchBody -> BatchReplyBody (sub-ops in order)
 };
 
@@ -181,7 +185,8 @@ struct CrhLossBody {
   static CrhLossBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// The chained loss total — CrhLoss response and CrhWeights broadcast body.
+/// A chained block-sum total — the kCrhLoss/kVoteDisagree reply and the
+/// kCrhWeights/kVoteWeights body.
 struct CrhTotalBody {
   double total = 0.0;
 
@@ -200,7 +205,7 @@ struct GtmPrepareBody {
   static GtmPrepareBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// GTM M-step broadcast: current truth posteriors.
+/// GTM M-step: current truth posteriors.
 struct GtmStepBody {
   std::vector<double> truth_mean;
   std::vector<double> truth_var;
@@ -227,7 +232,7 @@ struct CatdPrepareBody {
   static CatdPrepareBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// A bare truth vector (CATD weight-update broadcast).
+/// A bare truth vector (the CATD weight update).
 struct TruthsBody {
   std::vector<double> truths;
 

@@ -2,40 +2,33 @@
 
 #include "common/check.h"
 #include "common/statistics.h"
-#include "truth/sharded_stats.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::truth {
 
-Result MeanAggregator::run(const data::ObservationMatrix& obs) const {
-  return run_sharded(data::ShardedMatrix::single(obs));
-}
-
-Result MeanAggregator::run_sharded(const data::ShardedMatrix& shards,
-                                   const WarmStart& warm) const {
+Result MeanAggregator::run_folds(FoldBackend& backend,
+                                 const WarmStart& warm) const {
   (void)warm;  // single-pass baseline: no state to seed
-  RunPool pool(num_threads_);
   Result result;
-  result.weights.assign(shards.num_users(), 1.0);
-  result.truths = weighted_aggregate(shards, result.weights, pool.get());
+  backend.begin_iterations();
+  backend.set_weights({});
+  result.truths = aggregate_truths(backend);
+  backend.end_iterations();
+  result.weights.assign(backend.num_users(), 1.0);
   result.iterations = 1;
   result.converged = true;
   return result;
 }
 
-Result MedianAggregator::run(const data::ObservationMatrix& obs) const {
-  return run_sharded(data::ShardedMatrix::single(obs));
-}
-
-Result MedianAggregator::run_sharded(const data::ShardedMatrix& shards,
-                                     const WarmStart& warm) const {
+Result MedianAggregator::run_folds(FoldBackend& backend,
+                                   const WarmStart& warm) const {
   (void)warm;  // single-pass baseline: no state to seed
-  RunPool run_pool(num_threads_);
-  ThreadPool* pool = run_pool.get();
   Result result;
-  result.weights.assign(shards.num_users(), 1.0);
-  result.truths.resize(shards.num_objects());
-  const GatheredColumns columns = gather_object_values(shards, pool);
-  for_each_range(pool, shards.num_objects(),
+  backend.begin_iterations();
+  const GatheredColumns columns = backend.gather();
+  backend.end_iterations();
+  result.truths.resize(backend.num_objects());
+  for_each_range(backend.pool(), result.truths.size(),
                  [&](std::size_t begin, std::size_t end) {
                    for (std::size_t n = begin; n < end; ++n) {
                      const auto col = columns.column(n);
@@ -44,6 +37,7 @@ Result MedianAggregator::run_sharded(const data::ShardedMatrix& shards,
                      result.truths[n] = median(col);
                    }
                  });
+  result.weights.assign(backend.num_users(), 1.0);
   result.iterations = 1;
   result.converged = true;
   return result;

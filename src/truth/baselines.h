@@ -6,36 +6,26 @@
 
 namespace dptd::truth {
 
-class MeanAggregator final : public TruthDiscovery {
+class MeanAggregator final : public FoldMethod {
  public:
   /// 1 = serial (default), 0 = hardware concurrency. Bit-identical for
   /// every value (per-object accumulation order is fixed).
   explicit MeanAggregator(std::size_t num_threads = 1)
-      : num_threads_(num_threads) {}
+      : FoldMethod(num_threads) {}
 
-  Result run(const data::ObservationMatrix& observations) const override;
-  Result run_sharded(const data::ShardedMatrix& shards,
-                     const WarmStart& warm = {}) const override;
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   std::string name() const override { return "mean"; }
-
- private:
-  std::size_t num_threads_;
 };
 
-class MedianAggregator final : public TruthDiscovery {
+class MedianAggregator final : public FoldMethod {
  public:
   /// 1 = serial (default), 0 = hardware concurrency. Bit-identical for
   /// every value (each object's median is computed independently).
   explicit MedianAggregator(std::size_t num_threads = 1)
-      : num_threads_(num_threads) {}
+      : FoldMethod(num_threads) {}
 
-  Result run(const data::ObservationMatrix& observations) const override;
-  Result run_sharded(const data::ShardedMatrix& shards,
-                     const WarmStart& warm = {}) const override;
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   std::string name() const override { return "median"; }
-
- private:
-  std::size_t num_threads_;
 };
 
 }  // namespace dptd::truth

@@ -6,33 +6,18 @@
 #include "common/check.h"
 #include "common/special_functions.h"
 #include "common/statistics.h"
-#include "truth/sharded_stats.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::truth {
 
-Catd::Catd(CatdConfig config) : config_(config) {
+Catd::Catd(CatdConfig config)
+    : FoldMethod(config.num_threads), config_(config) {
   DPTD_REQUIRE(config_.significance > 0.0 && config_.significance < 1.0,
                "Catd: significance must be in (0,1)");
   DPTD_REQUIRE(config_.convergence.max_iterations > 0,
                "Catd: max_iterations must be positive");
   DPTD_REQUIRE(config_.min_residual > 0.0,
                "Catd: min_residual must be positive");
-}
-
-Result Catd::run(const data::ObservationMatrix& obs) const {
-  return run_impl(data::ShardedMatrix::single(obs), nullptr);
-}
-
-Result Catd::run_warm(const data::ObservationMatrix& obs,
-                      const WarmStart& warm) const {
-  validate_warm_start(obs, warm);
-  return run_impl(data::ShardedMatrix::single(obs), &warm);
-}
-
-Result Catd::run_sharded(const data::ShardedMatrix& shards,
-                         const WarmStart& warm) const {
-  validate_warm_start(shards.num_users(), shards.num_objects(), warm);
-  return run_impl(shards, &warm);
 }
 
 void catd_chi_squared(const data::ShardedMatrix& shards, ThreadPool* pool,
@@ -48,7 +33,7 @@ void catd_chi_squared(const data::ShardedMatrix& shards, ThreadPool* pool,
 
 void catd_user_weights(const data::ShardedMatrix& shards, ThreadPool* pool,
                        std::span<const double> chi2,
-                       const std::vector<double>& truths, double min_residual,
+                       std::span<const double> truths, double min_residual,
                        std::span<double> weights) {
   for_each_user_row(shards, pool, [&](std::size_t s, auto row) {
     if (row.empty()) {
@@ -64,52 +49,44 @@ void catd_user_weights(const data::ShardedMatrix& shards, ThreadPool* pool,
   });
 }
 
-Result Catd::run_impl(const data::ShardedMatrix& shards,
-                      const WarmStart* warm) const {
-  const std::size_t S = shards.num_users();
-  const std::size_t N = shards.num_objects();
-  DPTD_REQUIRE(S > 0 && N > 0, "Catd::run: empty observation matrix");
-
-  RunPool run_pool(config_.num_threads);
-  ThreadPool* pool = run_pool.get();
+Result Catd::run_folds(FoldBackend& backend, const WarmStart& warm) const {
+  // Chi-squared quantiles depend only on each user's claim count: cached
+  // once, shard-local (a user's row lives wholly on one shard).
+  backend.catd_prepare(config_.significance, config_.min_residual);
 
   Result result;
-  if (warm != nullptr && !warm->weights.empty()) {
+  if (!warm.weights.empty()) {
     // Seeded start: the previous round's converged weights aggregate THIS
     // round's claims (user quality persists across rounds; truths and noise
     // do not).
-    result.truths = weighted_aggregate(shards, warm->weights, pool);
-  } else if (warm != nullptr && !warm->truths.empty()) {
+    backend.set_weights(warm.weights);
+    result.truths = aggregate_truths(backend);
+  } else if (!warm.truths.empty()) {
     // Truths-only seed: stand in for the median initialization.
-    result.truths = warm->truths;
+    result.truths = warm.truths;
   } else {
     // Initialize truths at per-object medians (the CATD paper's robust
     // start). Columns are gathered across shards in global user order, so
     // the copy each median sorts is the flat matrix's column.
-    const GatheredColumns columns = gather_object_values(shards, pool);
-    result.truths.resize(N);
-    for_each_range(pool, N, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        const auto col = columns.column(n);
-        DPTD_REQUIRE(!col.empty(), "Catd::run: object with no claims");
-        result.truths[n] = median(col);
-      }
-    });
+    const GatheredColumns columns = backend.gather();
+    result.truths.resize(backend.num_objects());
+    for_each_range(backend.pool(), result.truths.size(),
+                   [&](std::size_t begin, std::size_t end) {
+                     for (std::size_t n = begin; n < end; ++n) {
+                       const auto col = columns.column(n);
+                       DPTD_REQUIRE(!col.empty(),
+                                    "Catd::run: object with no claims");
+                       result.truths[n] = median(col);
+                     }
+                   });
   }
 
-  // Chi-squared quantiles depend only on each user's claim count; cache them.
-  // Shard-local: a user's row lives wholly on one shard.
-  std::vector<double> chi2(S, 0.0);
-  catd_chi_squared(shards, pool, config_.significance, chi2);
-
-  result.weights.assign(S, 0.0);
+  backend.begin_iterations();
   for (std::size_t it = 1; it <= config_.convergence.max_iterations; ++it) {
     // Weight update: w_s = chi2_s / sum of squared residuals, each user's
     // residual accumulated from its own row in object order.
-    catd_user_weights(shards, pool, chi2, result.truths, config_.min_residual,
-                      result.weights);
-
-    std::vector<double> next = weighted_aggregate(shards, result.weights, pool);
+    backend.catd_weights(result.truths);
+    std::vector<double> next = aggregate_truths(backend);
     const double change = truth_change(result.truths, next);
     result.truths = std::move(next);
     result.iterations = it;
@@ -118,6 +95,8 @@ Result Catd::run_impl(const data::ShardedMatrix& shards,
       break;
     }
   }
+  backend.end_iterations();
+  result.weights = backend.collect_weights();
   return result;
 }
 

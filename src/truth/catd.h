@@ -27,37 +27,25 @@ struct CatdConfig {
   std::size_t num_threads = 1;
 };
 
-class Catd final : public TruthDiscovery {
+class Catd final : public FoldMethod {
  public:
   explicit Catd(CatdConfig config = {});
 
-  Result run(const data::ObservationMatrix& observations) const override;
   /// Warm seeding: non-empty weights take precedence — they aggregate this
   /// round's claims into the starting truths; a truths-only seed replaces
   /// the per-object median initialization instead. An empty WarmStart
   /// reproduces run() exactly.
-  Result run_warm(const data::ObservationMatrix& observations,
-                  const WarmStart& warm) const override;
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   bool supports_warm_start() const override { return true; }
-  /// Per-shard sufficient statistics (per-object weighted sums, per-user
-  /// chi-squared confidences and residual accumulators) reduced in fixed
-  /// shard order; bitwise identical to the single-shard run for any shard
-  /// count.
-  Result run_sharded(const data::ShardedMatrix& shards,
-                     const WarmStart& warm = {}) const override;
   std::string name() const override { return "catd"; }
 
   const CatdConfig& config() const { return config_; }
 
  private:
-  Result run_impl(const data::ShardedMatrix& shards,
-                  const WarmStart* warm) const;
   CatdConfig config_;
 };
 
-// Shard-side kernels of one CATD iteration, shared between run_impl and the
-// distributed coordinator (dist/). run_impl composes exactly these, so a
-// remote execution that feeds them the same inputs lands on the same bits.
+// The per-user kernels behind a fold backend's CATD steps.
 
 /// Loop-invariant chi-squared quantiles per user (0 for empty rows), written
 /// into `chi2` (indexed by the matrix's own user ids). Shard-local.
@@ -68,7 +56,7 @@ void catd_chi_squared(const data::ShardedMatrix& shards, ThreadPool* pool,
 /// given current truths; empty rows get weight 0. Shard-local.
 void catd_user_weights(const data::ShardedMatrix& shards, ThreadPool* pool,
                        std::span<const double> chi2,
-                       const std::vector<double>& truths, double min_residual,
+                       std::span<const double> truths, double min_residual,
                        std::span<double> weights);
 
 }  // namespace dptd::truth

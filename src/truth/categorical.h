@@ -60,6 +60,22 @@ categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
 std::vector<categorical::Label> labels_from_doubles(
     std::span<const double> truths, std::size_t num_labels);
 
+/// Plurality vote over `backend`'s label claims in [0, num_labels): one
+/// uniform-weight score fold. The loop behind truth::MajorityVote and
+/// categorical::majority_vote.
+categorical::VotingResult run_majority_vote(FoldBackend& backend,
+                                            std::size_t num_labels);
+
+/// CRH-style iterative weighted voting over `backend`'s label claims: the
+/// loop behind truth::WeightedVote and categorical::weighted_vote. Non-empty
+/// `warm_truths` skip the initial aggregation (the first weight update then
+/// overwrites any seed weights before a fold reads them); otherwise
+/// `warm_weights` (empty = uniform) feed it.
+categorical::VotingResult run_weighted_vote(
+    FoldBackend& backend, const categorical::WeightedVotingConfig& config,
+    std::size_t num_labels, std::span<const double> warm_weights,
+    std::span<const categorical::Label> warm_truths);
+
 struct MajorityVoteConfig {
   /// Label alphabet size; 0 infers it from the data (see infer_num_labels).
   std::size_t num_labels = 0;
@@ -74,6 +90,8 @@ class MajorityVote : public TruthDiscovery {
   Result run(const data::ObservationMatrix& observations) const override;
   Result run_sharded(const data::ShardedMatrix& shards,
                      const WarmStart& warm = {}) const override;
+  /// Needs an explicit config alphabet (a backend cannot infer one).
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   std::string name() const override { return "majority"; }
 
  private:
@@ -100,11 +118,16 @@ class WeightedVote : public TruthDiscovery {
   bool supports_warm_start() const override { return true; }
   Result run_sharded(const data::ShardedMatrix& shards,
                      const WarmStart& warm = {}) const override;
+  /// Needs an explicit config alphabet (a backend cannot infer one).
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   std::string name() const override { return "vote"; }
 
   const WeightedVoteConfig& config() const { return config_; }
 
  private:
+  Result run_labels(FoldBackend& backend, std::size_t num_labels,
+                    const WarmStart& warm) const;
+
   WeightedVoteConfig config_;
 };
 

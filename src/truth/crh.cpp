@@ -4,38 +4,33 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "truth/sharded_stats.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::truth {
 namespace {
 
-/// Per-object claim standard deviations for the normalized loss. Depends only
-/// on the observations — run() computes it once and reuses it every
-/// iteration. Block-chained Welford merge: identical for any shard count.
-std::vector<double> object_stddevs(const data::ShardedMatrix& shards,
-                                   ThreadPool* pool) {
-  std::vector<RunningStats> moments(shards.num_objects());
-  fold_object_moments(shards, pool, moments);
-  return crh_stddevs_from_moments(moments);
+/// Hands the backend the loss constants. The normalized loss divides by each
+/// object's claim stddev — loop-invariant, so one block-chained moment fold
+/// per run; count < 2 or zero spread keeps 1.0 (raw squared distance).
+void prepare(FoldBackend& backend, const CrhConfig& config) {
+  std::vector<double> stddevs(backend.num_objects(), 1.0);
+  if (config.loss == CrhLoss::kNormalizedSquared) {
+    std::vector<RunningStats> moments(backend.num_objects());
+    backend.moments(moments);
+    for (std::size_t n = 0; n < stddevs.size(); ++n) {
+      if (moments[n].count() >= 2 && moments[n].stddev() > 0.0) {
+        stddevs[n] = moments[n].stddev();
+      }
+    }
+  }
+  backend.crh_prepare(config.loss, config.min_loss_fraction, stddevs);
 }
 
 }  // namespace
 
-std::vector<double> crh_stddevs_from_moments(
-    std::span<const RunningStats> moments) {
-  std::vector<double> out(moments.size(), 1.0);
-  for (std::size_t n = 0; n < out.size(); ++n) {
-    if (moments[n].count() >= 2) {
-      const double sd = moments[n].stddev();
-      if (sd > 0.0) out[n] = sd;
-    }
-  }
-  return out;
-}
-
 void crh_user_losses(const data::ShardedMatrix& shards, ThreadPool* pool,
-                     CrhLoss loss_kind, const std::vector<double>& truths,
-                     const std::vector<double>& stddevs,
+                     CrhLoss loss_kind, std::span<const double> truths,
+                     std::span<const double> stddevs,
                      std::span<double> losses) {
   DPTD_REQUIRE(losses.size() == shards.num_users(),
                "crh_user_losses: losses size != num users");
@@ -76,7 +71,7 @@ std::vector<double> crh_weights_from_losses(std::span<const double> losses,
   return weights;
 }
 
-Crh::Crh(CrhConfig config) : config_(config) {
+Crh::Crh(CrhConfig config) : FoldMethod(config.num_threads), config_(config) {
   DPTD_REQUIRE(config_.convergence.tolerance > 0.0,
                "Crh: tolerance must be positive");
   DPTD_REQUIRE(config_.convergence.max_iterations > 0,
@@ -86,87 +81,40 @@ Crh::Crh(CrhConfig config) : config_(config) {
                "Crh: min_loss_fraction must be in (0,1)");
 }
 
-std::vector<double> Crh::estimate_weights_with_stddevs(
-    const data::ShardedMatrix& shards, const std::vector<double>& truths,
-    const std::vector<double>& stddevs, ThreadPool* pool) const {
-  DPTD_REQUIRE(truths.size() == shards.num_objects(),
-               "Crh::estimate_weights: truths size != num objects");
-
-  // Per-user loss pass: each user's loss is accumulated from its own row in
-  // object order — shard-local, nothing to merge.
-  std::vector<double> losses(shards.num_users(), 0.0);
-  crh_user_losses(shards, pool, config_.loss, truths, stddevs, losses);
-
-  // The only cross-user scalar: canonical block-chained sum, so the total is
-  // identical however users are sharded.
-  const double total = block_chain_sum(losses, shards.plan().block_size);
-
-  return crh_weights_from_losses(losses, total, config_.min_loss_fraction);
-}
-
 std::vector<double> Crh::estimate_weights(
     const data::ObservationMatrix& obs,
     const std::vector<double>& truths) const {
+  DPTD_REQUIRE(truths.size() == obs.num_objects(),
+               "Crh::estimate_weights: truths size != num objects");
   const data::ShardedMatrix shards = data::ShardedMatrix::single(obs);
   RunPool pool(config_.num_threads);
-  const std::vector<double> stddevs =
-      config_.loss == CrhLoss::kNormalizedSquared
-          ? object_stddevs(shards, pool.get())
-          : std::vector<double>(obs.num_objects(), 1.0);
-  return estimate_weights_with_stddevs(shards, truths, stddevs, pool.get());
+  LocalBackend backend(shards, pool.get());
+  prepare(backend, config_);
+  backend.crh_weights(backend.crh_loss(truths, 0.0));
+  return backend.collect_weights();
 }
 
-Result Crh::run(const data::ObservationMatrix& obs) const {
-  return run_impl(data::ShardedMatrix::single(obs), nullptr);
-}
-
-Result Crh::run_warm(const data::ObservationMatrix& obs,
-                     const WarmStart& warm) const {
-  validate_warm_start(obs, warm);
-  return run_impl(data::ShardedMatrix::single(obs), &warm);
-}
-
-Result Crh::run_sharded(const data::ShardedMatrix& shards,
-                        const WarmStart& warm) const {
-  validate_warm_start(shards.num_users(), shards.num_objects(), warm);
-  return run_impl(shards, &warm);
-}
-
-Result Crh::run_impl(const data::ShardedMatrix& shards,
-                     const WarmStart* warm) const {
-  DPTD_REQUIRE(shards.num_users() > 0 && shards.num_objects() > 0,
-               "Crh::run: empty observation matrix");
-  RunPool pool(config_.num_threads);
-
-  // Loop-invariant per-object statistics, hoisted out of the iterations.
-  const std::vector<double> stddevs =
-      config_.loss == CrhLoss::kNormalizedSquared
-          ? object_stddevs(shards, pool.get())
-          : std::vector<double>(shards.num_objects(), 1.0);
-
+Result Crh::run_folds(FoldBackend& backend, const WarmStart& warm) const {
+  prepare(backend, config_);
   Result result;
-  if (warm != nullptr && !warm->weights.empty()) {
-    // Seeded start: the previous round's converged weights aggregate THIS
-    // round's claims, which lands far closer to the new fixed point than
-    // stale truths would (user quality persists across rounds; truths and
-    // noise do not).
-    result.weights = warm->weights;
-    result.truths = weighted_aggregate(shards, result.weights, pool.get());
-  } else if (warm != nullptr && !warm->truths.empty()) {
+  if (warm.weights.empty() && !warm.truths.empty()) {
     // Truths-only seed: enter the loop at the weight update.
-    result.truths = warm->truths;
-    result.weights.assign(shards.num_users(), 1.0);
+    result.truths = warm.truths;
   } else {
-    // Algorithm 1 line 1: uniform weight initialization.
-    result.weights.assign(shards.num_users(), 1.0);
-    result.truths = weighted_aggregate(shards, result.weights, pool.get());
+    // Algorithm 1 line 1: uniform weights — or the previous round's
+    // converged weights, which aggregate THIS round's claims far closer to
+    // the new fixed point than stale truths would (user quality persists
+    // across rounds; truths and noise do not).
+    backend.set_weights(warm.weights);
+    result.truths = aggregate_truths(backend);
   }
 
+  backend.begin_iterations();
   for (std::size_t it = 1; it <= config_.convergence.max_iterations; ++it) {
-    result.weights = estimate_weights_with_stddevs(shards, result.truths,
-                                                   stddevs, pool.get());
-    std::vector<double> next =
-        weighted_aggregate(shards, result.weights, pool.get());
+    // The loss total is the only cross-user scalar: a block-chained sum,
+    // identical however the users are sharded.
+    backend.crh_weights(backend.crh_loss(result.truths, 0.0));
+    std::vector<double> next = aggregate_truths(backend);
     const double change = truth_change(result.truths, next);
     result.truths = std::move(next);
     result.iterations = it;
@@ -175,6 +123,8 @@ Result Crh::run_impl(const data::ShardedMatrix& shards,
       break;
     }
   }
+  backend.end_iterations();
+  result.weights = backend.collect_weights();
   return result;
 }
 

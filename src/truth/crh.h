@@ -9,7 +9,6 @@
 
 #include <span>
 
-#include "common/statistics.h"
 #include "truth/interface.h"
 
 namespace dptd::truth {
@@ -35,65 +34,44 @@ struct CrhConfig {
   std::size_t num_threads = 1;
 };
 
-class Crh final : public TruthDiscovery {
+class Crh final : public FoldMethod {
  public:
   explicit Crh(CrhConfig config = {});
 
-  Result run(const data::ObservationMatrix& observations) const override;
   /// Warm seeding: non-empty weights take precedence — the previous round's
   /// converged weights aggregate this round's claims as the loop's starting
   /// point (user quality persists across rounds; truths and noise do not).
   /// Truths-only seeds enter the loop at the weight update instead. An empty
   /// WarmStart reproduces run() exactly.
-  Result run_warm(const data::ObservationMatrix& observations,
-                  const WarmStart& warm) const override;
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   bool supports_warm_start() const override { return true; }
-  /// Per-shard sufficient statistics (per-object weighted sums and claim
-  /// moments, per-user loss accumulators) reduced in fixed shard order;
-  /// bitwise identical to the single-shard run for any shard count.
-  Result run_sharded(const data::ShardedMatrix& shards,
-                     const WarmStart& warm = {}) const override;
   std::string name() const override { return "crh"; }
 
   const CrhConfig& config() const { return config_; }
 
   /// One weight-estimation step given current truths (exposed for tests and
-  /// for the Fig. 7 weight-comparison experiment). Recomputes the per-object
-  /// stddev cache on every call; run() hoists it out of the iteration loop.
+  /// for the Fig. 7 weight-comparison experiment).
   std::vector<double> estimate_weights(const data::ObservationMatrix& obs,
                                        const std::vector<double>& truths) const;
 
  private:
-  Result run_impl(const data::ShardedMatrix& shards,
-                  const WarmStart* warm) const;
-  std::vector<double> estimate_weights_with_stddevs(
-      const data::ShardedMatrix& shards, const std::vector<double>& truths,
-      const std::vector<double>& stddevs, ThreadPool* pool) const;
-
   CrhConfig config_;
 };
 
-// Shard-side kernels of one CRH iteration, shared between run_impl and the
-// distributed coordinator (dist/). run_impl composes exactly these, so a
-// remote execution that feeds them the same inputs lands on the same bits.
-
-/// Per-object stddevs for the normalized loss from fully merged claim
-/// moments; count < 2 or zero spread yields 1.0 (raw squared distance).
-std::vector<double> crh_stddevs_from_moments(
-    std::span<const RunningStats> moments);
+// The per-user kernels behind a fold backend's CRH steps.
 
 /// Per-user losses sum_n d(x_s_n, truth_n) given current truths, written into
 /// `losses` (indexed by the matrix's own user ids). Shard-local: each user's
 /// row lives wholly on one shard, nothing to merge.
 void crh_user_losses(const data::ShardedMatrix& shards, ThreadPool* pool,
-                     CrhLoss loss, const std::vector<double>& truths,
-                     const std::vector<double>& stddevs,
+                     CrhLoss loss, std::span<const double> truths,
+                     std::span<const double> stddevs,
                      std::span<double> losses);
 
 /// Eq. (3) weights from per-user losses and the (block-chained) global loss
 /// total: w_s = -log(max(loss_s / total, min_loss_fraction)), or all-ones
 /// when total <= 0. Slice-wise: a shard applies it to its own losses once
-/// the coordinator broadcasts the total.
+/// the total is known.
 std::vector<double> crh_weights_from_losses(std::span<const double> losses,
                                             double total,
                                             double min_loss_fraction);

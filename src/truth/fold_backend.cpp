@@ -1,0 +1,203 @@
+#include "truth/fold_backend.h"
+
+#include "categorical/voting.h"
+#include "common/check.h"
+#include "truth/catd.h"
+#include "truth/categorical.h"
+
+namespace dptd::truth {
+
+Result FoldMethod::run(const data::ObservationMatrix& observations) const {
+  return run_sharded(data::ShardedMatrix::single(observations));
+}
+
+Result FoldMethod::run_warm(const data::ObservationMatrix& observations,
+                            const WarmStart& warm) const {
+  return run_sharded(data::ShardedMatrix::single(observations), warm);
+}
+
+Result FoldMethod::run_sharded(const data::ShardedMatrix& shards,
+                               const WarmStart& warm) const {
+  DPTD_REQUIRE(shards.num_users() > 0 && shards.num_objects() > 0,
+               name() + ": empty observation matrix");
+  const bool seeded = supports_warm_start();
+  if (seeded) {
+    validate_warm_start(shards.num_users(), shards.num_objects(), warm);
+  }
+  RunPool pool(num_threads_);
+  LocalBackend backend(shards, pool.get());
+  return run_folds(backend, seeded ? warm : WarmStart{});
+}
+
+std::vector<double> aggregate_truths(FoldBackend& backend) {
+  AggregateStats acc;
+  acc.reset(backend.num_objects());
+  backend.aggregate(acc);
+  return truths_from_aggregate(acc, backend.pool());
+}
+
+LocalBackend::LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool)
+    : matrix_(&matrix), pool_(pool) {}
+
+LocalBackend::LocalBackend(const categorical::ShardedLabelMatrix& labels,
+                           ThreadPool* pool)
+    : pool_(pool), labels_(&labels) {}
+
+std::size_t LocalBackend::num_users() const {
+  return matrix_ != nullptr ? matrix_->num_users() : labels_->num_users();
+}
+
+std::size_t LocalBackend::num_objects() const {
+  return matrix_ != nullptr ? matrix_->num_objects() : labels_->num_objects();
+}
+
+const data::ShardedMatrix& LocalBackend::matrix() const {
+  DPTD_REQUIRE(matrix_ != nullptr, "LocalBackend: no continuous claims");
+  return *matrix_;
+}
+
+const categorical::ShardedLabelMatrix& LocalBackend::labels() const {
+  DPTD_REQUIRE(labels_ != nullptr, "LocalBackend: vote step before prepare");
+  return *labels_;
+}
+
+std::vector<double>& LocalBackend::reg(std::vector<double>& reg, double fill) {
+  if (reg.size() != num_users()) reg.assign(num_users(), fill);
+  return reg;
+}
+
+void LocalBackend::set_weights(std::span<const double> weights) {
+  if (weights.empty()) {
+    weights_.assign(num_users(), 1.0);
+    return;
+  }
+  DPTD_REQUIRE(weights.size() == num_users(),
+               "LocalBackend: weights size != num users");
+  weights_.assign(weights.begin(), weights.end());
+}
+
+void LocalBackend::crh_prepare(CrhLoss loss, double min_loss_fraction,
+                               std::span<const double> stddevs) {
+  DPTD_REQUIRE(stddevs.size() == num_objects(),
+               "LocalBackend: stddevs size != num objects");
+  crh_loss_ = loss;
+  crh_min_fraction_ = min_loss_fraction;
+  stddevs_.assign(stddevs.begin(), stddevs.end());
+}
+
+double LocalBackend::crh_loss(std::span<const double> truths, double total) {
+  DPTD_REQUIRE(crh_loss_.has_value(), "LocalBackend: crh_loss before prepare");
+  DPTD_REQUIRE(truths.size() == num_objects(),
+               "LocalBackend: truths size != num objects");
+  crh_user_losses(matrix(), pool_, *crh_loss_, truths, stddevs_, reg(losses_));
+  // Local blocks are global blocks, so this continues the global chain.
+  return block_chain_sum(losses_, matrix().plan().block_size, total);
+}
+
+void LocalBackend::crh_weights(double total) {
+  DPTD_REQUIRE(crh_loss_.has_value(),
+               "LocalBackend: crh_weights before prepare");
+  weights_ = crh_weights_from_losses(reg(losses_), total, crh_min_fraction_);
+}
+
+void LocalBackend::gtm_prepare(const GtmConfig& config,
+                               std::span<const double> shift,
+                               std::span<const double> scale) {
+  DPTD_REQUIRE(shift.size() == num_objects() && scale.size() == num_objects(),
+               "LocalBackend: shift/scale size != num objects");
+  gtm_ = config;
+  shift_.assign(shift.begin(), shift.end());
+  scale_.assign(scale.begin(), scale.end());
+}
+
+void LocalBackend::gtm_step(std::span<const double> truth_mean,
+                            std::span<const double> truth_var) {
+  DPTD_REQUIRE(gtm_.has_value(), "LocalBackend: gtm_step before prepare");
+  DPTD_REQUIRE(truth_mean.size() == num_objects() &&
+                   truth_var.size() == num_objects(),
+               "LocalBackend: posterior size != num objects");
+  gtm_m_step(matrix(), pool_, *gtm_, shift_, scale_, truth_mean, truth_var,
+             reg(quality_, 1.0), reg(weights_, 1.0));
+}
+
+void LocalBackend::gtm_posterior(std::span<double> precision,
+                                 std::span<double> weighted) {
+  DPTD_REQUIRE(gtm_.has_value(), "LocalBackend: gtm_posterior before prepare");
+  DPTD_REQUIRE(precision.size() == num_objects() &&
+                   weighted.size() == num_objects(),
+               "LocalBackend: posterior size != num objects");
+  gtm_posterior_fold(matrix(), pool_, shift_, scale_, reg(weights_, 1.0),
+                     precision, weighted);
+}
+
+void LocalBackend::catd_prepare(double significance, double min_residual) {
+  DPTD_REQUIRE(significance > 0.0 && significance < 1.0,
+               "LocalBackend: significance must be in (0,1)");
+  min_residual_ = min_residual;
+  chi2_.assign(num_users(), 0.0);
+  catd_chi_squared(matrix(), pool_, significance, chi2_);
+}
+
+void LocalBackend::catd_weights(std::span<const double> truths) {
+  DPTD_REQUIRE(chi2_.size() == num_users(),
+               "LocalBackend: catd_weights before prepare");
+  DPTD_REQUIRE(truths.size() == num_objects(),
+               "LocalBackend: truths size != num objects");
+  catd_user_weights(matrix(), pool_, chi2_, truths, min_residual_,
+                    reg(weights_));
+}
+
+void LocalBackend::vote_prepare(std::size_t num_labels,
+                                double min_disagreement_fraction) {
+  DPTD_REQUIRE(min_disagreement_fraction > 0.0 &&
+                   min_disagreement_fraction < 1.0,
+               "LocalBackend: min_disagreement_fraction must be in (0,1)");
+  if (matrix_ != nullptr) {
+    // Same sanitize-drop reading on every deployment (truth::label_view).
+    labels_ = nullptr;
+    owned_labels_.emplace(label_view(*matrix_, num_labels));
+    labels_ = &*owned_labels_;
+  }
+  DPTD_REQUIRE(labels().num_labels() == num_labels,
+               "LocalBackend: label alphabet mismatch");
+  vote_min_fraction_ = min_disagreement_fraction;
+}
+
+double LocalBackend::vote_disagreement(
+    std::span<const categorical::Label> truths, double total) {
+  categorical::vote_disagreement(labels(), pool_, truths, reg(disagreement_));
+  return block_chain_sum(disagreement_, labels().plan().block_size, total);
+}
+
+void LocalBackend::vote_weights(double total) {
+  DPTD_REQUIRE(vote_min_fraction_.has_value(),
+               "LocalBackend: vote_weights before prepare");
+  if (total <= 0.0) {
+    weights_.assign(num_users(), 1.0);
+    return;
+  }
+  categorical::vote_weights_from_disagreement(
+      reg(disagreement_), total, *vote_min_fraction_, reg(weights_));
+}
+
+void LocalBackend::vote_scores(std::span<double> scores) {
+  categorical::fold_label_scores(labels(), pool_, reg(weights_, 1.0), scores);
+}
+
+void LocalBackend::moments(std::span<RunningStats> acc) {
+  fold_object_moments(matrix(), pool_, acc);
+}
+
+void LocalBackend::aggregate(AggregateStats& acc) {
+  weighted_aggregate_fold(matrix(), reg(weights_, 1.0), acc, pool_);
+}
+
+GatheredColumns LocalBackend::gather() {
+  return gather_object_values(matrix(), pool_);
+}
+
+std::vector<double> LocalBackend::collect_weights() {
+  return reg(weights_, 1.0);
+}
+
+}  // namespace dptd::truth

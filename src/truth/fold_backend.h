@@ -1,0 +1,171 @@
+// The narrow interface every truth-discovery loop runs over. Each method's
+// loop (paper Algorithm 1: weighted aggregation, then weight re-estimation)
+// is written once, in truth/<method>.cpp, against FoldBackend; LocalBackend
+// runs it in process over a ShardedMatrix, and dist::RemoteBackend runs it
+// over the coordinator's shard RPCs. Both execute the same kernels in the
+// same canonical block order, so the bits agree for any shard count.
+//
+// Three kinds of call:
+//  - Register writes return nothing. They set the per-user state the next
+//    fold or step reads: the weights, each method's prepared constants, the
+//    weight updates and the GTM M-step. A remote backend may defer a write
+//    to the next frame each shard receives.
+//  - Chained folds ADD the users' contributions to a carried accumulator in
+//    canonical block order (truth/sharded_stats.h), continuing exactly where
+//    the caller's state stopped.
+//  - gather() returns every object's claims in user order, and
+//    collect_weights() the weight register.
+#pragma once
+
+#include <cstddef>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "categorical/label_sharding.h"
+#include "common/statistics.h"
+#include "common/thread_pool.h"
+#include "data/sharding.h"
+#include "truth/crh.h"
+#include "truth/gtm.h"
+#include "truth/interface.h"
+#include "truth/sharded_stats.h"
+
+namespace dptd::truth {
+
+class FoldBackend {
+ public:
+  virtual ~FoldBackend() = default;
+
+  /// Users collect_weights() returns, and objects every fold covers.
+  virtual std::size_t num_users() const = 0;
+  virtual std::size_t num_objects() const = 0;
+  /// Pool for the object-space work between folds; null runs it serially.
+  virtual ThreadPool* pool() const { return nullptr; }
+
+  // Register writes.
+  /// Weight register := `weights` (user-indexed), or all ones when empty.
+  virtual void set_weights(std::span<const double> weights) = 0;
+  virtual void crh_prepare(CrhLoss loss, double min_loss_fraction,
+                           std::span<const double> stddevs) = 0;
+  /// CRH Eq. (3) weights from the last crh_loss and the chained total.
+  virtual void crh_weights(double total) = 0;
+  /// GTM priors (alpha, beta, min_variance) and standardization.
+  virtual void gtm_prepare(const GtmConfig& config,
+                           std::span<const double> shift,
+                           std::span<const double> scale) = 0;
+  /// GTM M-step: each user's quality, and its precision as the weight.
+  virtual void gtm_step(std::span<const double> truth_mean,
+                        std::span<const double> truth_var) = 0;
+  /// Caches each user's chi-squared quantile.
+  virtual void catd_prepare(double significance, double min_residual) = 0;
+  virtual void catd_weights(std::span<const double> truths) = 0;
+  /// Reads the claims as labels in [0, num_labels).
+  virtual void vote_prepare(std::size_t num_labels,
+                            double min_disagreement_fraction) = 0;
+  /// Vote weights from the last vote_disagreement and the chained total;
+  /// a total <= 0 (unanimity) sets every weight to one.
+  virtual void vote_weights(double total) = 0;
+
+  // Chained folds.
+  virtual void moments(std::span<RunningStats> acc) = 0;
+  virtual void aggregate(AggregateStats& acc) = 0;
+  /// Stores each user's loss against `truths`; returns `total` plus their
+  /// block-chained sum.
+  virtual double crh_loss(std::span<const double> truths, double total) = 0;
+  /// GTM E-step statistics under the weight register's precisions.
+  virtual void gtm_posterior(std::span<double> precision,
+                             std::span<double> weighted) = 0;
+  /// Weighted label histogram, row-major num_objects x num_labels.
+  virtual void vote_scores(std::span<double> scores) = 0;
+  /// Stores each user's disagreement count; returns `total` plus their
+  /// block-chained sum.
+  virtual double vote_disagreement(std::span<const categorical::Label> truths,
+                                   double total) = 0;
+
+  virtual GatheredColumns gather() = 0;
+  virtual std::vector<double> collect_weights() = 0;
+
+  /// Called where a loop enters and leaves its iterations.
+  virtual void begin_iterations() {}
+  virtual void end_iterations() {}
+};
+
+/// One weighted-aggregation pass (paper Eq. 1) folded over `backend`'s
+/// weight register, finalized into truths.
+std::vector<double> aggregate_truths(FoldBackend& backend);
+
+/// The in-process backend: the pooled kernels over a borrowed matrix. It
+/// owns the per-user registers and allocates each one when a step first
+/// needs it. A precondition failure (a wrong size, a step before its
+/// prepare) throws std::invalid_argument.
+class LocalBackend final : public FoldBackend {
+ public:
+  LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool);
+  /// Label claims only: the vote calls work, the continuous ones throw.
+  LocalBackend(const categorical::ShardedLabelMatrix& labels,
+               ThreadPool* pool);
+
+  LocalBackend(const LocalBackend&) = delete;
+  LocalBackend& operator=(const LocalBackend&) = delete;
+
+  std::size_t num_users() const override;
+  std::size_t num_objects() const override;
+  ThreadPool* pool() const override { return pool_; }
+
+  void set_weights(std::span<const double> weights) override;
+  void crh_prepare(CrhLoss loss, double min_loss_fraction,
+                   std::span<const double> stddevs) override;
+  void crh_weights(double total) override;
+  void gtm_prepare(const GtmConfig& config, std::span<const double> shift,
+                   std::span<const double> scale) override;
+  void gtm_step(std::span<const double> truth_mean,
+                std::span<const double> truth_var) override;
+  void catd_prepare(double significance, double min_residual) override;
+  void catd_weights(std::span<const double> truths) override;
+  void vote_prepare(std::size_t num_labels,
+                    double min_disagreement_fraction) override;
+  void vote_weights(double total) override;
+
+  void moments(std::span<RunningStats> acc) override;
+  void aggregate(AggregateStats& acc) override;
+  double crh_loss(std::span<const double> truths, double total) override;
+  void gtm_posterior(std::span<double> precision,
+                     std::span<double> weighted) override;
+  void vote_scores(std::span<double> scores) override;
+  double vote_disagreement(std::span<const categorical::Label> truths,
+                           double total) override;
+
+  GatheredColumns gather() override;
+  std::vector<double> collect_weights() override;
+
+ private:
+  const data::ShardedMatrix& matrix() const;
+  const categorical::ShardedLabelMatrix& labels() const;
+  /// `reg` sized to the users, filled with `fill` when first allocated.
+  std::vector<double>& reg(std::vector<double>& reg, double fill = 0.0);
+
+  const data::ShardedMatrix* matrix_ = nullptr;
+  ThreadPool* pool_;
+
+  // Per-user registers.
+  std::vector<double> weights_;
+  std::vector<double> losses_;        // CRH
+  std::vector<double> quality_;       // GTM
+  std::vector<double> chi2_;          // CATD
+  std::vector<double> disagreement_;  // vote
+
+  // Prepared per-run constants, empty until the method's prepare.
+  std::optional<CrhLoss> crh_loss_;
+  double crh_min_fraction_ = 0.0;
+  std::vector<double> stddevs_;
+  std::optional<GtmConfig> gtm_;
+  std::vector<double> shift_, scale_;
+  double min_residual_ = 0.0;  ///< CATD; chi2_ marks it prepared
+  std::optional<double> vote_min_fraction_;
+  /// vote_prepare's label reading of matrix_ (or the borrowed labels).
+  std::optional<categorical::ShardedLabelMatrix> owned_labels_;
+  const categorical::ShardedLabelMatrix* labels_ = nullptr;
+};
+
+}  // namespace dptd::truth

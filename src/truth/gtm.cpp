@@ -4,41 +4,15 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "truth/sharded_stats.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::truth {
+namespace {
 
-Gtm::Gtm(GtmConfig config) : config_(config) {
-  DPTD_REQUIRE(config_.truth_prior_variance > 0.0,
-               "Gtm: truth prior variance must be positive");
-  DPTD_REQUIRE(config_.quality_prior_alpha > 0.0 &&
-                   config_.quality_prior_beta > 0.0,
-               "Gtm: inverse-Gamma prior parameters must be positive");
-  DPTD_REQUIRE(config_.convergence.max_iterations > 0,
-               "Gtm: max_iterations must be positive");
-  DPTD_REQUIRE(config_.min_variance > 0.0, "Gtm: min_variance must be positive");
-}
-
-Result Gtm::run(const data::ObservationMatrix& obs) const {
-  return run_impl(data::ShardedMatrix::single(obs), nullptr);
-}
-
-Result Gtm::run_warm(const data::ObservationMatrix& obs,
-                     const WarmStart& warm) const {
-  validate_warm_start(obs, warm);
-  return run_impl(data::ShardedMatrix::single(obs), &warm);
-}
-
-Result Gtm::run_sharded(const data::ShardedMatrix& shards,
-                        const WarmStart& warm) const {
-  validate_warm_start(shards.num_users(), shards.num_objects(), warm);
-  return run_impl(shards, &warm);
-}
-
-void gtm_standardization(std::span<const RunningStats> moments,
-                         std::span<double> shift, std::span<double> scale) {
-  DPTD_REQUIRE(shift.size() == moments.size() && scale.size() == moments.size(),
-               "gtm_standardization: output size != num objects");
+/// Per-object standardization shift/scale from fully merged claim moments
+/// (z = (x - shift) / scale); count < 2 or zero spread keeps scale at 1.0.
+void standardization(std::span<const RunningStats> moments,
+                     std::span<double> shift, std::span<double> scale) {
   for (std::size_t n = 0; n < moments.size(); ++n) {
     DPTD_REQUIRE(moments[n].count() > 0, "Gtm::run: object with no claims");
     shift[n] = moments[n].mean();
@@ -50,12 +24,41 @@ void gtm_standardization(std::span<const RunningStats> moments,
   }
 }
 
-double gtm_standardized_median(std::span<const double> column, double shift,
-                               double scale) {
+/// Median of one object's standardized claims — the cold-start estimate.
+double standardized_median(std::span<const double> column, double shift,
+                           double scale) {
   DPTD_REQUIRE(!column.empty(), "Gtm::run: object with no claims");
   std::vector<double> values(column.begin(), column.end());
   for (double& v : values) v = (v - shift) / scale;
   return median(values);
+}
+
+/// Finalizes fully folded posterior statistics into truth_mean/truth_var.
+void posterior_from_stats(std::span<const double> precision_acc,
+                          std::span<const double> weighted_acc,
+                          std::span<double> truth_mean,
+                          std::span<double> truth_var, ThreadPool* pool) {
+  for_each_range(pool, truth_mean.size(),
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t n = begin; n < end; ++n) {
+                     truth_mean[n] = weighted_acc[n] / precision_acc[n];
+                     truth_var[n] = 1.0 / precision_acc[n];
+                   }
+                 });
+}
+
+}  // namespace
+
+Gtm::Gtm(GtmConfig config) : FoldMethod(config.num_threads), config_(config) {
+  DPTD_REQUIRE(config_.truth_prior_variance > 0.0,
+               "Gtm: truth prior variance must be positive");
+  DPTD_REQUIRE(config_.quality_prior_alpha > 0.0 &&
+                   config_.quality_prior_beta > 0.0,
+               "Gtm: inverse-Gamma prior parameters must be positive");
+  DPTD_REQUIRE(config_.convergence.max_iterations > 0,
+               "Gtm: max_iterations must be positive");
+  DPTD_REQUIRE(config_.min_variance > 0.0,
+               "Gtm: min_variance must be positive");
 }
 
 void gtm_m_step(const data::ShardedMatrix& shards, ThreadPool* pool,
@@ -104,26 +107,9 @@ void gtm_posterior_fold(const data::ShardedMatrix& shards, ThreadPool* pool,
       {precision_acc.data(), weighted_acc.data()});
 }
 
-void gtm_posterior_from_stats(std::span<const double> precision_acc,
-                              std::span<const double> weighted_acc,
-                              std::span<double> truth_mean,
-                              std::span<double> truth_var, ThreadPool* pool) {
-  for_each_range(pool, truth_mean.size(),
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t n = begin; n < end; ++n) {
-                     truth_mean[n] = weighted_acc[n] / precision_acc[n];
-                     truth_var[n] = 1.0 / precision_acc[n];
-                   }
-                 });
-}
-
-Result Gtm::run_impl(const data::ShardedMatrix& shards,
-                     const WarmStart* warm) const {
-  const std::size_t S = shards.num_users();
-  const std::size_t N = shards.num_objects();
-  DPTD_REQUIRE(S > 0 && N > 0, "Gtm::run: empty observation matrix");
-  RunPool run_pool(config_.num_threads);
-  ThreadPool* pool = run_pool.get();
+Result Gtm::run_folds(FoldBackend& backend, const WarmStart& warm) const {
+  const std::size_t N = backend.num_objects();
+  ThreadPool* pool = backend.pool();
 
   // Per-object standardization: z = (x - mean_n) / sd_n. Loop-invariant, so
   // computed once as a block-chained moment fold (shard-count independent).
@@ -131,63 +117,57 @@ Result Gtm::run_impl(const data::ShardedMatrix& shards,
   std::vector<double> scale(N, 1.0);
   if (config_.standardize) {
     std::vector<RunningStats> moments(N);
-    fold_object_moments(shards, pool, moments);
-    gtm_standardization(moments, shift, scale);
+    backend.moments(moments);
+    standardization(moments, shift, scale);
   }
-
-  const double prior_precision = 1.0 / config_.truth_prior_variance;
-  const double prior_weighted =
-      config_.truth_prior_mean / config_.truth_prior_variance;
+  backend.gtm_prepare(config_, shift, scale);
 
   // E-step as a sufficient-statistics fold: per-object precision and
   // precision-weighted sums start at the prior terms and accumulate
   // per-claim contributions in canonical block order.
-  std::vector<double> precision(N, 0.0);
-  std::vector<double> weighted_sum(N, 0.0);
+  std::vector<double> precision(N);
+  std::vector<double> weighted_sum(N);
   std::vector<double> truth_mean(N, 0.0);
   std::vector<double> truth_var(N, 0.0);
-  const auto posterior_pass = [&](const std::vector<double>& precisions) {
-    std::fill(precision.begin(), precision.end(), prior_precision);
-    std::fill(weighted_sum.begin(), weighted_sum.end(), prior_weighted);
-    gtm_posterior_fold(shards, pool, shift, scale, precisions, precision,
-                       weighted_sum);
-    gtm_posterior_from_stats(precision, weighted_sum, truth_mean, truth_var,
-                             pool);
+  const auto posterior_pass = [&] {
+    std::fill(precision.begin(), precision.end(),
+              1.0 / config_.truth_prior_variance);
+    std::fill(weighted_sum.begin(), weighted_sum.end(),
+              config_.truth_prior_mean / config_.truth_prior_variance);
+    backend.gtm_posterior(precision, weighted_sum);
+    posterior_from_stats(precision, weighted_sum, truth_mean, truth_var, pool);
   };
 
   // Initialize truths at the per-object median (robust start), in
   // standardized space — or from the warm-start seed.
-  if (warm != nullptr && !warm->weights.empty()) {
+  if (!warm.weights.empty()) {
     // Seeded E-step: GTM's weights ARE per-user precisions (1/sigma_s^2),
     // so one posterior pass with the previous round's precisions over THIS
     // round's claims gives the starting truth estimates.
-    posterior_pass(warm->weights);
-  } else if (warm != nullptr && !warm->truths.empty()) {
+    backend.set_weights(warm.weights);
+    posterior_pass();
+  } else if (!warm.truths.empty()) {
     for (std::size_t n = 0; n < N; ++n) {
-      truth_mean[n] = (warm->truths[n] - shift[n]) / scale[n];
+      truth_mean[n] = (warm.truths[n] - shift[n]) / scale[n];
     }
   } else {
-    const GatheredColumns columns = gather_object_values(shards, pool);
+    const GatheredColumns columns = backend.gather();
     for_each_range(pool, N, [&](std::size_t begin, std::size_t end) {
       for (std::size_t n = begin; n < end; ++n) {
         truth_mean[n] =
-            gtm_standardized_median(columns.column(n), shift[n], scale[n]);
+            standardized_median(columns.column(n), shift[n], scale[n]);
       }
     });
   }
 
-  std::vector<double> quality(S, 1.0);    // sigma_s^2 in standardized space
-  std::vector<double> precisions(S, 1.0); // 1 / quality, the E-step input
   std::vector<double> prev_truths = truth_mean;
-
   Result result;
+  backend.begin_iterations();
   for (std::size_t it = 1; it <= config_.convergence.max_iterations; ++it) {
-    gtm_m_step(shards, pool, config_, shift, scale, truth_mean, truth_var,
-               quality, precisions);
-
-    // E-step: Gaussian posterior of each truth from the merged per-object
-    // precision statistics.
-    posterior_pass(precisions);
+    // M-step (per-user qualities), then the E-step: Gaussian posterior of
+    // each truth from the merged per-object precision statistics.
+    backend.gtm_step(truth_mean, truth_var);
+    posterior_pass();
 
     result.iterations = it;
     const double change = truth_change(prev_truths, truth_mean);
@@ -197,14 +177,14 @@ Result Gtm::run_impl(const data::ShardedMatrix& shards,
       break;
     }
   }
+  backend.end_iterations();
 
-  // De-standardize truths; expose precisions as weights.
+  // De-standardize truths; the weights are the precisions.
   result.truths.resize(N);
   for (std::size_t n = 0; n < N; ++n) {
     result.truths[n] = truth_mean[n] * scale[n] + shift[n];
   }
-  result.weights.resize(S);
-  for (std::size_t s = 0; s < S; ++s) result.weights[s] = 1.0 / quality[s];
+  result.weights = backend.collect_weights();
   return result;
 }
 

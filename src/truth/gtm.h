@@ -14,7 +14,6 @@
 
 #include <span>
 
-#include "common/statistics.h"
 #include "truth/interface.h"
 
 namespace dptd::truth {
@@ -33,47 +32,26 @@ struct GtmConfig {
   std::size_t num_threads = 1;
 };
 
-class Gtm final : public TruthDiscovery {
+class Gtm final : public FoldMethod {
  public:
   explicit Gtm(GtmConfig config = {});
 
-  Result run(const data::ObservationMatrix& observations) const override;
   /// Warm seeding: non-empty weights (GTM's weights are per-user precisions)
   /// drive one posterior pass over this round's claims as the starting truth
   /// estimates; otherwise non-empty truths replace the per-object median
   /// initialization (standardized internally). An empty WarmStart reproduces
   /// run() exactly.
-  Result run_warm(const data::ObservationMatrix& observations,
-                  const WarmStart& warm) const override;
+  Result run_folds(FoldBackend& backend, const WarmStart& warm) const override;
   bool supports_warm_start() const override { return true; }
-  /// Per-shard sufficient statistics (per-object posterior precision sums and
-  /// claim moments, per-user residual accumulators) reduced in fixed shard
-  /// order; bitwise identical to the single-shard run for any shard count.
-  Result run_sharded(const data::ShardedMatrix& shards,
-                     const WarmStart& warm = {}) const override;
   std::string name() const override { return "gtm"; }
 
   const GtmConfig& config() const { return config_; }
 
  private:
-  Result run_impl(const data::ShardedMatrix& shards,
-                  const WarmStart* warm) const;
   GtmConfig config_;
 };
 
-// Shard-side kernels of one GTM iteration, shared between run_impl and the
-// distributed coordinator (dist/). run_impl composes exactly these, so a
-// remote execution that feeds them the same inputs lands on the same bits.
-
-/// Per-object standardization shift/scale from fully merged claim moments
-/// (z = (x - shift) / scale). Throws on an object with no claims; count < 2
-/// or zero spread keeps scale at 1.0.
-void gtm_standardization(std::span<const RunningStats> moments,
-                         std::span<double> shift, std::span<double> scale);
-
-/// Median of one object's standardized claims — the cold-start truth estimate.
-double gtm_standardized_median(std::span<const double> column, double shift,
-                               double scale);
+// The per-user kernels behind a fold backend's GTM steps.
 
 /// M-step: MAP variance (quality) and precision per user given current truth
 /// posteriors. Outputs are indexed by the matrix's own user ids. Shard-local.
@@ -95,12 +73,5 @@ void gtm_posterior_fold(const data::ShardedMatrix& shards, ThreadPool* pool,
                         std::span<const double> precisions,
                         std::span<double> precision_acc,
                         std::span<double> weighted_acc);
-
-/// Finalizes fully folded posterior statistics into truth_mean/truth_var.
-void gtm_posterior_from_stats(std::span<const double> precision_acc,
-                              std::span<const double> weighted_acc,
-                              std::span<double> truth_mean,
-                              std::span<double> truth_var,
-                              ThreadPool* pool = nullptr);
 
 }  // namespace dptd::truth

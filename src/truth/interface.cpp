@@ -1,6 +1,7 @@
 #include "truth/interface.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "truth/sharded_stats.h"
@@ -54,8 +55,15 @@ Result TruthDiscovery::run_sharded(const data::ShardedMatrix& shards,
   return run_warm(shards.concatenated(), warm);
 }
 
+Result TruthDiscovery::run_folds(FoldBackend& backend,
+                                 const WarmStart& warm) const {
+  (void)backend;
+  (void)warm;
+  throw std::logic_error(name() + ": no fold loop");
+}
+
 void weighted_aggregate_fold(const data::ShardedMatrix& shards,
-                             const std::vector<double>& weights,
+                             std::span<const double> weights,
                              AggregateStats& acc, ThreadPool* pool) {
   const std::size_t N = shards.num_objects();
   DPTD_REQUIRE(weights.size() == shards.num_users(),

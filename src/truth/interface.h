@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "data/sharding.h"
 
 namespace dptd::truth {
+
+class FoldBackend;
 
 /// Convergence control shared by iterative methods.
 struct ConvergenceCriteria {
@@ -84,8 +87,33 @@ class TruthDiscovery {
   virtual Result run_sharded(const data::ShardedMatrix& shards,
                              const WarmStart& warm = {}) const;
 
+  /// Runs the method's loop over `backend` (truth/fold_backend.h): the one
+  /// loop run_sharded and the distributed coordinator share. `warm` is
+  /// assumed validated against the backend's user space. The default throws
+  /// std::logic_error: the method has no fold loop.
+  virtual Result run_folds(FoldBackend& backend, const WarmStart& warm) const;
+
   /// Stable identifier ("crh", "gtm", "catd", "mean", "median").
   virtual std::string name() const = 0;
+};
+
+/// A method whose loop is written once, as run_folds: run, run_warm and
+/// run_sharded all execute it over a LocalBackend (truth/fold_backend.h)
+/// with a pool of `num_threads` (1 = serial, 0 = hardware concurrency).
+/// Seeds are validated, and passed on, only when supports_warm_start().
+class FoldMethod : public TruthDiscovery {
+ public:
+  Result run(const data::ObservationMatrix& observations) const override;
+  Result run_warm(const data::ObservationMatrix& observations,
+                  const WarmStart& warm) const override;
+  Result run_sharded(const data::ShardedMatrix& shards,
+                     const WarmStart& warm = {}) const override;
+
+ protected:
+  explicit FoldMethod(std::size_t num_threads) : num_threads_(num_threads) {}
+
+ private:
+  std::size_t num_threads_;
 };
 
 /// Weighted aggregation step shared by all methods (paper Eq. 1):
@@ -128,7 +156,7 @@ struct AggregateStats {
 /// matrix's own user ids — global for a partitioned matrix, local for a
 /// shard's borrowed single() view.
 void weighted_aggregate_fold(const data::ShardedMatrix& shards,
-                             const std::vector<double>& weights,
+                             std::span<const double> weights,
                              AggregateStats& acc, ThreadPool* pool = nullptr);
 
 /// Finalizes a fully folded accumulator into truths: weighted mean per

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -200,58 +201,236 @@ data::ObservationMatrix submatrix_of_ranges(
   return builder.finalize();
 }
 
+/// Every MethodSpec kind; the categorical ones over a 4-label alphabet.
+std::vector<MethodSpec> every_method_kind() {
+  std::vector<MethodSpec> specs;
+  for (const MethodSpec::Kind kind :
+       {MethodSpec::Kind::kCrh, MethodSpec::Kind::kGtm, MethodSpec::Kind::kCatd,
+        MethodSpec::Kind::kMean, MethodSpec::Kind::kMedian,
+        MethodSpec::Kind::kMajority, MethodSpec::Kind::kVote}) {
+    MethodSpec spec;
+    spec.kind = kind;
+    spec.majority.num_labels = 4;
+    spec.vote.num_labels = 4;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+/// Sends each non-empty row of `obs` as one upload: a kLabelReport carrying
+/// the label ids a categorical round stores as exact doubles, else a kReport.
+void send_rows(Fleet& fleet, const data::ObservationMatrix& obs,
+               std::uint64_t round, bool labels) {
+  for (std::size_t s = 0; s < obs.num_users(); ++s) {
+    const auto entries = obs.user_entries(s);
+    if (entries.empty()) continue;
+    if (labels) {
+      crowd::LabelReport report;
+      report.round = round;
+      report.user_id = s;
+      for (const auto& entry : entries) {
+        report.objects.push_back(entry.object);
+        report.labels.push_back(static_cast<std::uint32_t>(entry.value));
+      }
+      fleet.network.send(crowd::make_message(s, kCoordinatorId,
+                                             crowd::MessageType::kLabelReport,
+                                             report.encode()));
+    } else {
+      crowd::Report report;
+      report.round = round;
+      report.user_id = s;
+      for (const auto& entry : entries) {
+        report.objects.push_back(entry.object);
+        report.values.push_back(entry.value);
+      }
+      fleet.network.send(crowd::make_message(
+          s, kCoordinatorId, crowd::MessageType::kReport, report.encode()));
+    }
+  }
+  fleet.sim.run();
+}
+
 TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
   // Before the degraded-close change this choreography aborted the whole
   // round (completed=false, result scrubbed). Now the failed shard is
-  // excluded mid-round and the close re-runs over the survivors.
-  const data::Dataset dataset = random_dataset(13, 48, 4, 0.3);
-  Fleet fleet(3, crh_spec(), dataset.num_objects());
-  ASSERT_TRUE(
-      fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
-  send_dataset(fleet, dataset, 1);
+  // excluded mid-round and the close re-runs over the survivors — for every
+  // method kind, whichever collective first meets the dead shard.
+  for (const MethodSpec& spec : every_method_kind()) {
+    const auto method = make_method(spec);
+    const std::string name = method->name();
+    // Label rounds carry label ids 0..3 as exact doubles.
+    data::ObservationMatrix obs =
+        random_dataset(13, 48, 4, 0.3).observations;
+    if (spec.categorical()) {
+      data::ObservationMatrix labels(obs.num_users(), obs.num_objects());
+      obs.for_each([&](std::size_t s, std::size_t n, double v) {
+        labels.set(s, n, static_cast<double>((s + n + (v > 0.0)) % 4));
+      });
+      obs = std::move(labels);
+    }
+    Fleet fleet(3, spec, obs.num_objects());
+    ASSERT_TRUE(
+        fleet.coordinator->begin_round(1, participant_ids(obs.num_users())))
+        << name;
+    send_rows(fleet, obs, 1, spec.categorical());
 
-  // Shard 1 owns users [16, 32): its delivered reports are the exact loss.
+    // Shard 1 owns users [16, 32): its delivered reports are the exact loss.
+    std::size_t expected_lost = 0;
+    for (std::size_t s = 16; s < 32; ++s) {
+      if (!obs.user_entries(s).empty()) ++expected_lost;
+    }
+
+    fleet.shards[1]->fail();  // crash: state gone, never comes back
+    const DistributedOutcome outcome = fleet.coordinator->close_round();
+
+    EXPECT_TRUE(outcome.completed) << name;
+    ASSERT_TRUE(outcome.aggregated) << name;
+    EXPECT_TRUE(outcome.degraded) << name;
+    EXPECT_FALSE(outcome.failed_shard.has_value()) << name;
+    ASSERT_EQ(outcome.excluded_shards.size(), 1u) << name;
+    EXPECT_EQ(outcome.excluded_shards[0], kShardBase + 1) << name;
+    EXPECT_EQ(outcome.reports_lost, expected_lost) << name;
+    EXPECT_EQ(outcome.reports_undeliverable, 0u) << name;
+    EXPECT_GT(outcome.resends, 0u) << name;
+    ASSERT_EQ(fleet.coordinator->roster().size(), 2u) << name;
+    // A degraded result never becomes a warm seed.
+    EXPECT_FALSE(fleet.coordinator->warm().valid) << name;
+
+    // The degraded result is bitwise identical to the in-process run over
+    // the survivors' concatenated sub-matrices at the surviving shard count.
+    const data::ObservationMatrix survivors =
+        submatrix_of_ranges(obs, {{0, 16}, {32, 48}});
+    const truth::Result degraded_reference = method->run_sharded(
+        data::ShardedMatrix::partition(survivors, 2, kTestBlock));
+    expect_bitwise_equal(degraded_reference, outcome.result,
+                         name + " degraded close");
+
+    // The retry round re-plans over the survivors, re-routing the dead
+    // shard's users, and must land on the canonical (K-invariant) result.
+    ASSERT_TRUE(
+        fleet.coordinator->begin_round(2, participant_ids(obs.num_users())))
+        << name;
+    send_rows(fleet, obs, 2, spec.categorical());
+    const DistributedOutcome retry = fleet.coordinator->close_round();
+    ASSERT_TRUE(retry.aggregated) << name;
+    EXPECT_FALSE(retry.degraded) << name;
+    const truth::Result reference = method->run_sharded(
+        data::ShardedMatrix::partition(obs, 2, kTestBlock));
+    expect_bitwise_equal(reference, retry.result, name + " post-failure retry");
+  }
+}
+
+/// Stands between one ShardNode and the network: requests reach the node
+/// untouched, and `rewrite` may edit the node's reply to each of them.
+class ReplyTamper final : public net::Transport, public net::Node {
+ public:
+  using Rewrite = std::function<void(const crowd::StatsEnvelope& request,
+                                     crowd::StatsEnvelope& reply)>;
+  ReplyTamper(net::Transport& inner, Rewrite rewrite)
+      : inner_(&inner), rewrite_(std::move(rewrite)) {}
+
+  void attach(net::NodeId id, net::Node& node) override {
+    node_ = &node;
+    inner_->attach(id, *this);
+  }
+  void detach(net::NodeId id) override { inner_->detach(id); }
+  bool attached(net::NodeId id) const override {
+    return inner_->attached(id);
+  }
+  void on_message(const net::Message& message) override {
+    // The node replies from inside on_message, so the request being served
+    // is the one send() sees a reply to.
+    if (message.type ==
+        static_cast<std::uint32_t>(crowd::MessageType::kShardRequest)) {
+      request_ = crowd::StatsEnvelope::decode(message.payload);
+    }
+    node_->on_message(message);
+  }
+  void send(net::Message message) override {
+    if (message.type ==
+        static_cast<std::uint32_t>(crowd::MessageType::kShardResponse)) {
+      crowd::StatsEnvelope reply =
+          crowd::StatsEnvelope::decode(message.payload);
+      rewrite_(request_, reply);
+      message.payload = reply.encode();
+    }
+    inner_->send(std::move(message));
+  }
+  double now() const override { return inner_->now(); }
+  std::size_t poll(double deadline) override { return inner_->poll(deadline); }
+  std::size_t run_until_idle() override { return inner_->run_until_idle(); }
+  void schedule(double delay, std::function<void()> fn) override {
+    inner_->schedule(delay, std::move(fn));
+  }
+  const net::NetworkStats& stats() const override { return inner_->stats(); }
+  std::size_t undeliverable_to(net::NodeId destination) const override {
+    return inner_->undeliverable_to(destination);
+  }
+  double drain_window_seconds() const override {
+    return inner_->drain_window_seconds();
+  }
+
+ private:
+  net::Transport* inner_;
+  Rewrite rewrite_;
+  net::Node* node_ = nullptr;
+  crowd::StatsEnvelope request_;
+};
+
+TEST(DistributedProtocol, BatchedReplyWithWrongBodyCountIsExcludedUnfolded) {
+  // A shard's batched reply comes from another process: one body too many or
+  // too few is malformed even when its last body would decode. CATD's cold
+  // start sends [kCatdPrepare, kGather] to every shard; shard 1's reply is
+  // rewritten to carry the wrong number of bodies, its gather fragment left
+  // last and intact.
+  MethodSpec spec;
+  spec.kind = MethodSpec::Kind::kCatd;
+  const data::Dataset dataset = random_dataset(14, 48, 4, 0.3);
   std::size_t expected_lost = 0;
   for (std::size_t s = 16; s < 32; ++s) {
     if (!dataset.observations.user_entries(s).empty()) ++expected_lost;
   }
+  for (const bool extra : {true, false}) {
+    const std::string label = extra ? "one body too many" : "one body too few";
+    Fleet fleet(3, spec, dataset.num_objects());
+    fleet.shards[1].reset();
+    ReplyTamper tamper(fleet.network, [&](const crowd::StatsEnvelope& request,
+                                          crowd::StatsEnvelope& reply) {
+      if (request.op != static_cast<std::uint8_t>(ShardOp::kBatch) ||
+          BatchBody::decode(request.body).items.back().op != ShardOp::kGather) {
+        return;
+      }
+      BatchReplyBody bodies = BatchReplyBody::decode(reply.body);
+      if (extra) {
+        bodies.bodies.insert(bodies.bodies.begin(),
+                             std::vector<std::uint8_t>{});
+      } else {
+        bodies.bodies.erase(bodies.bodies.begin());
+      }
+      reply.body = bodies.encode();
+    });
+    ShardNode tampered(kShardBase + 1, tamper);
+    ASSERT_TRUE(fleet.coordinator->begin_round(
+        1, participant_ids(dataset.num_users())));
+    send_dataset(fleet, dataset, 1);
+    const DistributedOutcome outcome = fleet.coordinator->close_round();
 
-  fleet.shards[1]->fail();  // crash: state gone, never comes back
-  const DistributedOutcome outcome = fleet.coordinator->close_round();
-
-  EXPECT_TRUE(outcome.completed);
-  ASSERT_TRUE(outcome.aggregated);
-  EXPECT_TRUE(outcome.degraded);
-  EXPECT_FALSE(outcome.failed_shard.has_value());
-  ASSERT_EQ(outcome.excluded_shards.size(), 1u);
-  EXPECT_EQ(outcome.excluded_shards[0], kShardBase + 1);
-  EXPECT_EQ(outcome.reports_lost, expected_lost);
-  EXPECT_EQ(outcome.reports_undeliverable, 0u);
-  EXPECT_GT(outcome.resends, 0u);
-  ASSERT_EQ(fleet.coordinator->roster().size(), 2u);
-  // A degraded result never becomes a warm seed.
-  EXPECT_FALSE(fleet.coordinator->warm().valid);
-
-  // The degraded result is bitwise identical to the in-process run over the
-  // survivors' concatenated sub-matrices at the surviving shard count.
-  const data::ObservationMatrix survivors =
-      submatrix_of_ranges(dataset.observations, {{0, 16}, {32, 48}});
-  const truth::Result degraded_reference =
-      make_method(crh_spec())->run_sharded(
-          data::ShardedMatrix::partition(survivors, 2, kTestBlock));
-  expect_bitwise_equal(degraded_reference, outcome.result, "degraded close");
-
-  // The retry round re-plans over the survivors, re-routing the dead shard's
-  // users, and must land on the canonical (K-invariant) result.
-  ASSERT_TRUE(
-      fleet.coordinator->begin_round(2, participant_ids(dataset.num_users())));
-  send_dataset(fleet, dataset, 2);
-  const DistributedOutcome retry = fleet.coordinator->close_round();
-  ASSERT_TRUE(retry.aggregated);
-  EXPECT_FALSE(retry.degraded);
-  const truth::Result reference = make_method(crh_spec())->run_sharded(
-      data::ShardedMatrix::partition(dataset.observations, 2, kTestBlock));
-  expect_bitwise_equal(reference, retry.result, "post-failure retry");
+    ASSERT_TRUE(outcome.aggregated) << label;
+    EXPECT_TRUE(outcome.degraded) << label;
+    ASSERT_EQ(outcome.excluded_shards.size(), 1u) << label;
+    EXPECT_EQ(outcome.excluded_shards[0], kShardBase + 1) << label;
+    EXPECT_EQ(outcome.reports_lost, expected_lost) << label;
+    ASSERT_EQ(outcome.node_counters.size(), 3u) << label;
+    EXPECT_EQ(outcome.node_counters[1].malformed_responses, 1u) << label;
+    EXPECT_EQ(outcome.node_counters[0].malformed_responses, 0u) << label;
+    // Never folded: the result is the survivors' run, bit for bit.
+    const data::ObservationMatrix survivors =
+        submatrix_of_ranges(dataset.observations, {{0, 16}, {32, 48}});
+    expect_bitwise_equal(
+        make_method(spec)->run_sharded(
+            data::ShardedMatrix::partition(survivors, 2, kTestBlock)),
+        outcome.result, label);
+  }
 }
 
 TEST(DistributedProtocol, DegradedRoundRecordCarriesLossAccounting) {

@@ -5,11 +5,14 @@
 // every method, cold and warm-started.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "categorical/label_matrix.h"
+#include "categorical/synthetic.h"
 #include "data/sharding.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
@@ -78,13 +81,12 @@ struct Fleet {
   std::unique_ptr<Coordinator> coordinator;
 
   Fleet(std::size_t num_shards, const MethodSpec& spec,
-        std::size_t num_objects, bool warm_start = false, bool batch = true) {
+        std::size_t num_objects, bool warm_start = false) {
     CoordinatorConfig config;
     config.id = kCoordinatorId;
     config.num_objects = num_objects;
     config.block_size = kTestBlock;
     config.warm_start = warm_start;
-    config.batch_collectives = batch;
     coordinator = std::make_unique<Coordinator>(config, spec, network);
     for (std::size_t i = 0; i < num_shards; ++i) {
       shards.push_back(
@@ -186,54 +188,149 @@ TEST_P(DistributedEquivalence, WarmRoundMatchesInProcessBitwise) {
   }
 }
 
-// The PR-9 batching contract, stated directly: the kBatch-coalesced protocol
-// and the one-op-per-frame protocol produce the same bits at every K, and the
-// coalescing buys a strictly smaller frame count for every method that has a
-// broadcast to fold (median's single plain gather is the one exception).
-TEST_P(DistributedEquivalence,
-       BatchedCollectivesMatchUnbatchedBitwiseAndSendFewerMessages) {
-  const std::string name = GetParam();
-  const data::Dataset dataset = random_dataset(909, 64, 6, 0.3);
-  const MethodSpec spec = spec_for(name);
-  const auto participants = participant_ids(dataset.num_users());
-
-  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    const std::string label = name + " K=" + std::to_string(k);
-    Fleet batched(k, spec, dataset.num_objects());
-    ASSERT_TRUE(batched.coordinator->begin_round(1, participants)) << label;
-    send_dataset(batched, dataset, 1);
-    const DistributedOutcome on = batched.coordinator->close_round();
-    ASSERT_TRUE(on.aggregated) << label;
-
-    Fleet unbatched(k, spec, dataset.num_objects(), /*warm_start=*/false,
-                    /*batch=*/false);
-    ASSERT_TRUE(unbatched.coordinator->begin_round(1, participants)) << label;
-    send_dataset(unbatched, dataset, 1);
-    const DistributedOutcome off = unbatched.coordinator->close_round();
-    ASSERT_TRUE(off.aggregated) << label;
-
-    expect_bitwise_equal(off.result, on.result, label);
-    EXPECT_EQ(on.reports_undeliverable, 0u) << label;
-    EXPECT_EQ(off.reports_undeliverable, 0u) << label;
-    if (name == "median") {
-      EXPECT_EQ(on.network.messages_sent, off.network.messages_sent) << label;
-    } else {
-      EXPECT_LT(on.network.messages_sent, off.network.messages_sent) << label;
-    }
-    if (name == "crh" || name == "gtm" || name == "catd") {
-      // Iterative methods fold the per-iteration broadcast into the first
-      // chain hop, so the savings recur every iteration.
-      EXPECT_LT(on.iteration_messages, off.iteration_messages) << label;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllMethods, DistributedEquivalence,
                          ::testing::Values("crh", "gtm", "catd", "mean",
                                            "median"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+/// Label claims for the categorical rows of the wire pins. `unanimous` makes
+/// every user claim label n % kPinLabels on object n, so weighted voting
+/// stops on a zero disagreement total in its first iteration.
+constexpr std::size_t kPinLabels = 4;
+
+categorical::LabelDataset pin_label_dataset(std::uint64_t seed,
+                                            bool unanimous) {
+  categorical::CategoricalConfig config;
+  config.num_users = 64;
+  config.num_objects = 6;
+  config.num_labels = kPinLabels;
+  config.lambda_err = 0.8;  // noisy population: weighted vote iterates
+  config.missing_rate = 0.3;
+  config.seed = seed;
+  categorical::LabelDataset dataset = categorical::generate_categorical(config);
+  if (unanimous) {
+    std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(64);
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      for (std::size_t n = 0; n < config.num_objects; ++n) {
+        rows[s].push_back({n, static_cast<categorical::Label>(n % kPinLabels)});
+      }
+    }
+    dataset.claims = categorical::LabelMatrix::from_rows(
+        std::move(rows), config.num_objects, kPinLabels);
+  }
+  return dataset;
+}
+
+void send_label_dataset(Fleet& fleet, const categorical::LabelDataset& dataset,
+                        std::uint64_t round) {
+  for (std::size_t s = 0; s < dataset.claims.num_users(); ++s) {
+    const auto row = dataset.claims.user_entries(s);
+    if (row.empty()) continue;
+    crowd::LabelReport report;
+    report.round = round;
+    report.user_id = s;
+    for (const auto& entry : row) {
+      report.objects.push_back(entry.object);
+      report.labels.push_back(entry.label);
+    }
+    fleet.network.send(crowd::make_message(report.user_id, kCoordinatorId,
+                                           crowd::MessageType::kLabelReport,
+                                           report.encode()));
+  }
+  fleet.sim.run();
+}
+
+/// One pinned wire shape: whole-round traffic and the iteration loop's share.
+struct WirePin {
+  const char* method;
+  std::size_t k;
+  bool warm;
+  std::array<std::size_t, 4> traffic;  ///< msgs, bytes, iter msgs, iter bytes
+};
+
+// Exact frame and byte counts of one round per method, K and start (64 users
+// x 6 objects, block 8; a warm row pins the second of two warm-started
+// rounds). "vote1" is a unanimous label set: voting stops on a zero
+// disagreement total in its first iteration. These constants are the wire
+// protocol's shape: a change that moves one must say why.
+constexpr WirePin kWirePins[] = {
+    {"crh", 1, false, {166, 9291, 28, 2835}},
+    {"crh", 1, true, {162, 9435, 24, 2430}},
+    {"crh", 3, false, {242, 16655, 84, 8505}},
+    {"crh", 3, true, {230, 15991, 72, 7290}},
+    {"gtm", 1, false, {152, 10529, 14, 2163}},
+    {"gtm", 1, true, {156, 9735, 18, 2781}},
+    {"gtm", 3, false, {200, 16062, 42, 6489}},
+    {"gtm", 3, true, {212, 16891, 54, 8343}},
+    {"catd", 1, false, {186, 17422, 50, 9375}},
+    {"catd", 1, true, {156, 10500, 20, 3750}},
+    {"catd", 3, false, {302, 36355, 150, 28125}},
+    {"catd", 3, true, {212, 18804, 60, 11250}},
+    {"mean", 1, false, {136, 5658, 2, 328}},
+    {"mean", 1, true, {136, 5694, 2, 328}},
+    {"mean", 3, false, {152, 6394, 6, 984}},
+    {"mean", 3, true, {152, 6430, 6, 984}},
+    {"median", 1, false, {136, 7498, 2, 2168}},
+    {"median", 1, true, {136, 7550, 2, 2184}},
+    {"median", 3, false, {152, 7607, 6, 2197}},
+    {"median", 3, true, {152, 7659, 6, 2213}},
+    {"majority", 1, false, {136, 2026, 2, 418}},
+    {"majority", 1, true, {134, 1964, 2, 418}},
+    {"majority", 3, false, {152, 2942, 6, 1254}},
+    {"majority", 3, true, {150, 2880, 6, 1254}},
+    {"vote", 1, false, {140, 2991, 4, 441}},
+    {"vote", 1, true, {142, 2967, 8, 882}},
+    {"vote", 3, false, {164, 4813, 12, 1323}},
+    {"vote", 3, true, {174, 4865, 24, 2646}},
+    // Unanimity: the loop pays one disagreement chain (2K messages); the
+    // uniform weight write it queues rides the final collect.
+    {"vote1", 1, false, {138, 3006, 2, 29}},
+    {"vote1", 3, false, {158, 4026, 6, 87}},
+};
+
+TEST(DistributedEquivalence, WireShapeMatchesPinnedFrameCounts) {
+  for (const WirePin& pin : kWirePins) {
+    const std::string name = pin.method;
+    const std::string label =
+        name + " K=" + std::to_string(pin.k) + (pin.warm ? " warm" : " cold");
+    const bool labels = name == "majority" || name == "vote" || name == "vote1";
+    MethodSpec spec;
+    if (name == "majority") {
+      spec.kind = MethodSpec::Kind::kMajority;
+      spec.majority.num_labels = kPinLabels;
+    } else if (labels) {
+      spec.kind = MethodSpec::Kind::kVote;
+      spec.vote.num_labels = kPinLabels;
+    } else {
+      spec = spec_for(name);
+    }
+    Fleet fleet(pin.k, spec, 6, pin.warm);
+    const auto participants = participant_ids(64);
+    DistributedOutcome outcome;
+    for (std::uint64_t round = 1; round <= (pin.warm ? 2u : 1u); ++round) {
+      ASSERT_TRUE(fleet.coordinator->begin_round(round, participants)) << label;
+      if (labels) {
+        send_label_dataset(
+            fleet, pin_label_dataset(60 + round, name == "vote1"), round);
+      } else {
+        send_dataset(fleet, random_dataset(40 + round, 64, 6, 0.3), round);
+      }
+      outcome = fleet.coordinator->close_round();
+      ASSERT_TRUE(outcome.aggregated) << label;
+    }
+    EXPECT_EQ(outcome.warm_started, pin.warm && spec.supports_warm_start())
+        << label;
+    const std::array<std::size_t, 4> traffic = {
+        outcome.network.messages_sent, outcome.network.bytes_sent,
+        outcome.iteration_messages, outcome.iteration_bytes};
+    EXPECT_EQ(traffic, pin.traffic)
+        << "{\"" << name << "\", " << pin.k << ", "
+        << (pin.warm ? "true" : "false") << ", {" << traffic[0] << ", "
+        << traffic[1] << ", " << traffic[2] << ", " << traffic[3] << "}},";
+  }
+}
 
 TEST(DistributedEquivalence, OverProvisionedRosterClampsLikePartition) {
   // 64 users at block 8 span 8 blocks: a 16-shard roster clamps to 8 active

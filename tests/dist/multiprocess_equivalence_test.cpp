@@ -2,8 +2,7 @@
 // process per shard, each serving its ShardNode over its own Unix-domain
 // listener — runs the identical protocol bytes and produces bitwise-identical
 // DistributedOutcome results to the simulator-backed fleet at the same K and
-// block size. The simulator reference runs UNBATCHED, so each comparison also
-// proves the batched socket protocol bit-identical to the unbatched one.
+// block size.
 // Plus the churn story: SIGKILL a shard mid-round and the coordinator
 // excludes it after max_resends, closes the round DEGRADED over the
 // survivors with exact loss accounting, re-plans the next round, and
@@ -282,10 +281,6 @@ truth::Result run_simulator_round(std::size_t k, const MethodSpec& spec,
   config.id = kCoordinatorId;
   config.num_objects = workload.num_objects();
   config.block_size = kTestBlock;
-  // The reference deliberately runs the UNBATCHED wire protocol: matching it
-  // bitwise from a batched socket fleet proves kBatch coalescing changes the
-  // frame shapes but not one bit of the arithmetic.
-  config.batch_collectives = false;
   Coordinator coordinator(config, spec, network);
   std::vector<std::unique_ptr<ShardNode>> shards;
   for (std::size_t i = 0; i < k; ++i) {
@@ -553,7 +548,7 @@ TEST(MultiProcessChurn, ReportsRoutedDuringBackoffWindowAreNeverLost) {
 
   // Re-admit the (alive, fresh) process — the degraded close evicted it from
   // the roster: the K=2 fleet completes a clean round, bitwise identical to
-  // the unbatched simulator reference.
+  // the simulator reference.
   coordinator.add_shard(kShardBase + 1);
   ASSERT_TRUE(coordinator.begin_round(2, participants));
   inject_reports(coordinator, dataset, 2);
