@@ -49,6 +49,10 @@ void Encoder::write_bytes(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
+void Encoder::write_raw(std::span<const std::uint8_t> bytes) {
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
 void Decoder::need(std::size_t n) const {
   if (data_.size() - pos_ < n) throw DecodeError("truncated message");
 }
@@ -70,6 +74,13 @@ std::uint64_t Decoder::read_u64() {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
   return v;
+}
+
+std::span<const std::uint8_t> Decoder::read_span(std::size_t n) {
+  need(n);
+  const std::span<const std::uint8_t> view = data_.subspan(pos_, n);
+  pos_ += n;
+  return view;
 }
 
 std::uint64_t Decoder::read_varint() {

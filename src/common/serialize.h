@@ -30,10 +30,14 @@ class Encoder {
   void write_string(const std::string& s);
   void write_doubles(std::span<const double> xs);
   void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Appends `bytes` as they are, with no length prefix.
+  void write_raw(std::span<const std::uint8_t> bytes);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
+  /// Empties the buffer but keeps its capacity for the next message.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -52,6 +56,8 @@ class Decoder {
   std::string read_string();
   std::vector<double> read_doubles();
   std::vector<std::uint8_t> read_bytes();  // mirror of write_bytes
+  /// The next `n` bytes as a view into the decoded buffer (no copy).
+  std::span<const std::uint8_t> read_span(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

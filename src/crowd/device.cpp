@@ -50,6 +50,7 @@ void UserDevice::on_message(const net::Message& message) {
     }
     case MessageType::kReport:
     case MessageType::kLabelReport:
+    case MessageType::kReportBatch:
     case MessageType::kShardRequest:
     case MessageType::kShardResponse:
     case MessageType::kShutdown:

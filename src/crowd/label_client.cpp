@@ -70,6 +70,7 @@ void LabelDevice::on_message(const net::Message& message) {
     }
     case MessageType::kReport:
     case MessageType::kLabelReport:
+    case MessageType::kReportBatch:
     case MessageType::kShardRequest:
     case MessageType::kShardResponse:
     case MessageType::kShutdown:

@@ -34,10 +34,28 @@ std::vector<std::uint8_t> Report::encode() const {
   return enc.take();
 }
 
-Report Report::decode(std::span<const std::uint8_t> bytes) {
+namespace {
+
+/// Reads the leading round varint and hands the rest to `decode_fields`.
+template <typename Upload>
+Upload decode_upload(std::span<const std::uint8_t> bytes) {
   Decoder dec(bytes);
+  const std::uint64_t round = dec.read_varint();
+  return Upload::decode_fields(round,
+                               bytes.subspan(bytes.size() - dec.remaining()));
+}
+
+}  // namespace
+
+Report Report::decode(std::span<const std::uint8_t> bytes) {
+  return decode_upload<Report>(bytes);
+}
+
+Report Report::decode_fields(std::uint64_t round,
+                             std::span<const std::uint8_t> fields) {
+  Decoder dec(fields);
   Report msg;
-  msg.round = dec.read_varint();
+  msg.round = round;
   msg.user_id = dec.read_varint();
   const std::uint64_t count = dec.read_varint();
   if (count > (1u << 26)) throw DecodeError("Report: implausible claim count");
@@ -59,6 +77,7 @@ std::optional<ReportHeader> Report::peek_header(
   try {
     ReportHeader header;
     header.round = dec.read_varint();
+    header.round_bytes = bytes.size() - dec.remaining();
     header.user_id = dec.read_varint();
     return header;
   } catch (const DecodeError&) {
@@ -79,9 +98,14 @@ std::vector<std::uint8_t> LabelReport::encode() const {
 }
 
 LabelReport LabelReport::decode(std::span<const std::uint8_t> bytes) {
-  Decoder dec(bytes);
+  return decode_upload<LabelReport>(bytes);
+}
+
+LabelReport LabelReport::decode_fields(std::uint64_t round,
+                                       std::span<const std::uint8_t> fields) {
+  Decoder dec(fields);
   LabelReport msg;
-  msg.round = dec.read_varint();
+  msg.round = round;
   msg.user_id = dec.read_varint();
   const std::uint64_t count = dec.read_varint();
   if (count > (1u << 26)) {
@@ -99,6 +123,47 @@ LabelReport LabelReport::decode(std::span<const std::uint8_t> bytes) {
   }
   if (!dec.done()) throw DecodeError("LabelReport: trailing bytes");
   return msg;
+}
+
+void ReportBatchBuilder::add(std::span<const std::uint8_t> upload,
+                             const ReportHeader& header) {
+  const std::span<const std::uint8_t> item = upload.subspan(header.round_bytes);
+  items_.write_varint(item.size());
+  items_.write_raw(item);
+  ++count_;
+}
+
+std::vector<std::uint8_t> ReportBatchBuilder::take(std::uint64_t round,
+                                                   MessageType type) {
+  Encoder payload;
+  payload.write_varint(round);
+  payload.write_varint(count_);
+  payload.write_varint(static_cast<std::uint32_t>(type));
+  payload.write_raw(items_.bytes());
+  items_.clear();
+  count_ = 0;
+  return payload.take();
+}
+
+ReportBatchReader::ReportBatchReader(std::span<const std::uint8_t> payload)
+    : dec_(payload) {
+  round_ = dec_.read_varint();
+  const std::uint64_t count = dec_.read_varint();
+  const std::uint64_t type = dec_.read_varint();
+  if (type > 0xffffffffULL) throw DecodeError("ReportBatch: type overflow");
+  if (count > dec_.remaining()) {
+    throw DecodeError("ReportBatch: more items than bytes");
+  }
+  count_ = static_cast<std::size_t>(count);
+  type_ = static_cast<MessageType>(type);
+}
+
+std::span<const std::uint8_t> ReportBatchReader::next() {
+  const std::uint64_t length = dec_.read_varint();
+  if (length > dec_.remaining()) {
+    throw DecodeError("ReportBatch: item runs past the payload");
+  }
+  return dec_.read_span(static_cast<std::size_t>(length));
 }
 
 std::vector<std::uint8_t> ResultPublish::encode() const {

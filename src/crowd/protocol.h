@@ -7,6 +7,12 @@
 //
 // The protocol is deliberately non-interactive per user: one downlink and one
 // uplink message — the efficiency property §5.3 relies on.
+//
+// Inside a distributed deployment (dist/) the coordinator forwards the
+// uploads it routes to a shard as kReportBatch messages, one per shard per
+// transport turn; the coordinator and its shards talk through
+// kShardRequest/kShardResponse StatsEnvelopes, and kShutdown ends a shard
+// process.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +40,9 @@ enum class MessageType : std::uint32_t {
   /// Report::peek_header routes both), but claims carry label ids instead of
   /// perturbed readings.
   kLabelReport = 7,
+  /// Coordinator -> shard: the kReport or kLabelReport uploads routed to one
+  /// shard in one transport turn, in arrival order (ReportBatchBuilder).
+  kReportBatch = 8,
 };
 
 struct TaskAnnounce {
@@ -52,6 +61,8 @@ struct TaskAnnounce {
 struct ReportHeader {
   std::uint64_t round = 0;
   std::uint64_t user_id = 0;
+  /// Bytes the round varint took: a kReportBatch item starts after them.
+  std::size_t round_bytes = 0;
 };
 
 struct Report {
@@ -62,6 +73,10 @@ struct Report {
 
   std::vector<std::uint8_t> encode() const;
   static Report decode(std::span<const std::uint8_t> bytes);
+  /// Decodes the fields after the leading round varint (a kReportBatch item,
+  /// whose round the batch carries once), with every check decode() makes.
+  static Report decode_fields(std::uint64_t round,
+                              std::span<const std::uint8_t> fields);
   /// Reads only the leading round/user varints; nullopt when even the header
   /// is undecodable. A successful peek does NOT validate the claim arrays.
   static std::optional<ReportHeader> peek_header(
@@ -80,6 +95,66 @@ struct LabelReport {
 
   std::vector<std::uint8_t> encode() const;
   static LabelReport decode(std::span<const std::uint8_t> bytes);
+  /// The label twin of Report::decode_fields.
+  static LabelReport decode_fields(std::uint64_t round,
+                                   std::span<const std::uint8_t> fields);
+};
+
+/// Builds one kReportBatch payload:
+///
+///   [varint round][varint count][varint upload type]
+///   count x ([varint length][the upload's bytes after its round varint])
+///
+/// Every item shares the batch's round and type, so the batch states them
+/// once. Dropping each upload's round varint pays for its length prefix (both
+/// are one byte while rounds stay below 128 and uploads below 128 bytes), so
+/// a batch costs its three header bytes over the uploads it carries.
+class ReportBatchBuilder {
+ public:
+  /// Appends one upload; `header` is its peek, and its round_bytes are what
+  /// gets stripped.
+  void add(std::span<const std::uint8_t> upload, const ReportHeader& header);
+
+  bool empty() const { return count_ == 0; }
+  std::size_t count() const { return count_; }
+  /// Item bytes staged so far (length prefixes included, header excluded).
+  std::size_t bytes() const { return items_.size(); }
+
+  /// The payload of every upload added since the last take(), all of
+  /// `round` and `type`. Leaves the builder empty, its buffer kept.
+  std::vector<std::uint8_t> take(std::uint64_t round, MessageType type);
+
+ private:
+  Encoder items_;
+  std::size_t count_ = 0;
+};
+
+/// Walks a kReportBatch payload item by item without copying an item. The
+/// constructor reads the header and refuses (DecodeError) a count larger
+/// than the bytes after it — every item takes at least its length prefix —
+/// so count() never exceeds the payload size.
+class ReportBatchReader {
+ public:
+  explicit ReportBatchReader(std::span<const std::uint8_t> payload);
+
+  std::uint64_t round() const { return round_; }
+  std::size_t count() const { return count_; }
+  /// The uploads' MessageType as sent; the reader does not judge it.
+  MessageType type() const { return type_; }
+
+  /// The next item: an upload's bytes after its round varint, for
+  /// Report/LabelReport::decode_fields. DecodeError when its length prefix
+  /// is unreadable or runs past the payload; the batch cannot be framed
+  /// from there on.
+  std::span<const std::uint8_t> next();
+  /// Bytes after the items read so far.
+  std::size_t remaining() const { return dec_.remaining(); }
+
+ private:
+  Decoder dec_;
+  std::uint64_t round_ = 0;
+  std::size_t count_ = 0;
+  MessageType type_ = MessageType::kReport;
 };
 
 struct ResultPublish {

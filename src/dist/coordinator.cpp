@@ -19,6 +19,11 @@ struct ShardFailure {
   net::NodeId shard = 0;
 };
 
+/// A shard's staged uploads leave once they reach this many bytes: the
+/// socket transport writes a connection's queue out at the same mark, so a
+/// full batch goes straight to the wire.
+constexpr std::size_t kBatchFlushBytes = std::size_t{64} << 10;
+
 }  // namespace
 
 std::unique_ptr<truth::TruthDiscovery> make_method(const MethodSpec& spec) {
@@ -132,26 +137,50 @@ void Coordinator::route_report(const net::Message& message) {
     return;
   }
   const std::size_t shard = plan_.shard_of_user(*row);
-  // Forward under the ORIGINAL message type: continuous and categorical
+  // Batch under the ORIGINAL message type: continuous and categorical
   // uploads share the peekable header, and the owning shard enforces the
-  // round's kind itself (wrong-kind uploads are rejected there, counted).
+  // round's kind itself (wrong-kind uploads are rejected there, counted). A
+  // batch holds one type, so a change of type sends the batch so far first.
+  const auto type = static_cast<crowd::MessageType>(message.type);
+  Staged& staged = staged_[shard];
+  if (!staged.batch.empty() && staged.type != type) flush_batch(shard);
+  staged.type = type;
+  staged.batch.add(message.payload, *header);
+  ++reports_routed_;
+  ++routed_by_shard_[shard];
+  if (staged.batch.bytes() >= kBatchFlushBytes) flush_batch(shard);
+  if (!flush_scheduled_) {
+    flush_scheduled_ = true;
+    network_->schedule(0.0, [this, alive = std::weak_ptr<const bool>(alive_)] {
+      if (alive.expired()) return;
+      flush_scheduled_ = false;
+      flush_batches();
+    });
+  }
+}
+
+void Coordinator::flush_batch(std::size_t shard) {
+  Staged& staged = staged_[shard];
+  if (staged.batch.empty()) return;
+  const std::size_t reports = staged.batch.count();
   const net::NodeId target = active_[shard];
   const std::size_t undeliverable_before = network_->undeliverable_to(target);
   network_->send(crowd::make_message(config_.id, target,
-                                     static_cast<crowd::MessageType>(
-                                         message.type),
-                                     message.payload));
-  ++reports_routed_;
-  ++routed_by_shard_[shard];
+                                     crowd::MessageType::kReportBatch,
+                                     staged.batch.take(round_, staged.type)));
   // Reports have no resend path: a synchronous transport drop here is real
-  // loss, so make it observable instead of silent. (The simulator's
-  // detached-in-flight drops are counted at delivery time and show up in
-  // NodeCounters::messages_undeliverable.) The per-shard ledger is what
-  // makes a degraded close's reports_lost exact.
+  // loss of every report in the batch, so make it observable instead of
+  // silent. (The simulator's detached-in-flight drops are counted at
+  // delivery time and show up in NodeCounters::messages_undeliverable.) The
+  // per-shard ledger is what makes a degraded close's reports_lost exact.
   if (network_->undeliverable_to(target) > undeliverable_before) {
-    ++reports_undeliverable_;
-    ++undeliverable_by_shard_[shard];
+    reports_undeliverable_ += reports;
+    undeliverable_by_shard_[shard] += reports;
   }
+}
+
+void Coordinator::flush_batches() {
+  for (std::size_t i = 0; i < staged_.size(); ++i) flush_batch(i);
 }
 
 void Coordinator::handle_response(const net::Message& message) {
@@ -655,6 +684,7 @@ bool Coordinator::begin_round(std::uint64_t round,
     for (std::size_t i = 0; i < plan_.num_shards; ++i) live_[i] = i;
     routed_by_shard_.assign(plan_.num_shards, 0);
     undeliverable_by_shard_.assign(plan_.num_shards, 0);
+    staged_.assign(plan_.num_shards, {});
     return true;
   }
   active_.clear();
@@ -664,6 +694,7 @@ bool Coordinator::begin_round(std::uint64_t round,
 DistributedOutcome Coordinator::close_round() {
   DPTD_REQUIRE(round_planned_, "Coordinator: no open round");
   round_open_ = false;  // reports from here on are late: unroutable
+  flush_batches();
   // Drain the forward pipeline before finalizing: a report routed before the
   // close is on time, but the kFinalizeIngest below could overtake it (on a
   // jittered simulator link; over sockets the per-connection FIFO already

@@ -18,6 +18,16 @@
 // final collect); writes still queued when a loop enters its iterations go
 // out on their own, so DistributedOutcome::iteration_* count the loop alone.
 //
+// Report routing: an upload is staged for its owning shard, and each shard's
+// staged uploads leave as one crowd::kReportBatch message. The first upload
+// staged in a transport turn schedules a zero-delay flush, which fires in
+// the next poll()/run_until_idle() — exactly when a per-report frame sent now
+// would have left (the Transport::send contract), so batching never delays a
+// report. A shard's batch also goes out as soon as its staged bytes reach
+// 64 KiB, when the upload type changes (a batch holds one kind), and at the
+// top of close_round. Loss stays per report: a batch the transport counts
+// undeliverable charges every report in it.
+//
 // Failure model: every RPC has a timeout; a timed-out request is resent with
 // the SAME op id (shards execute exactly-once behind a monotonic op-id
 // watermark: equal ids replay the memoized response, older ids — delayed
@@ -174,7 +184,8 @@ struct DistributedOutcome {
   std::size_t reports_routed = 0;      ///< forwarded to owning shards
   std::size_t reports_unroutable = 0;  ///< unknown user / undecodable / late
   /// Routed reports the transport could not deliver (counted synchronously
-  /// at send; the simulator's detached-in-flight drops appear per shard in
+  /// when their batch is sent, every report of an undeliverable batch; the
+  /// simulator's detached-in-flight drops appear per shard in
   /// NodeCounters::messages_undeliverable instead). Reports have no resend
   /// path, so a nonzero value here is real data loss — the no-churn
   /// equivalence suites assert zero.
@@ -214,18 +225,18 @@ class Coordinator final : public net::Node {
 
   /// Opens round `round` over `participants` (stable user ids): plans the
   /// shard split, pushes each shard its Setup (blocking, with resends), and
-  /// starts routing kReport messages. Shards that fail setup are removed and
-  /// the round is re-planned over the survivors; returns false only when no
-  /// shard survives.
+  /// starts routing kReport/kLabelReport uploads. Shards that fail setup are
+  /// removed and the round is re-planned over the survivors; returns false
+  /// only when no shard survives.
   bool begin_round(std::uint64_t round,
                    std::vector<net::NodeId> participants);
   bool round_open() const { return round_open_; }
 
-  /// Closes ingestion (after draining in-flight routed reports for one
-  /// transport drain window, so finalize cannot overtake an on-time report),
-  /// runs the configured method over the fleet, collects the result, and
-  /// updates the warm state on success. Blocking: polls the transport until
-  /// the protocol finishes or a shard fails.
+  /// Closes ingestion (sends every staged batch, then drains in-flight
+  /// routed reports for one transport drain window, so finalize cannot
+  /// overtake an on-time report), runs the configured method over the fleet,
+  /// collects the result, and updates the warm state on success. Blocking:
+  /// polls the transport until the protocol finishes or a shard fails.
   DistributedOutcome close_round();
 
   void on_message(const net::Message& message) override;
@@ -263,7 +274,12 @@ class Coordinator final : public net::Node {
   /// Users owned by the live shards (== plan_.num_users when none excluded).
   std::size_t live_num_users() const;
 
+  /// Stages an upload for its owning shard (unroutable ones are counted);
+  /// see "Report routing" above for when the batch leaves.
   void route_report(const net::Message& message);
+  /// Sends plan index `shard`'s staged uploads as one kReportBatch.
+  void flush_batch(std::size_t shard);
+  void flush_batches();
   void handle_response(const net::Message& message);
 
   CoordinatorConfig config_;
@@ -290,6 +306,16 @@ class Coordinator final : public net::Node {
   /// degraded close: lost(i) = routed_by_shard_[i] - undeliverable_by_shard_[i].
   std::vector<std::size_t> routed_by_shard_;
   std::vector<std::size_t> undeliverable_by_shard_;
+  /// Per plan index: uploads routed this transport turn, not yet sent.
+  struct Staged {
+    crowd::MessageType type = crowd::MessageType::kReport;
+    crowd::ReportBatchBuilder batch;
+  };
+  std::vector<Staged> staged_;
+  bool flush_scheduled_ = false;
+  /// Expires with the coordinator, so a flush the transport still holds
+  /// after destruction does nothing.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   std::size_t reports_routed_ = 0;
   std::size_t reports_unroutable_ = 0;
   std::size_t reports_undeliverable_ = 0;

@@ -1,6 +1,7 @@
 #include "dist/shard_node.h"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/check.h"
 #include "truth/categorical.h"
@@ -68,11 +69,8 @@ void ShardNode::reset_round_state() {
 
 void ShardNode::on_message(const net::Message& message) {
   switch (static_cast<crowd::MessageType>(message.type)) {
-    case crowd::MessageType::kReport:
-      handle_report(message);
-      return;
-    case crowd::MessageType::kLabelReport:
-      handle_label_report(message);
+    case crowd::MessageType::kReportBatch:
+      handle_report_batch(message);
       return;
     case crowd::MessageType::kShardRequest:
       handle_request(message);
@@ -85,59 +83,51 @@ void ShardNode::on_message(const net::Message& message) {
   }
 }
 
-void ShardNode::handle_report(const net::Message& message) {
-  if (!round_open_ || !builder_.has_value()) {
-    ++ingest_stats_.rejected_reports;  // round closed (or never set up)
-    return;
-  }
-  if (num_labels_ >= 2) {
-    ++ingest_stats_.rejected_reports;  // continuous upload, categorical round
-    return;
-  }
-  crowd::Report report;
+void ShardNode::handle_report_batch(const net::Message& message) {
+  std::optional<crowd::ReportBatchReader> batch;
   try {
-    report = crowd::Report::decode(message.payload);
+    batch.emplace(message.payload);
   } catch (const DecodeError&) {
-    ++ingest_stats_.rejected_reports;
+    ++ingest_stats_.rejected_reports;  // no readable header: one upload's worth
     return;
   }
-  if (report.round != round_) {
-    ++ingest_stats_.rejected_reports;  // late straggler from another round
+  const bool labels = batch->type() == crowd::MessageType::kLabelReport;
+  const bool right_kind =
+      labels ? num_labels_ >= 2
+             : batch->type() == crowd::MessageType::kReport && num_labels_ < 2;
+  // Round closed (or never set up), a late straggler from another round, or
+  // uploads of the other kind: every item is rejected.
+  if (!round_open_ || !builder_.has_value() || batch->round() != round_ ||
+      !right_kind) {
+    ingest_stats_.rejected_reports += batch->count();
     return;
   }
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row.has_value()) {
-    ++ingest_stats_.rejected_reports;  // not in this shard's roster slice
-    return;
+  for (std::size_t i = 0; i < batch->count(); ++i) {
+    std::span<const std::uint8_t> item;
+    try {
+      item = batch->next();
+    } catch (const DecodeError&) {
+      // The framing is lost: this item and every later one are unreadable.
+      ingest_stats_.rejected_reports += batch->count() - i;
+      return;
+    }
+    if (labels) {
+      ingest_upload<crowd::LabelReport>(item);
+    } else {
+      ingest_upload<crowd::Report>(item);
+    }
   }
-  if (builder_->has_row(*row)) {
-    ++ingest_stats_.duplicates_ignored;
-    return;
-  }
-  if (crowd::ingest_report_claims(*builder_, *row, report, num_objects_)) {
-    ++ingest_stats_.malformed_reports;
-  }
-  ++ingest_stats_.reports_received;
+  // Bytes past the last item: something that was not a counted item.
+  if (batch->remaining() > 0) ++ingest_stats_.rejected_reports;
 }
 
-void ShardNode::handle_label_report(const net::Message& message) {
-  if (!round_open_ || !builder_.has_value()) {
-    ++ingest_stats_.rejected_reports;  // round closed (or never set up)
-    return;
-  }
-  if (num_labels_ < 2) {
-    ++ingest_stats_.rejected_reports;  // label upload, continuous round
-    return;
-  }
-  crowd::LabelReport report;
+template <typename Upload>
+void ShardNode::ingest_upload(std::span<const std::uint8_t> item) {
+  Upload report;
   try {
-    report = crowd::LabelReport::decode(message.payload);
+    report = Upload::decode_fields(round_, item);
   } catch (const DecodeError&) {
     ++ingest_stats_.rejected_reports;
-    return;
-  }
-  if (report.round != round_) {
-    ++ingest_stats_.rejected_reports;  // late straggler from another round
     return;
   }
   const std::optional<std::size_t> row = index_.row_of(report.user_id);
@@ -149,14 +139,22 @@ void ShardNode::handle_label_report(const net::Message& message) {
     ++ingest_stats_.duplicates_ignored;
     return;
   }
-  // LDP stays on the device in the distributed deployment: the policy only
-  // carries the alphabet for range validation, never a sampling probability.
-  crowd::LabelIngestPolicy policy;
-  policy.num_labels = num_labels_;
-  const crowd::LabelIngestOutcome outcome = crowd::ingest_label_claims(
-      *builder_, *row, user_base_ + *row, report, num_objects_, policy, round_);
-  if (outcome.malformed) ++ingest_stats_.malformed_reports;
-  ingest_stats_.invalid_labels += outcome.invalid_labels;
+  if constexpr (std::is_same_v<Upload, crowd::LabelReport>) {
+    // LDP stays on the device in the distributed deployment: the policy only
+    // carries the alphabet for range validation, never a sampling
+    // probability.
+    crowd::LabelIngestPolicy policy;
+    policy.num_labels = num_labels_;
+    const crowd::LabelIngestOutcome outcome =
+        crowd::ingest_label_claims(*builder_, *row, user_base_ + *row, report,
+                                   num_objects_, policy, round_);
+    if (outcome.malformed) ++ingest_stats_.malformed_reports;
+    ingest_stats_.invalid_labels += outcome.invalid_labels;
+  } else {
+    if (crowd::ingest_report_claims(*builder_, *row, report, num_objects_)) {
+      ++ingest_stats_.malformed_reports;
+    }
+  }
   ++ingest_stats_.reports_received;
 }
 

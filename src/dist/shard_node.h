@@ -1,11 +1,22 @@
 // One shard of the distributed truth-discovery deployment: a net::Node that
 // owns its user range's streaming ingestion builder and answers the
-// coordinator's sufficient-statistics RPCs (dist/stats_wire.h). Every
-// statistics op is one call on a truth::LocalBackend over the finalized
-// local rows — the backend the in-process run_sharded uses — which owns the
-// per-user registers and prepared constants. Because the local user range is
-// block-aligned, every chained fold it continues reproduces the global
-// fold's bits (see stats_wire.h for the full argument).
+// coordinator's sufficient-statistics RPCs (dist/stats_wire.h).
+//
+// Ingest: uploads arrive only inside crowd::kReportBatch messages. Each item
+// goes through the per-report checks in batch order — decode, roster slice,
+// first-wins dedup, claim sanitizing — so a batch ingests exactly what its
+// uploads one by one would have. A batch for a closed or never-set-up round,
+// for another round, or of the wrong kind charges every item to
+// rejected_reports; an undecodable item counts as one rejected report, and
+// a batch whose framing breaks charges each item it can no longer read. Every
+// item is decoded whole before its row is touched, so no item is ever half
+// ingested.
+//
+// Statistics ops: each is one call on a truth::LocalBackend over the
+// finalized local rows — the backend the in-process run_sharded uses — which
+// owns the per-user registers and prepared constants. Because the local user
+// range is block-aligned, every chained fold it continues reproduces the
+// global fold's bits (see stats_wire.h for the full argument).
 //
 // RPC semantics: exactly-once per op_id, enforced with a monotonic watermark.
 // Coordinator op ids are globally increasing, so the node keeps the highest
@@ -86,8 +97,11 @@ class ShardNode final : public net::Node {
   bool shutdown_requested() const { return shutdown_requested_; }
 
  private:
-  void handle_report(const net::Message& message);
-  void handle_label_report(const net::Message& message);
+  void handle_report_batch(const net::Message& message);
+  /// One batch item: an Upload (crowd::Report or crowd::LabelReport) of the
+  /// open round, without its round varint.
+  template <typename Upload>
+  void ingest_upload(std::span<const std::uint8_t> item);
   void handle_request(const net::Message& message);
   /// Executes one decoded request; returns the response body.
   std::vector<std::uint8_t> execute(ShardOp op,

@@ -13,10 +13,10 @@
 // Accounting contract: every injected loss (drop, partition, crash) is
 // counted in this layer's messages_undeliverable and its per-destination
 // undeliverable_to() map — NOT in messages_dropped — so callers that detect
-// loss synchronously at send time (Coordinator::route_report observes the
-// undeliverable_to delta) see injected report loss exactly like a real
-// routing failure, and the report-conservation invariant closes without the
-// protocol knowing the fault layer exists. Corruption and truncation mutate
+// loss synchronously at send time (the dist Coordinator observes the
+// undeliverable_to delta around each report batch) see injected report loss
+// exactly like a real routing failure, and the report-conservation
+// invariant closes without the protocol knowing the fault layer exists. Corruption and truncation mutate
 // the payload but let the message through; delays/reorders defer the inner
 // send via schedule(); duplicates forward twice. With an all-zero schedule
 // the decorator is pure pass-through (one virtual hop; the bench's
@@ -91,7 +91,9 @@ struct FaultSchedule {
   LinkFaults rpc;
   LinkFaults reports;
   /// Message types classified into the `reports` class (the chaos suites
-  /// pass crowd kReport/kLabelReport). Kept as raw u32s so net/ stays
+  /// pass crowd kReport/kLabelReport and kReportBatch, the coordinator ->
+  /// shard carrier of routed reports). Faults are drawn per message, so a
+  /// dropped batch loses every report in it. Kept as raw u32s so net/ stays
   /// decoupled from crowd/.
   std::vector<std::uint32_t> report_types;
   /// Exact per-link overrides, keyed (source, destination).

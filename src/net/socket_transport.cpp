@@ -30,6 +30,12 @@ constexpr int kMaxPollTimeoutMs = 60'000;
 constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
 /// Frames per sendmsg gather call.
 constexpr std::size_t kMaxGatherFrames = IOV_MAX;
+/// recv() calls of kReadChunkBytes per connection per poll pass. A reader
+/// facing a faster writer parses and delivers what it has instead of
+/// draining the socket into an ever larger buffer first; level-triggered
+/// poll(2) resumes the read on the next pass.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+constexpr std::size_t kMaxReadsPerPass = 4;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -475,8 +481,12 @@ void SocketTransport::retry_backoff_links() {
 
 std::size_t SocketTransport::read_ready(Connection& conn) {
   const int fd = conn.fd;
-  std::uint8_t buf[65536];
-  for (;;) {
+  std::uint8_t buf[kReadChunkBytes];
+  for (std::size_t reads = 0;; ++reads) {
+    if (reads == kMaxReadsPerPass) {
+      read_capped_ = true;  // the socket may hold more: the next pass reads it
+      break;
+    }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
       made_io_progress_ = true;
@@ -696,6 +706,7 @@ std::size_t SocketTransport::run_until_idle() {
     fire_due_timers();
     retry_backoff_links();  // no wait here: parked links retry when due
     made_io_progress_ = false;
+    read_capped_ = false;
     std::size_t delivered = drain_inbox();
     delivered += poll_pass(0);
     delivered += drain_inbox();
@@ -707,7 +718,12 @@ std::size_t SocketTransport::run_until_idle() {
         break;
       }
     }
-    if (delivered == 0 && !(pending_writes && made_io_progress_)) break;
+    // A capped read left bytes that are already here: deliverable, not an
+    // external wait.
+    if (delivered == 0 && !read_capped_ &&
+        !(pending_writes && made_io_progress_)) {
+      break;
+    }
   }
   return total;
 }

@@ -9,12 +9,16 @@
 //
 // where the payload runs to the end of the body (the prefix delimits it).
 // The event loop handles partial reads (frames are reassembled across recv
-// boundaries) and coalesced writes: send() appends the frame to its
-// connection's write queue, and the queue goes out as sendmsg gather writes
-// (up to IOV_MAX frames per call) once its unwritten bytes reach 64 KiB, once
-// it holds more than backoff_queue_max_frames frames, or on the next
-// poll()/run_until_idle() pass, which polls every non-empty queue for
-// POLLOUT. A short write keeps a byte offset into the queue's front frame.
+// boundaries; one poll pass reads at most four 64 KiB chunks per connection
+// before it parses and delivers, so a reader facing a faster writer never
+// buffers more than that ahead of its own progress — level-triggered
+// poll(2) resumes the read on the next pass) and coalesced writes: send()
+// appends the frame to its connection's write queue, and the queue goes out
+// as sendmsg gather writes (up to IOV_MAX frames per call) once its
+// unwritten bytes reach 64 KiB, once it holds more than
+// backoff_queue_max_frames frames, or on the next poll()/run_until_idle()
+// pass, which polls every non-empty queue for POLLOUT. A short write keeps a
+// byte offset into the queue's front frame.
 // The frame bound means a dying connection never holds more unwritten frames
 // than its park queue can take back (0 keeps every send write-through). A
 // body that fails to decode is counted in malformed_frames() and skipped —
@@ -207,6 +211,8 @@ class SocketTransport final : public Transport {
   /// Writes the queue front-first with sendmsg gather calls until it is
   /// empty or the kernel buffer is full; a write error closes `conn`.
   void try_flush(Connection& conn);
+  /// Reads up to four 64 KiB chunks (read_capped_ when it stops at that
+  /// cap), then delivers every complete frame; EOF or an error closes conn.
   std::size_t read_ready(Connection& conn);
   std::size_t parse_frames(Connection& conn);
   /// Hands `message` to its attached node (true) or counts it
@@ -235,6 +241,8 @@ class SocketTransport final : public Transport {
   std::unordered_map<NodeId, std::size_t> undeliverable_by_dest_;
   std::size_t malformed_frames_ = 0;
   bool made_io_progress_ = false;
+  /// A read pass stopped at its cap this pass (run_until_idle keeps going).
+  bool read_capped_ = false;
 };
 
 }  // namespace dptd::net

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <vector>
+
 namespace dptd::crowd {
 namespace {
 
@@ -78,6 +82,118 @@ TEST(Protocol, DecodeRejectsImplausibleClaimCount) {
   enc.write_varint(2);                   // user
   enc.write_varint(1ull << 40);          // absurd claim count
   EXPECT_THROW(Report::decode(enc.bytes()), DecodeError);
+}
+
+TEST(Protocol, PeekHeaderReportsTheRoundVarintWidth) {
+  Report msg;
+  msg.user_id = 5;
+  for (const std::uint64_t round : {1ull, 127ull, 128ull, 1ull << 40}) {
+    msg.round = round;
+    const std::vector<std::uint8_t> bytes = msg.encode();
+    const std::optional<ReportHeader> header = Report::peek_header(bytes);
+    ASSERT_TRUE(header.has_value());
+    EXPECT_EQ(header->round, round);
+    EXPECT_EQ(header->user_id, 5u);
+    Encoder round_only;
+    round_only.write_varint(round);
+    EXPECT_EQ(header->round_bytes, round_only.size()) << round;
+  }
+}
+
+TEST(Protocol, DecodeFieldsMatchesDecodeAfterTheRound) {
+  Report report;
+  report.round = 300;  // a two-byte varint
+  report.user_id = 17;
+  report.objects = {0, 5};
+  report.values = {1.5, -2.25};
+  const std::vector<std::uint8_t> bytes = report.encode();
+  const std::span<const std::uint8_t> fields =
+      std::span<const std::uint8_t>(bytes).subspan(2);
+  const Report decoded = Report::decode_fields(300, fields);
+  EXPECT_EQ(decoded.round, 300u);
+  EXPECT_EQ(decoded.user_id, 17u);
+  EXPECT_EQ(decoded.objects, report.objects);
+  EXPECT_EQ(decoded.values, report.values);
+  // The same checks as decode(): trailing bytes and truncation are refused.
+  std::vector<std::uint8_t> trailing(fields.begin(), fields.end());
+  trailing.push_back(0);
+  EXPECT_THROW(Report::decode_fields(300, trailing), DecodeError);
+  EXPECT_THROW(Report::decode_fields(300, fields.first(fields.size() - 1)),
+               DecodeError);
+
+  LabelReport labels;
+  labels.round = 2;
+  labels.user_id = 9;
+  labels.objects = {1, 3};
+  labels.labels = {0, 2};
+  const std::vector<std::uint8_t> label_bytes = labels.encode();
+  const LabelReport label_decoded = LabelReport::decode_fields(
+      2, std::span<const std::uint8_t>(label_bytes).subspan(1));
+  EXPECT_EQ(label_decoded.round, 2u);
+  EXPECT_EQ(label_decoded.user_id, 9u);
+  EXPECT_EQ(label_decoded.labels, labels.labels);
+}
+
+TEST(Protocol, ReportBatchRoundTripsItemsInOrderAtThreeHeaderBytes) {
+  std::vector<Report> reports;
+  std::size_t upload_bytes = 0;
+  ReportBatchBuilder builder;
+  for (std::uint64_t user = 0; user < 5; ++user) {
+    Report report;
+    report.round = 4;
+    report.user_id = user * 1000;
+    for (std::uint64_t n = 0; n <= user; ++n) {
+      report.objects.push_back(n);
+      report.values.push_back(static_cast<double>(user) - 0.5 * n);
+    }
+    const std::vector<std::uint8_t> upload = report.encode();
+    upload_bytes += upload.size();
+    builder.add(upload, *Report::peek_header(upload));
+    reports.push_back(report);
+  }
+  EXPECT_EQ(builder.count(), 5u);
+  const std::vector<std::uint8_t> payload =
+      builder.take(4, MessageType::kReport);
+  EXPECT_TRUE(builder.empty());
+  EXPECT_EQ(builder.bytes(), 0u);
+  // One-byte rounds and lengths: the batch costs its header alone.
+  EXPECT_EQ(payload.size(), upload_bytes + 3);
+
+  ReportBatchReader reader(payload);
+  EXPECT_EQ(reader.round(), 4u);
+  EXPECT_EQ(reader.type(), MessageType::kReport);
+  ASSERT_EQ(reader.count(), reports.size());
+  for (const Report& want : reports) {
+    const Report got = Report::decode_fields(reader.round(), reader.next());
+    EXPECT_EQ(got.round, want.round);
+    EXPECT_EQ(got.user_id, want.user_id);
+    EXPECT_EQ(got.objects, want.objects);
+    EXPECT_EQ(got.values, want.values);
+  }
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(Protocol, ReportBatchReaderBoundsCountAndLengthsByTheBytesLeft) {
+  Encoder too_many;
+  too_many.write_varint(1);  // round
+  too_many.write_varint(3);  // three items claimed...
+  too_many.write_varint(static_cast<std::uint32_t>(MessageType::kReport));
+  too_many.write_u8(0);  // ...in two bytes
+  too_many.write_u8(0);
+  EXPECT_THROW(ReportBatchReader{too_many.bytes()}, DecodeError);
+
+  Encoder overrun;
+  overrun.write_varint(1);
+  overrun.write_varint(1);
+  overrun.write_varint(static_cast<std::uint32_t>(MessageType::kReport));
+  overrun.write_varint(50);  // item length past the end
+  overrun.write_u8(7);
+  ReportBatchReader reader(overrun.bytes());
+  EXPECT_EQ(reader.count(), 1u);
+  EXPECT_THROW(reader.next(), DecodeError);
+
+  EXPECT_THROW(ReportBatchReader{std::span<const std::uint8_t>{}},
+               DecodeError);
 }
 
 TEST(Protocol, MakeMessageSetsRouting) {

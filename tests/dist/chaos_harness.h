@@ -107,7 +107,8 @@ inline net::FaultSchedule make_schedule(Family family, std::uint64_t seed,
   schedule.seed = seed;
   schedule.report_types = {
       static_cast<std::uint32_t>(crowd::MessageType::kReport),
-      static_cast<std::uint32_t>(crowd::MessageType::kLabelReport)};
+      static_cast<std::uint32_t>(crowd::MessageType::kLabelReport),
+      static_cast<std::uint32_t>(crowd::MessageType::kReportBatch)};
   switch (family) {
     case Family::kTransient:
       // Every recoverable class at once. RPC drops and truncations ride the
@@ -297,6 +298,9 @@ inline void run_simulator_chaos(Family family, std::uint64_t seed) {
         report.user_id, kChaosCoordinatorId, crowd::MessageType::kReport,
         report.encode()));
     ++sent;
+    // A zero-time pump fires the coordinator's turn flush, so each report
+    // still travels as its own batch and draws its own per-frame faults.
+    sim.run_until(sim.now());
   }
   sim.run();
 
@@ -501,6 +505,7 @@ inline void run_uds_chaos(Family family, std::uint64_t seed) {
         report.user_id, kChaosCoordinatorId, crowd::MessageType::kReport,
         report.encode()));
     ++sent;
+    net.run_until_idle();  // one batch per report, as on the simulator
   }
   const DistributedOutcome outcome = coordinator.close_round();
 

@@ -680,6 +680,17 @@ TEST(DistributedProtocol, UnroutableReportsAreCountedNotFatal) {
   EXPECT_EQ(outcome.reports_unroutable, 3u);
 }
 
+/// Hands `shard` one upload the way the coordinator routes it: a one-item
+/// kReportBatch.
+void deliver_report(ShardNode& shard, const crowd::Report& report) {
+  const std::vector<std::uint8_t> upload = report.encode();
+  crowd::ReportBatchBuilder batch;
+  batch.add(upload, *crowd::Report::peek_header(upload));
+  shard.on_message(crowd::make_message(
+      kCoordinatorId, shard.id(), crowd::MessageType::kReportBatch,
+      batch.take(report.round, crowd::MessageType::kReport)));
+}
+
 // Drives a ShardNode with a hand-crafted request envelope, as the coordinator
 // (or a jittered link replaying an old copy) would.
 void deliver_request(ShardNode& shard, net::NodeId source,
@@ -722,8 +733,7 @@ TEST(DistributedProtocol, DelayedDuplicateOfAnOlderOpIsDroppedNotReexecuted) {
     report.objects = {0, 1};
     report.values = {1.0 + static_cast<double>(s),
                      2.0 + static_cast<double>(s)};
-    shard.on_message(crowd::make_message(
-        s, shard.id(), crowd::MessageType::kReport, report.encode()));
+    deliver_report(shard, report);
   }
   deliver_request(shard, kRecorder, 2, ShardOp::kFinalizeIngest, {});
 
@@ -786,8 +796,7 @@ TEST(DistributedProtocol, StaleSetupFromAnAbandonedPlanIsRejected) {
     report.user_id = s;
     report.objects = {0, 1};
     report.values = {1.0, 2.0};
-    shard.on_message(crowd::make_message(
-        s, shard.id(), crowd::MessageType::kReport, report.encode()));
+    deliver_report(shard, report);
   }
   deliver_request(shard, kRecorder, 8, ShardOp::kFinalizeIngest, {});
   fleet.sim.run();
@@ -831,8 +840,7 @@ TEST(DistributedProtocol, SetupWithARepeatedIdIsMalformedNotFatal) {
     report.user_id = user;
     report.objects = {0, 1};
     report.values = {1.0, 2.0};
-    shard.on_message(crowd::make_message(
-        user, shard.id(), crowd::MessageType::kReport, report.encode()));
+    deliver_report(shard, report);
   }
   deliver_request(shard, kRecorder, 3, ShardOp::kFinalizeIngest, {});
   fleet.sim.run();
@@ -866,8 +874,7 @@ void stage_single_shard_round(Fleet& fleet, net::NodeId source) {
     report.objects = {0, 1};
     report.values = {1.0 + static_cast<double>(s),
                      2.0 + static_cast<double>(s)};
-    shard.on_message(crowd::make_message(
-        s, shard.id(), crowd::MessageType::kReport, report.encode()));
+    deliver_report(shard, report);
   }
   deliver_request(shard, source, 2, ShardOp::kFinalizeIngest, {});
 }
@@ -1051,6 +1058,136 @@ TEST(DistributedProtocol, DelayedDuplicateBatchReplaysMemoNeverReexecutes) {
       crowd::StatsEnvelope::decode(recorder.received.back().payload);
   EXPECT_EQ(reply.op_id, 5u);
   EXPECT_EQ(WeightsBody::decode(reply.body).weights, newer.weights);
+}
+
+/// A kReportBatch of continuous uploads from users 0..2 (two claims each),
+/// encoded as the coordinator routes them to one shard in `round`.
+std::vector<std::uint8_t> three_report_batch(std::uint64_t round) {
+  crowd::ReportBatchBuilder batch;
+  for (std::uint64_t user = 0; user < 3; ++user) {
+    crowd::Report report;
+    report.round = round;
+    report.user_id = user;
+    report.objects = {0, 1};
+    report.values = {1.0 + static_cast<double>(user),
+                     2.0 - static_cast<double>(user)};
+    const std::vector<std::uint8_t> upload = report.encode();
+    batch.add(upload, *crowd::Report::peek_header(upload));
+  }
+  return batch.take(round, crowd::MessageType::kReport);
+}
+
+net::Message batch_message(ShardNode& shard,
+                           std::vector<std::uint8_t> payload) {
+  return crowd::make_message(kCoordinatorId, shard.id(),
+                             crowd::MessageType::kReportBatch,
+                             std::move(payload));
+}
+
+TEST(DistributedProtocol, ReportBatchFuzzedAtEveryByteNeverKillsAShard) {
+  // kReportBatch nests a count, a type and length-prefixed items inside one
+  // frame: a 3-item batch truncated at EVERY byte offset, then with every
+  // byte flipped, must never throw out of the shard, never ingest part of an
+  // item, and leave the shard serving full rounds.
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  const std::vector<net::NodeId> roster = participant_ids(4);
+
+  ASSERT_TRUE(fleet.coordinator->begin_round(1, roster));
+  const std::vector<std::uint8_t> wire = three_report_batch(1);
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_NO_THROW(shard.on_message(batch_message(
+        shard, {wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len)})))
+        << "truncate " << len;
+  }
+  // A strict prefix ingests only the items it holds whole; the intact batch
+  // then adds the rest, and every earlier copy of an item is a duplicate.
+  shard.on_message(batch_message(shard, wire));
+  const DistributedOutcome truncated = fleet.coordinator->close_round();
+  ASSERT_TRUE(truncated.aggregated);
+  ASSERT_EQ(truncated.shard_stats.size(), 1u);
+  EXPECT_EQ(truncated.shard_stats[0].reports_received, 3u);
+  EXPECT_EQ(truncated.shard_stats[0].malformed_reports, 0u);
+  // Had any item been ingested in part, its row would miss a claim and the
+  // whole copy would have been dropped as its duplicate: the bits would move.
+  data::ObservationMatrix rows(4, 2);
+  for (std::size_t user = 0; user < 3; ++user) {
+    rows.set(user, 0, 1.0 + static_cast<double>(user));
+    rows.set(user, 1, 2.0 - static_cast<double>(user));
+  }
+  expect_bitwise_equal(
+      make_method(crh_spec())->run_sharded(
+          data::ShardedMatrix::partition(rows, 1, kTestBlock)),
+      truncated.result, "truncation barrage");
+
+  // Corruption pass: any outcome but a crash is acceptable — a flipped byte
+  // may still decode as a well-formed batch of other values.
+  ASSERT_TRUE(fleet.coordinator->begin_round(2, roster));
+  const std::vector<std::uint8_t> second = three_report_batch(2);
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    std::vector<std::uint8_t> corrupt = second;
+    corrupt[i] ^= 0xFF;
+    EXPECT_NO_THROW(shard.on_message(batch_message(shard, std::move(corrupt))))
+        << "corrupt " << i;
+  }
+  EXPECT_TRUE(fleet.coordinator->close_round().completed);
+
+  // The shard still serves a full routed round.
+  const data::Dataset dataset = random_dataset(53, 24, 2, 0.2);
+  ASSERT_TRUE(
+      fleet.coordinator->begin_round(3, participant_ids(dataset.num_users())));
+  send_dataset(fleet, dataset, 3);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  expect_bitwise_equal(
+      make_method(crh_spec())->run_sharded(
+          data::ShardedMatrix::partition(dataset.observations, 1, kTestBlock)),
+      outcome.result, "after the fuzz");
+}
+
+TEST(DistributedProtocol, ReportBatchOfAnotherRoundOrKindChargesEveryItem) {
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  ASSERT_TRUE(fleet.coordinator->begin_round(5, participant_ids(4)));
+  shard.on_message(batch_message(shard, three_report_batch(4)));  // late
+  std::vector<std::uint8_t> labelled = three_report_batch(5);
+  labelled[2] = static_cast<std::uint8_t>(crowd::MessageType::kLabelReport);
+  shard.on_message(batch_message(shard, labelled));  // wrong kind
+  shard.on_message(batch_message(shard, three_report_batch(5)));
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  ASSERT_EQ(outcome.shard_stats.size(), 1u);
+  EXPECT_EQ(outcome.shard_stats[0].rejected_reports, 6u);
+  EXPECT_EQ(outcome.shard_stats[0].reports_received, 3u);
+}
+
+TEST(DistributedProtocol, DestroyedCoordinatorLeavesItsScheduledFlushHarmless) {
+  // Routed reports wait for the next transport turn; a coordinator destroyed
+  // before that turn must not be called back by the flush it scheduled (the
+  // bench's UDS stack destroys its coordinator, then pumps the transport to
+  // shut the fleet down). The sanitizer build turns a dangling callback into
+  // a failure here.
+  const data::Dataset dataset = random_dataset(81, 16, 3, 0.2);
+  Fleet fleet(2, crh_spec(), dataset.num_objects());
+  ASSERT_TRUE(
+      fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
+  for (std::size_t s = 0; s < dataset.num_users(); ++s) {
+    crowd::Report report;
+    report.round = 1;
+    report.user_id = s;
+    for (const auto& entry : dataset.observations.user_entries(s)) {
+      report.objects.push_back(entry.object);
+      report.values.push_back(entry.value);
+    }
+    fleet.coordinator->on_message(crowd::make_message(
+        s, kCoordinatorId, crowd::MessageType::kReport, report.encode()));
+  }
+  const std::size_t sent = fleet.network.stats().messages_sent;
+  fleet.coordinator.reset();
+  EXPECT_GT(fleet.sim.pending(), 0u);  // the flush is still queued
+  fleet.sim.run();
+  // The staged reports died with their coordinator; nothing went out.
+  EXPECT_EQ(fleet.network.stats().messages_sent, sent);
 }
 
 TEST(DistributedProtocol, CloseRoundDrainsInFlightRoutedReports) {

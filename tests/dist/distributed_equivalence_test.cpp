@@ -253,42 +253,43 @@ struct WirePin {
 // Exact frame and byte counts of one round per method, K and start (64 users
 // x 6 objects, block 8; a warm row pins the second of two warm-started
 // rounds). "vote1" is a unanimous label set: voting stops on a zero
-// disagreement total in its first iteration. These constants are the wire
-// protocol's shape: a change that moves one must say why.
+// disagreement total in its first iteration. Every upload reaches the
+// coordinator at the same virtual time, so each shard receives its routed
+// reports as one kReportBatch. These constants are the wire protocol's
+// shape: a change that moves one must say why.
 constexpr WirePin kWirePins[] = {
-    {"crh", 1, false, {166, 9291, 28, 2835}},
-    {"crh", 1, true, {162, 9435, 24, 2430}},
-    {"crh", 3, false, {242, 16655, 84, 8505}},
-    {"crh", 3, true, {230, 15991, 72, 7290}},
-    {"gtm", 1, false, {152, 10529, 14, 2163}},
-    {"gtm", 1, true, {156, 9735, 18, 2781}},
-    {"gtm", 3, false, {200, 16062, 42, 6489}},
-    {"gtm", 3, true, {212, 16891, 54, 8343}},
-    {"catd", 1, false, {186, 17422, 50, 9375}},
-    {"catd", 1, true, {156, 10500, 20, 3750}},
-    {"catd", 3, false, {302, 36355, 150, 28125}},
-    {"catd", 3, true, {212, 18804, 60, 11250}},
-    {"mean", 1, false, {136, 5658, 2, 328}},
-    {"mean", 1, true, {136, 5694, 2, 328}},
-    {"mean", 3, false, {152, 6394, 6, 984}},
-    {"mean", 3, true, {152, 6430, 6, 984}},
-    {"median", 1, false, {136, 7498, 2, 2168}},
-    {"median", 1, true, {136, 7550, 2, 2184}},
-    {"median", 3, false, {152, 7607, 6, 2197}},
-    {"median", 3, true, {152, 7659, 6, 2213}},
-    {"majority", 1, false, {136, 2026, 2, 418}},
-    {"majority", 1, true, {134, 1964, 2, 418}},
-    {"majority", 3, false, {152, 2942, 6, 1254}},
-    {"majority", 3, true, {150, 2880, 6, 1254}},
-    {"vote", 1, false, {140, 2991, 4, 441}},
-    {"vote", 1, true, {142, 2967, 8, 882}},
-    {"vote", 3, false, {164, 4813, 12, 1323}},
-    {"vote", 3, true, {174, 4865, 24, 2646}},
+    {"crh", 1, false, {103, 9294, 28, 2835}},
+    {"crh", 1, true, {99, 9438, 24, 2430}},
+    {"crh", 3, false, {181, 16664, 84, 8505}},
+    {"crh", 3, true, {169, 16000, 72, 7290}},
+    {"gtm", 1, false, {89, 10532, 14, 2163}},
+    {"gtm", 1, true, {93, 9738, 18, 2781}},
+    {"gtm", 3, false, {139, 16071, 42, 6489}},
+    {"gtm", 3, true, {151, 16900, 54, 8343}},
+    {"catd", 1, false, {123, 17425, 50, 9375}},
+    {"catd", 1, true, {93, 10503, 20, 3750}},
+    {"catd", 3, false, {241, 36364, 150, 28125}},
+    {"catd", 3, true, {151, 18813, 60, 11250}},
+    {"mean", 1, false, {73, 5661, 2, 328}},
+    {"mean", 1, true, {73, 5697, 2, 328}},
+    {"mean", 3, false, {91, 6403, 6, 984}},
+    {"mean", 3, true, {91, 6439, 6, 984}},
+    {"median", 1, false, {73, 7501, 2, 2168}},
+    {"median", 1, true, {73, 7553, 2, 2184}},
+    {"median", 3, false, {91, 7616, 6, 2197}},
+    {"median", 3, true, {91, 7668, 6, 2213}},
+    {"majority", 1, false, {73, 2029, 2, 418}},
+    {"majority", 1, true, {72, 1967, 2, 418}},
+    {"majority", 3, false, {91, 2951, 6, 1254}},
+    {"majority", 3, true, {90, 2889, 6, 1254}},
+    {"vote", 1, false, {77, 2994, 4, 441}},
+    {"vote", 1, true, {80, 2970, 8, 882}},
+    {"vote", 3, false, {103, 4822, 12, 1323}},
+    {"vote", 3, true, {114, 4874, 24, 2646}},
     // Unanimity: the loop pays one disagreement chain (2K messages); the
     // uniform weight write it queues rides the final collect.
-    {"vote1", 1, false, {138, 3006, 2, 29}},
-    {"vote1", 3, false, {158, 4026, 6, 87}},
-};
+    {"vote1", 1, false, {75, 3009, 2, 29}},
+    {"vote1", 3, false, {97, 4035, 6, 87}},};
 
 TEST(DistributedEquivalence, WireShapeMatchesPinnedFrameCounts) {
   for (const WirePin& pin : kWirePins) {

@@ -5,6 +5,7 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -324,6 +325,68 @@ TEST(SocketTransportTest, CoalescedFramesSurviveShortGatherWrites) {
   EXPECT_EQ(client.stats().messages_undeliverable, 0u);
   EXPECT_EQ(server.stats().messages_undeliverable, 0u);
   EXPECT_EQ(client.undeliverable_to(2), 0u);
+}
+
+TEST(SocketTransportTest, ForkedWriterStreamArrivesIntactAndInOrder) {
+  // A writer process that never waits for its reader: it queues several MiB
+  // of frames at once and writes them as fast as the socket takes them,
+  // while the reader parses and delivers between bounded read passes. Every
+  // frame must arrive whole and in send order. The reader acknowledges the
+  // last frame so the writer knows its queue went out before it exits.
+  TempDir dir;
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = "unix:" + dir.sock("stream");
+  SocketTransport server(server_cfg);
+  CollectNode sink;
+  server.attach(2, sink);
+
+  constexpr std::size_t kFrames = 3000;  // about 6 MiB of payload
+  auto payload_for = [](std::size_t i) {
+    std::vector<std::uint8_t> payload(500 + (i * 37) % 3000);
+    for (std::size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<std::uint8_t>((i * 131 + b * 7) >> 2);
+    }
+    return payload;
+  };
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int status = 1;
+    {
+      SocketTransportConfig client_cfg;
+      client_cfg.peers[2] = server_cfg.listen;
+      SocketTransport client(client_cfg);
+      CollectNode ack;
+      client.attach(1, ack);
+      for (std::size_t i = 0; i < kFrames; ++i) {
+        client.send(
+            make_msg(1, 2, static_cast<std::uint32_t>(i), payload_for(i)));
+      }
+      const double deadline = client.now() + 30.0;
+      while (ack.received.empty() && client.now() < deadline) {
+        client.poll(client.now() + 0.01);
+      }
+      status = ack.received.empty() ? 1 : 0;
+    }
+    _exit(status);
+  }
+
+  const bool all = pump_until(
+      {&server}, [&] { return sink.received.size() >= kFrames; }, 30.0);
+  if (all) server.send(make_msg(2, 1, 0, {1}));  // source-routed back
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    server.poll(server.now() + 0.01);
+  }
+  ASSERT_TRUE(all) << sink.received.size() << " of " << kFrames;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(sink.received.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(sink.received[i].type, i) << "frame " << i << " out of order";
+    ASSERT_EQ(sink.received[i].payload, payload_for(i)) << "frame " << i;
+  }
+  EXPECT_EQ(server.malformed_frames(), 0u);
 }
 
 TEST(SocketTransportTest, UnroutableDestinationCountsUndeliverable) {
