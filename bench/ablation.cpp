@@ -1,4 +1,4 @@
-// Ablation bench (DESIGN.md §4): perturbation mechanisms x aggregation
+// Ablation bench, beyond the paper: perturbation mechanisms x aggregation
 // methods at matched mean |noise|. Shows (1) weighted truth discovery beats
 // mean/median under every mechanism, and (2) the user-sampled-variance
 // design costs little utility versus a public fixed-variance Gaussian while

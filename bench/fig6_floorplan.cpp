@@ -1,6 +1,8 @@
 // Fig. 6 — utility-privacy trade-off on the indoor-floorplan workload
-// (247 simulated walkers x 129 hallway segments; see DESIGN.md for the
-// substitution of the paper's Android dataset).
+// (247 simulated walkers x 129 hallway segments). The walkers stand in for
+// the paper's Android dataset: each counts steps along a segment and reports
+// steps x calibrated stride, with per-user stride miscalibration, stride
+// noise and miscounted steps (floorplan/walker.h).
 #include <iostream>
 
 #include "common/cli.h"

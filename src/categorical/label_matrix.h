@@ -3,7 +3,7 @@
 // EXTENSION (beyond the reproduced paper): the paper handles continuous
 // data and cites its companion work (Li et al., KDD 2018 [23]) for the
 // categorical case. This module provides the categorical analogue so the
-// library covers both data types; DESIGN.md lists it as an extension.
+// library covers both data types.
 //
 // Storage mirrors data::ObservationMatrix: crowd labelling matrices are
 // sparse (each user covers a fraction of the objects), so the store is one

@@ -1,6 +1,6 @@
 // 1-D numerical integration used by the theory module to evaluate the exact
 // moments E[Y], E[Y^2] of Y = sqrt(sigma_s^2 + sigma_s'^2 + delta_s'^2) whose
-// closed form in the paper contains typos (see DESIGN.md).
+// closed form in the paper contains typos, so E[Y] is integrated numerically.
 #pragma once
 
 #include <functional>

@@ -3,7 +3,7 @@
 // c = lambda1 / lambda2 = E[noise variance] / E[error variance].
 //
 // Derivation note: the paper's printed privacy bound drops epsilon between
-// steps (DESIGN.md); we implement the bound with epsilon restored:
+// steps; we implement the bound with epsilon restored:
 //   satisfied iff Pr{ delta_s^2 >= Delta_s^2 / (2 eps) } >= 1 - delta
 //             iff c >= lambda1 Delta_s^2 / (2 eps ln(1/(1-delta))).
 // With Delta_s = gamma_s / lambda1 (Lemma 4.7) this is

@@ -7,8 +7,8 @@
 // T := Y^2 is Gamma(2, 1/lambda1) + Exp(1/lambda2); its exact density has a
 // closed convolution form (general c) and reduces to Gamma(3, 1/lambda1) at
 // c = 1. E[Y] is computed by quadrature over that density — the closed form
-// printed in the paper contains typos (see DESIGN.md), while E[Y^2] matches
-// the paper exactly: (2 lambda2 + lambda1) / (lambda1 lambda2).
+// printed in the paper contains typos, while E[Y^2] matches the paper
+// exactly: (2 lambda2 + lambda1) / (lambda1 lambda2).
 #pragma once
 
 #include <cstddef>

@@ -186,11 +186,8 @@ bool aggregate_and_publish(const ServerConfig& config,
   ResultPublish publish;
   publish.round = round;
   publish.truths = outcome.result.truths;
-  const std::vector<std::uint8_t> payload = publish.encode();
-  for (net::NodeId user : participants) {
-    network.send(
-        make_message(config.id, user, MessageType::kResultPublish, payload));
-  }
+  fan_out(network, config.id, participants, MessageType::kResultPublish,
+          publish.encode());
   return true;
 }
 
@@ -234,11 +231,8 @@ void CrowdServer::start_round(std::uint64_t round,
   task.round = round;
   task.lambda2 = config_.lambda2;
   task.num_objects = config_.num_objects;
-  const std::vector<std::uint8_t> payload = task.encode();
-  for (net::NodeId user : user_ids) {
-    network_->send(make_message(config_.id, user, MessageType::kTaskAnnounce,
-                                payload));
-  }
+  fan_out(*network_, config_.id, user_ids, MessageType::kTaskAnnounce,
+          task.encode());
 
   network_->schedule(config_.collection_window_seconds,
                                  [this] { finish_round(); });

@@ -1,6 +1,8 @@
 // The untrusted aggregation server: announces tasks with the lambda2
 // hyper-parameter, collects perturbed reports until a deadline, runs a
-// truth-discovery method over whatever arrived, and publishes results.
+// truth-discovery method over whatever arrived, and publishes results. The
+// announce and the ResultPublish are each encoded once and fanned out
+// (crowd::fan_out) as messages sharing that buffer.
 //
 // Reports are ingested as they arrive: each one is decoded, sanitized, and
 // folded into an incremental ObservationMatrixBuilder (deduplicated by user

@@ -71,11 +71,8 @@ void ShardedServer::start_round(std::uint64_t round,
   task.round = round;
   task.lambda2 = config_.lambda2;
   task.num_objects = config_.num_objects;
-  const std::vector<std::uint8_t> payload = task.encode();
-  for (net::NodeId user : user_ids) {
-    network_->send(make_message(config_.id, user, MessageType::kTaskAnnounce,
-                                payload));
-  }
+  fan_out(*network_, config_.id, user_ids, MessageType::kTaskAnnounce,
+          task.encode());
 
   network_->schedule(config_.collection_window_seconds,
                                  [this] { finish_round(); });

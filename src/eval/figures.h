@@ -190,7 +190,10 @@ struct EfficiencyResult {
 EfficiencyResult run_efficiency(const EfficiencyConfig& config);
 
 // ---------------------------------------------------------------------------
-// Ablation (DESIGN.md §4) — mechanisms x aggregation methods.
+// Ablation, beyond the paper — perturbation mechanisms x aggregation methods
+// at matched mean |noise|: does weighted truth discovery beat mean/median
+// under every mechanism, and what does sampling each user's variance cost
+// against a public fixed-variance Gaussian?
 
 struct AblationConfig {
   WorkloadConfig workload;

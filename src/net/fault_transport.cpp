@@ -221,13 +221,15 @@ void FaultInjectionTransport::send(Message message) {
     ++injected_.corruptions;
     const std::uint64_t bit =
         uniform_index(rng_, message.payload.size() * 8);
-    message.payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    message.payload.mutable_bytes()[bit / 8] ^=
+        static_cast<std::uint8_t>(1u << (bit % 8));
   }
 
   if (f.truncate_probability > 0.0 && !message.payload.empty() &&
       bernoulli(rng_, f.truncate_probability)) {
     ++injected_.truncations;
-    message.payload.resize(uniform_index(rng_, message.payload.size()));
+    message.payload.mutable_bytes().resize(
+        uniform_index(rng_, message.payload.size()));
   }
 
   const bool duplicate = f.duplicate_probability > 0.0 &&

@@ -16,11 +16,14 @@
 // loss synchronously at send time (the dist Coordinator observes the
 // undeliverable_to delta around each report batch) see injected report loss
 // exactly like a real routing failure, and the report-conservation
-// invariant closes without the protocol knowing the fault layer exists. Corruption and truncation mutate
-// the payload but let the message through; delays/reorders defer the inner
-// send via schedule(); duplicates forward twice. With an all-zero schedule
-// the decorator is pure pass-through (one virtual hop; the bench's
-// FaultPassthrough row prices it).
+// invariant closes without the protocol knowing the fault layer exists.
+// Corruption and truncation mutate the payload but let the message through.
+// They write through Payload::mutable_bytes(), which first gives a shared
+// (fan-out) payload its own copy, so a fault on one link never reaches the
+// other recipients of that buffer or the sender. Delays/reorders defer the
+// inner send via schedule(); duplicates forward twice, a shared payload
+// shared by both copies. With an all-zero schedule the decorator is pure
+// pass-through (one virtual hop; the bench's FaultPassthrough row prices it).
 #pragma once
 
 #include <cstdint>

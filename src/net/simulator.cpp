@@ -13,7 +13,7 @@ void Simulator::schedule(SimTime delay, std::function<void()> fn) {
   queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
 }
 
-void Simulator::deliver(SimTime delay, Network& network, Message message) {
+void Simulator::deliver(SimTime delay, Network& network, Message&& message) {
   DPTD_REQUIRE(delay >= 0.0, "Simulator::deliver: negative delay");
   const SimTime time = now_ + delay;
   if (lane_.empty() || time >= lane_.back().time) {

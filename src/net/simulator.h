@@ -1,6 +1,7 @@
 // Discrete-event simulator: a virtual clock plus an event queue with
 // deterministic FIFO tie-breaking. Substrate for the simulated crowd sensing
-// system (DESIGN.md substitution for real mobile devices).
+// system: simulated devices and links stand in for the paper's real mobile
+// devices and their network.
 //
 // Order contract: every event — a timer from schedule() or a message
 // delivery from deliver() — gets its due time and the next value of one
@@ -42,8 +43,9 @@ class Simulator {
 
   /// Schedules `network` to deliver `message` at now() + delay (delay >= 0),
   /// in the same (time, sequence) order as schedule(). `network` must
-  /// outlive the delivery. Network::send is the caller.
-  void deliver(SimTime delay, Network& network, Message message);
+  /// outlive the delivery. Network::send is the caller; it hands over its
+  /// message by reference, which spares every report one Message move.
+  void deliver(SimTime delay, Network& network, Message&& message);
 
   /// Runs events until the queue empties. Returns the number executed.
   std::size_t run();

@@ -116,13 +116,23 @@ void SocketTransportConfig::validate() const {
 // ---------------------------------------------------------------------------
 // Framing
 
-std::vector<std::uint8_t> SocketTransport::encode_frame_body(
-    const Message& message) {
+namespace {
+
+/// The frame body's routing header, [varint source][varint destination]
+/// [u32 type]; the payload follows it.
+std::vector<std::uint8_t> encode_frame_header(const Message& message) {
   Encoder enc;
   enc.write_varint(message.source);
   enc.write_varint(message.destination);
   enc.write_u32(message.type);
-  std::vector<std::uint8_t> body = enc.take();
+  return enc.take();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> SocketTransport::encode_frame_body(
+    const Message& message) {
+  std::vector<std::uint8_t> body = encode_frame_header(message);
   body.insert(body.end(), message.payload.begin(), message.payload.end());
   return body;
 }
@@ -136,9 +146,8 @@ Message SocketTransport::decode_frame_body(
   message.type = dec.read_u32();
   // The payload is everything after the header: the frame's length prefix is
   // the delimiter, so no inner length field to cross-validate.
-  const std::size_t header = body.size() - dec.remaining();
-  message.payload.assign(body.begin() + static_cast<std::ptrdiff_t>(header),
-                         body.end());
+  const std::span<const std::uint8_t> payload = dec.read_span(dec.remaining());
+  message.payload = std::vector<std::uint8_t>(payload.begin(), payload.end());
   return message;
 }
 
@@ -230,15 +239,20 @@ void SocketTransport::count_undeliverable(NodeId destination) {
 // Sending and routing
 
 SocketTransport::OutFrame SocketTransport::make_frame(const Message& message) {
-  std::vector<std::uint8_t> body = encode_frame_body(message);
-  DPTD_REQUIRE(body.size() <= config_.max_frame_bytes,
+  const std::vector<std::uint8_t> header = encode_frame_header(message);
+  const std::size_t body = header.size() + message.payload.size();
+  DPTD_REQUIRE(body <= config_.max_frame_bytes,
                "SocketTransport: frame exceeds max_frame_bytes");
+  // Prefix, header and payload go straight into the frame buffer, so the
+  // payload is copied once.
   OutFrame frame;
   frame.destination = message.destination;
-  frame.bytes.resize(kFramePrefixBytes + body.size());
-  write_le32(frame.bytes.data(), static_cast<std::uint32_t>(body.size()));
-  std::copy(body.begin(), body.end(),
-            frame.bytes.begin() + kFramePrefixBytes);
+  frame.bytes.reserve(kFramePrefixBytes + body);
+  frame.bytes.resize(kFramePrefixBytes);
+  write_le32(frame.bytes.data(), static_cast<std::uint32_t>(body));
+  frame.bytes.insert(frame.bytes.end(), header.begin(), header.end());
+  frame.bytes.insert(frame.bytes.end(), message.payload.begin(),
+                     message.payload.end());
   return frame;
 }
 

@@ -20,24 +20,75 @@
 //   - schedule() posts a timer callback on the transport's clock — the hook
 //     the crowd servers use for round deadlines.
 //
+// A message's payload (net::Payload) is read-only bytes in one of two forms.
+// A point-to-point message owns its bytes: the vector its sender encoded,
+// moved in. A fan-out shares one immutable buffer among all its messages
+// (Payload::shared), so copying such a message — into a transport queue, a
+// duplicate, a recording test node — costs a reference count, not a copy.
+// Transports count every message at its full payload size whichever form it
+// takes. The one writer, mutable_bytes(), first gives a shared payload its
+// own copy, so a write never reaches another holder of the buffer.
+//
 // Timeout/resend policy (RpcPolicy) lives here too: it is a property of how
 // a caller drives RPCs over a transport, shared by every protocol layer.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace dptd::net {
 
 using NodeId = std::uint64_t;
 
+/// The bytes a Message carries: owned by this payload, or one buffer shared
+/// read-only with every copy of a fan-out. A contiguous range of const bytes,
+/// so it converts implicitly to std::span<const std::uint8_t>.
+class Payload {
+ public:
+  using const_iterator = const std::uint8_t*;
+
+  Payload() = default;
+  /// Owned bytes: takes the vector, no copy.
+  Payload(std::vector<std::uint8_t> bytes) noexcept
+      : owned_(std::move(bytes)) {}
+  /// Bytes shared by every copy of the returned payload, for a fan-out: one
+  /// allocation here, a reference count per copy after.
+  static Payload shared(std::vector<std::uint8_t> bytes);
+
+  const std::uint8_t* data() const { return bytes().data(); }
+  std::size_t size() const { return bytes().size(); }
+  bool empty() const { return bytes().empty(); }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size(); }
+  const std::uint8_t& operator[](std::size_t i) const { return bytes()[i]; }
+  /// The bytes as a vector, by reference: no copy.
+  operator const std::vector<std::uint8_t>&() const { return bytes(); }
+
+  /// The only writer. A shared payload first takes its own copy of the
+  /// bytes, so the write never reaches the other holders of the buffer.
+  std::vector<std::uint8_t>& mutable_bytes();
+
+  friend bool operator==(const Payload& payload,
+                         std::span<const std::uint8_t> bytes);
+
+ private:
+  const std::vector<std::uint8_t>& bytes() const {
+    return shared_ ? *shared_ : owned_;
+  }
+
+  std::vector<std::uint8_t> owned_;
+  std::shared_ptr<const std::vector<std::uint8_t>> shared_;
+};
+
 /// A wire message: opaque payload plus routing metadata.
 struct Message {
   NodeId source = 0;
   NodeId destination = 0;
   std::uint32_t type = 0;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
 };
 
 /// Anything attached to a transport: receives delivered messages.

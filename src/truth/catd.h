@@ -1,10 +1,10 @@
 // CATD — Confidence-Aware Truth Discovery (Li et al., VLDB 2015).
 //
 // Beyond-paper extension: a third continuous-data truth-discovery method used
-// to demonstrate that the perturbation mechanism is method-agnostic
-// (DESIGN.md §4). CATD weights each user by the upper bound of the
-// chi-squared confidence interval on their error variance, which makes it
-// robust for long-tail users with few claims:
+// to demonstrate that the perturbation mechanism is method-agnostic (the
+// ablation in eval/figures.h runs it beside CRH and GTM). CATD weights each
+// user by the upper bound of the chi-squared confidence interval on their
+// error variance, which makes it robust for long-tail users with few claims:
 //
 //   w_s = chi^2_{alpha/2, N_s} / sum_n (x_s_n - truth_n)^2
 #pragma once

@@ -6,6 +6,9 @@
 #include <span>
 #include <vector>
 
+#include "net/network.h"
+#include "net/simulator.h"
+
 namespace dptd::crowd {
 namespace {
 
@@ -203,6 +206,51 @@ TEST(Protocol, MakeMessageSetsRouting) {
   EXPECT_EQ(msg.destination, 9u);
   EXPECT_EQ(msg.type, static_cast<std::uint32_t>(MessageType::kReport));
   EXPECT_EQ(msg.payload, (std::vector<std::uint8_t>{0xaa, 0xbb}));
+}
+
+TEST(Protocol, FanOutSharesOneBufferAndCountsEveryRecipientAtFullSize) {
+  // A ResultPublish fanned out to N devices: every device reads the one
+  // encoded buffer, while the network counts N full-size messages.
+  class Recorder final : public net::Node {
+   public:
+    void on_message(const net::Message& message) override {
+      received.push_back(message);
+    }
+    std::vector<net::Message> received;
+  };
+  net::Simulator sim;
+  net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0});
+  constexpr std::size_t kDevices = 5;
+  std::vector<Recorder> devices(kDevices);
+  std::vector<net::NodeId> ids;
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    ids.push_back(100 + i);
+    network.attach(ids.back(), devices[i]);
+  }
+  ResultPublish publish;
+  publish.round = 4;
+  publish.truths = {1.5, -2.0, 3.25};
+  const std::vector<std::uint8_t> encoded = publish.encode();
+  fan_out(network, 1, ids, MessageType::kResultPublish, encoded);
+  sim.run();
+
+  ASSERT_EQ(devices[0].received.size(), 1u);
+  const std::uint8_t* buffer = devices[0].received[0].payload.data();
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    ASSERT_EQ(devices[i].received.size(), 1u) << i;
+    const net::Message& message = devices[i].received[0];
+    EXPECT_EQ(message.source, 1u);
+    EXPECT_EQ(message.destination, ids[i]);
+    EXPECT_EQ(message.type,
+              static_cast<std::uint32_t>(MessageType::kResultPublish));
+    EXPECT_EQ(message.payload.data(), buffer) << i;
+    EXPECT_EQ(message.payload, encoded) << i;
+  }
+  const net::NetworkStats& stats = network.stats();
+  EXPECT_EQ(stats.messages_sent, kDevices);
+  EXPECT_EQ(stats.messages_delivered, kDevices);
+  EXPECT_EQ(stats.bytes_sent, kDevices * encoded.size());
+  EXPECT_EQ(stats.bytes_delivered, kDevices * encoded.size());
 }
 
 TEST(Protocol, WireSizeIsCompact) {

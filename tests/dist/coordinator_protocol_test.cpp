@@ -584,8 +584,8 @@ TEST(DistributedProtocol, TruncatedResponsesAreCountedNeverFatal) {
     message.destination = kCoordinatorId;
     message.type = static_cast<std::uint32_t>(
         crowd::MessageType::kShardResponse);
-    message.payload.assign(wire.begin(),
-                           wire.begin() + static_cast<std::ptrdiff_t>(len));
+    message.payload = std::vector<std::uint8_t>(
+        wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_NO_THROW(fleet.coordinator->on_message(message)) << len;
   }
   // The intact envelope decodes but matches no outstanding op: stale.
@@ -633,8 +633,8 @@ TEST(DistributedProtocol, TruncatedRequestsNeverKillAShard) {
     message.destination = shard.id();
     message.type =
         static_cast<std::uint32_t>(crowd::MessageType::kShardRequest);
-    message.payload.assign(wire.begin(),
-                           wire.begin() + static_cast<std::ptrdiff_t>(len));
+    message.payload = std::vector<std::uint8_t>(
+        wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_NO_THROW(shard.on_message(message)) << len;
   }
   EXPECT_EQ(shard.malformed_messages(), wire.size());
@@ -918,8 +918,8 @@ TEST(DistributedProtocol, BatchFuzzedAtEveryByteNeverKillsAShard) {
     message.destination = shard.id();
     message.type =
         static_cast<std::uint32_t>(crowd::MessageType::kShardRequest);
-    message.payload.assign(wire.begin(),
-                           wire.begin() + static_cast<std::ptrdiff_t>(len));
+    message.payload = std::vector<std::uint8_t>(
+        wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_NO_THROW(shard.on_message(message)) << "truncate " << len;
   }
   // Every strict prefix dies in a decoder (envelope, batch shell, or nested
@@ -951,7 +951,7 @@ TEST(DistributedProtocol, BatchFuzzedAtEveryByteNeverKillsAShard) {
     message.type =
         static_cast<std::uint32_t>(crowd::MessageType::kShardRequest);
     message.payload = wire;
-    message.payload[i] ^= 0xFF;
+    message.payload.mutable_bytes()[i] ^= 0xFF;
     EXPECT_NO_THROW(shard.on_message(message)) << "corrupt " << i;
   }
 }

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/network.h"
@@ -185,7 +186,56 @@ TEST(FaultTransport, DuplicateDeliversTheMessageTwice) {
   // sent == delivered + losses balanced for conservation checks.
   EXPECT_EQ(faulty.stats().messages_sent, 2u);
   EXPECT_EQ(faulty.stats().messages_delivered, 2u);
+
+  // A shared payload's duplicate shares it too: both deliveries read the
+  // sender's buffer, and the byte rails count it at full size twice.
+  const Payload shared = Payload::shared({4, 5, 6, 7});
+  faulty.send(Message{1, 5, 43, shared});
+  rig.sim.run();
+  ASSERT_EQ(node.received.size(), 4u);
+  EXPECT_EQ(faulty.fault_stats().duplicates, 2u);
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(node.received[i].type, 43u);
+    EXPECT_EQ(node.received[i].payload.data(), shared.data()) << i;
+  }
+  EXPECT_EQ(shared, (std::vector<std::uint8_t>{4, 5, 6, 7}));
+  EXPECT_EQ(faulty.stats().bytes_sent, 2u * 3u + 2u * 4u);
+  EXPECT_EQ(faulty.stats().bytes_delivered, 2u * 3u + 2u * 4u);
 }
+
+/// Bits that differ between `original` and `payload` (equal sizes).
+int flipped_bits(const std::vector<std::uint8_t>& original,
+                 const Payload& payload) {
+  int flipped = 0;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    flipped += std::popcount(static_cast<unsigned>(original[i] ^ payload[i]));
+  }
+  return flipped;
+}
+
+/// A payload shared by two messages, 1 -> 6 and 1 -> 7, over a schedule that
+/// faults only the 1 -> 6 link: the rig for checking that a fault changes the
+/// faulted recipient's copy and never the shared buffer.
+struct SharedFanOut {
+  explicit SharedFanOut(const LinkFaults& faulted_link,
+                        const std::vector<std::uint8_t>& bytes)
+      : sent(Payload::shared(bytes)) {
+    FaultSchedule schedule;
+    schedule.links[{1, 6}] = faulted_link;
+    faulty.emplace(rig.net, schedule);
+    faulty->attach(6, faulted);
+    faulty->attach(7, clean);
+    faulty->send(Message{1, 6, 1, sent});
+    faulty->send(Message{1, 7, 1, sent});
+    rig.sim.run();
+  }
+
+  RecordingNode faulted;  // attached nodes outlive the transports
+  RecordingNode clean;
+  Payload sent;
+  Rig rig;
+  std::optional<FaultInjectionTransport> faulty;
+};
 
 TEST(FaultTransport, CorruptionFlipsExactlyOneBit) {
   Rig rig;
@@ -208,6 +258,18 @@ TEST(FaultTransport, CorruptionFlipsExactlyOneBit) {
         static_cast<unsigned>(original[i] ^ mutated[i]));
   }
   EXPECT_EQ(flipped, 1);
+
+  // A shared payload: the flip lands in the faulted recipient's copy only.
+  LinkFaults corrupt;
+  corrupt.corrupt_probability = 1.0;
+  SharedFanOut fan(corrupt, original);
+  ASSERT_EQ(fan.faulted.received.size(), 1u);
+  ASSERT_EQ(fan.clean.received.size(), 1u);
+  EXPECT_EQ(fan.faulty->fault_stats().corruptions, 1u);
+  ASSERT_EQ(fan.faulted.received[0].payload.size(), original.size());
+  EXPECT_EQ(flipped_bits(original, fan.faulted.received[0].payload), 1);
+  EXPECT_EQ(fan.clean.received[0].payload, original);
+  EXPECT_EQ(fan.sent, original);
 }
 
 TEST(FaultTransport, TruncationShortensThePayload) {
@@ -223,6 +285,18 @@ TEST(FaultTransport, TruncationShortensThePayload) {
   ASSERT_EQ(node.received.size(), 1u);
   EXPECT_EQ(faulty.fault_stats().truncations, 1u);
   EXPECT_LT(node.received[0].payload.size(), 8u);
+
+  // A shared payload: only the faulted recipient's copy is shorter.
+  LinkFaults truncate;
+  truncate.truncate_probability = 1.0;
+  const std::vector<std::uint8_t> original = {1, 2, 3, 4, 5, 6, 7, 8};
+  SharedFanOut fan(truncate, original);
+  ASSERT_EQ(fan.faulted.received.size(), 1u);
+  ASSERT_EQ(fan.clean.received.size(), 1u);
+  EXPECT_EQ(fan.faulty->fault_stats().truncations, 1u);
+  EXPECT_LT(fan.faulted.received[0].payload.size(), original.size());
+  EXPECT_EQ(fan.clean.received[0].payload, original);
+  EXPECT_EQ(fan.sent, original);
 }
 
 TEST(FaultTransport, PartitionWindowSeversBothDirectionsThenHeals) {

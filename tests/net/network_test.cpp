@@ -21,7 +21,7 @@ Message make(NodeId from, NodeId to, std::uint32_t type = 1) {
   m.source = from;
   m.destination = to;
   m.type = type;
-  m.payload = {1, 2, 3};
+  m.payload = std::vector<std::uint8_t>{1, 2, 3};
   return m;
 }
 

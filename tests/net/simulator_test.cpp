@@ -129,8 +129,8 @@ Message id_message(std::uint64_t id) {
   Message message;
   message.source = 0;
   message.destination = 1;
-  message.payload.resize(sizeof(id));
-  std::memcpy(message.payload.data(), &id, sizeof(id));
+  message.payload.mutable_bytes().resize(sizeof(id));
+  std::memcpy(message.payload.mutable_bytes().data(), &id, sizeof(id));
   return message;
 }
 
