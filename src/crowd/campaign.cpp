@@ -74,20 +74,15 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   server_config.collection_window_seconds = session.collection_window_seconds;
   server_config.num_objects = N;
   server_config.warm_start = config.warm_start;
-  // Elastic campaigns pick the server type for the *largest* scheduled shard
-  // count; each round then resizes down/up before it opens. Round outcomes
-  // are bitwise identical for every K at equal canonical block size, so the
-  // knobs only change how the service scales.
-  std::size_t max_shards = session.num_shards;
-  for (const std::size_t k : config.shard_schedule) {
-    max_shards = std::max(max_shards, k);
-  }
-  server_config.num_shards = max_shards;
+  // Elastic campaigns resize the server before each round opens. Round
+  // outcomes are bitwise identical for every K at equal canonical block
+  // size, so the knobs only change how the service scales.
+  server_config.num_shards = session.num_shards;
   server_config.stats_block_size = session.stats_block_size;
   server_config.ingest_threads = session.ingest_threads;
-  RoundServer server(server_config,
-                     truth::make_method(session.method, session.convergence),
-                     network);
+  ShardedServer server(server_config,
+                       truth::make_method(session.method, session.convergence),
+                       network);
 
   std::vector<std::unique_ptr<UserDevice>> devices;
   std::vector<net::NodeId> user_ids;

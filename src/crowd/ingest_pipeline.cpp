@@ -38,10 +38,12 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   // empty queue: the check above saw every handed-over report processed);
   // the queue mutex on the first hand-off of the new round publishes it to
   // the worker.
-  if (workers_.size() != num_workers || shards_.size() != num_shards) {
+  if (workers_.size() != num_workers || ingestors_.size() != num_shards) {
     stop_workers();
-    shards_.clear();
-    shards_.resize(num_shards);
+    ingestors_.clear();
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      ingestors_.push_back(std::make_unique<ShardIngestor>());
+    }
     workers_.clear();
     workers_.reserve(num_workers);
     for (std::size_t w = 0; w < num_workers; ++w) {
@@ -51,9 +53,6 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   }
 
   plan_ = plan;
-  num_objects_ = num_objects;
-  round_ = round;
-  labels_ = labels;
   worker_of_shard_.resize(num_shards);
   for (std::size_t w = 0; w < num_workers; ++w) {
     Worker& worker = *workers_[w];
@@ -67,14 +66,8 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
     worker.distinct.store(0, std::memory_order_relaxed);
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardState& shard = shards_[s];
-    if (shard.builder == nullptr) {
-      shard.builder = std::make_unique<data::ObservationMatrixBuilder>(
-          plan_.shard_num_users(s), num_objects_);
-    } else {
-      shard.builder->reshape(plan_.shard_num_users(s), num_objects_);
-    }
-    shard.stats = ShardIngestStats{};
+    ingestors_[s]->begin_round(plan_.shard_num_users(s), plan_.user_begin(s),
+                               num_objects, round, labels);
   }
   for (std::size_t w = 0; w < num_workers; ++w) {
     if (!workers_[w]->thread.joinable()) {
@@ -86,24 +79,22 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
 
 void IngestPipeline::submit(std::size_t row,
                             std::span<const std::uint8_t> payload,
-                            bool is_label) {
-  stage(row, payload, is_label, /*copy=*/true);
+                            bool /*is_label*/) {
+  stage(row, payload, /*copy=*/true);
 }
 
 void IngestPipeline::submit_view(std::size_t row,
                                  std::span<const std::uint8_t> payload,
-                                 bool is_label) {
-  stage(row, payload, is_label, /*copy=*/false);
+                                 bool /*is_label*/) {
+  stage(row, payload, /*copy=*/false);
 }
 
 void IngestPipeline::stage(std::size_t row,
-                           std::span<const std::uint8_t> payload,
-                           bool is_label, bool copy) {
+                           std::span<const std::uint8_t> payload, bool copy) {
   Record record;
   record.shard = plan_.shard_of_user(row);
   record.local_user = row - plan_.user_begin(record.shard);
   record.size = payload.size();
-  record.is_label = is_label;
   Worker& worker = *workers_[worker_of_shard_[record.shard]];
   Batch& batch = worker.staged;
   if (copy) {
@@ -166,17 +157,17 @@ std::size_t IngestPipeline::distinct_reporters() const {
 
 std::vector<ShardIngestStats> IngestPipeline::shard_stats() const {
   std::vector<ShardIngestStats> stats;
-  stats.reserve(shards_.size());
-  for (const ShardState& shard : shards_) stats.push_back(shard.stats);
+  stats.reserve(ingestors_.size());
+  for (const auto& ingestor : ingestors_) stats.push_back(ingestor->stats());
   return stats;
 }
 
 std::vector<data::ObservationMatrix> IngestPipeline::finalize_shards() {
   drain();
   std::vector<data::ObservationMatrix> matrices;
-  matrices.reserve(shards_.size());
-  for (ShardState& shard : shards_) {
-    matrices.push_back(shard.builder->finalize());
+  matrices.reserve(ingestors_.size());
+  for (const auto& ingestor : ingestors_) {
+    matrices.push_back(ingestor->finalize());
   }
   return matrices;
 }
@@ -212,54 +203,21 @@ void IngestPipeline::process_record(Worker& worker, const Batch& batch,
           ? std::span<const std::uint8_t>(record.external, record.size)
           : std::span<const std::uint8_t>(batch.arena).subspan(record.offset,
                                                                record.size);
-  ShardState& shard = shards_[record.shard];
-  data::ObservationMatrixBuilder& builder = *shard.builder;
-  if (record.is_label) {
-    LabelReport report;
-    try {
-      report = LabelReport::decode(payload);
-    } catch (const DecodeError&) {
-      ++shard.stats.rejected_reports;
-      return;
-    }
-    if (builder.has_row(record.local_user)) {
-      ++shard.stats.duplicates_ignored;
-      return;
-    }
-    // Label-range validation and the policy's k-RR sampling run here, on the
-    // worker that owns the shard — never on the network thread. The stream is
-    // keyed by the GLOBAL row, so the bits match serial ingestion exactly.
-    const std::size_t global_user =
-        plan_.user_begin(record.shard) + record.local_user;
-    const LabelIngestOutcome outcome =
-        ingest_label_claims(builder, record.local_user, global_user, report,
-                            num_objects_, labels_, round_);
-    if (outcome.malformed) ++shard.stats.malformed_reports;
-    shard.stats.invalid_labels += outcome.invalid_labels;
-  } else {
-    Report report;
-    try {
-      report = Report::decode(payload);
-    } catch (const DecodeError&) {
-      // The header peeked fine (it routed here) but the claim arrays are
-      // garbage: count it on the owning shard, exactly once.
-      ++shard.stats.rejected_reports;
-      return;
-    }
-    if (builder.has_row(record.local_user)) {
-      ++shard.stats.duplicates_ignored;
-      return;
-    }
-    if (ingest_report_claims(builder, record.local_user, report,
-                             num_objects_)) {
-      ++shard.stats.malformed_reports;
-    }
+  ShardIngestor& ingestor = *ingestors_[record.shard];
+  // The producer routed on this header, so it reads; the ingestor takes the
+  // fields after the round varint.
+  const std::optional<ReportHeader> header = Report::peek_header(payload);
+  if (!header) {
+    ingestor.reject();
+    return;
   }
-  ++shard.stats.reports_received;
-  // Uncontended mirror for the coordinator's early-close poll; its own cache
-  // line, written only by this worker.
-  worker.distinct.store(worker.distinct.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
+  if (ingestor.ingest(record.local_user,
+                      payload.subspan(header->round_bytes))) {
+    // Uncontended mirror for the coordinator's early-close poll; its own
+    // cache line, written only by this worker.
+    worker.distinct.store(worker.distinct.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+  }
 }
 
 void IngestPipeline::stop_workers() {

@@ -1,15 +1,16 @@
 // Parallel pipelined report ingestion: the network thread only *routes* —
 // an O(1) header peek resolves the owning shard — and stages the raw encoded
 // report in its worker's batch; worker threads run the expensive half of
-// ingestion (full decode, claim sanitization, dedup, row append) against the
-// shard builders they own.
+// ingestion (full decode, claim sanitization, dedup, row append) through the
+// ShardIngestors of the shards they own.
 //
 // Topology: K shards (data::ShardPlan) are split contiguously across
 // W = min(ingest workers, K) worker threads. Each worker has ONE queue fed
-// by the single producer and exclusively owns the builders of its shard
-// range, so the hot path needs no locks around builder state and no shared
-// atomics: per-shard ingestion statistics are plain worker-local counters,
-// merged after the drain barrier at round close.
+// by the single producer and exclusively owns the ingestors of its shard
+// range, so the hot path needs no locks around ingestion state and no shared
+// atomics: each shard's ingestion statistics are plain counters of its own
+// ingestor (on its own cache lines), read after the drain barrier at round
+// close.
 //
 // Batched hand-off: the producer stages each worker's reports in one batch —
 // a byte arena holding the payloads submit() copies, plus one fixed-size
@@ -40,7 +41,6 @@
 
 #include "common/mpsc_queue.h"
 #include "crowd/server.h"
-#include "data/builder.h"
 #include "data/sharding.h"
 
 namespace dptd::crowd {
@@ -66,14 +66,15 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Arms the pipeline for a round: shard builders shaped to `plan`, counters
-  /// zeroed, workers started (re-used across rounds when the shard/worker
-  /// topology is unchanged — the builder storage is recycled via reshape()).
+  /// Arms the pipeline for a round: one ShardIngestor per shard of `plan`,
+  /// counters zeroed, workers started (re-used across rounds when the
+  /// shard/worker topology is unchanged — the builder storage is recycled).
   /// The previous round, if any, must have been drained (finalize_shards or
   /// drain); this is the caller's round-close barrier, and begin_round
   /// throws std::invalid_argument, changing nothing, while any report of the
   /// previous round is still staged or being ingested. Categorical rounds
-  /// additionally pass the round number and the label policy: label-range
+  /// additionally pass the round number and the label policy, which also
+  /// selects the upload kind every report decodes as: label-range
   /// validation and the policy's optional k-RR sampling run on the worker
   /// that owns the report's shard (never on the producer/network thread),
   /// seeded by (round, global row) so the bits match serial ingestion for
@@ -86,9 +87,9 @@ class IngestPipeline {
   /// matrix row `row` in the owning worker's batch, copying the bytes into
   /// the batch arena, so the caller's buffer is free once submit returns (the
   /// caller has already peeked the header and resolved row + round, and
-  /// verified the message kind matches the round — `is_label` selects the
-  /// LabelReport decode path on the worker). Hands the batch over when it is
-  /// full, blocking while the worker's queue is full.
+  /// verified the message kind matches the round's label policy; `is_label`
+  /// is unused). Hands the batch over when it is full, blocking while the
+  /// worker's queue is full.
   void submit(std::size_t row, std::span<const std::uint8_t> payload,
               bool is_label = false);
   /// Zero-copy variant: stages a view of `payload`, which must outlive the
@@ -117,7 +118,7 @@ class IngestPipeline {
 
   const data::ShardPlan& plan() const { return plan_; }
   std::size_t num_workers() const { return workers_.size(); }
-  std::size_t num_shards() const { return shards_.size(); }
+  std::size_t num_shards() const { return ingestors_.size(); }
 
  private:
   /// One staged report: `size` encoded bytes at `external` (submit_view) or,
@@ -129,7 +130,6 @@ class IngestPipeline {
     const std::uint8_t* external = nullptr;
     std::size_t offset = 0;
     std::size_t size = 0;
-    bool is_label = false;  ///< decode as LabelReport instead of Report
   };
 
   /// The unit of hand-off: up to batch_size_ records, in submission order,
@@ -137,13 +137,6 @@ class IngestPipeline {
   struct Batch {
     std::vector<std::uint8_t> arena;
     std::vector<Record> records;
-  };
-
-  /// Builder + round counters of one shard; written only by the owning
-  /// worker while the round is open, read by the coordinator after drain().
-  struct ShardState {
-    std::unique_ptr<data::ObservationMatrixBuilder> builder;
-    ShardIngestStats stats;
   };
 
   /// One worker thread: a bounded queue of batches, its thread, the batch
@@ -165,7 +158,7 @@ class IngestPipeline {
   /// Routes `row` to its worker and appends its record (and, when `copy`,
   /// its bytes) to that worker's staged batch; hands a full batch over.
   void stage(std::size_t row, std::span<const std::uint8_t> payload,
-             bool is_label, bool copy);
+             bool copy);
   /// Pushes the worker's staged batch, if any, onto its queue (blocking while
   /// the queue is full) and starts an empty one.
   void hand_off(Worker& worker);
@@ -178,10 +171,9 @@ class IngestPipeline {
   /// Reports per hand-off: min(max_batch, queue_capacity).
   std::size_t batch_size_ = 0;
   data::ShardPlan plan_;
-  std::size_t num_objects_ = 0;
-  std::uint64_t round_ = 0;
-  LabelIngestPolicy labels_;
-  std::vector<ShardState> shards_;
+  /// One per shard, each on its own allocation: written only by the owning
+  /// worker while the round is open, read by the coordinator after drain().
+  std::vector<std::unique_ptr<ShardIngestor>> ingestors_;
   std::vector<std::size_t> worker_of_shard_;
   std::vector<std::unique_ptr<Worker>> workers_;
 

@@ -1,6 +1,7 @@
 #include "crowd/server.h"
 
 #include <cmath>
+#include <type_traits>
 
 #include "categorical/randomized_response.h"
 #include "common/check.h"
@@ -38,6 +39,21 @@ bool ingest_report_claims(data::ObservationMatrixBuilder& builder,
   return true;
 }
 
+namespace {
+
+/// What ingest_label_claims had to drop or rewrite.
+struct LabelIngestOutcome {
+  bool malformed = false;          ///< array mismatch / out-of-range objects
+  std::size_t invalid_labels = 0;  ///< claims with label >= num_labels
+};
+
+/// The categorical twin of ingest_report_claims: validates every claim's
+/// object range AND label range (out-of-alphabet labels are dropped and
+/// counted, never aborting the report), optionally applies the policy's
+/// server-side k-RR sampling (seeded by (round, global_user), so the result
+/// is identical on every ingestion mode), and ingests the surviving claims
+/// as exact label-id doubles under `local_user`. The caller must have
+/// dedup-checked `local_user` already.
 LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
                                        std::size_t local_user,
                                        std::size_t global_user,
@@ -79,6 +95,66 @@ LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
   }
   builder.add_row(local_user, objects, values);
   return outcome;
+}
+
+}  // namespace
+
+void ShardIngestor::begin_round(std::size_t num_users, std::size_t user_base,
+                                std::size_t num_objects, std::uint64_t round,
+                                const LabelIngestPolicy& labels) {
+  if (builder_.has_value()) {
+    builder_->reshape(num_users, num_objects);
+  } else {
+    builder_.emplace(num_users, num_objects);
+  }
+  user_base_ = user_base;
+  num_objects_ = num_objects;
+  round_ = round;
+  labels_ = labels;
+  stats_ = {};
+}
+
+bool ShardIngestor::ingest(std::size_t row,
+                           std::span<const std::uint8_t> fields) {
+  return labels_.enabled() ? ingest_as<LabelReport>(row, fields)
+                           : ingest_as<Report>(row, fields);
+}
+
+template <typename Upload>
+bool ShardIngestor::ingest_as(std::size_t row,
+                              std::span<const std::uint8_t> fields) {
+  // Decode before dedup: an undecodable re-send is a reject, not a
+  // duplicate, on every path.
+  Upload upload;
+  try {
+    upload = Upload::decode_fields(round_, fields);
+  } catch (const DecodeError&) {
+    ++stats_.rejected_reports;
+    return false;
+  }
+  if (builder_->has_row(row)) {
+    ++stats_.duplicates_ignored;
+    return false;
+  }
+  if constexpr (std::is_same_v<Upload, LabelReport>) {
+    // The sampling stream is keyed by the GLOBAL row, so the ingested bits
+    // are the same for every shard count.
+    const LabelIngestOutcome outcome =
+        ingest_label_claims(*builder_, row, user_base_ + row, upload,
+                            num_objects_, labels_, round_);
+    if (outcome.malformed) ++stats_.malformed_reports;
+    stats_.invalid_labels += outcome.invalid_labels;
+  } else {
+    if (ingest_report_claims(*builder_, row, upload, num_objects_)) {
+      ++stats_.malformed_reports;
+    }
+  }
+  ++stats_.reports_received;
+  return true;
+}
+
+data::ObservationMatrix ShardIngestor::finalize() {
+  return builder_->finalize();
 }
 
 void ParticipantIndex::build(const std::vector<net::NodeId>& participants) {
@@ -189,195 +265,6 @@ bool aggregate_and_publish(const ServerConfig& config,
   fan_out(network, config.id, participants, MessageType::kResultPublish,
           publish.encode());
   return true;
-}
-
-CrowdServer::CrowdServer(ServerConfig config,
-                         std::unique_ptr<truth::TruthDiscovery> method,
-                         net::Transport& network)
-    : config_(config), method_(std::move(method)), network_(&network) {
-  DPTD_REQUIRE(method_ != nullptr, "CrowdServer: null truth-discovery method");
-  DPTD_REQUIRE(config_.lambda2 > 0.0, "CrowdServer: lambda2 must be positive");
-  DPTD_REQUIRE(config_.collection_window_seconds > 0.0,
-               "CrowdServer: collection window must be positive");
-  DPTD_REQUIRE(config_.num_objects > 0,
-               "CrowdServer: num_objects must be positive");
-  DPTD_REQUIRE(config_.stats_block_size > 0,
-               "CrowdServer: stats_block_size must be positive");
-  if (config_.labels.enabled()) {
-    DPTD_REQUIRE(
-        config_.labels.rr_keep_probability <= 1.0 &&
-            config_.labels.rr_keep_probability >
-                1.0 / static_cast<double>(config_.labels.num_labels),
-        "CrowdServer: rr_keep_probability must be in (1/num_labels, 1]");
-  }
-  network_->attach(config_.id, *this);
-}
-
-void CrowdServer::start_round(std::uint64_t round,
-                              const std::vector<net::NodeId>& user_ids) {
-  DPTD_REQUIRE(!round_open_, "CrowdServer: a round is already open");
-  DPTD_REQUIRE(!user_ids.empty(), "CrowdServer: no participants");
-  index_.build(user_ids);  // refuses a repeated id before any state changes
-  current_round_ = round;
-  round_open_ = true;
-  participants_ = user_ids;
-  builder_.emplace(participants_.size(), config_.num_objects);
-  rejected_ = 0;
-  duplicates_ = 0;
-  malformed_ = 0;
-  invalid_labels_ = 0;
-
-  TaskAnnounce task;
-  task.round = round;
-  task.lambda2 = config_.lambda2;
-  task.num_objects = config_.num_objects;
-  fan_out(*network_, config_.id, user_ids, MessageType::kTaskAnnounce,
-          task.encode());
-
-  network_->schedule(config_.collection_window_seconds,
-                                 [this] { finish_round(); });
-}
-
-void CrowdServer::on_message(const net::Message& message) {
-  const MessageType type = static_cast<MessageType>(message.type);
-  if (type != MessageType::kReport && type != MessageType::kLabelReport) {
-    return;
-  }
-  if (!round_open_) return;  // straggler after deadline
-  // A categorical round ingests kLabelReport only; a continuous round
-  // kReport only. The wrong kind is a protocol violation — drop and count,
-  // exactly like a byzantine user id.
-  if (type == MessageType::kReport) {
-    if (config_.labels.enabled()) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": continuous report in a categorical round, dropped";
-      ++rejected_;
-      return;
-    }
-    Report report;
-    try {
-      report = Report::decode(message.payload);
-    } catch (const DecodeError& error) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping undecodable report (" << error.what()
-                    << ")";
-      ++rejected_;
-      return;
-    }
-    if (report.round != current_round_) return;
-    ingest_report(report);
-  } else {
-    if (!config_.labels.enabled()) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": label report in a continuous round, dropped";
-      ++rejected_;
-      return;
-    }
-    LabelReport report;
-    try {
-      report = LabelReport::decode(message.payload);
-    } catch (const DecodeError& error) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping undecodable label report (" << error.what()
-                    << ")";
-      ++rejected_;
-      return;
-    }
-    if (report.round != current_round_) return;
-    ingest_label_report(report);
-  }
-  if (builder_->rows_ingested() == participants_.size()) {
-    // Every *distinct* participant answered; no need to wait out the window
-    // (duplicate re-sends never inflate this count). The deadline event
-    // still fires but becomes a no-op because round_open_ is false.
-    finish_round();
-  }
-}
-
-void CrowdServer::ingest_report(const Report& report) {
-  // A byzantine user id must not kill the server: drop the report, count it,
-  // and keep collecting (consistent with the out-of-range-object handling).
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row) {
-    DPTD_LOG_WARN << "round " << current_round_
-                  << ": dropping report from unknown user id "
-                  << report.user_id;
-    ++rejected_;
-    return;
-  }
-  const std::size_t user = *row;
-  if (builder_->has_row(user)) {
-    ++duplicates_;
-    return;
-  }
-
-  if (ingest_report_claims(*builder_, user, report, config_.num_objects)) {
-    DPTD_LOG_WARN << "round " << current_round_ << ": user " << user
-                  << " sent malformed claims, ingested the valid subset";
-    ++malformed_;
-  }
-}
-
-void CrowdServer::ingest_label_report(const LabelReport& report) {
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row) {
-    DPTD_LOG_WARN << "round " << current_round_
-                  << ": dropping label report from unknown user id "
-                  << report.user_id;
-    ++rejected_;
-    return;
-  }
-  const std::size_t user = *row;
-  if (builder_->has_row(user)) {
-    ++duplicates_;
-    return;
-  }
-
-  // The matrix row doubles as the global user index for the sampling stream;
-  // sharded paths derive the same value as shard base + local row.
-  const LabelIngestOutcome outcome = ingest_label_claims(
-      *builder_, user, user, report, config_.num_objects, config_.labels,
-      current_round_);
-  if (outcome.malformed) {
-    DPTD_LOG_WARN << "round " << current_round_ << ": user " << user
-                  << " sent malformed label claims, ingested the valid subset";
-    ++malformed_;
-  }
-  invalid_labels_ += outcome.invalid_labels;
-}
-
-void CrowdServer::finish_round() {
-  if (!round_open_) return;
-  round_open_ = false;
-
-  RoundOutcome outcome;
-  outcome.round = current_round_;
-  outcome.reports_expected = participants_.size();
-  outcome.reports_received = builder_->rows_ingested();
-  outcome.reports_rejected = rejected_;
-  outcome.duplicates_ignored = duplicates_;
-  outcome.shard_stats = {ShardIngestStats{builder_->rows_ingested(),
-                                          duplicates_, malformed_, 0,
-                                          invalid_labels_}};
-
-  if (builder_->rows_ingested() == 0) {
-    DPTD_LOG_WARN << "round " << current_round_ << ": no reports received";
-    outcomes_.push_back(std::move(outcome));
-    return;
-  }
-
-  // The matrix was assembled incrementally as reports arrived; the deadline
-  // only moves the accumulated rows into the dual-indexed form. The
-  // single-shard view runs the same sufficient-statistics engine
-  // ShardedServer reduces across K shards: at equal stats_block_size the two
-  // servers publish bitwise-identical truths.
-  const data::ObservationMatrix obs = builder_->finalize();
-  aggregate_and_publish(config_, *method_, *network_, current_round_,
-                        participants_,
-                        data::ShardedMatrix::single(obs,
-                                                    config_.stats_block_size),
-                        warm_, outcome);
-  outcomes_.push_back(std::move(outcome));
 }
 
 }  // namespace dptd::crowd

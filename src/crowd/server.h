@@ -1,23 +1,23 @@
-// The untrusted aggregation server: announces tasks with the lambda2
-// hyper-parameter, collects perturbed reports until a deadline, runs a
-// truth-discovery method over whatever arrived, and publishes results. The
-// announce and the ResultPublish are each encoded once and fanned out
-// (crowd::fan_out) as messages sharing that buffer.
+// The untrusted aggregation server's building blocks: its configuration and
+// round outcome, the per-shard ingestor every ingest path runs, the roster
+// index, and the round-close tail. crowd::ShardedServer assembles them into
+// the in-process server (K = 1 without ingest workers is the flat path);
+// dist::Coordinator and dist::ShardNode use them across processes.
 //
 // Reports are ingested as they arrive: each one is decoded, sanitized, and
-// folded into an incremental ObservationMatrixBuilder (deduplicated by user
-// id), so the deadline event only finalizes the matrix instead of assembling
-// it in one burst. Malformed or byzantine reports (unknown user id,
-// undecodable payload) are dropped and counted — one bad report never kills
-// the server.
+// folded into its shard's incremental ObservationMatrixBuilder (deduplicated
+// by user row), so the deadline event only finalizes the matrix instead of
+// assembling it in one burst. Malformed or byzantine reports (unknown user
+// id, undecodable payload) are dropped and counted — one bad report never
+// kills the server.
 //
 // The server never sees raw readings or per-user variances — only perturbed
 // reports — matching the paper's threat model.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,15 +30,14 @@
 
 namespace dptd::crowd {
 
-/// Categorical-round ingestion policy, shared verbatim by CrowdServer, the
-/// ShardedServer serial path, and the IngestPipeline workers so every
-/// ingestion mode applies identical mechanisms and lands identical bits.
+/// Categorical-round ingestion policy. Every ShardIngestor of a round applies
+/// the same one, so every ingestion mode lands identical bits.
 struct LabelIngestPolicy {
   /// Label alphabet size of the round; 0 (or 1) means a continuous campaign
   /// and disables label ingestion entirely.
   std::size_t num_labels = 0;
-  /// Server-side empirical k-RR sampling applied per ingested claim (the
-  /// pipeline-side mechanism: it runs on the ingest worker that owns the
+  /// Server-side empirical k-RR sampling applied per ingested claim by the
+  /// shard's ingestor (when pipelined, on the ingest worker that owns the
   /// user's shard, never on the network thread). 1.0 disables it — clients
   /// that already perturbed locally are the normal LDP deployment.
   double rr_keep_probability = 1.0;
@@ -61,20 +60,19 @@ struct ServerConfig {
   /// truths/weights (honored by iterative methods; no-op for baselines and
   /// for the first round).
   bool warm_start = false;
-  /// Ingestion shards for ShardedServer (clamped to the number of canonical
-  /// user blocks each round). CrowdServer, the single-server path, ignores
-  /// it. Aggregation results are bitwise identical for every value.
+  /// Ingestion shards (clamped to the number of canonical user blocks each
+  /// round); 1 is the flat, single-shard server. Aggregation results are
+  /// bitwise identical for every value.
   std::size_t num_shards = 1;
   /// Canonical sufficient-statistics block size of the sharded aggregation
   /// path; runs compare bitwise only at equal block sizes.
   std::size_t stats_block_size = data::kDefaultStatsBlockSize;
-  /// Ingestion worker threads for ShardedServer's parallel pipeline
-  /// (crowd::IngestPipeline). 0 keeps ingestion synchronous on the network
-  /// thread; N >= 1 routes reports onto bounded queues drained by
-  /// min(N, num_shards) workers. The finalized matrices — and hence the
-  /// published truths — are bitwise identical for every value: each shard's
-  /// queue is FIFO from the single network thread, so per-shard ingestion
-  /// order matches the serial path exactly. CrowdServer ignores it.
+  /// Ingestion worker threads (crowd::IngestPipeline). 0 keeps ingestion
+  /// synchronous on the network thread; N >= 1 routes reports onto bounded
+  /// queues drained by min(N, num_shards) workers. The finalized matrices —
+  /// and hence the published truths and the counters — are identical for
+  /// every value: each shard's queue is FIFO from the single network thread,
+  /// so per-shard ingestion order matches the serial path exactly.
   std::size_t ingest_threads = 0;
   /// Categorical campaign knobs; labels.enabled() switches the round to
   /// kLabelReport ingestion (kReport uploads are then rejected, and vice
@@ -82,15 +80,14 @@ struct ServerConfig {
   LabelIngestPolicy labels;
 };
 
-/// Per-shard ingestion accounting for one round. CrowdServer reports one
-/// entry (the whole fleet), ShardedServer one per ingestion shard, so the
-/// outcome schema — including the malformed counter — is uniform across the
-/// scaling knob.
+/// Per-shard ingestion accounting for one round, kept by the shard's
+/// ShardIngestor: one entry per ingestion shard (one at K = 1), so the outcome
+/// schema is uniform across the scaling knob and across ingest paths.
 struct ShardIngestStats {
   std::size_t reports_received = 0;   ///< distinct users landed on this shard
   std::size_t duplicates_ignored = 0; ///< re-sends routed to this shard
   std::size_t malformed_reports = 0;  ///< reports needing claim sanitization
-  std::size_t rejected_reports = 0;   ///< undecodable after routing (pipeline)
+  std::size_t rejected_reports = 0;   ///< undecodable after routing
   std::size_t invalid_labels = 0;     ///< label claims >= num_labels, dropped
 };
 
@@ -100,8 +97,9 @@ struct RoundOutcome {
   std::size_t reports_expected = 0;
   std::size_t reports_rejected = 0;   ///< dropped: unknown user / undecodable
   std::size_t duplicates_ignored = 0; ///< re-sends from already-counted users
-  /// Per-shard rollup (one entry on CrowdServer); the scalar counters above
-  /// are the sums across shards plus unroutable rejects.
+  /// Per-shard rollup (one entry at K = 1); the scalar counters above are the
+  /// sums across shards plus the rejects no shard saw (unknown user,
+  /// undecodable header, wrong kind).
   std::vector<ShardIngestStats> shard_stats;
   truth::Result result;
   double aggregation_seconds = 0.0;  ///< wall-clock spent in truth discovery
@@ -111,41 +109,71 @@ struct RoundOutcome {
 /// Sanitizes a decoded report's claim list exactly like the batch assembler
 /// (out-of-range objects and non-finite values are dropped, mismatched array
 /// tails truncated) and ingests the valid subset into `builder` under
-/// `local_user`. Shared by CrowdServer and ShardedServer so the two ingestion
-/// paths can never diverge. Returns true when anything had to be dropped
-/// (a malformed report); the clean path ingests the decoded arrays directly,
-/// no copy. The caller must have dedup-checked `local_user` already.
+/// `local_user`: ShardIngestor's continuous step, and the serial reference
+/// the pipeline tests compare against. Returns true when anything had to be
+/// dropped (a malformed report); the clean path ingests the decoded arrays
+/// directly, no copy. The caller must have dedup-checked `local_user`
+/// already.
 bool ingest_report_claims(data::ObservationMatrixBuilder& builder,
                           std::size_t local_user, const Report& report,
                           std::size_t num_objects);
 
-/// What ingest_label_claims had to drop or rewrite.
-struct LabelIngestOutcome {
-  bool malformed = false;          ///< array mismatch / out-of-range objects
-  std::size_t invalid_labels = 0;  ///< claims with label >= num_labels
-};
+/// One shard's ingestion for one round: the ObservationMatrixBuilder of its
+/// user rows, first-wins dedup, claim sanitizing under the round's
+/// LabelIngestPolicy, and the shard's ShardIngestStats. ShardedServer's
+/// inline path, every IngestPipeline worker and every dist::ShardNode run
+/// this one class, so every ingest path counts an upload alike. Callers route
+/// on the header and hand over an upload's fields with the local row they
+/// already resolved; the ingestor decodes on the shard.
+///
+/// Cache-line aligned: pipeline workers write their own shards' ingestors,
+/// and two ingestors never share a line.
+class alignas(64) ShardIngestor {
+ public:
+  /// Arms the ingestor for round `round`: `num_users` local rows, the first
+  /// of them global row `user_base` (the k-RR stream's key is user_base +
+  /// row), claims on objects [0, num_objects). Uploads decode as LabelReport
+  /// when `labels` is enabled, as Report otherwise. Zeroes the counters and
+  /// reuses the builder's storage across rounds.
+  void begin_round(std::size_t num_users, std::size_t user_base,
+                   std::size_t num_objects, std::uint64_t round,
+                   const LabelIngestPolicy& labels);
 
-/// The categorical twin of ingest_report_claims: validates every claim's
-/// object range AND label range (out-of-alphabet labels are dropped and
-/// counted, never aborting the report), optionally applies the policy's
-/// server-side k-RR sampling (seeded by (round, global_user), so the result
-/// is identical on every ingestion mode), and ingests the surviving claims
-/// as exact label-id doubles under `local_user`. Shared by CrowdServer, the
-/// ShardedServer serial path, and the pipeline workers. The caller must have
-/// dedup-checked `local_user` already.
-LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
-                                       std::size_t local_user,
-                                       std::size_t global_user,
-                                       const LabelReport& report,
-                                       std::size_t num_objects,
-                                       const LabelIngestPolicy& policy,
-                                       std::uint64_t round);
+  /// Ingests one upload for local row `row` of an armed ingestor. `fields`
+  /// are its bytes after the round varint — exactly a kReportBatch item.
+  /// Undecodable: one rejected report. A re-send of an ingested row: one
+  /// duplicate. Otherwise the sanitized claims land (counting a malformed
+  /// report or invalid labels when claims were dropped), and the call
+  /// returns true: a new distinct reporter.
+  bool ingest(std::size_t row, std::span<const std::uint8_t> fields);
+
+  /// Counts `count` uploads the caller refused before a row was resolved
+  /// (unreadable framing, wrong round or kind, id outside the roster slice).
+  void reject(std::size_t count = 1) { stats_.rejected_reports += count; }
+
+  const ShardIngestStats& stats() const { return stats_; }
+
+  /// Moves the ingested rows out as the shard's sub-matrix; the counters
+  /// stay until the next begin_round.
+  data::ObservationMatrix finalize();
+
+ private:
+  template <typename Upload>
+  bool ingest_as(std::size_t row, std::span<const std::uint8_t> fields);
+
+  std::optional<data::ObservationMatrixBuilder> builder_;
+  std::size_t user_base_ = 0;
+  std::size_t num_objects_ = 0;
+  std::uint64_t round_ = 0;
+  LabelIngestPolicy labels_;
+  ShardIngestStats stats_;
+};
 
 /// Maps a report's stable user/node id to its row in the round's observation
 /// matrix (= its position in the participants roster). The common dense
 /// roster [0, P) resolves by identity without a table; arbitrary rosters —
-/// partial fleets after churn — build a hash index. Shared by both servers so
-/// their ingestion semantics can never diverge.
+/// partial fleets after churn — build a hash index. ShardedServer and the
+/// Coordinator resolve global rows with it, each ShardNode its roster slice.
 class ParticipantIndex {
  public:
   /// Throws std::invalid_argument, leaving the index unchanged, when an id
@@ -181,12 +209,11 @@ std::vector<double> remap_warm_weights(
     const WarmState& warm, const std::vector<net::NodeId>& participants,
     std::size_t num_users);
 
-/// Round-close tail shared by CrowdServer and ShardedServer: object-coverage
-/// check over the (possibly sharded) matrix, warm-seed construction, the
-/// run_sharded aggregation call, the ResultPublish fan-out, and the
-/// warm-state update. Returns false when uncovered objects forced the round
-/// to skip aggregation. Keeping this in one place is what guarantees the two
-/// servers publish bitwise-identical outcomes.
+/// ShardedServer's round-close tail: object-coverage check over the sharded
+/// matrix, warm-seed construction, the run_sharded aggregation call, the
+/// ResultPublish fan-out, and the warm-state update. Returns false when
+/// uncovered objects forced the round to skip aggregation. The Coordinator
+/// mirrors its warm seed bit for bit.
 bool aggregate_and_publish(const ServerConfig& config,
                            truth::TruthDiscovery& method,
                            net::Transport& network,
@@ -194,45 +221,5 @@ bool aggregate_and_publish(const ServerConfig& config,
                            const std::vector<net::NodeId>& participants,
                            const data::ShardedMatrix& matrix, WarmState& warm,
                            RoundOutcome& outcome);
-
-class CrowdServer final : public net::Node {
- public:
-  CrowdServer(ServerConfig config, std::unique_ptr<truth::TruthDiscovery> method,
-              net::Transport& network);
-
-  void on_message(const net::Message& message) override;
-
-  /// Announces round `round` to `user_ids` and schedules the aggregation
-  /// deadline. Results are available from `outcomes()` after the simulator
-  /// drains. The server is persistent: call again for each round of a
-  /// campaign once the previous round has closed.
-  void start_round(std::uint64_t round,
-                   const std::vector<net::NodeId>& user_ids);
-
-  const std::vector<RoundOutcome>& outcomes() const { return outcomes_; }
-  const ServerConfig& config() const { return config_; }
-
- private:
-  void finish_round();
-  void ingest_report(const Report& report);
-  void ingest_label_report(const LabelReport& report);
-
-  ServerConfig config_;
-  std::unique_ptr<truth::TruthDiscovery> method_;
-  net::Transport* network_;
-
-  std::uint64_t current_round_ = 0;
-  bool round_open_ = false;
-  std::vector<net::NodeId> participants_;
-  ParticipantIndex index_;
-  /// Streaming ingestion state for the open round.
-  std::optional<data::ObservationMatrixBuilder> builder_;
-  std::size_t rejected_ = 0;
-  std::size_t duplicates_ = 0;
-  std::size_t malformed_ = 0;
-  std::size_t invalid_labels_ = 0;
-  WarmState warm_;
-  std::vector<RoundOutcome> outcomes_;
-};
 
 }  // namespace dptd::crowd

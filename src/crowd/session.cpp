@@ -37,12 +37,12 @@ SessionResult run_session(const data::Dataset& dataset,
   server_config.num_shards = config.num_shards;
   server_config.stats_block_size = config.stats_block_size;
   server_config.ingest_threads = config.ingest_threads;
-  // num_shards > 1 routes ingestion across K shard builders (and
+  // num_shards > 1 routes ingestion across K shard ingestors (and
   // ingest_threads > 0 pipelines it across workers); aggregation is bitwise
   // identical either way (same canonical block size).
-  RoundServer server(server_config,
-                     truth::make_method(config.method, config.convergence),
-                     network);
+  ShardedServer server(server_config,
+                       truth::make_method(config.method, config.convergence),
+                       network);
 
   // Behaviour assignment: adversaries take the lowest ids, dropouts the next
   // block, everyone else honest (deterministic, mirrors data::synthetic).

@@ -23,8 +23,8 @@ struct SessionConfig {
   double collection_window_seconds = 30.0;
   double mean_think_time_seconds = 0.5;
 
-  /// Ingestion/aggregation shards (> 1 selects crowd::ShardedServer; results
-  /// are bitwise identical for every value at equal stats_block_size).
+  /// Ingestion/aggregation shards of the crowd::ShardedServer (results are
+  /// bitwise identical for every value at equal stats_block_size).
   std::size_t num_shards = 1;
   /// Canonical sufficient-statistics block size for the sharded path.
   std::size_t stats_block_size = data::kDefaultStatsBlockSize;

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace dptd::crowd {
 
@@ -57,12 +56,11 @@ void ShardedServer::start_round(std::uint64_t round,
     submitted_rows_.assign(participants_.size(), 0);
     producer_distinct_ = 0;
   } else {
-    builders_.clear();
-    builders_.reserve(plan_.num_shards);
+    ingestors_.resize(plan_.num_shards);
     for (std::size_t i = 0; i < plan_.num_shards; ++i) {
-      builders_.emplace_back(plan_.shard_num_users(i), config_.num_objects);
+      ingestors_[i].begin_round(plan_.shard_num_users(i), plan_.user_begin(i),
+                                config_.num_objects, round, config_.labels);
     }
-    shard_stats_.assign(plan_.num_shards, ShardIngestStats{});
   }
   distinct_reporters_ = 0;
   unroutable_rejected_ = 0;
@@ -85,9 +83,8 @@ void ShardedServer::on_message(const net::Message& message) {
   }
   if (!round_open_) return;  // straggler after deadline
   // Wrong-kind uploads (continuous report in a categorical round or vice
-  // versa) are protocol violations, dropped at the coordinator — in pipelined
-  // mode this keeps the type check off the workers: a routed item is always
-  // of the round's kind.
+  // versa) are protocol violations, dropped here: a routed upload is always
+  // of the round's kind, which is the kind its shard's ingestor decodes.
   const bool is_label = type == MessageType::kLabelReport;
   if (is_label != config_.labels.enabled()) {
     DPTD_LOG_WARN << "round " << current_round_ << ": dropping "
@@ -99,29 +96,29 @@ void ShardedServer::on_message(const net::Message& message) {
     return;
   }
 
+  // Route on the header: one O(1) peek resolves round + user (LabelReport
+  // shares Report's leading varints, so the same peek covers both kinds);
+  // the full decode happens on the owning shard.
+  const std::optional<ReportHeader> header =
+      Report::peek_header(message.payload);
+  if (!header) {
+    DPTD_LOG_WARN << "round " << current_round_
+                  << ": dropping report with undecodable header";
+    ++unroutable_rejected_;
+    return;
+  }
+  if (header->round != current_round_) return;
+  const std::optional<std::size_t> row = index_.row_of(header->user_id);
+  if (!row) {
+    DPTD_LOG_WARN << "round " << current_round_
+                  << ": dropping report from unknown user id "
+                  << header->user_id;
+    ++unroutable_rejected_;
+    return;
+  }
+
   if (pipeline_) {
-    // Pipelined ingestion: the network thread only routes. One O(1) header
-    // peek resolves round + user (LabelReport shares Report's leading
-    // varints, so the same peek covers both kinds); the full decode happens
-    // on the owning shard's worker.
-    const std::optional<ReportHeader> header =
-        Report::peek_header(message.payload);
-    if (!header) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping report with undecodable header";
-      ++unroutable_rejected_;
-      return;
-    }
-    if (header->round != current_round_) return;
-    const std::optional<std::size_t> row = index_.row_of(header->user_id);
-    if (!row) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping report from unknown user id "
-                    << header->user_id;
-      ++unroutable_rejected_;
-      return;
-    }
-    pipeline_->submit(*row, message.payload, is_label);
+    pipeline_->submit(*row, message.payload);
     // Early close: only a row's FIRST submission can complete the roster
     // (re-sends are guaranteed duplicates on the owning shard), so the exact
     // check — a drain barrier, then the workers' distinct count — runs at
@@ -142,107 +139,19 @@ void ShardedServer::on_message(const net::Message& message) {
     return;
   }
 
-  if (is_label) {
-    LabelReport report;
-    try {
-      report = LabelReport::decode(message.payload);
-    } catch (const DecodeError& error) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping undecodable label report (" << error.what()
-                    << ")";
-      ++unroutable_rejected_;
-      return;
-    }
-    if (report.round != current_round_) return;
-    ingest_label_report_serial(report);
-  } else {
-    Report report;
-    try {
-      report = Report::decode(message.payload);
-    } catch (const DecodeError& error) {
-      DPTD_LOG_WARN << "round " << current_round_
-                    << ": dropping undecodable report (" << error.what()
-                    << ")";
-      ++unroutable_rejected_;
-      return;
-    }
-    if (report.round != current_round_) return;
-    ingest_report_serial(report);
-  }
-  if (distinct_reporters_ == participants_.size()) {
+  // Consistent routing: the same user always lands on the same shard, so a
+  // duplicate re-send is detected by that shard's own dedup state.
+  const std::size_t shard = plan_.shard_of_user(*row);
+  const std::span<const std::uint8_t> fields =
+      std::span<const std::uint8_t>(message.payload)
+          .subspan(header->round_bytes);
+  if (ingestors_[shard].ingest(*row - plan_.user_begin(shard), fields) &&
+      ++distinct_reporters_ == participants_.size()) {
     // Every *distinct* participant answered across all shards; no need to
     // wait out the window (duplicate re-sends never inflate this count). The
     // deadline event still fires but becomes a no-op.
     finish_round();
   }
-}
-
-void ShardedServer::ingest_report_serial(const Report& report) {
-  // A byzantine user id cannot be routed to any shard: drop the report at
-  // the coordinator, count it, and keep collecting.
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row) {
-    DPTD_LOG_WARN << "round " << current_round_
-                  << ": dropping report from unknown user id "
-                  << report.user_id;
-    ++unroutable_rejected_;
-    return;
-  }
-  const std::size_t user = *row;
-  // Consistent routing: the same user always lands on the same shard, so a
-  // duplicate re-send is detected by that shard's own dedup state.
-  const std::size_t shard = plan_.shard_of_user(user);
-  const std::size_t local = user - plan_.user_begin(shard);
-  data::ObservationMatrixBuilder& builder = builders_[shard];
-  ShardIngestStats& stats = shard_stats_[shard];
-  if (builder.has_row(local)) {
-    ++stats.duplicates_ignored;
-    return;
-  }
-
-  if (ingest_report_claims(builder, local, report, config_.num_objects)) {
-    DPTD_LOG_WARN << "round " << current_round_ << ": user " << report.user_id
-                  << " sent malformed claims, ingested the valid subset on"
-                  << " shard " << shard;
-    ++stats.malformed_reports;
-  }
-  ++stats.reports_received;
-  ++distinct_reporters_;
-}
-
-void ShardedServer::ingest_label_report_serial(const LabelReport& report) {
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row) {
-    DPTD_LOG_WARN << "round " << current_round_
-                  << ": dropping label report from unknown user id "
-                  << report.user_id;
-    ++unroutable_rejected_;
-    return;
-  }
-  const std::size_t user = *row;
-  const std::size_t shard = plan_.shard_of_user(user);
-  const std::size_t local = user - plan_.user_begin(shard);
-  data::ObservationMatrixBuilder& builder = builders_[shard];
-  ShardIngestStats& stats = shard_stats_[shard];
-  if (builder.has_row(local)) {
-    ++stats.duplicates_ignored;
-    return;
-  }
-
-  // The sampling stream is keyed by the GLOBAL row (shard base + local), so
-  // the ingested bits are identical to CrowdServer's for every shard count.
-  const LabelIngestOutcome outcome =
-      ingest_label_claims(builder, local, user, report, config_.num_objects,
-                          config_.labels, current_round_);
-  if (outcome.malformed) {
-    DPTD_LOG_WARN << "round " << current_round_ << ": user " << report.user_id
-                  << " sent malformed label claims, ingested the valid subset"
-                  << " on shard " << shard;
-    ++stats.malformed_reports;
-  }
-  stats.invalid_labels += outcome.invalid_labels;
-  ++stats.reports_received;
-  ++distinct_reporters_;
 }
 
 void ShardedServer::finish_round() {
@@ -259,10 +168,10 @@ void ShardedServer::finish_round() {
     shards = pipeline_->finalize_shards();  // drains first
     stats = pipeline_->shard_stats();
   } else {
-    stats = shard_stats_;
-    shards.reserve(builders_.size());
-    for (data::ObservationMatrixBuilder& builder : builders_) {
-      shards.push_back(builder.finalize());
+    shards.reserve(ingestors_.size());
+    for (ShardIngestor& ingestor : ingestors_) {
+      shards.push_back(ingestor.finalize());
+      stats.push_back(ingestor.stats());
     }
   }
 
@@ -283,25 +192,12 @@ void ShardedServer::finish_round() {
     return;
   }
 
-  // Hand the sharded view to the coordinator's reduction (the round-close
-  // tail is shared with CrowdServer, which is what keeps the two servers
-  // bitwise identical).
+  // Hand the sharded view to the coordinator's reduction.
   const data::ShardedMatrix matrix = data::ShardedMatrix::from_shards(
       plan_, std::move(shards), config_.num_objects);
   aggregate_and_publish(config_, *method_, *network_, current_round_,
                         participants_, matrix, warm_, outcome);
   outcomes_.push_back(std::move(outcome));
-}
-
-void RoundServer::set_num_shards(std::size_t num_shards) {
-  if (sharded_) {
-    sharded_->set_num_shards(num_shards);
-    return;
-  }
-  DPTD_REQUIRE(num_shards <= 1,
-               "RoundServer: single-server path cannot grow shards; construct "
-               "with num_shards > 1 (or ingest_threads > 0) to enable "
-               "elastic scaling");
 }
 
 }  // namespace dptd::crowd

@@ -1,30 +1,33 @@
-// Sharded aggregation server: consistent user → shard routing in front of K
-// independent ingestion shards, each owning an incrementally built sparse
-// sub-matrix of its users' reports, with a coordinator that closes the round
-// and reduces per-shard sufficient statistics through
-// truth::TruthDiscovery::run_sharded.
+// The aggregation server: consistent user → shard routing in front of K
+// independent ingestion shards, each a ShardIngestor owning an incrementally
+// built sparse sub-matrix of its users' reports, with a coordinator that
+// closes the round and reduces per-shard sufficient statistics through
+// truth::TruthDiscovery::run_sharded. K = 1 without ingest workers is the
+// flat, single-shard server. The announce and the ResultPublish are each
+// encoded once and fanned out (crowd::fan_out) as messages sharing that
+// buffer.
 //
 // Routing follows data::ShardPlan (canonical user blocks split contiguously
 // across shards), so for any shard count the published truths are bitwise
-// identical to what the single-server CrowdServer computes at the same
-// canonical block size. Dedup and byzantine accounting happen per shard
-// (a duplicate re-send always lands on the same shard as the original) and
-// are rolled up into RoundOutcome.
+// identical to the K = 1 server's at the same canonical block size. Dedup and
+// byzantine accounting happen per shard (a duplicate re-send always lands on
+// the same shard as the original) and are rolled up into RoundOutcome.
 //
-// Ingestion runs in one of two modes selected by ServerConfig::ingest_threads:
-// synchronous (0: decode + dedup + append inline on the network thread, the
-// original path) or pipelined (N >= 1: the network thread peeks the report
-// header, routes, and copies the raw payload into its worker's batch, handed
-// over a batch at a time onto a bounded queue; worker threads owning the
-// shard builders do the expensive decode/sanitize/append — see
-// crowd::IngestPipeline). The two modes produce bitwise-identical matrices:
-// each shard's queue is FIFO from the single network thread. Round close
-// drains every queue behind a barrier before finalizing.
+// The network thread routes on the header in both ingestion modes: one O(1)
+// peek reads round + user, a stale round is ignored, and an undecodable
+// header or an unknown user is rejected before any shard sees it. The owning
+// shard's ingestor then decodes. ServerConfig::ingest_threads picks where
+// that runs: inline on the network thread (0), or on pipeline workers (N >=
+// 1: the network thread copies the raw payload into its worker's batch,
+// handed over a batch at a time onto a bounded queue — see
+// crowd::IngestPipeline). The two modes produce identical matrices and
+// counters: each shard's queue is FIFO from the single network thread, and
+// both charge an undecodable body to the owning shard. Round close drains
+// every queue behind a barrier before finalizing.
 //
-// Same threat model and wire protocol as CrowdServer: the server sees only
-// perturbed reports, malformed or byzantine reports are dropped or sanitized
-// and counted, and the round closes early on distinct reporters across all
-// shards — duplicate re-sends never inflate the count.
+// The server sees only perturbed reports, malformed or byzantine reports are
+// dropped or sanitized and counted, and the round closes early on distinct
+// reporters across all shards — duplicate re-sends never inflate the count.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +38,6 @@
 #include "crowd/ingest_pipeline.h"
 #include "crowd/protocol.h"
 #include "crowd/server.h"
-#include "data/builder.h"
 #include "data/sharding.h"
 #include "net/transport.h"
 #include "truth/interface.h"
@@ -54,8 +56,9 @@ class ShardedServer final : public net::Node {
   void on_message(const net::Message& message) override;
 
   /// Announces round `round` to `user_ids` and schedules the aggregation
-  /// deadline, exactly like CrowdServer::start_round. The server is
-  /// persistent across rounds.
+  /// deadline. Results are available from `outcomes()` after the transport
+  /// drains. The server is persistent: call again for each round of a
+  /// campaign once the previous round has closed.
   void start_round(std::uint64_t round,
                    const std::vector<net::NodeId>& user_ids);
 
@@ -72,8 +75,6 @@ class ShardedServer final : public net::Node {
 
  private:
   void finish_round();
-  void ingest_report_serial(const Report& report);
-  void ingest_label_report_serial(const LabelReport& report);
 
   ServerConfig config_;
   std::unique_ptr<truth::TruthDiscovery> method_;
@@ -83,12 +84,10 @@ class ShardedServer final : public net::Node {
   bool round_open_ = false;
   std::vector<net::NodeId> participants_;
   ParticipantIndex index_;
-  /// Per-shard streaming ingestion state for the open round. Synchronous
-  /// mode owns the builders/stats here; pipelined mode delegates both to the
-  /// worker threads inside `pipeline_`.
   data::ShardPlan plan_;
-  std::vector<data::ObservationMatrixBuilder> builders_;
-  std::vector<ShardIngestStats> shard_stats_;
+  /// Per-shard ingestion state of the open round: here in synchronous mode,
+  /// inside the worker-owned `pipeline_` in pipelined mode.
+  std::vector<ShardIngestor> ingestors_;
   std::optional<IngestPipeline> pipeline_;
   std::size_t distinct_reporters_ = 0;  ///< synchronous mode (exact, inline)
   /// Pipelined mode: rows the producer has already enqueued this round.
@@ -97,47 +96,10 @@ class ShardedServer final : public net::Node {
   /// duplicate floods never re-trigger it.
   std::vector<char> submitted_rows_;
   std::size_t producer_distinct_ = 0;
-  std::size_t unroutable_rejected_ = 0; ///< unknown user / undecodable header
+  /// Rejects no shard saw: wrong kind, undecodable header, unknown user.
+  std::size_t unroutable_rejected_ = 0;
   WarmState warm_;
   std::vector<RoundOutcome> outcomes_;
-};
-
-/// Owns whichever server ServerConfig selects (CrowdServer for the
-/// single-shard synchronous path, ShardedServer when shards or ingest
-/// workers are requested) behind one start_round / outcomes surface, so
-/// orchestration code (run_session, run_campaign) never branches on the
-/// scaling knobs itself.
-class RoundServer {
- public:
-  RoundServer(const ServerConfig& config,
-              std::unique_ptr<truth::TruthDiscovery> method,
-              net::Transport& network) {
-    if (config.num_shards > 1 || config.ingest_threads > 0) {
-      sharded_.emplace(config, std::move(method), network);
-    } else {
-      flat_.emplace(config, std::move(method), network);
-    }
-  }
-
-  void start_round(std::uint64_t round,
-                   const std::vector<net::NodeId>& user_ids) {
-    if (sharded_) {
-      sharded_->start_round(round, user_ids);
-    } else {
-      flat_->start_round(round, user_ids);
-    }
-  }
-
-  /// Elastic scaling passthrough; a flat server only accepts K <= 1.
-  void set_num_shards(std::size_t num_shards);
-
-  const std::vector<RoundOutcome>& outcomes() const {
-    return sharded_ ? sharded_->outcomes() : flat_->outcomes();
-  }
-
- private:
-  std::optional<CrowdServer> flat_;
-  std::optional<ShardedServer> sharded_;
 };
 
 }  // namespace dptd::crowd

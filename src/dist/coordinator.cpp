@@ -763,24 +763,14 @@ DistributedOutcome Coordinator::close_round() {
     RemoteBackend backend(*this);
     std::vector<std::uint64_t> coverage(config_.num_objects, 0);
     for (const IngestSummaryBody& summary : backend.finalize()) {
-      crowd::ShardIngestStats stats;
-      stats.reports_received =
-          static_cast<std::size_t>(summary.reports_received);
-      stats.duplicates_ignored =
-          static_cast<std::size_t>(summary.duplicates_ignored);
-      stats.malformed_reports =
-          static_cast<std::size_t>(summary.malformed_reports);
-      stats.rejected_reports =
-          static_cast<std::size_t>(summary.rejected_reports);
-      stats.invalid_labels = static_cast<std::size_t>(summary.invalid_labels);
-      out.shard_stats.push_back(stats);
+      out.shard_stats.push_back(summary.stats);
       for (std::size_t n = 0; n < coverage.size(); ++n) {
         coverage[n] += summary.object_counts[n];
       }
     }
     if (std::find(coverage.begin(), coverage.end(), 0u) != coverage.end()) {
       // Uncovered objects: skip aggregation gracefully, exactly like the
-      // in-process servers. The warm state is left untouched.
+      // in-process server. The warm state is left untouched.
       DPTD_LOG_WARN << "round " << round_
                     << ": uncovered objects, skipping aggregation";
       backend.collect_telemetry();

@@ -1,7 +1,6 @@
 #include "dist/shard_node.h"
 
 #include <stdexcept>
-#include <type_traits>
 
 #include "common/check.h"
 #include "truth/categorical.h"
@@ -53,10 +52,8 @@ void ShardNode::reset_round_state() {
   round_ = 0;
   num_objects_ = 0;
   num_labels_ = 0;
-  user_base_ = 0;
   index_.build({});
-  builder_.reset();
-  ingest_stats_ = {};
+  ingestor_ = {};
   backend_.reset();
   view_.reset();
   matrix_.reset();
@@ -88,18 +85,16 @@ void ShardNode::handle_report_batch(const net::Message& message) {
   try {
     batch.emplace(message.payload);
   } catch (const DecodeError&) {
-    ++ingest_stats_.rejected_reports;  // no readable header: one upload's worth
+    ingestor_.reject();  // no readable header: one upload's worth
     return;
   }
-  const bool labels = batch->type() == crowd::MessageType::kLabelReport;
-  const bool right_kind =
-      labels ? num_labels_ >= 2
-             : batch->type() == crowd::MessageType::kReport && num_labels_ < 2;
+  const crowd::MessageType kind = num_labels_ >= 2
+                                      ? crowd::MessageType::kLabelReport
+                                      : crowd::MessageType::kReport;
   // Round closed (or never set up), a late straggler from another round, or
   // uploads of the other kind: every item is rejected.
-  if (!round_open_ || !builder_.has_value() || batch->round() != round_ ||
-      !right_kind) {
-    ingest_stats_.rejected_reports += batch->count();
+  if (!round_open_ || batch->round() != round_ || batch->type() != kind) {
+    ingestor_.reject(batch->count());
     return;
   }
   for (std::size_t i = 0; i < batch->count(); ++i) {
@@ -108,54 +103,24 @@ void ShardNode::handle_report_batch(const net::Message& message) {
       item = batch->next();
     } catch (const DecodeError&) {
       // The framing is lost: this item and every later one are unreadable.
-      ingest_stats_.rejected_reports += batch->count() - i;
+      ingestor_.reject(batch->count() - i);
       return;
     }
-    if (labels) {
-      ingest_upload<crowd::LabelReport>(item);
+    // Route on the item's leading user-id varint; the ingestor decodes.
+    std::optional<std::size_t> row;
+    try {
+      row = index_.row_of(Decoder(item).read_varint());
+    } catch (const DecodeError&) {
+      // An unreadable id routes nowhere: row stays empty.
+    }
+    if (row.has_value()) {
+      ingestor_.ingest(*row, item);
     } else {
-      ingest_upload<crowd::Report>(item);
+      ingestor_.reject();  // unreadable id, or not in this roster slice
     }
   }
   // Bytes past the last item: something that was not a counted item.
-  if (batch->remaining() > 0) ++ingest_stats_.rejected_reports;
-}
-
-template <typename Upload>
-void ShardNode::ingest_upload(std::span<const std::uint8_t> item) {
-  Upload report;
-  try {
-    report = Upload::decode_fields(round_, item);
-  } catch (const DecodeError&) {
-    ++ingest_stats_.rejected_reports;
-    return;
-  }
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row.has_value()) {
-    ++ingest_stats_.rejected_reports;  // not in this shard's roster slice
-    return;
-  }
-  if (builder_->has_row(*row)) {
-    ++ingest_stats_.duplicates_ignored;
-    return;
-  }
-  if constexpr (std::is_same_v<Upload, crowd::LabelReport>) {
-    // LDP stays on the device in the distributed deployment: the policy only
-    // carries the alphabet for range validation, never a sampling
-    // probability.
-    crowd::LabelIngestPolicy policy;
-    policy.num_labels = num_labels_;
-    const crowd::LabelIngestOutcome outcome =
-        crowd::ingest_label_claims(*builder_, *row, user_base_ + *row, report,
-                                   num_objects_, policy, round_);
-    if (outcome.malformed) ++ingest_stats_.malformed_reports;
-    ingest_stats_.invalid_labels += outcome.invalid_labels;
-  } else {
-    if (crowd::ingest_report_claims(*builder_, *row, report, num_objects_)) {
-      ++ingest_stats_.malformed_reports;
-    }
-  }
-  ++ingest_stats_.reports_received;
+  if (batch->remaining() > 0) ingestor_.reject();
 }
 
 void ShardNode::handle_request(const net::Message& message) {
@@ -255,15 +220,15 @@ std::vector<std::uint8_t> ShardNode::execute(
       num_objects_ = static_cast<std::size_t>(setup.num_objects);
       block_size_ = static_cast<std::size_t>(setup.block_size);
       num_labels_ = static_cast<std::size_t>(setup.num_labels);
-      user_base_ =
-          plan.user_begin(static_cast<std::size_t>(setup.shard_index));
-      const std::size_t local_users = setup.participants.size();
-      if (builder_.has_value()) {
-        builder_->reshape(local_users, num_objects_);
-      } else {
-        builder_.emplace(local_users, num_objects_);
-      }
-      ingest_stats_ = {};
+      // LDP stays on the device in the distributed deployment: the policy
+      // only carries the alphabet for range validation, never a sampling
+      // probability.
+      crowd::LabelIngestPolicy labels;
+      labels.num_labels = num_labels_;
+      ingestor_.begin_round(
+          setup.participants.size(),
+          plan.user_begin(static_cast<std::size_t>(setup.shard_index)),
+          num_objects_, round_, labels);
       backend_.reset();
       view_.reset();
       matrix_.reset();
@@ -273,24 +238,20 @@ std::vector<std::uint8_t> ShardNode::execute(
       // Idempotent: a degraded close retries the finalize phase over the
       // surviving shards under fresh op ids after abandoning the first
       // attempt, so a shard that already finalized must re-serve the summary
-      // from its finalized matrix — re-running builder_->finalize() would
+      // from its finalized matrix — re-running ingestor_.finalize() would
       // move the ingested rows out and destroy the round's data. Each close
       // attempt starts from blank registers.
       backend_.reset();
       if (!matrix_.has_value()) {
-        if (!builder_.has_value()) throw DecodeError("shard: no open round");
+        if (!round_open_) throw DecodeError("shard: no open round");
         round_open_ = false;
         view_.reset();
-        matrix_ = builder_->finalize();
+        matrix_ = ingestor_.finalize();
         view_.emplace(data::ShardedMatrix::single(*matrix_, block_size_));
       }
       backend_.emplace(*view_, nullptr);
       IngestSummaryBody summary;
-      summary.reports_received = ingest_stats_.reports_received;
-      summary.duplicates_ignored = ingest_stats_.duplicates_ignored;
-      summary.malformed_reports = ingest_stats_.malformed_reports;
-      summary.rejected_reports = ingest_stats_.rejected_reports;
-      summary.invalid_labels = ingest_stats_.invalid_labels;
+      summary.stats = ingestor_.stats();
       summary.object_counts.resize(num_objects_);
       for (std::size_t n = 0; n < num_objects_; ++n) {
         summary.object_counts[n] = matrix_->object_observation_count(n);

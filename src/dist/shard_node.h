@@ -1,16 +1,19 @@
 // One shard of the distributed truth-discovery deployment: a net::Node that
-// owns its user range's streaming ingestion builder and answers the
-// coordinator's sufficient-statistics RPCs (dist/stats_wire.h).
+// owns its user range's streaming ingestion and answers the coordinator's
+// sufficient-statistics RPCs (dist/stats_wire.h).
 //
 // Ingest: uploads arrive only inside crowd::kReportBatch messages. Each item
-// goes through the per-report checks in batch order — decode, roster slice,
-// first-wins dedup, claim sanitizing — so a batch ingests exactly what its
-// uploads one by one would have. A batch for a closed or never-set-up round,
+// is routed on its leading user-id varint, resolved against the node's
+// roster slice, and handed with its local row to the node's
+// crowd::ShardIngestor — the class every in-process ingest path runs — which
+// decodes, dedups first-wins, sanitizes claims and counts. So a batch ingests
+// exactly what its uploads one by one would have, and an upload counts the
+// same here as in ShardedServer. A batch for a closed or never-set-up round,
 // for another round, or of the wrong kind charges every item to
-// rejected_reports; an undecodable item counts as one rejected report, and
-// a batch whose framing breaks charges each item it can no longer read. Every
-// item is decoded whole before its row is touched, so no item is ever half
-// ingested.
+// rejected_reports; an item whose id is unreadable or outside the slice, or
+// which does not decode, counts as one rejected report, and a batch whose
+// framing breaks charges each item it can no longer read. Every item is
+// decoded whole before its row is touched, so no item is ever half ingested.
 //
 // Statistics ops: each is one call on a truth::LocalBackend over the
 // finalized local rows — the backend the in-process run_sharded uses — which
@@ -40,7 +43,6 @@
 
 #include "crowd/protocol.h"
 #include "crowd/server.h"
-#include "data/builder.h"
 #include "data/sharding.h"
 #include "dist/stats_wire.h"
 #include "net/transport.h"
@@ -98,10 +100,6 @@ class ShardNode final : public net::Node {
 
  private:
   void handle_report_batch(const net::Message& message);
-  /// One batch item: an Upload (crowd::Report or crowd::LabelReport) of the
-  /// open round, without its round varint.
-  template <typename Upload>
-  void ingest_upload(std::span<const std::uint8_t> item);
   void handle_request(const net::Message& message);
   /// Executes one decoded request; returns the response body.
   std::vector<std::uint8_t> execute(ShardOp op,
@@ -121,10 +119,8 @@ class ShardNode final : public net::Node {
   std::size_t num_objects_ = 0;
   std::size_t block_size_ = data::kDefaultStatsBlockSize;
   std::size_t num_labels_ = 0;  ///< >= 2 in a categorical round, else 0
-  std::size_t user_base_ = 0;   ///< global user id of local row 0
   crowd::ParticipantIndex index_;  ///< stable id -> local row, roster slice
-  std::optional<data::ObservationMatrixBuilder> builder_;
-  crowd::ShardIngestStats ingest_stats_;
+  crowd::ShardIngestor ingestor_;
   std::optional<data::ObservationMatrix> matrix_;   ///< finalized local rows
   std::optional<data::ShardedMatrix> view_;         ///< borrows matrix_
 

@@ -57,11 +57,11 @@ SetupBody SetupBody::decode(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> IngestSummaryBody::encode() const {
   Encoder enc;
-  enc.write_varint(reports_received);
-  enc.write_varint(duplicates_ignored);
-  enc.write_varint(malformed_reports);
-  enc.write_varint(rejected_reports);
-  enc.write_varint(invalid_labels);
+  enc.write_varint(stats.reports_received);
+  enc.write_varint(stats.duplicates_ignored);
+  enc.write_varint(stats.malformed_reports);
+  enc.write_varint(stats.rejected_reports);
+  enc.write_varint(stats.invalid_labels);
   write_varints(enc, object_counts);
   return enc.take();
 }
@@ -70,11 +70,11 @@ IngestSummaryBody IngestSummaryBody::decode(
     std::span<const std::uint8_t> bytes) {
   Decoder dec(bytes);
   IngestSummaryBody msg;
-  msg.reports_received = dec.read_varint();
-  msg.duplicates_ignored = dec.read_varint();
-  msg.malformed_reports = dec.read_varint();
-  msg.rejected_reports = dec.read_varint();
-  msg.invalid_labels = dec.read_varint();
+  msg.stats.reports_received = dec.read_varint();
+  msg.stats.duplicates_ignored = dec.read_varint();
+  msg.stats.malformed_reports = dec.read_varint();
+  msg.stats.rejected_reports = dec.read_varint();
+  msg.stats.invalid_labels = dec.read_varint();
   msg.object_counts = read_varints(dec);
   require_done(dec, "IngestSummaryBody");
   return msg;

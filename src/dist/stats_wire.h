@@ -30,6 +30,7 @@
 
 #include "common/serialize.h"
 #include "common/statistics.h"
+#include "crowd/server.h"
 #include "net/transport.h"
 #include "truth/interface.h"
 
@@ -119,13 +120,10 @@ struct SetupBody {
 };
 
 /// Ingestion accounting + per-object local claim counts (the coordinator sums
-/// them across shards for the coverage check).
+/// them across shards for the coverage check). The five counters travel as
+/// varints in ShardIngestStats' field order.
 struct IngestSummaryBody {
-  std::uint64_t reports_received = 0;
-  std::uint64_t duplicates_ignored = 0;
-  std::uint64_t malformed_reports = 0;
-  std::uint64_t rejected_reports = 0;
-  std::uint64_t invalid_labels = 0;  ///< out-of-alphabet label claims dropped
+  crowd::ShardIngestStats stats;
   std::vector<std::uint64_t> object_counts;
 
   std::vector<std::uint8_t> encode() const;

@@ -1,6 +1,6 @@
 // The pluggable messaging seam of the distributed deployment: an abstract
 // Transport over the Message/Node surface, with an explicit progress
-// contract so callers (the dist/ coordinator, the crowd servers) drive any
+// contract so callers (the dist/ coordinator, the crowd server) drive any
 // implementation the same way:
 //
 //   - send() enqueues a message toward its destination; it never blocks and
@@ -18,7 +18,7 @@
 //     advancing past external waits (simulator: drain the event queue;
 //     sockets: zero-timeout poll passes while progress is being made).
 //   - schedule() posts a timer callback on the transport's clock — the hook
-//     the crowd servers use for round deadlines.
+//     the crowd server uses for round deadlines.
 //
 // A message's payload (net::Payload) is read-only bytes in one of two forms.
 // A point-to-point message owns its bytes: the vector its sender encoded,

@@ -1,5 +1,8 @@
-// Unit tests for UserDevice and CrowdServer in isolation (run_session covers
-// them end-to-end; these pin down the protocol behaviours individually).
+// Unit tests for UserDevice and the flat server path — a ShardedServer at
+// K = 1 without ingest workers — in isolation (run_session covers them
+// end-to-end; these pin down the protocol behaviours individually). The
+// CrowdServer suite keeps the name of the single-shard server class it was
+// written for, so its test ids stay stable.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +11,7 @@
 
 #include "crowd/device.h"
 #include "crowd/server.h"
+#include "crowd/sharded_server.h"
 #include "truth/registry.h"
 #include "net/network.h"
 
@@ -146,7 +150,7 @@ TEST(CrowdServer, AggregatesAndPublishes) {
   config.lambda2 = 5.0;
   config.num_objects = 2;
   config.collection_window_seconds = 10.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   std::vector<std::unique_ptr<UserDevice>> devices;
   std::vector<net::NodeId> ids;
@@ -183,7 +187,7 @@ TEST(CrowdServer, DuplicatorDoesNotCloseRoundEarly) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 30.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   DeviceConfig duplicator = device_config(0);
   duplicator.behavior = DeviceBehavior::kDuplicator;
@@ -219,7 +223,7 @@ TEST(CrowdServer, OutOfRangeUserIdIsDroppedNotFatal) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 10.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   UserDevice honest(device_config(0), {0}, {5.0}, h.network);
   server.start_round(1, {0});
@@ -248,7 +252,7 @@ TEST(CrowdServer, UndecodableReportIsDroppedNotFatal) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 10.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   UserDevice honest(device_config(0), {0}, {5.0}, h.network);
   server.start_round(1, {0});
@@ -271,7 +275,7 @@ TEST(CrowdServer, NonFiniteAndOutOfRangeClaimsAreFiltered) {
   config.num_objects = 2;
   config.collection_window_seconds = 10.0;
   config.lambda2 = 1e9;  // negligible device noise: exact aggregates
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   UserDevice honest(device_config(1), {0, 1}, {2.0, 3.0}, h.network);
   server.start_round(1, {0, 1});
@@ -288,7 +292,7 @@ TEST(CrowdServer, NonFiniteAndOutOfRangeClaimsAreFiltered) {
   ASSERT_EQ(server.outcomes().size(), 1u);
   const RoundOutcome& outcome = server.outcomes()[0];
   EXPECT_EQ(outcome.reports_received, 2u);
-  // The outcome schema is uniform with ShardedServer: one whole-fleet entry
+  // The outcome schema is uniform across K: one whole-fleet entry at K = 1
   // carrying the malformed counter.
   ASSERT_EQ(outcome.shard_stats.size(), 1u);
   EXPECT_EQ(outcome.shard_stats[0].reports_received, 2u);
@@ -309,8 +313,8 @@ TEST(CrowdServer, WarmStartSeedsSecondRound) {
   truth::ConvergenceCriteria convergence;
   convergence.tolerance = 1e-9;
   convergence.max_iterations = 100;
-  CrowdServer server(config, truth::make_method("crh", convergence),
-                     h.network);
+  ShardedServer server(config, truth::make_method("crh", convergence),
+                       h.network);
 
   std::vector<std::unique_ptr<UserDevice>> devices;
   std::vector<net::NodeId> ids;
@@ -385,7 +389,7 @@ TEST(CrowdServer, LateReportsAreIgnored) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 0.05;  // closes before think time
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   DeviceConfig slow = device_config(0);
   slow.think_time_seconds = 1.0;
@@ -403,7 +407,7 @@ TEST(CrowdServer, SecondRoundAfterFirstCompletes) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 5.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
 
   UserDevice device(device_config(0), {0}, {5.0}, h.network);
   server.start_round(1, {0});
@@ -419,7 +423,7 @@ TEST(CrowdServer, OpenRoundRejectsSecondStart) {
   ServerConfig config;
   config.id = kServerId;
   config.num_objects = 1;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
   UserDevice device(device_config(0), {0}, {1.0}, h.network);
   server.start_round(1, {0});
   EXPECT_THROW(server.start_round(2, {0}), std::invalid_argument);
@@ -434,7 +438,7 @@ TEST(CrowdServer, RepeatedRosterIdIsRefusedAtRoundOpen) {
   config.id = kServerId;
   config.num_objects = 1;
   config.collection_window_seconds = 30.0;
-  CrowdServer server(config, truth::make_method("mean"), h.network);
+  ShardedServer server(config, truth::make_method("mean"), h.network);
   UserDevice five(device_config(5), {0}, {4.0}, h.network);
   UserDevice seven(device_config(7), {0}, {6.0}, h.network);
 
@@ -456,12 +460,12 @@ TEST(CrowdServer, ValidatesConfiguration) {
   ServerConfig config;
   config.id = kServerId;
   config.num_objects = 0;
-  EXPECT_THROW(CrowdServer(config, truth::make_method("mean"), h.network),
+  EXPECT_THROW(ShardedServer(config, truth::make_method("mean"), h.network),
                std::invalid_argument);
   ServerConfig config2;
   config2.id = kServerId;
   config2.num_objects = 1;
-  EXPECT_THROW(CrowdServer(config2, nullptr, h.network),
+  EXPECT_THROW(ShardedServer(config2, nullptr, h.network),
                std::invalid_argument);
 }
 

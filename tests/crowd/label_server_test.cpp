@@ -1,6 +1,6 @@
 // Categorical campaign rounds through the server stack: the same label
 // report stream lands bitwise-identical published truths through the flat
-// CrowdServer, the multi-shard ShardedServer, and the pipelined ingestion
+// (K = 1) server, the multi-shard ShardedServer, and the pipelined ingestion
 // path; server-side k-RR sampling is deterministic for every worker and
 // shard count; out-of-alphabet labels are counted and dropped, never fatal;
 // and wrong-kind uploads (continuous report in a label round and vice versa)
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,28 +85,17 @@ void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
   }
 }
 
-/// Runs one label round through whichever server the config selects and
-/// returns its outcome.
+/// Runs one label round through a server of the config's shape and returns
+/// its outcome.
 RoundOutcome run_label_round(const ServerConfig& config,
                              const categorical::LabelDataset& dataset,
                              const std::string& method = "vote") {
   Harness h;
-  std::unique_ptr<CrowdServer> flat;
-  std::unique_ptr<ShardedServer> sharded;
-  const bool use_sharded =
-      config.num_shards > 1 || config.ingest_threads > 0;
-  if (use_sharded) {
-    sharded = std::make_unique<ShardedServer>(
-        config, truth::make_method(method), h.network);
-    sharded->start_round(1, participant_ids(dataset.claims.num_users()));
-  } else {
-    flat = std::make_unique<CrowdServer>(config, truth::make_method(method),
-                                         h.network);
-    flat->start_round(1, participant_ids(dataset.claims.num_users()));
-  }
+  ShardedServer server(config, truth::make_method(method), h.network);
+  server.start_round(1, participant_ids(dataset.claims.num_users()));
   send_label_dataset(h, dataset);
   h.sim.run();
-  const auto& outcomes = use_sharded ? sharded->outcomes() : flat->outcomes();
+  const auto& outcomes = server.outcomes();
   EXPECT_EQ(outcomes.size(), 1u);
   return outcomes.empty() ? RoundOutcome{} : outcomes[0];
 }
@@ -176,8 +164,8 @@ TEST(LabelServer, ServerSideRrIsDeterministicAcrossWorkersAndShards) {
 
 TEST(LabelServer, InvalidLabelsAreCountedAndDroppedNotFatal) {
   Harness h;
-  CrowdServer server(label_config(2, 1, 0), truth::make_method("majority"),
-                     h.network);
+  ShardedServer server(label_config(2, 1, 0), truth::make_method("majority"),
+                       h.network);
   server.start_round(1, participant_ids(3));
   for (std::size_t s = 0; s < 3; ++s) {
     LabelReport report;
@@ -233,7 +221,7 @@ TEST(LabelServer, WrongKindUploadsAreRejectedBothWays) {
     Harness h;
     ServerConfig config = label_config(2, 1, 0);
     config.labels = {};  // continuous campaign
-    CrowdServer server(config, truth::make_method("mean"), h.network);
+    ShardedServer server(config, truth::make_method("mean"), h.network);
     server.start_round(1, participant_ids(2));
     LabelReport label;
     label.round = 1;

@@ -1,7 +1,7 @@
 // ShardedServer behaviours: consistent routing across K ingestion shards,
 // per-shard dedup/byzantine accounting rolled up into RoundOutcome, round
 // close on distinct reporters across shards, and bitwise equivalence with
-// the single-server CrowdServer at equal canonical block size.
+// the single-shard (K = 1) server at equal canonical block size.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,10 +85,11 @@ TEST(ShardedServer, RoutesAcrossShardsAndAggregatesExactly) {
   EXPECT_NEAR(outcome.result.truths[1], 15.5, 1e-12);
 }
 
-TEST(ShardedServer, MatchesCrowdServerBitwiseOnIdenticalReports) {
+TEST(ShardedServer, MatchesSingleShardBitwiseOnIdenticalReports) {
   // The tentpole guarantee end-to-end: the same report stream through one
-  // CrowdServer and through a genuinely multi-shard ShardedServer publishes
-  // bitwise-identical truths and weights at equal stats_block_size.
+  // shard (K = 1) and through a genuinely multi-shard server (K = 4)
+  // publishes bitwise-identical truths and weights at equal
+  // stats_block_size.
   constexpr std::size_t kUsers = 30;
   constexpr std::size_t kObjects = 3;
   const auto run_server = [&](bool sharded) {
@@ -98,23 +99,17 @@ TEST(ShardedServer, MatchesCrowdServerBitwiseOnIdenticalReports) {
     truth::ConvergenceCriteria convergence;
     convergence.tolerance = 1e-9;
     convergence.max_iterations = 100;
-    std::unique_ptr<CrowdServer> flat;
-    std::unique_ptr<ShardedServer> multi;
+    ShardedServer server(config, truth::make_method("crh", convergence),
+                         h.network);
+    server.start_round(1, participant_ids(kUsers));
     if (sharded) {
-      multi = std::make_unique<ShardedServer>(
-          config, truth::make_method("crh", convergence), h.network);
-      multi->start_round(1, participant_ids(kUsers));
-      EXPECT_EQ(multi->plan().num_shards, 4u);
-    } else {
-      flat = std::make_unique<CrowdServer>(
-          config, truth::make_method("crh", convergence), h.network);
-      flat->start_round(1, participant_ids(kUsers));
+      EXPECT_EQ(server.plan().num_shards, 4u);
     }
     for (std::size_t s = 0; s < kUsers; ++s) {
       send_report(h, s, kObjects, 0.25 * static_cast<double>(s % 5));
     }
     h.sim.run();
-    const auto& outcomes = sharded ? multi->outcomes() : flat->outcomes();
+    const auto& outcomes = server.outcomes();
     EXPECT_EQ(outcomes.size(), 1u);
     return outcomes[0];
   };

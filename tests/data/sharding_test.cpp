@@ -36,7 +36,9 @@ TEST(ShardPlan, CoversAllUsersContiguouslyAndBlockAligned) {
           // Non-empty, contiguous, block-aligned ranges.
           EXPECT_LT(plan.user_begin(s), plan.user_end(s));
           EXPECT_EQ(plan.user_begin(s) % block, 0u);
-          if (s > 0) EXPECT_EQ(plan.user_begin(s), plan.user_end(s - 1));
+          if (s > 0) {
+            EXPECT_EQ(plan.user_begin(s), plan.user_end(s - 1));
+          }
           // Every user in the range routes back to this shard.
           for (std::size_t u = plan.user_begin(s); u < plan.user_end(s); ++u) {
             EXPECT_EQ(plan.shard_of_user(u), s) << users << "/" << shards

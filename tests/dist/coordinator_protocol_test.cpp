@@ -805,8 +805,8 @@ TEST(DistributedProtocol, StaleSetupFromAnAbandonedPlanIsRejected) {
       crowd::StatsEnvelope::decode(recorder.received.back().payload);
   ASSERT_EQ(reply.op_id, 8u);
   const IngestSummaryBody summary = IngestSummaryBody::decode(reply.body);
-  EXPECT_EQ(summary.reports_received, 16u);
-  EXPECT_EQ(summary.rejected_reports, 0u);
+  EXPECT_EQ(summary.stats.reports_received, 16u);
+  EXPECT_EQ(summary.stats.rejected_reports, 0u);
 }
 
 TEST(DistributedProtocol, SetupWithARepeatedIdIsMalformedNotFatal) {
@@ -849,8 +849,8 @@ TEST(DistributedProtocol, SetupWithARepeatedIdIsMalformedNotFatal) {
       crowd::StatsEnvelope::decode(recorder.received.back().payload);
   ASSERT_EQ(reply.op_id, 3u);
   const IngestSummaryBody summary = IngestSummaryBody::decode(reply.body);
-  EXPECT_EQ(summary.reports_received, 4u);
-  EXPECT_EQ(summary.rejected_reports, 0u);
+  EXPECT_EQ(summary.stats.reports_received, 4u);
+  EXPECT_EQ(summary.stats.rejected_reports, 0u);
 }
 
 /// Opens round 1 on a single-shard fleet with 4 users / 2 objects and brings

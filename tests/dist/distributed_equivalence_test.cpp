@@ -2,22 +2,27 @@
 // and no churn, a K-node distributed round — ingestion through serialized
 // reports, statistics through chained-fold RPCs — publishes results bitwise
 // identical to the in-process TruthDiscovery::run_sharded at the same K, for
-// every method, cold and warm-started.
+// every method, cold and warm-started. Ingestion counts alike too: one
+// upload stream lands the same per-shard counters through the inline and
+// pipelined ShardedServer and through a ShardNode fleet.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "categorical/label_matrix.h"
 #include "categorical/synthetic.h"
+#include "crowd/sharded_server.h"
 #include "data/sharding.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
 #include "dist/shard_node.h"
 #include "truth/interface.h"
+#include "truth/registry.h"
 #include "net/network.h"
 
 namespace dptd::dist {
@@ -81,11 +86,12 @@ struct Fleet {
   std::unique_ptr<Coordinator> coordinator;
 
   Fleet(std::size_t num_shards, const MethodSpec& spec,
-        std::size_t num_objects, bool warm_start = false) {
+        std::size_t num_objects, bool warm_start = false,
+        std::size_t block_size = kTestBlock) {
     CoordinatorConfig config;
     config.id = kCoordinatorId;
     config.num_objects = num_objects;
-    config.block_size = kTestBlock;
+    config.block_size = block_size;
     config.warm_start = warm_start;
     coordinator = std::make_unique<Coordinator>(config, spec, network);
     for (std::size_t i = 0; i < num_shards; ++i) {
@@ -410,6 +416,211 @@ TEST(DistributedEquivalence, UncoveredObjectSkipsAggregationGracefully) {
   EXPECT_FALSE(outcome.aggregated);
   EXPECT_FALSE(fleet.coordinator->warm().valid);
   EXPECT_TRUE(outcome.result.truths.empty());
+}
+
+// --- Every ingest path counts alike ---------------------------------------
+
+// 24 users at block 4 on 3 shards: users 0-7, 8-15 and 16-23.
+constexpr std::size_t kCountUsers = 24;
+constexpr std::size_t kCountShards = 3;
+constexpr std::size_t kCountBlock = 4;
+constexpr std::size_t kCountObjects = 3;
+constexpr std::size_t kCountLabels = 4;
+
+/// One upload of the shared ingest stream.
+struct Upload {
+  net::NodeId source = 0;
+  crowd::MessageType type = crowd::MessageType::kReport;
+  std::vector<std::uint8_t> bytes;
+};
+
+std::vector<std::uint8_t> encode_upload(bool labels, std::uint64_t round,
+                                        std::uint64_t user,
+                                        std::vector<std::uint64_t> objects,
+                                        const std::vector<double>& claims) {
+  if (labels) {
+    crowd::LabelReport report;
+    report.round = round;
+    report.user_id = user;
+    report.objects = std::move(objects);
+    for (const double claim : claims) {
+      report.labels.push_back(static_cast<std::uint32_t>(claim));
+    }
+    return report.encode();
+  }
+  crowd::Report report;
+  report.round = round;
+  report.user_id = user;
+  report.objects = std::move(objects);
+  report.values = claims;
+  return report.encode();
+}
+
+/// Cuts an upload inside its claim arrays: the round and user varints still
+/// read, so it routes, but it never decodes.
+std::vector<std::uint8_t> truncated(std::vector<std::uint8_t> bytes) {
+  bytes.resize(bytes.size() - 2);
+  return bytes;
+}
+
+/// One round's uploads, every kind of mishap included: clean uploads, an
+/// identical and two different re-sends, truncated uploads (one per shard,
+/// one of them a re-send after a clean upload), a claim on an out-of-range
+/// object, non-finite readings or out-of-alphabet labels, and uploads no
+/// shard ever sees (unknown user, unreadable header, a stale round). User 19
+/// sends only a truncated upload and user 23 stays silent, so the round
+/// closes on its deadline, never early, on every path.
+std::vector<Upload> ingest_stream(bool labels) {
+  const crowd::MessageType type = labels ? crowd::MessageType::kLabelReport
+                                         : crowd::MessageType::kReport;
+  const auto clean_claims = [&](std::size_t user, double shift) {
+    std::vector<double> claims;
+    for (std::size_t n = 0; n < kCountObjects; ++n) {
+      claims.push_back(labels ? static_cast<double>(1 + n)
+                              : static_cast<double>(user + n) + shift);
+    }
+    return claims;
+  };
+  std::vector<Upload> stream;
+  const auto push = [&](std::size_t user, std::vector<std::uint8_t> bytes) {
+    stream.push_back({static_cast<net::NodeId>(user), type, std::move(bytes)});
+  };
+  const std::vector<std::uint64_t> all_objects{0, 1, 2};
+  for (std::size_t user = 0; user + 1 < kCountUsers; ++user) {
+    if (user == 3 || user == 11 || user == 19) {
+      push(user, truncated(encode_upload(labels, 1, user, all_objects,
+                                         clean_claims(user, 0.0))));
+      if (user == 19) continue;
+    }
+    std::vector<std::uint64_t> objects = all_objects;
+    std::vector<double> claims = clean_claims(user, 0.0);
+    if (user == 5) {
+      claims[0] = labels ? 9.0 : std::numeric_limits<double>::quiet_NaN();
+    } else if (user == 13) {
+      objects.push_back(57);  // out of range
+      claims.push_back(1.0);
+    } else if (user == 21) {
+      if (labels) {
+        claims = {7.0, 8.0, 1.0};
+      } else {
+        claims[2] = std::numeric_limits<double>::infinity();
+      }
+    }
+    const std::vector<std::uint8_t> bytes =
+        encode_upload(labels, 1, user, objects, claims);
+    push(user, bytes);
+    if (user == 1) push(user, bytes);  // identical re-send
+    if (user == 1 || user == 9 || user == 17) {
+      push(user, encode_upload(labels, 1, user, all_objects,
+                               clean_claims(user, 40.0)));
+    }
+    if (user == 9) {
+      push(user, truncated(encode_upload(labels, 1, user, all_objects,
+                                         clean_claims(user, 80.0))));
+    }
+  }
+  push(999, encode_upload(labels, 1, 999, all_objects, clean_claims(0, 0.0)));
+  push(777, {0xff, 0xff, 0xff, 0xff, 0xff});
+  push(2, truncated(encode_upload(labels, 7, 2, all_objects,
+                                  clean_claims(2, 0.0))));
+  return stream;
+}
+
+crowd::RoundOutcome run_server_round(const std::vector<Upload>& stream,
+                                     bool labels,
+                                     std::size_t ingest_threads) {
+  net::Simulator sim;
+  net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0}, 7);
+  crowd::ServerConfig config;
+  config.num_objects = kCountObjects;
+  config.num_shards = kCountShards;
+  config.stats_block_size = kCountBlock;
+  config.ingest_threads = ingest_threads;
+  config.labels.num_labels = labels ? kCountLabels : 0;
+  crowd::ShardedServer server(
+      config, truth::make_method(labels ? "majority" : "mean"), network);
+  server.start_round(1, participant_ids(kCountUsers));
+  for (const Upload& upload : stream) {
+    network.send(crowd::make_message(upload.source, config.id, upload.type,
+                                     upload.bytes));
+  }
+  sim.run();
+  EXPECT_EQ(server.outcomes().size(), 1u);
+  return server.outcomes().empty() ? crowd::RoundOutcome{}
+                                   : server.outcomes().front();
+}
+
+std::vector<crowd::ShardIngestStats> run_fleet_round(
+    const std::vector<Upload>& stream, bool labels) {
+  MethodSpec spec = spec_for("mean");
+  if (labels) {
+    spec.kind = MethodSpec::Kind::kMajority;
+    spec.majority.num_labels = kCountLabels;
+  }
+  Fleet fleet(kCountShards, spec, kCountObjects, /*warm_start=*/false,
+              kCountBlock);
+  EXPECT_TRUE(fleet.coordinator->begin_round(1, participant_ids(kCountUsers)));
+  for (const Upload& upload : stream) {
+    fleet.network.send(crowd::make_message(upload.source, kCoordinatorId,
+                                           upload.type, upload.bytes));
+  }
+  fleet.sim.run();
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  EXPECT_TRUE(outcome.completed);
+  return outcome.shard_stats;
+}
+
+void expect_same_stats(const std::vector<crowd::ShardIngestStats>& expected,
+                       const std::vector<crowd::ShardIngestStats>& actual,
+                       const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const crowd::ShardIngestStats& e = expected[i];
+    const crowd::ShardIngestStats& a = actual[i];
+    EXPECT_EQ(e.reports_received, a.reports_received) << label << " " << i;
+    EXPECT_EQ(e.duplicates_ignored, a.duplicates_ignored) << label << " " << i;
+    EXPECT_EQ(e.malformed_reports, a.malformed_reports) << label << " " << i;
+    EXPECT_EQ(e.rejected_reports, a.rejected_reports) << label << " " << i;
+    EXPECT_EQ(e.invalid_labels, a.invalid_labels) << label << " " << i;
+  }
+}
+
+/// Feeds the stream to the inline ShardedServer, the pipelined one (two
+/// workers) and a Coordinator + ShardNode fleet at equal K and block size.
+/// Every shard counts each upload the same on all three; the two in-process
+/// servers also agree on the round's totals, including the rejects no shard
+/// saw. `expected` pins the per-shard counters.
+void expect_every_path_counts_alike(
+    bool labels, const std::vector<crowd::ShardIngestStats>& expected) {
+  const std::vector<Upload> stream = ingest_stream(labels);
+  const crowd::RoundOutcome inline_round = run_server_round(stream, labels, 0);
+  const crowd::RoundOutcome pipelined = run_server_round(stream, labels, 2);
+  expect_same_stats(expected, inline_round.shard_stats, "inline");
+  expect_same_stats(expected, pipelined.shard_stats, "pipelined");
+  expect_same_stats(expected, run_fleet_round(stream, labels), "fleet");
+
+  EXPECT_EQ(inline_round.reports_received, pipelined.reports_received);
+  EXPECT_EQ(inline_round.duplicates_ignored, pipelined.duplicates_ignored);
+  EXPECT_EQ(inline_round.reports_rejected, pipelined.reports_rejected);
+  // 22 distinct reporters and 4 re-sends; 4 truncated uploads on shards,
+  // plus the unknown user and the unreadable header. The stale round is
+  // ignored.
+  EXPECT_EQ(inline_round.reports_received, 22u);
+  EXPECT_EQ(inline_round.duplicates_ignored, 4u);
+  EXPECT_EQ(inline_round.reports_rejected, 6u);
+}
+
+TEST(DistributedEquivalence, ShardedServerAndShardNodesCountUploadsAlike) {
+  // {received, duplicates, malformed, rejected, invalid labels} per shard.
+  expect_every_path_counts_alike(/*labels=*/false, {{8, 2, 1, 1, 0},
+                                                    {8, 1, 1, 2, 0},
+                                                    {6, 1, 1, 1, 0}});
+}
+
+TEST(DistributedEquivalence, ShardedServerAndShardNodesCountLabelUploadsAlike) {
+  expect_every_path_counts_alike(/*labels=*/true, {{8, 2, 0, 1, 1},
+                                                   {8, 1, 1, 2, 0},
+                                                   {6, 1, 0, 1, 2}});
 }
 
 }  // namespace

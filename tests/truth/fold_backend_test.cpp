@@ -186,8 +186,9 @@ TEST(FoldBackend, PooledLoopsMatchSerialForEveryMethod) {
   // A backend cannot infer an alphabet: the vote loops need it explicit.
   methods.push_back(std::make_unique<MajorityVote>(
       MajorityVoteConfig{.num_labels = kLabels}));
-  methods.push_back(std::make_unique<WeightedVote>(
-      WeightedVoteConfig{.num_labels = kLabels}));
+  WeightedVoteConfig vote_config;
+  vote_config.num_labels = kLabels;
+  methods.push_back(std::make_unique<WeightedVote>(vote_config));
   for (const auto& method : methods) {
     const std::string name = method->name();
     const bool labels = name == "majority" || name == "vote";
