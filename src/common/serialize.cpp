@@ -5,10 +5,6 @@
 
 namespace dptd {
 
-namespace {
-constexpr std::size_t kMaxContainerLength = 1u << 28;  // 256M entries: sanity cap
-}
-
 void Encoder::write_u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
@@ -103,33 +99,30 @@ std::int64_t Decoder::read_signed_varint() {
 
 double Decoder::read_double() { return std::bit_cast<double>(read_u64()); }
 
+std::size_t Decoder::read_count(std::size_t min_element_bytes) {
+  const std::uint64_t count = read_varint();
+  if (count > kMaxContainerLength) throw DecodeError("container too long");
+  if (count > remaining() / min_element_bytes) {
+    throw DecodeError("container count exceeds the bytes left");
+  }
+  return static_cast<std::size_t>(count);
+}
+
 std::string Decoder::read_string() {
-  const std::uint64_t len = read_varint();
-  if (len > kMaxContainerLength) throw DecodeError("string too long");
-  need(static_cast<std::size_t>(len));
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
-  return s;
+  const std::span<const std::uint8_t> bytes = read_span(read_count());
+  return std::string(bytes.begin(), bytes.end());
 }
 
 std::vector<std::uint8_t> Decoder::read_bytes() {
-  const std::uint64_t len = read_varint();
-  if (len > kMaxContainerLength) throw DecodeError("byte array too long");
-  need(static_cast<std::size_t>(len));
-  std::vector<std::uint8_t> bytes(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  data_.begin() + static_cast<std::ptrdiff_t>(
-                                                      pos_ + static_cast<std::size_t>(len)));
-  pos_ += static_cast<std::size_t>(len);
-  return bytes;
+  const std::span<const std::uint8_t> bytes = read_span(read_count());
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
 std::vector<double> Decoder::read_doubles() {
-  const std::uint64_t len = read_varint();
-  if (len > kMaxContainerLength) throw DecodeError("vector too long");
+  const std::size_t len = read_count(sizeof(double));
   std::vector<double> xs;
-  xs.reserve(static_cast<std::size_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i) xs.push_back(read_double());
+  xs.reserve(len);
+  for (std::size_t i = 0; i < len; ++i) xs.push_back(read_double());
   return xs;
 }
 

@@ -14,6 +14,9 @@
 
 namespace dptd {
 
+/// Sanity cap on any decoded container's element count.
+inline constexpr std::size_t kMaxContainerLength = std::size_t{1} << 28;
+
 class DecodeError : public std::runtime_error {
  public:
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
@@ -56,6 +59,10 @@ class Decoder {
   std::string read_string();
   std::vector<double> read_doubles();
   std::vector<std::uint8_t> read_bytes();  // mirror of write_bytes
+  /// A container's element count. Refused above kMaxContainerLength, or when
+  /// the bytes left cannot hold that many elements of at least
+  /// `min_element_bytes` each, so a hostile count never reserves memory.
+  std::size_t read_count(std::size_t min_element_bytes = 1);
   /// The next `n` bytes as a view into the decoded buffer (no copy).
   std::span<const std::uint8_t> read_span(std::size_t n);
 

@@ -242,17 +242,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     // Per-round traffic: the network accumulates across the campaign, so
     // record the delta against the previous round's snapshot.
     const net::NetworkStats& stats_after = network.stats();
-    record.network.messages_sent =
-        stats_after.messages_sent - stats_before.messages_sent;
-    record.network.messages_delivered =
-        stats_after.messages_delivered - stats_before.messages_delivered;
-    record.network.messages_dropped =
-        stats_after.messages_dropped - stats_before.messages_dropped;
-    record.network.messages_undeliverable = stats_after.messages_undeliverable -
-                                            stats_before.messages_undeliverable;
-    record.network.bytes_sent = stats_after.bytes_sent - stats_before.bytes_sent;
-    record.network.bytes_delivered =
-        stats_after.bytes_delivered - stats_before.bytes_delivered;
+    record.network = stats_after.since(stats_before);
     stats_before = stats_after;
 
     if (!outcome.result.truths.empty()) {

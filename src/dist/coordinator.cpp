@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <span>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -274,9 +278,39 @@ std::size_t Coordinator::live_num_users() const {
 // ---------------------------------------------------------------------------
 // RemoteBackend
 
-/// The fold backend over the live shards of one close attempt. Every chained
-/// fold threads its accumulator through the live shards in ascending plan
-/// order; gather and collect go to all of them in parallel.
+namespace {
+
+/// A call argument as its row field: a span is copied into a vector.
+template <typename T, std::size_t N>
+std::vector<std::remove_const_t<T>> field(std::span<T, N> xs) {
+  return {xs.begin(), xs.end()};
+}
+template <typename X>
+X field(X x) {
+  return x;
+}
+
+/// The request of `Op`'s row, its fields built from the call's arguments.
+template <ShardOp Op, typename... Xs>
+BatchItem request(Xs&&... xs) {
+  return {Op, encode_fields(ArgsOf<Op>{field(std::forward<Xs>(xs))...})};
+}
+
+/// The last N fields of `fields`, as references.
+template <std::size_t N, typename Tuple>
+auto trailing(Tuple& fields) {
+  constexpr std::size_t first = std::tuple_size_v<Tuple> - N;
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::tie(std::get<first + I>(fields)...);
+  }(std::make_index_sequence<N>());
+}
+
+}  // namespace
+
+/// The fold backend over the live shards of one close attempt. Each call is
+/// one row of the op table (stats_wire.h). Every chained fold threads its
+/// accumulator through the live shards in ascending plan order; gather and
+/// collect go to all of them in parallel.
 ///
 /// The one deferral rule: a register write is queued per live shard and
 /// rides as a kBatch prefix on the next frame that shard receives (a chain
@@ -294,171 +328,103 @@ class RemoteBackend final : public truth::FoldBackend {
   std::size_t num_objects() const override { return c_.config_.num_objects; }
 
   /// Weights are indexed by the round's planned users (an excluded shard's
-  /// slice is skipped); empty sends the one-byte uniform body.
+  /// slice is skipped); empty sends the one-byte uniform slice.
   void set_weights(std::span<const double> weights) override {
-    WeightsBody body;
-    body.uniform = weights.empty();
-    DPTD_REQUIRE(body.uniform || weights.size() == c_.plan_.num_users,
+    DPTD_REQUIRE(weights.empty() || weights.size() == c_.plan_.num_users,
                  "RemoteBackend: weights size != planned users");
     for (std::size_t i : c_.live_) {
-      if (!body.uniform) {
-        body.weights.assign(weights.begin() + c_.plan_.user_begin(i),
-                            weights.begin() + c_.plan_.user_end(i));
+      WeightsBody slice{weights.empty(), {}};
+      if (!slice.uniform) {
+        slice.weights.assign(weights.begin() + c_.plan_.user_begin(i),
+                             weights.begin() + c_.plan_.user_end(i));
       }
-      queued_[i].push_back({ShardOp::kSetWeights, body.encode()});
+      queued_[i].push_back(request<ShardOp::kSetWeights>(std::move(slice)));
     }
   }
   void crh_prepare(truth::CrhLoss loss, double min_loss_fraction,
                    std::span<const double> stddevs) override {
-    CrhPrepareBody body;
-    body.loss = static_cast<std::uint8_t>(loss);
-    body.min_loss_fraction = min_loss_fraction;
-    body.stddevs.assign(stddevs.begin(), stddevs.end());
-    write(ShardOp::kCrhPrepare, body.encode());
+    write(request<ShardOp::kCrhPrepare>(loss, min_loss_fraction, stddevs));
   }
   void crh_weights(double total) override {
-    write(ShardOp::kCrhWeights, total_body(total));
+    write(request<ShardOp::kCrhWeights>(total));
   }
   void gtm_prepare(const truth::GtmConfig& config,
                    std::span<const double> shift,
                    std::span<const double> scale) override {
-    GtmPrepareBody body;
-    body.quality_prior_alpha = config.quality_prior_alpha;
-    body.quality_prior_beta = config.quality_prior_beta;
-    body.min_variance = config.min_variance;
-    body.shift.assign(shift.begin(), shift.end());
-    body.scale.assign(scale.begin(), scale.end());
-    write(ShardOp::kGtmPrepare, body.encode());
+    write(request<ShardOp::kGtmPrepare>(
+        config.quality_prior_alpha, config.quality_prior_beta,
+        config.min_variance, shift, scale));
   }
   void gtm_step(std::span<const double> truth_mean,
                 std::span<const double> truth_var) override {
-    GtmStepBody body;
-    body.truth_mean.assign(truth_mean.begin(), truth_mean.end());
-    body.truth_var.assign(truth_var.begin(), truth_var.end());
-    write(ShardOp::kGtmStep, body.encode());
+    write(request<ShardOp::kGtmStep>(truth_mean, truth_var));
   }
   void catd_prepare(double significance, double min_residual) override {
-    CatdPrepareBody body;
-    body.significance = significance;
-    body.min_residual = min_residual;
-    write(ShardOp::kCatdPrepare, body.encode());
+    write(request<ShardOp::kCatdPrepare>(significance, min_residual));
   }
   void catd_weights(std::span<const double> truths) override {
-    TruthsBody body;
-    body.truths.assign(truths.begin(), truths.end());
-    write(ShardOp::kCatdWeights, body.encode());
+    write(request<ShardOp::kCatdWeights>(truths));
   }
   void vote_prepare(std::size_t num_labels,
                     double min_disagreement_fraction) override {
-    VotePrepareBody body;
-    body.num_labels = num_labels;
-    body.min_disagreement_fraction = min_disagreement_fraction;
-    write(ShardOp::kVotePrepare, body.encode());
+    write(request<ShardOp::kVotePrepare>(num_labels,
+                                         min_disagreement_fraction));
   }
   void vote_weights(double total) override {
-    write(ShardOp::kVoteWeights, total_body(total));
+    write(request<ShardOp::kVoteWeights>(total));
   }
 
   void moments(std::span<RunningStats> acc) override {
-    std::vector<RunningStats> state(acc.begin(), acc.end());
-    for (std::size_t i : c_.live_) {
-      state = parse(i, hop(i, ShardOp::kMoments, encode_moments(state)),
-                    &decode_moments, [&](const std::vector<RunningStats>& m) {
-                      return m.size() == acc.size();
-                    });
-    }
+    const auto [state] = chain<ShardOp::kMoments>(acc);
     std::copy(state.begin(), state.end(), acc.begin());
   }
   void aggregate(truth::AggregateStats& acc) override {
-    AggregateBody body;
-    body.stats = std::move(acc);
-    for (std::size_t i : c_.live_) {
-      body = parse(i, hop(i, ShardOp::kAggregate, body.encode()),
-                   &AggregateBody::decode, [&](const AggregateBody& next) {
-                     return next.stats.counts.size() == num_objects();
-                   });
-    }
-    acc = std::move(body.stats);
+    acc = std::get<0>(chain<ShardOp::kAggregate>(std::move(acc)));
   }
   double crh_loss(std::span<const double> truths, double total) override {
-    CrhLossBody body;
-    body.truths.assign(truths.begin(), truths.end());
-    body.total = total;
-    for (std::size_t i : c_.live_) {
-      body.total = chained_total(i, ShardOp::kCrhLoss, body.encode());
-    }
-    return body.total;
+    return std::get<1>(chain<ShardOp::kCrhLoss>(truths, total));
   }
   void gtm_posterior(std::span<double> precision,
                      std::span<double> weighted) override {
-    GtmFoldBody body;
-    body.precision.assign(precision.begin(), precision.end());
-    body.weighted.assign(weighted.begin(), weighted.end());
-    for (std::size_t i : c_.live_) {
-      body = parse(i, hop(i, ShardOp::kGtmFold, body.encode()),
-                   &GtmFoldBody::decode, [&](const GtmFoldBody& next) {
-                     return next.precision.size() == precision.size();
-                   });
-    }
-    std::copy(body.precision.begin(), body.precision.end(), precision.begin());
-    std::copy(body.weighted.begin(), body.weighted.end(), weighted.begin());
+    const auto [p, w] = chain<ShardOp::kGtmFold>(precision, weighted);
+    std::copy(p.begin(), p.end(), precision.begin());
+    std::copy(w.begin(), w.end(), weighted.begin());
   }
   void vote_scores(std::span<double> scores) override {
-    VoteScoresBody body;
-    body.scores.assign(scores.begin(), scores.end());
-    for (std::size_t i : c_.live_) {
-      body = parse(i, hop(i, ShardOp::kVoteScores, body.encode()),
-                   &VoteScoresBody::decode, [&](const VoteScoresBody& next) {
-                     return next.scores.size() == scores.size();
-                   });
-    }
-    std::copy(body.scores.begin(), body.scores.end(), scores.begin());
+    const auto [state] = chain<ShardOp::kVoteScores>(scores);
+    std::copy(state.begin(), state.end(), scores.begin());
   }
   double vote_disagreement(std::span<const categorical::Label> truths,
                            double total) override {
-    VoteDisagreeBody body;
-    body.truths.assign(truths.begin(), truths.end());
-    body.total = total;
-    for (std::size_t i : c_.live_) {
-      body.total = chained_total(i, ShardOp::kVoteDisagree, body.encode());
-    }
-    return body.total;
+    return std::get<1>(chain<ShardOp::kVoteDisagree>(truths, total));
   }
 
   truth::GatheredColumns gather() override {
+    const auto replies = send(c_.live_, {request<ShardOp::kGather>()});
+    std::vector<truth::GatheredColumns> fragments;
+    std::size_t values = 0;
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      auto [fragment] = parse(
+          c_.live_[j], replies[j][0], &decode_fields<ReplyOf<ShardOp::kGather>>,
+          [&](const auto& reply) {
+            return std::get<0>(reply).num_objects() == num_objects();
+          });
+      values += fragment.values.size();
+      fragments.push_back(std::move(fragment));
+    }
     // Fragments concatenated in ascending shard order ARE the global columns
     // in user order (shard ranges are contiguous and ascending; excluded
     // shards just leave their users out).
-    const auto replies = send(c_.live_, {{ShardOp::kGather, {}}});
-    std::vector<GatherBody> fragments;
-    for (std::size_t j = 0; j < replies.size(); ++j) {
-      fragments.push_back(parse(c_.live_[j], replies[j][0], &GatherBody::decode,
-                                [&](const GatherBody& fragment) {
-                                  return fragment.lengths.size() ==
-                                         num_objects();
-                                }));
-    }
     truth::GatheredColumns columns;
-    columns.offsets.assign(num_objects() + 1, 0);
-    for (const GatherBody& fragment : fragments) {
-      for (std::size_t n = 0; n < num_objects(); ++n) {
-        columns.offsets[n + 1] += fragment.lengths[n];
-      }
-    }
+    columns.values.reserve(values);
+    columns.offsets.push_back(0);
     for (std::size_t n = 0; n < num_objects(); ++n) {
-      columns.offsets[n + 1] += columns.offsets[n];
-    }
-    columns.values.resize(columns.offsets.back());
-    std::vector<std::size_t> cursor(columns.offsets.begin(),
-                                    columns.offsets.end() - 1);
-    for (const GatherBody& fragment : fragments) {
-      auto value = fragment.values.begin();
-      for (std::size_t n = 0; n < num_objects(); ++n) {
-        const auto len = static_cast<std::ptrdiff_t>(fragment.lengths[n]);
-        std::copy(value, value + len, columns.values.begin() + cursor[n]);
-        cursor[n] += fragment.lengths[n];
-        value += len;
+      for (const truth::GatheredColumns& fragment : fragments) {
+        const std::span<const double> column = fragment.column(n);
+        columns.values.insert(columns.values.end(), column.begin(),
+                              column.end());
       }
+      columns.offsets.push_back(columns.values.size());
     }
     return columns;
   }
@@ -467,15 +433,17 @@ class RemoteBackend final : public truth::FoldBackend {
   /// exactly the weight vector of the in-process survivor reference. The
   /// shard telemetry rides the same frames.
   std::vector<double> collect_weights() override {
-    const auto replies = send(c_.live_, {{ShardOp::kCollectWeights, {}},
+    const auto replies = send(c_.live_, {request<ShardOp::kCollectWeights>(),
                                          {ShardOp::kGetTelemetry, {}}});
     std::vector<double> weights;
     weights.reserve(num_users());
     for (std::size_t j = 0; j < replies.size(); ++j) {
       const std::size_t i = c_.live_[j];
-      const WeightsBody slice = parse(
-          i, replies[j][0], &WeightsBody::decode, [&](const WeightsBody& w) {
-            return w.weights.size() == c_.plan_.shard_num_users(i);
+      const auto [slice] = parse(
+          i, replies[j][0], &decode_fields<ReplyOf<ShardOp::kCollectWeights>>,
+          [&](const auto& reply) {
+            return std::get<0>(reply).weights.size() ==
+                   c_.plan_.shard_num_users(i);
           });
       weights.insert(weights.end(), slice.weights.begin(), slice.weights.end());
       store_telemetry(i, replies[j][1]);
@@ -532,14 +500,8 @@ class RemoteBackend final : public truth::FoldBackend {
  private:
   using Bodies = std::vector<std::vector<std::uint8_t>>;
 
-  void write(ShardOp op, const std::vector<std::uint8_t>& body) {
-    for (std::size_t i : c_.live_) queued_[i].push_back({op, body});
-  }
-
-  static std::vector<std::uint8_t> total_body(double total) {
-    CrhTotalBody body;
-    body.total = total;
-    return body.encode();
+  void write(const BatchItem& item) {
+    for (std::size_t i : c_.live_) queued_[i].push_back(item);
   }
 
   /// Sends each of `shards` (plan indices) one frame: its queued writes,
@@ -579,24 +541,28 @@ class RemoteBackend final : public truth::FoldBackend {
     return out;
   }
 
-  /// One chain hop: shard i continues the fold carried in `body`.
-  std::vector<std::uint8_t> hop(std::size_t i, ShardOp op,
-                                std::vector<std::uint8_t> body) {
-    return std::move(send({i}, {{op, std::move(body)}})[0][0]);
-  }
-
-  /// A hop of a chained block sum: the reply is the running total.
-  double chained_total(std::size_t i, ShardOp op,
-                       std::vector<std::uint8_t> body) {
-    return parse(i, hop(i, op, std::move(body)), &CrhTotalBody::decode,
-                 [](const CrhTotalBody&) { return true; })
-        .total;
+  /// A chained fold through the live shards in plan order. Each hop sends
+  /// the row's fields; its reply replaces the trailing fields it carries and
+  /// must bring each back at the length it was sent.
+  template <ShardOp Op, typename... Xs>
+  ArgsOf<Op> chain(Xs&&... xs) {
+    ArgsOf<Op> fields{field(std::forward<Xs>(xs))...};
+    auto carried = trailing<std::tuple_size_v<ReplyOf<Op>>>(fields);
+    for (std::size_t i : c_.live_) {
+      std::vector<std::uint8_t> reply = std::move(
+          send({i}, {{Op, encode_fields(fields)}})[0][0]);
+      carried = parse(i, reply, &decode_fields<ReplyOf<Op>>,
+                      [&](const ReplyOf<Op>& next) {
+                        return lengths(next) == lengths(carried);
+                      });
+    }
+    return fields;
   }
 
   void store_telemetry(std::size_t i, const std::vector<std::uint8_t>& bytes) {
     c_.telemetry_by_node_[c_.active_[i]] =
-        parse(i, bytes, &TelemetryBody::decode,
-              [](const TelemetryBody&) { return true; });
+        parse(i, bytes, &decode_fields<Telemetry>,
+              [](const Telemetry&) { return true; });
   }
 
   /// Decodes shard i's reply; an undecodable one, or one `valid` refuses,
@@ -712,25 +678,14 @@ DistributedOutcome Coordinator::close_round() {
     out.reports_undeliverable = reports_undeliverable_;
     out.resends = round_resends_;
     out.stale_responses = stale_responses_ - stale_at_begin_;
-    const net::NetworkStats now = network_->stats();
-    out.network.messages_sent =
-        now.messages_sent - stats_at_begin_.messages_sent;
-    out.network.messages_delivered =
-        now.messages_delivered - stats_at_begin_.messages_delivered;
-    out.network.messages_dropped =
-        now.messages_dropped - stats_at_begin_.messages_dropped;
-    out.network.messages_undeliverable =
-        now.messages_undeliverable - stats_at_begin_.messages_undeliverable;
-    out.network.bytes_sent = now.bytes_sent - stats_at_begin_.bytes_sent;
-    out.network.bytes_delivered =
-        now.bytes_delivered - stats_at_begin_.bytes_delivered;
+    out.network = network_->stats().since(stats_at_begin_);
     for (net::NodeId shard : active_) {
       NodeCounters counters;
       counters.node = shard;
       const auto tit = telemetry_by_node_.find(shard);
       if (tit != telemetry_by_node_.end()) {
-        counters.stale_requests = tit->second.stale_requests;
-        counters.malformed_messages = tit->second.malformed_messages;
+        std::tie(counters.stale_requests, counters.malformed_messages) =
+            tit->second;
       }
       const auto mit = malformed_by_node_.find(shard);
       counters.malformed_responses =

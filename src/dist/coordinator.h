@@ -1,17 +1,19 @@
 // The distributed truth-discovery coordinator: a net::Node that drives the
 // iterative methods over a fleet of ShardNodes purely through serialized
-// messages (crowd::StatsEnvelope + dist/stats_wire.h bodies) on the simulated
-// network.
+// messages (crowd::StatsEnvelope + dist/stats_wire.h bodies) over any
+// net::Transport: the simulator's Network in process, or a SocketTransport
+// to shard processes.
 //
 // Determinism contract: with zero link drops and no churn, a K-shard
 // distributed round is bitwise identical to the in-process
 // TruthDiscovery::run_sharded over the same matrix at the same K. Each
 // method's loop is written once (TruthDiscovery::run_folds, truth/): the
 // in-process run drives it over a truth::LocalBackend, a close drives it
-// over a RemoteBackend (coordinator.cpp), which threads every mergeable
-// statistic through the live shards as a chained fold (stats_wire.h) and
-// turns every register write into a ShardOp the owning shard runs on its
-// own LocalBackend. The coordinator holds nothing per method.
+// over a RemoteBackend (coordinator.cpp). RemoteBackend sends each backend
+// call as a request built from its row of the op table (stats_wire.h): a
+// chained fold threads through the live shards, and a register write is
+// queued for each of them. The owning shard runs the same row on its own
+// LocalBackend. The coordinator holds nothing per method.
 //
 // Frames: a register write is queued per live shard and rides as a kBatch
 // prefix on the next frame that shard receives (a chain hop, a gather, the
@@ -324,7 +326,7 @@ class Coordinator final : public net::Node {
   std::unordered_map<net::NodeId, std::size_t> undeliverable_at_begin_;
   std::unordered_map<net::NodeId, std::size_t> malformed_at_begin_;
   std::size_t stale_at_begin_ = 0;
-  std::unordered_map<net::NodeId, TelemetryBody> telemetry_by_node_;
+  std::unordered_map<net::NodeId, Telemetry> telemetry_by_node_;
 
   crowd::WarmState warm_;
 

@@ -132,58 +132,42 @@ void ShardNode::handle_request(const net::Message& message) {
     return;
   }
   if (last_op_id_.has_value() && env.op_id <= *last_op_id_) {
-    if (env.op_id == *last_op_id_ && last_response_.has_value()) {
-      // Exactly-once replay: the op already executed but the coordinator did
-      // not see the response (lost, or a resend raced it). Re-executing would
-      // be wrong for non-idempotent ops (kFinalizeIngest), so replay the
-      // bytes.
-      crowd::StatsEnvelope reply;
-      reply.op_id = env.op_id;
-      reply.op = env.op;
-      reply.body = *last_response_;
-      network_->send(crowd::make_message(id_, message.source,
-                                         crowd::MessageType::kShardResponse,
-                                         reply.encode()));
+    if (env.op_id != *last_op_id_ || !last_response_.has_value()) {
+      // Op ids are globally monotonic per coordinator, so anything below the
+      // watermark is a delayed duplicate of an older op or an abandoned
+      // pre-re-plan request that jitter delivered after newer ops executed.
+      // Executing it would replay a state mutation out of order (a late
+      // kFinalizeIngest resetting weights after kSetWeights, a stale kSetup
+      // re-imposing an abandoned plan); the coordinator stopped waiting for
+      // it long ago, so drop and count.
+      ++stale_requests_;
       return;
     }
-    // Op ids are globally monotonic per coordinator, so anything below the
-    // watermark is a delayed duplicate of an older op or an abandoned
-    // pre-re-plan request that jitter delivered after newer ops executed.
-    // Executing it would replay a state mutation out of order (a late
-    // kFinalizeIngest resetting weights after kSetWeights, a stale kSetup
-    // re-imposing an abandoned plan); the coordinator stopped waiting for it
-    // long ago, so drop and count.
-    ++stale_requests_;
-    return;
+    // Exactly-once replay: the op already executed but the coordinator did
+    // not see the response (lost, or a resend raced it). Re-executing would
+    // be wrong for non-idempotent ops (kFinalizeIngest), so replay the bytes.
+    env.body = *last_response_;
+  } else {
+    try {
+      env.body = execute(static_cast<ShardOp>(env.op), env.body);
+    } catch (const DecodeError&) {
+      // Malformed body: count and stay silent. The coordinator's
+      // resend/timeout machinery owns recovery; a corrupt message must never
+      // kill the shard.
+      ++malformed_messages_;
+      return;
+    } catch (const std::invalid_argument&) {
+      // A step the backend refuses (a wrong size, or state this shard does
+      // not have): malformed the same way.
+      ++malformed_messages_;
+      return;
+    }
+    last_op_id_ = env.op_id;
+    last_response_ = env.body;
   }
-  std::vector<std::uint8_t> body;
-  try {
-    body = execute(static_cast<ShardOp>(env.op), env.body);
-  } catch (const DecodeError&) {
-    // Malformed body: count and stay silent. The coordinator's
-    // resend/timeout machinery owns recovery; a corrupt message must never
-    // kill the shard.
-    ++malformed_messages_;
-    return;
-  } catch (const std::invalid_argument&) {
-    // A step the backend refuses (a wrong size, or state this shard does not
-    // have): malformed the same way.
-    ++malformed_messages_;
-    return;
-  }
-  last_op_id_ = env.op_id;
-  last_response_ = body;
-  crowd::StatsEnvelope reply;
-  reply.op_id = env.op_id;
-  reply.op = env.op;
-  reply.body = std::move(body);
+  // The reply keeps the request's op id and op and carries the result.
   network_->send(crowd::make_message(
-      id_, message.source, crowd::MessageType::kShardResponse, reply.encode()));
-}
-
-truth::LocalBackend& ShardNode::backend() {
-  if (!backend_.has_value()) throw DecodeError("shard: no finalized matrix");
-  return *backend_;
+      id_, message.source, crowd::MessageType::kShardResponse, env.encode()));
 }
 
 std::vector<std::uint8_t> ShardNode::execute(
@@ -258,114 +242,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       return summary.encode();
     }
-    // Every statistics op is one backend call: the body carries its
-    // arguments (and a chained fold's carried state), and the backend checks
-    // sizes and preparation.
-    case ShardOp::kSetWeights: {
-      const WeightsBody req = WeightsBody::decode(body);
-      if (!req.uniform && req.weights.empty()) {
-        throw DecodeError("WeightsBody: empty explicit slice");
-      }
-      backend().set_weights(req.weights);  // uniform carries no values
-      return {};
-    }
-    case ShardOp::kMoments: {
-      std::vector<RunningStats> moments = decode_moments(body);
-      backend().moments(moments);
-      return encode_moments(moments);
-    }
-    case ShardOp::kGather: {
-      const truth::GatheredColumns columns = backend().gather();
-      GatherBody out;
-      for (std::size_t n = 0; n < num_objects_; ++n) {
-        const std::span<const double> column = columns.column(n);
-        out.lengths.push_back(column.size());
-        out.values.insert(out.values.end(), column.begin(), column.end());
-      }
-      return out.encode();
-    }
-    case ShardOp::kAggregate: {
-      AggregateBody req = AggregateBody::decode(body);
-      backend().aggregate(req.stats);
-      return req.encode();
-    }
-    case ShardOp::kCollectWeights: {
-      WeightsBody out;
-      out.uniform = false;
-      out.weights = backend().collect_weights();
-      return out.encode();
-    }
-    case ShardOp::kCrhPrepare: {
-      const CrhPrepareBody req = CrhPrepareBody::decode(body);
-      backend().crh_prepare(static_cast<truth::CrhLoss>(req.loss),
-                            req.min_loss_fraction, req.stddevs);
-      return {};
-    }
-    case ShardOp::kCrhLoss: {
-      const CrhLossBody req = CrhLossBody::decode(body);
-      CrhTotalBody out;
-      out.total = backend().crh_loss(req.truths, req.total);
-      return out.encode();
-    }
-    case ShardOp::kCrhWeights: {
-      backend().crh_weights(CrhTotalBody::decode(body).total);
-      return {};
-    }
-    case ShardOp::kGtmPrepare: {
-      const GtmPrepareBody req = GtmPrepareBody::decode(body);
-      truth::GtmConfig config;
-      config.quality_prior_alpha = req.quality_prior_alpha;
-      config.quality_prior_beta = req.quality_prior_beta;
-      config.min_variance = req.min_variance;
-      backend().gtm_prepare(config, req.shift, req.scale);
-      return {};
-    }
-    case ShardOp::kGtmStep: {
-      const GtmStepBody req = GtmStepBody::decode(body);
-      backend().gtm_step(req.truth_mean, req.truth_var);
-      return {};
-    }
-    case ShardOp::kGtmFold: {
-      GtmFoldBody req = GtmFoldBody::decode(body);
-      backend().gtm_posterior(req.precision, req.weighted);
-      return req.encode();
-    }
-    case ShardOp::kCatdPrepare: {
-      const CatdPrepareBody req = CatdPrepareBody::decode(body);
-      backend().catd_prepare(req.significance, req.min_residual);
-      return {};
-    }
-    case ShardOp::kCatdWeights: {
-      backend().catd_weights(TruthsBody::decode(body).truths);
-      return {};
-    }
-    case ShardOp::kVotePrepare: {
-      const VotePrepareBody req = VotePrepareBody::decode(body);
-      backend().vote_prepare(static_cast<std::size_t>(req.num_labels),
-                             req.min_disagreement_fraction);
-      return {};
-    }
-    case ShardOp::kVoteScores: {
-      VoteScoresBody req = VoteScoresBody::decode(body);
-      backend().vote_scores(req.scores);
-      return req.encode();
-    }
-    case ShardOp::kVoteDisagree: {
-      const VoteDisagreeBody req = VoteDisagreeBody::decode(body);
-      CrhTotalBody out;
-      out.total = backend().vote_disagreement(req.truths, req.total);
-      return out.encode();
-    }
-    case ShardOp::kVoteWeights: {
-      backend().vote_weights(CrhTotalBody::decode(body).total);
-      return {};
-    }
-    case ShardOp::kGetTelemetry: {
-      TelemetryBody out;
-      out.stale_requests = stale_requests_;
-      out.malformed_messages = malformed_messages_;
-      return out.encode();
-    }
+    case ShardOp::kGetTelemetry:
+      return encode_fields(Telemetry{stale_requests_, malformed_messages_});
     case ShardOp::kBatch: {
       // Sub-ops execute strictly in order; decode already refused lifecycle
       // ops and nesting, and every remaining op is idempotent, so a mid-batch
@@ -379,8 +257,16 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       return out.encode();
     }
+    default: {
+      // Every statistics op is one row of the op table, run on this shard's
+      // backend: the body carries its arguments (and a chained fold's carried
+      // state), and the backend checks sizes and preparation.
+      std::optional<std::vector<std::uint8_t>> reply =
+          run_op(op, body, backend_.has_value() ? &*backend_ : nullptr);
+      if (!reply.has_value()) throw DecodeError("shard: unknown op");
+      return std::move(*reply);
+    }
   }
-  throw DecodeError("shard: unknown op");
 }
 
 bool serve_shard(net::Transport& transport, const ShardNode& node,

@@ -15,11 +15,12 @@
 // framing breaks charges each item it can no longer read. Every item is
 // decoded whole before its row is touched, so no item is ever half ingested.
 //
-// Statistics ops: each is one call on a truth::LocalBackend over the
-// finalized local rows — the backend the in-process run_sharded uses — which
-// owns the per-user registers and prepared constants. Because the local user
-// range is block-aligned, every chained fold it continues reproduces the
-// global fold's bits (see stats_wire.h for the full argument).
+// Statistics ops: each is one row of the op table (stats_wire.h, run_op),
+// decoded and run as one call on a truth::LocalBackend over the finalized
+// local rows — the backend the in-process run_sharded uses — which owns the
+// per-user registers and prepared constants. Because the local user range is
+// block-aligned, every chained fold it continues reproduces the global
+// fold's bits (see stats_wire.h for the full argument).
 //
 // RPC semantics: exactly-once per op_id, enforced with a monotonic watermark.
 // Coordinator op ids are globally increasing, so the node keeps the highest
@@ -105,8 +106,6 @@ class ShardNode final : public net::Node {
   std::vector<std::uint8_t> execute(ShardOp op,
                                     std::span<const std::uint8_t> body);
   void reset_round_state();
-  /// The finalized round's backend; DecodeError before finalize.
-  truth::LocalBackend& backend();
 
   net::NodeId id_;
   net::Transport* network_;

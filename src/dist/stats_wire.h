@@ -13,26 +13,37 @@
 // distributed run is bitwise identical to the in-process run_sharded at the
 // same K (and, by the block-fold contract, at every K).
 //
-// Each statistics op is one truth::FoldBackend call (truth/fold_backend.h):
-// the coordinator's RemoteBackend encodes the call, and the owning shard runs
-// it on its own LocalBackend. Per-user state (weights, losses, qualities)
-// never crosses the wire during iterations: it lives in the shard's backend
-// and only the final weight slices are collected. Register writes (weights,
-// truths, scalars, prepared constants) are idempotent by construction and
-// ride the next frame each shard receives as kBatch prefix items; chained ops
-// carry their full input state in the request body, so a timeout-and-resend
-// re-executes deterministically.
+// One table drives both ends. Each statistics op is one truth::FoldBackend
+// call (truth/fold_backend.h), written once as a row of kOpTable: its opcode
+// and a function of the backend whose parameters are the request's fields
+// and whose result is the reply's fields. The coordinator's RemoteBackend
+// builds each request from its row's fields; a shard decodes it through the
+// same row and runs it on its own LocalBackend (run_op). One tuple codec
+// writes every body, a field at a time, with one field codec per wire type.
+// Per-user state (weights, losses, qualities) never crosses the wire during
+// iterations: it lives in the shard's backend and only the final weight
+// slices are collected. Register writes (weights, truths, scalars, prepared
+// constants) are idempotent by construction and ride the next frame each
+// shard receives as kBatch prefix items; chained folds carry their full input
+// state in the request body, so a timeout-and-resend re-executes
+// deterministically.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.h"
 #include "common/statistics.h"
 #include "crowd/server.h"
 #include "net/transport.h"
-#include "truth/interface.h"
+#include "truth/fold_backend.h"
 
 namespace dptd::dist {
 
@@ -42,30 +53,30 @@ enum class ShardOp : std::uint8_t {
   // Round lifecycle.
   kSetup = 1,           ///< SetupBody -> empty ack
   kFinalizeIngest = 2,  ///< empty -> IngestSummaryBody
-  // Generic statistics collectives.
-  kSetWeights = 3,      ///< WeightsBody -> empty ack
-  kMoments = 4,         ///< moments chain: MomentsBody -> MomentsBody
-  kGather = 5,          ///< empty -> GatherBody (this shard's column fragments)
-  kAggregate = 6,       ///< aggregate chain: AggregateBody -> AggregateBody
-  kCollectWeights = 7,  ///< empty -> WeightsBody (this shard's weight slice)
+  // Generic statistics collectives (kOpTable rows).
+  kSetWeights = 3,      ///< weight slice -> empty ack
+  kMoments = 4,         ///< moments chain
+  kGather = 5,          ///< empty -> this shard's column fragments
+  kAggregate = 6,       ///< weighted-aggregation chain
+  kCollectWeights = 7,  ///< empty -> this shard's weight slice
   // CRH.
-  kCrhPrepare = 8,      ///< CrhPrepareBody -> empty ack
-  kCrhLoss = 9,         ///< loss chain: CrhLossBody -> CrhTotalBody
-  kCrhWeights = 10,     ///< CrhTotalBody write -> empty ack
+  kCrhPrepare = 8,
+  kCrhLoss = 9,         ///< loss chain: (truths, total) -> total
+  kCrhWeights = 10,     ///< chained total -> empty ack
   // GTM.
-  kGtmPrepare = 11,     ///< GtmPrepareBody -> empty ack
-  kGtmStep = 12,        ///< GtmStepBody write (M-step) -> empty ack
-  kGtmFold = 13,        ///< posterior chain: GtmFoldBody -> GtmFoldBody
+  kGtmPrepare = 11,
+  kGtmStep = 12,        ///< M-step write
+  kGtmFold = 13,        ///< posterior chain
   // CATD.
-  kCatdPrepare = 14,    ///< CatdPrepareBody -> empty ack
-  kCatdWeights = 15,    ///< TruthsBody write -> empty ack
+  kCatdPrepare = 14,
+  kCatdWeights = 15,
   // Telemetry.
-  kGetTelemetry = 16,   ///< empty -> TelemetryBody (lifetime shard counters)
+  kGetTelemetry = 16,   ///< empty -> Telemetry (lifetime shard counters)
   // Categorical voting (majority / weighted vote over label claims).
-  kVotePrepare = 17,    ///< VotePrepareBody -> empty ack (builds label view)
-  kVoteScores = 18,     ///< score chain: VoteScoresBody -> VoteScoresBody
-  kVoteDisagree = 19,   ///< disagreement chain: VoteDisagreeBody -> CrhTotalBody
-  kVoteWeights = 20,    ///< CrhTotalBody write -> empty ack
+  kVotePrepare = 17,    ///< builds the shard's label view
+  kVoteScores = 18,     ///< label-score chain
+  kVoteDisagree = 19,   ///< disagreement chain: (truths, total) -> total
+  kVoteWeights = 20,    ///< chained total -> empty ack
   // Queued writes riding another op's frame.
   kBatch = 21,          ///< BatchBody -> BatchReplyBody (sub-ops in order)
 };
@@ -130,8 +141,8 @@ struct IngestSummaryBody {
   static IngestSummaryBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// A per-user weight slice: uniform 1.0 (empty vector on the wire) or
-/// explicit values, local-user indexed.
+/// A per-user weight slice, local-user indexed: uniform 1.0 (mode byte 1, no
+/// values) or explicit (mode byte 2, at least one value).
 struct WeightsBody {
   bool uniform = false;
   std::vector<double> weights;
@@ -140,147 +151,212 @@ struct WeightsBody {
   static WeightsBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// Per-object RunningStats accumulators, bit-exact (count, mean, M2, min,
-/// max per object). The moments chain's carried state.
-std::vector<std::uint8_t> encode_moments(std::span<const RunningStats> moments);
-std::vector<RunningStats> decode_moments(std::span<const std::uint8_t> bytes);
+/// kGetTelemetry's reply: a shard's lifetime (stale_requests,
+/// malformed_messages), collected at round close so DistributedOutcome
+/// surfaces them per node even over sockets.
+using Telemetry = std::tuple<std::uint64_t, std::uint64_t>;
 
-/// One shard's column fragments in local user order: per-object lengths plus
-/// the flat value array. Concatenating fragments in ascending shard order
-/// reproduces gather_object_values' global columns.
-struct GatherBody {
-  std::vector<std::uint64_t> lengths;  ///< claims per object on this shard
-  std::vector<double> values;          ///< flat, column-major
+using Doubles = std::vector<double>;
+using Labels = std::vector<categorical::Label>;
+using Moments = std::vector<RunningStats>;
 
-  std::vector<std::uint8_t> encode() const;
-  static GatherBody decode(std::span<const std::uint8_t> bytes);
+// Field codecs, one per wire type. Every array is a varint count, then its
+// elements; a count is refused before anything is reserved when the bytes
+// left cannot hold it (Decoder::read_count).
+//  - double: 8 bytes, bit-cast; varint: LEB128; CrhLoss: one byte <= 2.
+//  - Doubles; an unsigned array (varint counts, Labels) as varints, each
+//    refused past its element type's range.
+//  - Moments: per accumulator its count, then mean, M2, min and max unless
+//    the count is 0.
+//  - AggregateStats: weighted_sum, weight_sum and plain_sum as Doubles, then
+//    counts as varints, all four of one length.
+//  - WeightsBody: the mode byte, then Doubles.
+//  - GatheredColumns (a gather fragment): per-object lengths as varints,
+//    then the values column-major as Doubles; the lengths must sum to the
+//    value count without overflowing.
+void write_field(Encoder& enc, double x);
+void write_field(Encoder& enc, std::uint64_t x);
+void write_field(Encoder& enc, truth::CrhLoss loss);
+void write_field(Encoder& enc, const Doubles& xs);
+void write_field(Encoder& enc, const Moments& moments);
+void write_field(Encoder& enc, const truth::AggregateStats& stats);
+void write_field(Encoder& enc, const WeightsBody& slice);
+void write_field(Encoder& enc, const truth::GatheredColumns& columns);
+void read_field(Decoder& dec, double& x);
+void read_field(Decoder& dec, std::uint64_t& x);
+void read_field(Decoder& dec, truth::CrhLoss& loss);
+void read_field(Decoder& dec, Doubles& xs);
+void read_field(Decoder& dec, Moments& moments);
+void read_field(Decoder& dec, truth::AggregateStats& stats);
+void read_field(Decoder& dec, WeightsBody& slice);
+void read_field(Decoder& dec, truth::GatheredColumns& columns);
+template <std::unsigned_integral T>
+void write_field(Encoder& enc, const std::vector<T>& xs) {
+  enc.write_varint(xs.size());
+  for (const T x : xs) enc.write_varint(x);
+}
+template <std::unsigned_integral T>
+void read_field(Decoder& dec, std::vector<T>& xs) {
+  xs.resize(dec.read_count());
+  for (T& x : xs) {
+    const std::uint64_t v = dec.read_varint();
+    if (v > std::numeric_limits<T>::max()) throw DecodeError("varint array: element overflow");
+    x = static_cast<T>(v);
+  }
+}
+
+/// Element count of an array field (an AggregateStats counts its objects);
+/// a scalar has none.
+template <typename T>
+std::optional<std::size_t> length_of(const T&) { return std::nullopt; }
+template <typename T>
+std::optional<std::size_t> length_of(const std::vector<T>& xs) { return xs.size(); }
+inline std::optional<std::size_t> length_of(const truth::AggregateStats& s) {
+  return s.counts.size();
+}
+using Lengths = std::vector<std::optional<std::size_t>>;
+template <typename... Fields>
+Lengths lengths(const std::tuple<Fields...>& fields) {
+  return std::apply([](const auto&... f) { return Lengths{length_of(f)...}; }, fields);
+}
+
+// The tuple codec: a body is its fields in order, nothing more, and every
+// array field of one body has the same length.
+template <typename... Fields>
+std::vector<std::uint8_t> write_fields(const Fields&... fields) {
+  Encoder enc;
+  (write_field(enc, fields), ...);
+  return enc.take();
+}
+template <typename... Fields>
+void read_fields(std::span<const std::uint8_t> bytes, Fields&... fields) {
+  Decoder dec(bytes);
+  (read_field(dec, fields), ...);
+  if (!dec.done()) throw DecodeError("stats body: trailing bytes");
+  std::optional<std::size_t> first;
+  for (const std::optional<std::size_t> n : lengths(std::tie(fields...))) {
+    if (!first) first = n;
+    if (n && *n != *first) throw DecodeError("stats body: array lengths differ");
+  }
+}
+template <typename Tuple>
+std::vector<std::uint8_t> encode_fields(const Tuple& fields) {
+  return std::apply([](const auto&... f) { return write_fields(f...); }, fields);
+}
+template <typename Tuple>
+Tuple decode_fields(std::span<const std::uint8_t> bytes) {
+  Tuple fields;
+  std::apply([&](auto&... f) { read_fields(bytes, f...); }, fields);
+  return fields;
+}
+
+/// One row of the op table: `run` makes the FoldBackend call. Its parameters
+/// after the backend are the request fields (Args); the tuple it returns is
+/// the reply fields (Reply), and a register write returns nothing.
+template <ShardOp Op, typename Run>
+struct OpRow {
+  template <typename M>
+  struct Signature;
+  template <typename R, typename... Ps>
+  struct Signature<R (Run::*)(truth::FoldBackend&, Ps...) const> {
+    using Args = std::tuple<std::decay_t<Ps>...>;
+    using Reply = std::conditional_t<std::is_void_v<R>, std::tuple<>, R>;
+  };
+  static constexpr ShardOp op = Op;
+  using Args = typename Signature<decltype(&Run::operator())>::Args;
+  using Reply = typename Signature<decltype(&Run::operator())>::Reply;
+  Run run;
 };
+template <ShardOp Op, typename Run>
+constexpr OpRow<Op, Run> op_row(Run run) {
+  return {run};
+}
 
-/// The weighted-aggregation chain's carried state (truth::AggregateStats).
-struct AggregateBody {
-  truth::AggregateStats stats;
+/// The op table: every FoldBackend call that crosses the wire. A chained
+/// fold's reply is its carried state, the trailing request fields, which the
+/// coordinator threads on to the next shard at the lengths it sent.
+inline constexpr auto kOpTable = std::make_tuple(
+    // Register writes: the reply is an empty ack.
+    op_row<ShardOp::kSetWeights>([](truth::FoldBackend& b, const WeightsBody& slice) {
+      b.set_weights(slice.weights);  // a uniform slice carries no values
+    }),
+    op_row<ShardOp::kCrhPrepare>([](truth::FoldBackend& b, truth::CrhLoss loss,
+                                    double min_loss_fraction, const Doubles& stddevs) {
+      b.crh_prepare(loss, min_loss_fraction, stddevs);
+    }),
+    op_row<ShardOp::kCrhWeights>([](truth::FoldBackend& b, double total) { b.crh_weights(total); }),
+    op_row<ShardOp::kGtmPrepare>([](truth::FoldBackend& b, double quality_prior_alpha,
+                                    double quality_prior_beta, double min_variance,
+                                    const Doubles& shift, const Doubles& scale) {
+      truth::GtmConfig config;
+      config.quality_prior_alpha = quality_prior_alpha;
+      config.quality_prior_beta = quality_prior_beta;
+      config.min_variance = min_variance;
+      b.gtm_prepare(config, shift, scale);
+    }),
+    op_row<ShardOp::kGtmStep>([](truth::FoldBackend& b, const Doubles& mean, const Doubles& var) {
+      b.gtm_step(mean, var);
+    }),
+    op_row<ShardOp::kCatdPrepare>([](truth::FoldBackend& b, double significance,
+                                     double min_residual) {
+      b.catd_prepare(significance, min_residual);
+    }),
+    op_row<ShardOp::kCatdWeights>(
+        [](truth::FoldBackend& b, const Doubles& truths) { b.catd_weights(truths); }),
+    op_row<ShardOp::kVotePrepare>([](truth::FoldBackend& b, std::uint64_t num_labels,
+                                     double min_disagreement_fraction) {
+      if (num_labels > kMaxContainerLength) throw DecodeError("vote: label alphabet too large");
+      b.vote_prepare(num_labels, min_disagreement_fraction);
+    }),
+    op_row<ShardOp::kVoteWeights>([](truth::FoldBackend& b, double total) { b.vote_weights(total); }),
+    // Chained folds.
+    op_row<ShardOp::kMoments>([](truth::FoldBackend& b, Moments acc) {
+      b.moments(acc);
+      return std::tuple{std::move(acc)};
+    }),
+    op_row<ShardOp::kAggregate>([](truth::FoldBackend& b, truth::AggregateStats acc) {
+      b.aggregate(acc);
+      return std::tuple{std::move(acc)};
+    }),
+    op_row<ShardOp::kCrhLoss>([](truth::FoldBackend& b, const Doubles& truths, double total) {
+      return std::tuple{b.crh_loss(truths, total)};
+    }),
+    op_row<ShardOp::kGtmFold>([](truth::FoldBackend& b, Doubles precision, Doubles weighted) {
+      b.gtm_posterior(precision, weighted);
+      return std::tuple{std::move(precision), std::move(weighted)};
+    }),
+    op_row<ShardOp::kVoteScores>([](truth::FoldBackend& b, Doubles scores) {
+      b.vote_scores(scores);
+      return std::tuple{std::move(scores)};
+    }),
+    op_row<ShardOp::kVoteDisagree>([](truth::FoldBackend& b, const Labels& truths, double total) {
+      return std::tuple{b.vote_disagreement(truths, total)};
+    }),
+    // Collects.
+    op_row<ShardOp::kGather>([](truth::FoldBackend& b) { return std::tuple{b.gather()}; }),
+    op_row<ShardOp::kCollectWeights>([](truth::FoldBackend& b) {
+      return std::tuple{WeightsBody{false, b.collect_weights()}};
+    }));
 
-  std::vector<std::uint8_t> encode() const;
-  static AggregateBody decode(std::span<const std::uint8_t> bytes);
-};
+/// The row of `Op`, found at compile time.
+template <ShardOp Op, std::size_t I = 0>
+constexpr const auto& row_of() {
+  if constexpr (std::tuple_element_t<I, std::decay_t<decltype(kOpTable)>>::op == Op) {
+    return std::get<I>(kOpTable);
+  } else {
+    return row_of<Op, I + 1>();
+  }
+}
+template <ShardOp Op>
+using ArgsOf = typename std::decay_t<decltype(row_of<Op>())>::Args;
+template <ShardOp Op>
+using ReplyOf = typename std::decay_t<decltype(row_of<Op>())>::Reply;
 
-struct CrhPrepareBody {
-  std::uint8_t loss = 0;  ///< truth::CrhLoss
-  double min_loss_fraction = 0.0;
-  std::vector<double> stddevs;  ///< per object
-
-  std::vector<std::uint8_t> encode() const;
-  static CrhPrepareBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// CRH loss chain request: current truths plus the running block-chained loss
-/// total of the preceding shards (the shard's block_chain_sum init).
-struct CrhLossBody {
-  std::vector<double> truths;
-  double total = 0.0;
-
-  std::vector<std::uint8_t> encode() const;
-  static CrhLossBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// A chained block-sum total — the kCrhLoss/kVoteDisagree reply and the
-/// kCrhWeights/kVoteWeights body.
-struct CrhTotalBody {
-  double total = 0.0;
-
-  std::vector<std::uint8_t> encode() const;
-  static CrhTotalBody decode(std::span<const std::uint8_t> bytes);
-};
-
-struct GtmPrepareBody {
-  double quality_prior_alpha = 0.0;
-  double quality_prior_beta = 0.0;
-  double min_variance = 0.0;
-  std::vector<double> shift;  ///< per object
-  std::vector<double> scale;  ///< per object
-
-  std::vector<std::uint8_t> encode() const;
-  static GtmPrepareBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// GTM M-step: current truth posteriors.
-struct GtmStepBody {
-  std::vector<double> truth_mean;
-  std::vector<double> truth_var;
-
-  std::vector<std::uint8_t> encode() const;
-  static GtmStepBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// GTM posterior chain state: per-object precision and precision-weighted
-/// sums (the coordinator pre-fills both with the prior terms).
-struct GtmFoldBody {
-  std::vector<double> precision;
-  std::vector<double> weighted;
-
-  std::vector<std::uint8_t> encode() const;
-  static GtmFoldBody decode(std::span<const std::uint8_t> bytes);
-};
-
-struct CatdPrepareBody {
-  double significance = 0.0;
-  double min_residual = 0.0;
-
-  std::vector<std::uint8_t> encode() const;
-  static CatdPrepareBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// A bare truth vector (the CATD weight update).
-struct TruthsBody {
-  std::vector<double> truths;
-
-  std::vector<std::uint8_t> encode() const;
-  static TruthsBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// Arms a shard for categorical voting: it materializes the sparse label
-/// view of its finalized sub-matrix (out-of-domain values sanitize-dropped,
-/// the same rule as the in-process bridge) and allocates the disagreement
-/// register.
-struct VotePrepareBody {
-  std::uint64_t num_labels = 0;
-  double min_disagreement_fraction = 0.0;
-
-  std::vector<std::uint8_t> encode() const;
-  static VotePrepareBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// The weighted label-score chain's carried state: the row-major
-/// num_objects x num_labels histogram, folded in canonical block order. Each
-/// shard adds its claims on top and passes the table on — the exact
-/// categorical::fold_label_scores chain, shard ranges being block-aligned.
-struct VoteScoresBody {
-  std::vector<double> scores;
-
-  std::vector<std::uint8_t> encode() const;
-  static VoteScoresBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// Vote disagreement chain request: the current truth estimates (label ids)
-/// plus the running block-chained disagreement total of the preceding shards
-/// (the shard's block_chain_sum init). Response is CrhTotalBody.
-struct VoteDisagreeBody {
-  std::vector<std::uint32_t> truths;  ///< one label per object
-  double total = 0.0;
-
-  std::vector<std::uint8_t> encode() const;
-  static VoteDisagreeBody decode(std::span<const std::uint8_t> bytes);
-};
-
-/// A shard's lifetime robustness counters, collected at round close so
-/// DistributedOutcome surfaces them uniformly per node (not just through
-/// in-process accessors the coordinator cannot reach over a socket).
-struct TelemetryBody {
-  std::uint64_t stale_requests = 0;     ///< watermark-dropped requests
-  std::uint64_t malformed_messages = 0; ///< undecodable envelopes/bodies
-
-  std::vector<std::uint8_t> encode() const;
-  static TelemetryBody decode(std::span<const std::uint8_t> bytes);
-};
+/// Runs a table op on a shard: decodes the request through its row, runs it
+/// on `backend` (null before the round is finalized, refused once the
+/// request has decoded) and encodes the reply. Returns nothing for an op that
+/// has no row.
+std::optional<std::vector<std::uint8_t>> run_op(ShardOp op, std::span<const std::uint8_t> body,
+                                                truth::FoldBackend* backend);
 
 }  // namespace dptd::dist

@@ -119,6 +119,16 @@ struct NetworkStats {
   /// the simulator; on a socket transport each endpoint counts its own
   /// sides (bytes_sent = what it sent, bytes_delivered = what it received).
   std::size_t bytes_delivered = 0;
+
+  /// The traffic counted since `before`, an earlier snapshot.
+  NetworkStats since(const NetworkStats& before) const {
+    return {.messages_sent = messages_sent - before.messages_sent,
+            .messages_delivered = messages_delivered - before.messages_delivered,
+            .messages_dropped = messages_dropped - before.messages_dropped,
+            .messages_undeliverable = messages_undeliverable - before.messages_undeliverable,
+            .bytes_sent = bytes_sent - before.bytes_sent,
+            .bytes_delivered = bytes_delivered - before.bytes_delivered};
+  }
 };
 
 /// Timeout-and-resend policy for request/response RPCs driven over a

@@ -176,6 +176,9 @@ struct GatheredColumns {
   std::vector<double> values;        ///< size nnz, column-major (materialized)
   const data::ObservationMatrix* aliased = nullptr;  ///< single-shard zero-copy
 
+  std::size_t num_objects() const {
+    return aliased != nullptr ? aliased->num_objects() : offsets.size() - 1;
+  }
   std::span<const double> column(std::size_t object) const {
     if (aliased != nullptr) return aliased->object_entries(object).values;
     return std::span<const double>(values).subspan(

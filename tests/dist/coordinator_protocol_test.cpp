@@ -5,7 +5,13 @@
 // at ANY byte offset is counted, never fatal, on both ends.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,6 +22,7 @@
 #include "data/sharding.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
+#include "dist/pinned_ops.h"
 #include "dist/shard_node.h"
 #include "truth/interface.h"
 #include "net/network.h"
@@ -433,6 +440,59 @@ TEST(DistributedProtocol, BatchedReplyWithWrongBodyCountIsExcludedUnfolded) {
   }
 }
 
+TEST(DistributedProtocol, GatherReplyWhoseLengthsWrapIsExcludedUnfolded) {
+  // Regression: a gather fragment's per-object lengths were summed without an
+  // overflow check, so {2^64 - 1, 1, 0, 0} with no values summed to 0, passed
+  // as consistent, and the coordinator copied a length of -1. The same CATD
+  // cold start as above; shard 1's gather fragment is rewritten this way.
+  MethodSpec spec;
+  spec.kind = MethodSpec::Kind::kCatd;
+  const data::Dataset dataset = random_dataset(14, 48, 4, 0.3);
+  std::size_t expected_lost = 0;
+  for (std::size_t s = 16; s < 32; ++s) {
+    if (!dataset.observations.user_entries(s).empty()) ++expected_lost;
+  }
+  Fleet fleet(3, spec, dataset.num_objects());
+  fleet.shards[1].reset();
+  ReplyTamper tamper(fleet.network, [&](const crowd::StatsEnvelope& request,
+                                        crowd::StatsEnvelope& reply) {
+    if (request.op != static_cast<std::uint8_t>(ShardOp::kBatch) ||
+        BatchBody::decode(request.body).items.back().op != ShardOp::kGather) {
+      return;
+    }
+    BatchReplyBody bodies = BatchReplyBody::decode(reply.body);
+    Encoder wrapped;
+    wrapped.write_varint(4);
+    for (const std::uint64_t length : {~std::uint64_t{0}, std::uint64_t{1},
+                                       std::uint64_t{0}, std::uint64_t{0}}) {
+      wrapped.write_varint(length);
+    }
+    wrapped.write_varint(0);  // no values
+    bodies.bodies.back() = wrapped.take();
+    reply.body = bodies.encode();
+  });
+  ShardNode tampered(kShardBase + 1, tamper);
+  ASSERT_TRUE(
+      fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
+  send_dataset(fleet, dataset, 1);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+
+  ASSERT_TRUE(outcome.aggregated);
+  EXPECT_TRUE(outcome.degraded);
+  ASSERT_EQ(outcome.excluded_shards.size(), 1u);
+  EXPECT_EQ(outcome.excluded_shards[0], kShardBase + 1);
+  EXPECT_EQ(outcome.reports_lost, expected_lost);
+  ASSERT_EQ(outcome.node_counters.size(), 3u);
+  EXPECT_EQ(outcome.node_counters[1].malformed_responses, 1u);
+  EXPECT_EQ(outcome.node_counters[0].malformed_responses, 0u);
+  const data::ObservationMatrix survivors =
+      submatrix_of_ranges(dataset.observations, {{0, 16}, {32, 48}});
+  expect_bitwise_equal(
+      make_method(spec)->run_sharded(
+          data::ShardedMatrix::partition(survivors, 2, kTestBlock)),
+      outcome.result, "wrapped gather lengths");
+}
+
 TEST(DistributedProtocol, DegradedRoundRecordCarriesLossAccounting) {
   // The campaign-facing projection: degraded/excluded/reports_lost flow
   // through dist::to_round_record alongside the ingest totals.
@@ -572,9 +632,9 @@ TEST(DistributedProtocol, TruncatedResponsesAreCountedNeverFatal) {
   crowd::StatsEnvelope env;
   env.op_id = 77;
   env.op = static_cast<std::uint8_t>(ShardOp::kAggregate);
-  AggregateBody body;
-  body.stats.reset(3);
-  env.body = body.encode();
+  truth::AggregateStats stats;
+  stats.reset(3);
+  env.body = write_fields(stats);
   const std::vector<std::uint8_t> wire = env.encode();
   ASSERT_GT(wire.size(), 8u);
 
@@ -645,6 +705,49 @@ TEST(DistributedProtocol, TruncatedRequestsNeverKillAShard) {
       fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
   send_dataset(fleet, dataset, 1);
   EXPECT_TRUE(fleet.coordinator->close_round().aggregated);
+
+  // Every op's pinned request (pinned_ops.h), in its round's order: each
+  // body truncated at every offset, inside an intact envelope, is counted
+  // malformed and leaves the watermark where it was; the intact request
+  // then executes and is answered.
+  Recorder recorder;
+  const net::NodeId kRecorder = 7776;
+  fleet.network.attach(kRecorder, recorder);
+  std::uint64_t op_id = shard.op_watermark().value();
+  for (const pinned::PinnedOp& pin : pinned::kOps) {
+    const std::string label = "op " + std::to_string(static_cast<int>(pin.op));
+    if (pin.op == ShardOp::kFinalizeIngest) {
+      shard.on_message(crowd::make_message(kCoordinatorId, shard.id(),
+                                           crowd::MessageType::kReportBatch,
+                                           pinned::report_batch()));
+    }
+    crowd::StatsEnvelope request;
+    request.op_id = ++op_id;
+    request.op = static_cast<std::uint8_t>(pin.op);
+    const std::vector<std::uint8_t> body = pinned::from_hex(pin.request);
+    const std::size_t malformed = shard.malformed_messages();
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      request.body.assign(body.begin(),
+                          body.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_NO_THROW(shard.on_message(crowd::make_message(
+          kRecorder, shard.id(), crowd::MessageType::kShardRequest,
+          request.encode())))
+          << label << " truncated at " << len;
+    }
+    EXPECT_EQ(shard.malformed_messages() - malformed, body.size()) << label;
+    EXPECT_EQ(shard.op_watermark(), op_id - 1) << label;
+    request.body = body;
+    shard.on_message(crowd::make_message(kRecorder, shard.id(),
+                                         crowd::MessageType::kShardRequest,
+                                         request.encode()));
+    fleet.sim.run();
+    EXPECT_EQ(shard.op_watermark(), op_id) << label;
+    ASSERT_FALSE(recorder.received.empty()) << label;
+    EXPECT_EQ(crowd::StatsEnvelope::decode(recorder.received.back().payload)
+                  .op_id,
+              op_id)
+        << label;
+  }
 }
 
 TEST(DistributedProtocol, UnroutableReportsAreCountedNotFatal) {
@@ -702,6 +805,53 @@ void deliver_request(ShardNode& shard, net::NodeId source,
   env.body = std::move(body);
   shard.on_message(crowd::make_message(
       source, shard.id(), crowd::MessageType::kShardRequest, env.encode()));
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DPTD_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DPTD_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(DistributedProtocolDeathTest, OversizedCountPrefixIsMalformedNotAnAbort) {
+  // Regression: container decoders reserved a count's worth of elements
+  // before checking the bytes left, so a kBatch claiming 2^28 items reserved
+  // 8 GiB and a shard died of std::bad_alloc. The child caps its own address
+  // space 1 GiB above its current size, so such a reservation fails at once
+  // instead of paging; each request must be refused as malformed instead.
+#ifdef DPTD_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizers reserve shadow memory up front";
+#endif
+  EXPECT_EXIT(
+      {
+        std::ifstream statm("/proc/self/statm");
+        std::size_t pages = 0;
+        statm >> pages;
+        rlimit limit{};
+        getrlimit(RLIMIT_AS, &limit);
+        const rlim_t cap =
+            pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) + (rlim_t{1} << 30);
+        limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
+                             ? cap
+                             : std::min(cap, limit.rlim_max);
+        setrlimit(RLIMIT_AS, &limit);
+
+        Fleet fleet(1, crh_spec(), 2);
+        ShardNode& shard = *fleet.shards[0];
+        Encoder count;  // 2^28 elements, and not one byte behind them
+        count.write_varint(std::uint64_t{1} << 28);
+        Encoder setup;
+        for (int field = 0; field < 7; ++field) setup.write_varint(0);
+        setup.write_raw(count.bytes());
+        deliver_request(shard, kCoordinatorId, 1, ShardOp::kBatch, count.bytes());
+        deliver_request(shard, kCoordinatorId, 2, ShardOp::kMoments,
+                        count.bytes());
+        deliver_request(shard, kCoordinatorId, 3, ShardOp::kSetup, setup.take());
+        std::exit(shard.malformed_messages() == 3 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(DistributedProtocol, DelayedDuplicateOfAnOlderOpIsDroppedNotReexecuted) {

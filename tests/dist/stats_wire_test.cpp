@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/coordinator.h"
