@@ -6,7 +6,11 @@
 //    round of 1,000,000 label reports streamed into K per-shard
 //    LabelMatrixBuilders, finalized into a ShardedLabelMatrix, and closed
 //    with the mergeable voting kernels. Results are bitwise identical at
-//    every K, so rows differ only in time.
+//    every K, so rows differ only in time. This is the library's label
+//    path, not the servers': ShardedServer and ShardNode ingest label ids
+//    as exact doubles through ShardIngestor's ObservationMatrixBuilder, and
+//    LocalBackend::vote_prepare copies them into labels via
+//    truth::label_view.
 //  - BM_RandomizedResponseVote: the LDP deployment at a smaller fleet —
 //    user-sampled k-RR perturbation plus weighted voting — reporting label
 //    accuracy against ground truth as counters (the utility-under-privacy
@@ -20,9 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "categorical/label_builder.h"
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
 #include "categorical/voting.h"
@@ -84,9 +86,10 @@ LabelRow make_row(std::size_t user) {
   return row;
 }
 
-/// Streams `users` synthetic label reports into K per-shard builders and
-/// finalizes them into the sharded label matrix (the ShardedServer /
-/// ShardNode ingestion path). Returns the matrix and the pure-ingest time.
+/// Streams `users` synthetic label reports into K per-shard label builders
+/// and finalizes them into the sharded label matrix (label ids stored as
+/// labels from the start, with no label_view copy; see the header comment).
+/// Returns the matrix and the pure-ingest time.
 ShardedLabelMatrix ingest_round(std::size_t users, std::size_t num_shards,
                                 double* ingest_seconds) {
   const ShardPlan plan = ShardPlan::create(users, num_shards, kBlock);

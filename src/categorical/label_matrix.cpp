@@ -1,162 +1,8 @@
 #include "categorical/label_matrix.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace dptd::categorical {
-
-LabelMatrix::LabelMatrix(std::size_t num_users, std::size_t num_objects,
-                         std::size_t num_labels)
-    : num_users_(num_users),
-      num_objects_(num_objects),
-      num_labels_(num_labels),
-      rows_(num_users),
-      object_counts_(num_objects, 0) {
-  DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "LabelMatrix: dimensions must be positive");
-  DPTD_REQUIRE(num_labels >= 2, "LabelMatrix: need at least 2 labels");
-}
-
-LabelMatrix LabelMatrix::from_rows(std::vector<std::vector<Entry>> rows,
-                                   std::size_t num_objects,
-                                   std::size_t num_labels) {
-  LabelMatrix out(rows.size(), num_objects, num_labels);
-  out.rows_ = std::move(rows);
-  for (const std::vector<Entry>& row : out.rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      DPTD_REQUIRE(row[i].object < num_objects,
-                   "LabelMatrix::from_rows: object out of range");
-      DPTD_REQUIRE(row[i].label < num_labels,
-                   "LabelMatrix::from_rows: label out of range");
-      DPTD_REQUIRE(i == 0 || row[i - 1].object < row[i].object,
-                   "LabelMatrix::from_rows: row not sorted and unique");
-      ++out.object_counts_[row[i].object];
-      ++out.nnz_;
-    }
-  }
-  return out;
-}
-
-void LabelMatrix::check_bounds(std::size_t user, std::size_t object) const {
-  DPTD_REQUIRE(user < num_users_, "LabelMatrix: user out of range");
-  DPTD_REQUIRE(object < num_objects_, "LabelMatrix: object out of range");
-}
-
-std::vector<LabelMatrix::Entry>::const_iterator LabelMatrix::find_in_row(
-    std::size_t user, std::size_t object) const {
-  const std::vector<Entry>& row = rows_[user];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
-  if (it != row.end() && it->object == object) return it;
-  return row.end();
-}
-
-bool LabelMatrix::present(std::size_t user, std::size_t object) const {
-  check_bounds(user, object);
-  return find_in_row(user, object) != rows_[user].end();
-}
-
-Label LabelMatrix::label(std::size_t user, std::size_t object) const {
-  check_bounds(user, object);
-  const auto it = find_in_row(user, object);
-  DPTD_REQUIRE(it != rows_[user].end(), "LabelMatrix: reading a missing cell");
-  return it->label;
-}
-
-std::optional<Label> LabelMatrix::get(std::size_t user,
-                                      std::size_t object) const {
-  check_bounds(user, object);
-  const auto it = find_in_row(user, object);
-  if (it == rows_[user].end()) return std::nullopt;
-  return it->label;
-}
-
-void LabelMatrix::set(std::size_t user, std::size_t object, Label label) {
-  check_bounds(user, object);
-  DPTD_REQUIRE(label < num_labels_, "LabelMatrix: label out of range");
-  std::vector<Entry>& row = rows_[user];
-  // Fast path: generators and mechanisms append in ascending object order.
-  if (row.empty() || row.back().object < object) {
-    row.push_back({object, label});
-    ++object_counts_[object];
-    ++nnz_;
-    object_index_built_ = false;
-    return;
-  }
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
-  if (it != row.end() && it->object == object) {
-    it->label = label;  // overwrite, structure unchanged
-  } else {
-    row.insert(it, {object, label});
-    ++object_counts_[object];
-    ++nnz_;
-  }
-  object_index_built_ = false;
-}
-
-void LabelMatrix::clear(std::size_t user, std::size_t object) {
-  check_bounds(user, object);
-  std::vector<Entry>& row = rows_[user];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
-  if (it == row.end() || it->object != object) return;  // already absent
-  row.erase(it);
-  --object_counts_[object];
-  --nnz_;
-  object_index_built_ = false;
-}
-
-std::size_t LabelMatrix::user_observation_count(std::size_t user) const {
-  DPTD_REQUIRE(user < num_users_, "LabelMatrix: user out of range");
-  return rows_[user].size();
-}
-
-std::size_t LabelMatrix::object_observation_count(std::size_t object) const {
-  DPTD_REQUIRE(object < num_objects_, "LabelMatrix: object out of range");
-  return object_counts_[object];
-}
-
-std::span<const LabelMatrix::Entry> LabelMatrix::user_entries(
-    std::size_t user) const {
-  DPTD_REQUIRE(user < num_users_, "LabelMatrix: user out of range");
-  return rows_[user];
-}
-
-void LabelMatrix::ensure_object_index() const {
-  if (object_index_built_) return;
-  col_offsets_.assign(num_objects_ + 1, 0);
-  for (std::size_t n = 0; n < num_objects_; ++n) {
-    col_offsets_[n + 1] = col_offsets_[n] + object_counts_[n];
-  }
-  col_users_.resize(nnz_);
-  col_labels_.resize(nnz_);
-  // Counting sort: user-major traversal fills every column in ascending
-  // user order, which is what the deterministic kernels rely on.
-  std::vector<std::size_t> cursor(col_offsets_.begin(), col_offsets_.end() - 1);
-  for (std::size_t s = 0; s < num_users_; ++s) {
-    for (const Entry& e : rows_[s]) {
-      const std::size_t k = cursor[e.object]++;
-      col_users_[k] = s;
-      col_labels_[k] = e.label;
-    }
-  }
-  object_index_built_ = true;
-}
-
-LabelMatrix::ObjectEntries LabelMatrix::object_entries(
-    std::size_t object) const {
-  DPTD_REQUIRE(object < num_objects_, "LabelMatrix: object out of range");
-  ensure_object_index();
-  const std::size_t begin = col_offsets_[object];
-  const std::size_t count = col_offsets_[object + 1] - begin;
-  return {std::span<const std::size_t>(col_users_).subspan(begin, count),
-          std::span<const Label>(col_labels_).subspan(begin, count)};
-}
 
 void LabelDataset::validate() const {
   DPTD_REQUIRE(claims.num_users() > 0, "LabelDataset: empty matrix");

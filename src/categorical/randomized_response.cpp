@@ -69,10 +69,10 @@ RandomizedResponseOutcome UserSampledRandomizedResponse::perturb(
     // the exact same draws as the historical dense scan.
     for (const LabelMatrix::Entry& e : original.user_entries(s)) {
       const Label noisy =
-          krr_perturb(e.label, keep, original.num_labels(), rng);
+          krr_perturb(e.value, keep, original.num_labels(), rng);
       out.perturbed.set(s, e.object, noisy);
       ++out.report.total_cells;
-      if (noisy != e.label) ++out.report.flipped_cells;
+      if (noisy != e.value) ++out.report.flipped_cells;
     }
   }
   if (original.num_users() > 0) {

@@ -24,7 +24,7 @@ void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
   truth::detail::fold_row_blocks<double>(
       m, pool, L,
       [&](std::size_t user, const LabelMatrix::Entry& e, std::span<double> seg) {
-        seg[e.label] += weights[user];
+        seg[e.value] += weights[user];
       },
       [&](std::size_t n, std::span<const double> seg) {
         for (std::size_t v = 0; v < L; ++v) scores[n * L + v] += seg[v];
@@ -84,7 +84,7 @@ void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
                        double d = 0.0;
                        for (const LabelMatrix::Entry& e :
                             shard.user_entries(local)) {
-                         if (e.label != truths[e.object]) d += 1.0;
+                         if (e.value != truths[e.object]) d += 1.0;
                        }
                        disagreement[base + local] = d;
                      }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "common/thread_pool.h"
 
 namespace dptd::categorical {

@@ -57,14 +57,15 @@ Report Report::decode_fields(std::uint64_t round,
   Report msg;
   msg.round = round;
   msg.user_id = dec.read_varint();
-  const std::uint64_t count = dec.read_varint();
+  // Each claim is an object varint and a double: at least 9 bytes.
+  const std::size_t count = dec.read_count(9);
   if (count > (1u << 26)) throw DecodeError("Report: implausible claim count");
-  msg.objects.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  msg.objects.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     msg.objects.push_back(dec.read_varint());
   }
-  msg.values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  msg.values.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     msg.values.push_back(dec.read_double());
   }
   if (!dec.done()) throw DecodeError("Report: trailing bytes");
@@ -107,16 +108,17 @@ LabelReport LabelReport::decode_fields(std::uint64_t round,
   LabelReport msg;
   msg.round = round;
   msg.user_id = dec.read_varint();
-  const std::uint64_t count = dec.read_varint();
+  // Each claim is an object varint and a label varint: at least 2 bytes.
+  const std::size_t count = dec.read_count(2);
   if (count > (1u << 26)) {
     throw DecodeError("LabelReport: implausible claim count");
   }
-  msg.objects.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  msg.objects.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     msg.objects.push_back(dec.read_varint());
   }
-  msg.labels.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  msg.labels.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t label = dec.read_varint();
     if (label > 0xffffffffULL) throw DecodeError("LabelReport: label overflow");
     msg.labels.push_back(static_cast<std::uint32_t>(label));

@@ -1,28 +1,32 @@
 #include "data/builder.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace dptd::data {
 
-ObservationMatrixBuilder::ObservationMatrixBuilder(std::size_t num_users,
-                                                   std::size_t num_objects)
+template <typename Domain>
+ClaimMatrixBuilder<Domain>::ClaimMatrixBuilder(std::size_t num_users,
+                                               std::size_t num_objects,
+                                               Domain domain)
     : num_users_(num_users),
       num_objects_(num_objects),
+      domain_(domain),
       rows_(num_users),
       ingested_(num_users, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ObservationMatrixBuilder: dimensions must be positive");
+               "ClaimMatrixBuilder: dimensions must be positive");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: need at least 2 labels");
 }
 
-bool ObservationMatrixBuilder::add_row(std::size_t user,
-                                       std::span<const std::uint64_t> objects,
-                                       std::span<const double> values) {
-  DPTD_REQUIRE(user < num_users_, "ObservationMatrixBuilder: user out of range");
+template <typename Domain>
+bool ClaimMatrixBuilder<Domain>::add_row(std::size_t user,
+                                         std::span<const std::uint64_t> objects,
+                                         std::span<const Value> values) {
+  DPTD_REQUIRE(user < num_users_, "ClaimMatrixBuilder: user out of range");
   DPTD_REQUIRE(objects.size() == values.size(),
-               "ObservationMatrixBuilder: objects/values size mismatch");
+               "ClaimMatrixBuilder: objects/values size mismatch");
   if (ingested_[user]) return false;
 
   std::vector<Entry>& row = rows_[user];
@@ -30,11 +34,11 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto object = static_cast<std::size_t>(objects[i]);
     DPTD_REQUIRE(object < num_objects_,
-                 "ObservationMatrixBuilder: object out of range");
-    DPTD_REQUIRE(std::isfinite(values[i]),
-                 "ObservationMatrixBuilder: non-finite value");
-    // Same insertion scheme as ObservationMatrix::set, so a streamed row is
-    // bitwise identical to a batch-assembled one: ascending append fast path,
+                 "ClaimMatrixBuilder: object out of range");
+    DPTD_REQUIRE(domain_.admits(values[i]),
+                 "ClaimMatrixBuilder: value outside the domain");
+    // Same insertion scheme as ClaimMatrix::set, so a streamed row is bitwise
+    // identical to a batch-assembled one: ascending append fast path,
     // otherwise sorted insert with last-claim-wins overwrite.
     if (row.empty() || row.back().object < object) {
       row.push_back({object, values[i]});
@@ -56,17 +60,22 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
   return true;
 }
 
-bool ObservationMatrixBuilder::has_row(std::size_t user) const {
-  DPTD_REQUIRE(user < num_users_, "ObservationMatrixBuilder: user out of range");
+template <typename Domain>
+bool ClaimMatrixBuilder<Domain>::has_row(std::size_t user) const {
+  DPTD_REQUIRE(user < num_users_, "ClaimMatrixBuilder: user out of range");
   return ingested_[user] != 0;
 }
 
-void ObservationMatrixBuilder::reshape(std::size_t num_users,
-                                       std::size_t num_objects) {
+template <typename Domain>
+void ClaimMatrixBuilder<Domain>::reshape(std::size_t num_users,
+                                         std::size_t num_objects,
+                                         Domain domain) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ObservationMatrixBuilder: dimensions must be positive");
+               "ClaimMatrixBuilder: dimensions must be positive");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: need at least 2 labels");
   num_users_ = num_users;
   num_objects_ = num_objects;
+  domain_ = domain;
   rows_.resize(num_users_);
   for (std::vector<Entry>& row : rows_) row.clear();
   ingested_.assign(num_users_, 0);
@@ -74,18 +83,22 @@ void ObservationMatrixBuilder::reshape(std::size_t num_users,
   rows_ingested_ = 0;
 }
 
-void ObservationMatrixBuilder::reset() {
+template <typename Domain>
+void ClaimMatrixBuilder<Domain>::reset() {
   rows_.assign(num_users_, {});
   ingested_.assign(num_users_, 0);
   nnz_ = 0;
   rows_ingested_ = 0;
 }
 
-ObservationMatrix ObservationMatrixBuilder::finalize() {
-  ObservationMatrix out =
-      ObservationMatrix::from_rows(std::move(rows_), num_objects_);
+template <typename Domain>
+ClaimMatrix<Domain> ClaimMatrixBuilder<Domain>::finalize() {
+  Matrix out = Matrix::from_rows(std::move(rows_), num_objects_, domain_);
   reset();
   return out;
 }
+
+template class ClaimMatrixBuilder<ReadingDomain>;
+template class ClaimMatrixBuilder<LabelDomain>;
 
 }  // namespace dptd::data

@@ -8,27 +8,33 @@
 
 namespace dptd::data {
 
-ObservationMatrix::ObservationMatrix(std::size_t num_users,
-                                     std::size_t num_objects)
+template <typename Domain>
+ClaimMatrix<Domain>::ClaimMatrix(std::size_t num_users,
+                                 std::size_t num_objects, Domain domain)
     : num_users_(num_users),
       num_objects_(num_objects),
+      domain_(domain),
       rows_(num_users),
       object_counts_(num_objects, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ObservationMatrix: dimensions must be positive");
+               "ClaimMatrix: dimensions must be positive");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrix: need at least 2 labels");
 }
 
-ObservationMatrix ObservationMatrix::from_rows(
-    std::vector<std::vector<Entry>> rows, std::size_t num_objects) {
-  ObservationMatrix out(rows.size(), num_objects);
+template <typename Domain>
+ClaimMatrix<Domain> ClaimMatrix<Domain>::from_rows(
+    std::vector<std::vector<Entry>> rows, std::size_t num_objects,
+    Domain domain) {
+  ClaimMatrix out(rows.size(), num_objects, domain);
   out.rows_ = std::move(rows);
   for (const std::vector<Entry>& row : out.rows_) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       DPTD_REQUIRE(row[i].object < num_objects,
-                   "ObservationMatrix::from_rows: object out of range");
-      check_finite(row[i].value);
+                   "ClaimMatrix::from_rows: object out of range");
+      DPTD_REQUIRE(domain.admits(row[i].value),
+                   "ClaimMatrix::from_rows: value outside the domain");
       DPTD_REQUIRE(i == 0 || row[i - 1].object < row[i].object,
-                   "ObservationMatrix::from_rows: row not sorted and unique");
+                   "ClaimMatrix::from_rows: row not sorted and unique");
       ++out.object_counts_[row[i].object];
       ++out.nnz_;
     }
@@ -36,18 +42,21 @@ ObservationMatrix ObservationMatrix::from_rows(
   return out;
 }
 
-void ObservationMatrix::check_finite(double value) {
-  DPTD_REQUIRE(std::isfinite(value), "ObservationMatrix: non-finite value");
+template <typename Domain>
+void ClaimMatrix<Domain>::check_value(Value value) const {
+  DPTD_REQUIRE(domain_.admits(value), "ClaimMatrix: value outside the domain");
 }
 
-void ObservationMatrix::check_bounds(std::size_t user,
-                                     std::size_t object) const {
-  DPTD_REQUIRE(user < num_users_, "ObservationMatrix: user out of range");
-  DPTD_REQUIRE(object < num_objects_, "ObservationMatrix: object out of range");
+template <typename Domain>
+void ClaimMatrix<Domain>::check_bounds(std::size_t user,
+                                       std::size_t object) const {
+  DPTD_REQUIRE(user < num_users_, "ClaimMatrix: user out of range");
+  DPTD_REQUIRE(object < num_objects_, "ClaimMatrix: object out of range");
 }
 
-std::vector<ObservationMatrix::Entry>::const_iterator
-ObservationMatrix::find_in_row(std::size_t user, std::size_t object) const {
+template <typename Domain>
+typename std::vector<typename ClaimMatrix<Domain>::Entry>::const_iterator
+ClaimMatrix<Domain>::find_in_row(std::size_t user, std::size_t object) const {
   const std::vector<Entry>& row = rows_[user];
   const auto it = std::lower_bound(
       row.begin(), row.end(), object,
@@ -56,31 +65,35 @@ ObservationMatrix::find_in_row(std::size_t user, std::size_t object) const {
   return row.end();
 }
 
-bool ObservationMatrix::present(std::size_t user, std::size_t object) const {
+template <typename Domain>
+bool ClaimMatrix<Domain>::present(std::size_t user, std::size_t object) const {
   check_bounds(user, object);
   return find_in_row(user, object) != rows_[user].end();
 }
 
-double ObservationMatrix::value(std::size_t user, std::size_t object) const {
+template <typename Domain>
+typename Domain::Value ClaimMatrix<Domain>::value(std::size_t user,
+                                                  std::size_t object) const {
   check_bounds(user, object);
   const auto it = find_in_row(user, object);
-  DPTD_REQUIRE(it != rows_[user].end(),
-               "ObservationMatrix: reading a missing cell");
+  DPTD_REQUIRE(it != rows_[user].end(), "ClaimMatrix: reading a missing cell");
   return it->value;
 }
 
-std::optional<double> ObservationMatrix::get(std::size_t user,
-                                             std::size_t object) const {
+template <typename Domain>
+std::optional<typename Domain::Value> ClaimMatrix<Domain>::get(
+    std::size_t user, std::size_t object) const {
   check_bounds(user, object);
   const auto it = find_in_row(user, object);
   if (it == rows_[user].end()) return std::nullopt;
   return it->value;
 }
 
-void ObservationMatrix::set(std::size_t user, std::size_t object,
-                            double value) {
+template <typename Domain>
+void ClaimMatrix<Domain>::set(std::size_t user, std::size_t object,
+                              Value value) {
   check_bounds(user, object);
-  check_finite(value);
+  DPTD_REQUIRE(domain_.admits(value), "ClaimMatrix: value outside the domain");
   std::vector<Entry>& row = rows_[user];
   // Fast path: generators and mechanisms append in ascending object order.
   if (row.empty() || row.back().object < object) {
@@ -103,7 +116,8 @@ void ObservationMatrix::set(std::size_t user, std::size_t object,
   object_index_built_ = false;
 }
 
-void ObservationMatrix::clear(std::size_t user, std::size_t object) {
+template <typename Domain>
+void ClaimMatrix<Domain>::clear(std::size_t user, std::size_t object) {
   check_bounds(user, object);
   std::vector<Entry>& row = rows_[user];
   const auto it = std::lower_bound(
@@ -116,24 +130,29 @@ void ObservationMatrix::clear(std::size_t user, std::size_t object) {
   object_index_built_ = false;
 }
 
-std::size_t ObservationMatrix::user_observation_count(std::size_t user) const {
+template <typename Domain>
+std::size_t ClaimMatrix<Domain>::user_observation_count(
+    std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user].size();
 }
 
-std::size_t ObservationMatrix::object_observation_count(
+template <typename Domain>
+std::size_t ClaimMatrix<Domain>::object_observation_count(
     std::size_t object) const {
   DPTD_REQUIRE(object < num_objects_, "object out of range");
   return object_counts_[object];
 }
 
-std::span<const ObservationMatrix::Entry> ObservationMatrix::user_entries(
-    std::size_t user) const {
+template <typename Domain>
+std::span<const typename ClaimMatrix<Domain>::Entry>
+ClaimMatrix<Domain>::user_entries(std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user];
 }
 
-void ObservationMatrix::ensure_object_index() const {
+template <typename Domain>
+void ClaimMatrix<Domain>::ensure_object_index() const {
   if (object_index_built_) return;
   col_offsets_.assign(num_objects_ + 1, 0);
   for (std::size_t n = 0; n < num_objects_; ++n) {
@@ -154,34 +173,43 @@ void ObservationMatrix::ensure_object_index() const {
   object_index_built_ = true;
 }
 
-ObservationMatrix::ObjectEntries ObservationMatrix::object_entries(
-    std::size_t object) const {
+template <typename Domain>
+typename ClaimMatrix<Domain>::ObjectEntries
+ClaimMatrix<Domain>::object_entries(std::size_t object) const {
   DPTD_REQUIRE(object < num_objects_, "object out of range");
   ensure_object_index();
   const std::size_t begin = col_offsets_[object];
   const std::size_t count = col_offsets_[object + 1] - begin;
   return {std::span<const std::size_t>(col_users_).subspan(begin, count),
-          std::span<const double>(col_values_).subspan(begin, count)};
+          std::span<const Value>(col_values_).subspan(begin, count)};
 }
 
-std::vector<double> ObservationMatrix::object_values(std::size_t object) const {
+template <typename Domain>
+std::vector<typename Domain::Value> ClaimMatrix<Domain>::object_values(
+    std::size_t object) const {
   const ObjectEntries col = object_entries(object);
   return {col.values.begin(), col.values.end()};
 }
 
-std::vector<std::size_t> ObservationMatrix::object_users(
+template <typename Domain>
+std::vector<std::size_t> ClaimMatrix<Domain>::object_users(
     std::size_t object) const {
   const ObjectEntries col = object_entries(object);
   return {col.users.begin(), col.users.end()};
 }
 
-std::vector<double> ObservationMatrix::user_values(std::size_t user) const {
+template <typename Domain>
+std::vector<typename Domain::Value> ClaimMatrix<Domain>::user_values(
+    std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
-  std::vector<double> out;
+  std::vector<Value> out;
   out.reserve(rows_[user].size());
   for (const Entry& e : rows_[user]) out.push_back(e.value);
   return out;
 }
+
+template class ClaimMatrix<ReadingDomain>;
+template class ClaimMatrix<LabelDomain>;
 
 void Dataset::validate() const {
   DPTD_REQUIRE(observations.num_users() > 0 && observations.num_objects() > 0,

@@ -1,8 +1,12 @@
-// Core data model: a user × object matrix of continuous claims with a
-// missingness mask, plus optional ground truth and generator provenance.
+// Core data model: the sparse user × object claim matrix, written once over
+// the claim's value domain (continuous readings or categorical labels), plus
+// the continuous Dataset with optional ground truth and generator provenance.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -10,7 +14,29 @@
 
 namespace dptd::data {
 
-/// Sparse S×N matrix of continuous observations, dual-indexed.
+/// Value domain of continuous readings: any finite double.
+struct ReadingDomain {
+  using Value = double;
+  bool valid() const { return true; }
+  bool admits(double value) const { return std::isfinite(value); }
+  bool operator==(const ReadingDomain&) const = default;
+};
+
+/// Value domain of categorical claims: label ids in [0, num_labels), with
+/// num_labels >= 2. Converts implicitly from the alphabet size, so the label
+/// matrix, builder and sharded view take it as their trailing argument.
+struct LabelDomain {
+  using Value = std::uint32_t;
+  LabelDomain(std::size_t num_labels = 0) : num_labels(num_labels) {}
+  bool valid() const { return num_labels >= 2; }
+  bool admits(Value label) const { return label < num_labels; }
+  bool operator==(const LabelDomain&) const = default;
+  std::size_t num_labels = 0;
+};
+
+/// Sparse S×N matrix of claims from `Domain`, dual-indexed. One instantiation
+/// per domain: ObservationMatrix (readings, below) and
+/// categorical::LabelMatrix (labels).
 ///
 /// Rows are users (sources), columns are objects (micro-tasks). Crowd sensing
 /// matrices are sparse — each user covers a fraction of the objects — so the
@@ -18,13 +44,14 @@ namespace dptd::data {
 ///
 ///   - CSR-by-user: per-user rows sorted by object id. Always up to date;
 ///     `user_entries(s)` is an allocation-free span over a row. The
-///     per-object folds of truth/sharded_stats.h walk these rows one
-///     canonical user block at a time; per-object counts are kept eagerly.
+///     per-object folds of truth/sharded_stats.h and categorical/voting.h
+///     walk these rows one canonical user block at a time; per-object counts
+///     are kept eagerly.
 ///   - CSC-by-object: contiguous (user, value) column arrays sorted by user
-///     id (16 B per claim), built lazily from the rows and cached until the
-///     next mutation. `object_entries(n)` is an allocation-free view into the
-///     cache. Only callers that need whole columns build it: the median,
-///     GTM and CATD initializations and a shard node's kGather.
+///     id, built lazily from the rows and cached until the next mutation.
+///     `object_entries(n)` is an allocation-free view into the cache. Only
+///     callers that need whole columns build it: the median, GTM and CATD
+///     initializations and a shard node's kGather.
 ///
 /// Iteration order is identical to the historical dense layout (user-major,
 /// object-ascending within a user; user-ascending within an object), so
@@ -35,12 +62,15 @@ namespace dptd::data {
 /// multiple threads calls `ensure_object_index()` once first; after that,
 /// all const accessors are safe to call concurrently. Row reads need no
 /// such step.
-class ObservationMatrix {
+template <typename Domain>
+class ClaimMatrix {
  public:
+  using Value = typename Domain::Value;
+
   /// One present cell as seen from a user's row.
   struct Entry {
     std::size_t object = 0;
-    double value = 0.0;
+    Value value{};
     bool operator==(const Entry&) const = default;
   };
 
@@ -48,35 +78,44 @@ class ObservationMatrix {
   /// values as parallel arrays, sorted by user id.
   struct ObjectEntries {
     std::span<const std::size_t> users;
-    std::span<const double> values;
+    std::span<const Value> values;
 
     std::size_t size() const { return users.size(); }
     bool empty() const { return users.empty(); }
   };
 
-  ObservationMatrix() = default;
-  ObservationMatrix(std::size_t num_users, std::size_t num_objects);
+  ClaimMatrix() = default;
+  /// All cells start missing; values must be admitted by `domain`.
+  ClaimMatrix(std::size_t num_users, std::size_t num_objects,
+              Domain domain = {});
 
   /// Adopts fully built per-user rows (the streaming builder's finalize
   /// path): each row must be sorted by object id and duplicate-free, with
-  /// in-range objects and finite values. Validates and derives the
+  /// in-range objects and values in the domain. Validates and derives the
   /// per-object counts in one O(nnz) pass — no dense intermediate.
-  static ObservationMatrix from_rows(std::vector<std::vector<Entry>> rows,
-                                     std::size_t num_objects);
+  static ClaimMatrix from_rows(std::vector<std::vector<Entry>> rows,
+                               std::size_t num_objects, Domain domain = {});
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_objects() const { return num_objects_; }
+  const Domain& domain() const { return domain_; }
+  std::size_t num_labels() const
+    requires std::same_as<Domain, LabelDomain>
+  {
+    return domain_.num_labels;
+  }
 
   bool present(std::size_t user, std::size_t object) const;
-  double value(std::size_t user, std::size_t object) const;
-  std::optional<double> get(std::size_t user, std::size_t object) const;
+  Value value(std::size_t user, std::size_t object) const;
+  std::optional<Value> get(std::size_t user, std::size_t object) const;
 
-  void set(std::size_t user, std::size_t object, double value);
+  void set(std::size_t user, std::size_t object, Value value);
   void clear(std::size_t user, std::size_t object);
 
   /// Number of present cells. O(1).
   std::size_t observation_count() const { return nnz_; }
   std::size_t user_observation_count(std::size_t user) const;
+  /// Claims on `object`. O(1).
   std::size_t object_observation_count(std::size_t object) const;
 
   /// Present claims of `user`, sorted by object id. Allocation-free; the span
@@ -97,11 +136,11 @@ class ObservationMatrix {
 
   /// Present values claimed for `object` (ordered by user id), paired with
   /// the contributing user ids.
-  std::vector<double> object_values(std::size_t object) const;
+  std::vector<Value> object_values(std::size_t object) const;
   std::vector<std::size_t> object_users(std::size_t object) const;
 
   /// Present values claimed by `user` (ordered by object id).
-  std::vector<double> user_values(std::size_t user) const;
+  std::vector<Value> user_values(std::size_t user) const;
 
   /// Applies f(user, object, value) to every present cell, user-major and
   /// object-ascending within a user (the historical dense traversal order).
@@ -116,36 +155,39 @@ class ObservationMatrix {
   /// cell (used by perturbation mechanisms). O(nnz): the sparsity structure
   /// is copied wholesale, only values are mapped.
   template <typename F>
-  ObservationMatrix transformed(F&& fn) const {
-    ObservationMatrix out(num_users_, num_objects_);
+  ClaimMatrix transformed(F&& fn) const {
+    ClaimMatrix out(num_users_, num_objects_, domain_);
     out.rows_ = rows_;
     out.object_counts_ = object_counts_;
     out.nnz_ = nnz_;
     for (std::size_t s = 0; s < num_users_; ++s) {
       for (Entry& e : out.rows_[s]) {
         e.value = fn(s, e.object, e.value);
-        check_finite(e.value);
+        check_value(e.value);
       }
     }
     return out;
   }
 
-  /// Logical equality: same shape and the same present cells with the same
-  /// values (the lazily built column cache does not participate).
-  bool operator==(const ObservationMatrix& other) const {
+  /// Logical equality: same shape and domain, and the same present cells
+  /// with the same values (the lazily built column cache does not
+  /// participate).
+  bool operator==(const ClaimMatrix& other) const {
     return num_users_ == other.num_users_ &&
-           num_objects_ == other.num_objects_ && rows_ == other.rows_;
+           num_objects_ == other.num_objects_ && domain_ == other.domain_ &&
+           rows_ == other.rows_;
   }
 
  private:
-  static void check_finite(double value);
+  void check_value(Value value) const;
   void check_bounds(std::size_t user, std::size_t object) const;
   /// Iterator to the entry for `object` in `user`'s row, or row end.
-  std::vector<Entry>::const_iterator find_in_row(std::size_t user,
-                                                 std::size_t object) const;
+  typename std::vector<Entry>::const_iterator find_in_row(
+      std::size_t user, std::size_t object) const;
 
   std::size_t num_users_ = 0;
   std::size_t num_objects_ = 0;
+  [[no_unique_address]] Domain domain_;
   std::size_t nnz_ = 0;
   std::vector<std::vector<Entry>> rows_;       ///< CSR view, always current
   std::vector<std::size_t> object_counts_;     ///< per-object nnz, eager
@@ -154,8 +196,14 @@ class ObservationMatrix {
   mutable bool object_index_built_ = false;
   mutable std::vector<std::size_t> col_offsets_;  ///< size N+1
   mutable std::vector<std::size_t> col_users_;    ///< size nnz
-  mutable std::vector<double> col_values_;        ///< size nnz
+  mutable std::vector<Value> col_values_;         ///< size nnz
 };
+
+extern template class ClaimMatrix<ReadingDomain>;
+extern template class ClaimMatrix<LabelDomain>;
+
+/// The continuous claim matrix of the paper's mechanism.
+using ObservationMatrix = ClaimMatrix<ReadingDomain>;
 
 /// Per-user provenance recorded by the synthetic generator; absent for real
 /// or loaded data. Useful for computing *true* weights (Fig. 7).

@@ -26,6 +26,22 @@ Result to_result(categorical::VotingResult vr) {
   return out;
 }
 
+categorical::LabelMatrix label_shard(const data::ObservationMatrix& obs,
+                                     std::size_t num_labels) {
+  std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(
+      obs.num_users());
+  for (std::size_t s = 0; s < obs.num_users(); ++s) {
+    const auto row = obs.user_entries(s);
+    rows[s].reserve(row.size());
+    for (const data::ObservationMatrix::Entry& e : row) {
+      if (!is_label_value(e.value, num_labels)) continue;
+      rows[s].push_back({e.object, static_cast<categorical::Label>(e.value)});
+    }
+  }
+  return categorical::LabelMatrix::from_rows(std::move(rows),
+                                             obs.num_objects(), num_labels);
+}
+
 }  // namespace
 
 bool is_label_value(double value, std::size_t num_labels) {
@@ -46,34 +62,13 @@ std::size_t infer_num_labels(const data::ShardedMatrix& m) {
   return std::max<std::size_t>(inferred, 2);
 }
 
-categorical::LabelMatrix label_view(const data::ObservationMatrix& obs,
-                                    std::size_t num_labels,
-                                    std::size_t* dropped) {
-  check_num_labels(num_labels);
-  std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(
-      obs.num_users());
-  for (std::size_t s = 0; s < obs.num_users(); ++s) {
-    const auto row = obs.user_entries(s);
-    rows[s].reserve(row.size());
-    for (const data::ObservationMatrix::Entry& e : row) {
-      if (!is_label_value(e.value, num_labels)) {
-        if (dropped != nullptr) ++*dropped;
-        continue;
-      }
-      rows[s].push_back({e.object, static_cast<categorical::Label>(e.value)});
-    }
-  }
-  return categorical::LabelMatrix::from_rows(std::move(rows),
-                                             obs.num_objects(), num_labels);
-}
-
 categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
-                                           std::size_t num_labels,
-                                           std::size_t* dropped) {
+                                           std::size_t num_labels) {
+  check_num_labels(num_labels);
   std::vector<categorical::LabelMatrix> shards;
   shards.reserve(m.num_shards());
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    shards.push_back(label_view(m.shard(s), num_labels, dropped));
+    shards.push_back(label_shard(m.shard(s), num_labels));
   }
   return categorical::ShardedLabelMatrix::from_shards(
       m.plan(), std::move(shards), m.num_objects(), num_labels);

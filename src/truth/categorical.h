@@ -4,12 +4,13 @@
 // the distributed coordinator — all speak truth::TruthDiscovery over
 // continuous ObservationMatrix claims. This bridge lets those layers run
 // categorical campaigns unchanged: label ids ride as exact small doubles in
-// the observation matrices, each shard's sub-matrix is reinterpreted as a
-// sparse LabelMatrix view (out-of-domain values sanitize-dropped, the same
-// rule on every layer so in-process and distributed runs agree bitwise), and
-// the mergeable voting kernels of categorical/voting.h do the aggregation in
-// canonical block order. Truths come back as label ids in doubles — exact,
-// since every label id is far below 2^53.
+// the observation matrices, label_view copies the sharded matrix into the
+// label instantiation of the same claim matrix (out-of-domain values
+// sanitize-dropped, the same rule on every layer so in-process and
+// distributed runs agree bitwise), and the mergeable voting kernels of
+// categorical/voting.h do the aggregation in canonical block order. Truths
+// come back as label ids in doubles — exact, since every label id is far
+// below 2^53.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/voting.h"
 #include "truth/interface.h"
 
@@ -38,20 +38,13 @@ bool is_label_value(double value, std::size_t num_labels);
 /// independent of the shard count.
 std::size_t infer_num_labels(const data::ShardedMatrix& m);
 
-/// Reinterprets one shard's observation sub-matrix as a sparse LabelMatrix.
-/// Claims whose value fails is_label_value are dropped (counted into
-/// `dropped` when non-null) — sanitize, never abort, exactly like report
-/// ingestion. O(nnz), straight into from_rows.
-categorical::LabelMatrix label_view(const data::ObservationMatrix& obs,
-                                    std::size_t num_labels,
-                                    std::size_t* dropped = nullptr);
-
-/// The sharded composition of label_view: same plan, every shard converted,
-/// drops summed. The categorical kernels over this view are bitwise
+/// Copies `m` into a label matrix over [0, num_labels) with the same plan,
+/// shard by shard. Claims whose value fails is_label_value are dropped —
+/// sanitize, never abort, exactly like report ingestion. O(nnz), straight
+/// into from_rows. The categorical kernels over the result are bitwise
 /// identical for any shard count.
 categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
-                                           std::size_t num_labels,
-                                           std::size_t* dropped = nullptr);
+                                           std::size_t num_labels);
 
 /// Converts a warm-start truth vector (doubles) back to label ids: rounded
 /// to nearest and clamped into [0, num_labels). Seeds from a previous

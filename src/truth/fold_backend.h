@@ -22,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "categorical/label_sharding.h"
+#include "categorical/label_matrix.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "data/sharding.h"

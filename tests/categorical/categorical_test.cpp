@@ -18,12 +18,12 @@ TEST(LabelMatrix, SetGetClearAndBounds) {
   EXPECT_EQ(m.observation_count(), 0u);
   m.set(0, 1, 3);
   EXPECT_TRUE(m.present(0, 1));
-  EXPECT_EQ(m.label(0, 1), 3u);
+  EXPECT_EQ(m.value(0, 1), 3u);
   m.clear(0, 1);
   EXPECT_FALSE(m.present(0, 1));
   EXPECT_THROW(m.set(0, 0, 4), std::invalid_argument);  // label out of range
   EXPECT_THROW(m.set(2, 0, 0), std::invalid_argument);  // user out of range
-  EXPECT_THROW((void)m.label(0, 0), std::invalid_argument);  // missing
+  EXPECT_THROW((void)m.value(0, 0), std::invalid_argument);  // missing
 }
 
 TEST(LabelMatrix, RejectsDegenerateShapes) {

@@ -17,9 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "categorical/label_builder.h"
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
 #include "categorical/voting.h"
@@ -54,7 +52,7 @@ void expect_matches_dense(const LabelMatrix& sparse, const DenseGrid& dense) {
       ASSERT_EQ(sparse.present(s, n), cell.has_value()) << s << "," << n;
       ASSERT_EQ(sparse.get(s, n), cell) << s << "," << n;
       if (cell.has_value()) {
-        ASSERT_EQ(sparse.label(s, n), *cell) << s << "," << n;
+        ASSERT_EQ(sparse.value(s, n), *cell) << s << "," << n;
         ++row_count;
         ++nnz;
       }
@@ -68,7 +66,7 @@ void expect_matches_dense(const LabelMatrix& sparse, const DenseGrid& dense) {
         EXPECT_LT(row[i - 1].object, row[i].object);
       }
       ASSERT_TRUE(dense.at(s, row[i].object).has_value());
-      EXPECT_EQ(row[i].label, *dense.at(s, row[i].object));
+      EXPECT_EQ(row[i].value, *dense.at(s, row[i].object));
     }
   }
   EXPECT_EQ(sparse.observation_count(), nnz);
@@ -86,7 +84,7 @@ void expect_matches_dense(const LabelMatrix& sparse, const DenseGrid& dense) {
         EXPECT_LT(col.users[i - 1], col.users[i]);
       }
       ASSERT_TRUE(dense.at(col.users[i], n).has_value());
-      EXPECT_EQ(col.labels[i], *dense.at(col.users[i], n));
+      EXPECT_EQ(col.values[i], *dense.at(col.users[i], n));
     }
   }
 }

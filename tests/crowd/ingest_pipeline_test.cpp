@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/serialize.h"
 #include "crowd/protocol.h"
 #include "crowd/server.h"
 #include "crowd/sharded_server.h"
@@ -537,6 +543,56 @@ TEST(IngestPipeline, ShardedServerPipelinedMultiRoundWarmStart) {
   EXPECT_TRUE(server.outcomes()[1].warm_started);
   EXPECT_LE(server.outcomes()[1].result.iterations,
             server.outcomes()[0].result.iterations);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DPTD_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DPTD_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(ShardIngestorDeathTest, OversizedClaimCountIsARejectNotAnAbort) {
+  // Regression: the report decoders reserved the claim count before checking
+  // the bytes left, so a 5-byte upload claiming 2^26 claims reserved 512 MiB
+  // per array and killed an ingest worker or a shard process with
+  // std::bad_alloc. The child caps its own address space 256 MiB above its
+  // current size, so such a reservation fails at once instead of paging; in
+  // a continuous and in a label round the upload must be one rejected report.
+#ifdef DPTD_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizers reserve shadow memory up front";
+#endif
+  EXPECT_EXIT(
+      {
+        std::ifstream statm("/proc/self/statm");
+        std::size_t pages = 0;
+        statm >> pages;
+        rlimit limit{};
+        getrlimit(RLIMIT_AS, &limit);
+        const rlim_t cap = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                           (rlim_t{256} << 20);
+        limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
+                             ? cap
+                             : std::min(cap, limit.rlim_max);
+        setrlimit(RLIMIT_AS, &limit);
+
+        Encoder upload;  // user id 0, then 2^26 claims and not one byte more
+        upload.write_varint(0);
+        upload.write_varint(std::uint64_t{1} << 26);
+        LabelIngestPolicy labels;
+        labels.num_labels = 4;
+        bool one_reject_each = true;
+        for (const LabelIngestPolicy& policy : {LabelIngestPolicy{}, labels}) {
+          ShardIngestor ingestor;
+          ingestor.begin_round(2, 0, 3, 1, policy);
+          ingestor.ingest(0, upload.bytes());
+          one_reject_each =
+              one_reject_each && ingestor.stats().rejected_reports == 1;
+        }
+        std::exit(one_reject_each ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

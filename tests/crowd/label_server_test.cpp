@@ -75,7 +75,7 @@ void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
     std::vector<categorical::Label> labels;
     for (const auto& entry : row) {
       objects.push_back(entry.object);
-      labels.push_back(entry.label);
+      labels.push_back(entry.value);
     }
     const LabelReport report = make_label_report(
         round, s, objects, labels, kLabels, /*keep_probability=*/1.0,

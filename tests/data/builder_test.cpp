@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "categorical/label_matrix.h"
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -122,6 +123,11 @@ TEST(ObservationMatrixBuilder, ValidatesInput) {
   const std::vector<std::uint64_t> two_objects{0, 1};
   EXPECT_THROW(builder.add_row(0, two_objects, values),
                std::invalid_argument);
+
+  // The label builder refuses a label outside its alphabet.
+  categorical::LabelMatrixBuilder labels(2, 3, 3);
+  const std::vector<categorical::Label> bad_label{3};
+  EXPECT_THROW(labels.add_row(0, objects, bad_label), std::invalid_argument);
 }
 
 TEST(ObservationMatrixBuilder, ResetAndFinalizeLeaveBuilderReusable) {
@@ -225,6 +231,12 @@ TEST(ObservationMatrixFromRows, ValidatesRows) {
   {
     std::vector<std::vector<Entry>> duplicate{{{1, 1.0}, {1, 2.0}}};
     EXPECT_THROW(ObservationMatrix::from_rows(std::move(duplicate), 3),
+                 std::invalid_argument);
+  }
+  {
+    // A label matrix refuses a label outside its alphabet.
+    std::vector<std::vector<categorical::LabelMatrix::Entry>> rows{{{0, 3}}};
+    EXPECT_THROW(categorical::LabelMatrix::from_rows(std::move(rows), 3, 3),
                  std::invalid_argument);
   }
 }

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "categorical/label_matrix.h"
 #include "data/sharding.h"
 #include "data/synthetic.h"
 
@@ -161,6 +162,15 @@ TEST(ShardedMatrix, FromShardsValidatesShapes) {
     for (int i = 0; i < 5; ++i) shards.emplace_back(4, 5);
     EXPECT_THROW(ShardedMatrix::from_shards(bogus, std::move(shards), 5),
                  std::invalid_argument);
+  }
+  // A label shard with a different alphabet.
+  {
+    std::vector<categorical::LabelMatrix> two;
+    two.emplace_back(8, 5, 3);
+    two.emplace_back(8, 5, 4);
+    EXPECT_THROW(
+        categorical::ShardedLabelMatrix::from_shards(plan, std::move(two), 5, 3),
+        std::invalid_argument);
   }
   // And the happy path.
   {

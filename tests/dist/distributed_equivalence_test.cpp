@@ -239,7 +239,7 @@ void send_label_dataset(Fleet& fleet, const categorical::LabelDataset& dataset,
     report.user_id = s;
     for (const auto& entry : row) {
       report.objects.push_back(entry.object);
-      report.labels.push_back(entry.label);
+      report.labels.push_back(entry.value);
     }
     fleet.network.send(crowd::make_message(report.user_id, kCoordinatorId,
                                            crowd::MessageType::kLabelReport,

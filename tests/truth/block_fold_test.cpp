@@ -23,9 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "categorical/label_builder.h"
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/voting.h"
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -140,7 +138,7 @@ void column_fold_label_scores(const categorical::ShardedLabelMatrix& m,
           }
           block_end = ((base + user) / block_size + 1) * block_size - base;
         }
-        seg[col.labels[i]] += weights[base + user];
+        seg[col.values[i]] += weights[base + user];
       }
       for (std::size_t v = 0; v < L; ++v) scores[n * L + v] = acc[v] + seg[v];
     }
@@ -547,7 +545,7 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
       std::vector<categorical::Label> row_labels;
       for (const auto& e : flat.user_entries(plan.user_begin(s) + local)) {
         objects.push_back(e.object);
-        row_labels.push_back(e.label);
+        row_labels.push_back(e.value);
       }
       builder.add_row(local, objects, row_labels);
     }

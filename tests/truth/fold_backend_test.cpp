@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "data/sharding.h"
