@@ -17,7 +17,7 @@ ClaimMatrixBuilder<Domain>::ClaimMatrixBuilder(std::size_t num_users,
       ingested_(num_users, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
                "ClaimMatrixBuilder: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: need at least 2 labels");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: invalid value domain");
 }
 
 template <typename Domain>
@@ -72,7 +72,7 @@ void ClaimMatrixBuilder<Domain>::reshape(std::size_t num_users,
                                          Domain domain) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
                "ClaimMatrixBuilder: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: need at least 2 labels");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: invalid value domain");
   num_users_ = num_users;
   num_objects_ = num_objects;
   domain_ = domain;

@@ -18,7 +18,7 @@ ClaimMatrix<Domain>::ClaimMatrix(std::size_t num_users,
       object_counts_(num_objects, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
                "ClaimMatrix: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrix: need at least 2 labels");
+  DPTD_REQUIRE(domain.valid(), "ClaimMatrix: invalid value domain");
 }
 
 template <typename Domain>
@@ -40,11 +40,6 @@ ClaimMatrix<Domain> ClaimMatrix<Domain>::from_rows(
     }
   }
   return out;
-}
-
-template <typename Domain>
-void ClaimMatrix<Domain>::check_value(Value value) const {
-  DPTD_REQUIRE(domain_.admits(value), "ClaimMatrix: value outside the domain");
 }
 
 template <typename Domain>

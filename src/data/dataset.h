@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+
 namespace dptd::data {
 
 /// Value domain of continuous readings: any finite double.
@@ -163,7 +165,8 @@ class ClaimMatrix {
     for (std::size_t s = 0; s < num_users_; ++s) {
       for (Entry& e : out.rows_[s]) {
         e.value = fn(s, e.object, e.value);
-        check_value(e.value);
+        DPTD_REQUIRE(domain_.admits(e.value),
+                     "ClaimMatrix: value outside the domain");
       }
     }
     return out;
@@ -179,7 +182,6 @@ class ClaimMatrix {
   }
 
  private:
-  void check_value(Value value) const;
   void check_bounds(std::size_t user, std::size_t object) const;
   /// Iterator to the entry for `object` in `user`'s row, or row end.
   typename std::vector<Entry>::const_iterator find_in_row(

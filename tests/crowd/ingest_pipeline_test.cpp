@@ -7,13 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -26,6 +22,7 @@
 #include "crowd/sharded_server.h"
 #include "data/sharding.h"
 #include "net/network.h"
+#include "testing/address_space.h"
 #include "truth/registry.h"
 
 namespace dptd::crowd {
@@ -545,14 +542,6 @@ TEST(IngestPipeline, ShardedServerPipelinedMultiRoundWarmStart) {
             server.outcomes()[0].result.iterations);
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DPTD_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DPTD_TEST_SANITIZED 1
-#endif
-#endif
-
 TEST(ShardIngestorDeathTest, OversizedClaimCountIsARejectNotAnAbort) {
   // Regression: the report decoders reserved the claim count before checking
   // the bytes left, so a 5-byte upload claiming 2^26 claims reserved 512 MiB
@@ -565,17 +554,7 @@ TEST(ShardIngestorDeathTest, OversizedClaimCountIsARejectNotAnAbort) {
 #endif
   EXPECT_EXIT(
       {
-        std::ifstream statm("/proc/self/statm");
-        std::size_t pages = 0;
-        statm >> pages;
-        rlimit limit{};
-        getrlimit(RLIMIT_AS, &limit);
-        const rlim_t cap = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
-                           (rlim_t{256} << 20);
-        limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
-                             ? cap
-                             : std::min(cap, limit.rlim_max);
-        setrlimit(RLIMIT_AS, &limit);
+        dptd::testing::cap_address_space(rlim_t{256} << 20);
 
         Encoder upload;  // user id 0, then 2^26 claims and not one byte more
         upload.write_varint(0);

@@ -5,13 +5,9 @@
 // at ANY byte offset is counted, never fatal, on both ends.
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,6 +22,7 @@
 #include "dist/shard_node.h"
 #include "truth/interface.h"
 #include "net/network.h"
+#include "testing/address_space.h"
 
 namespace dptd::dist {
 namespace {
@@ -807,14 +804,6 @@ void deliver_request(ShardNode& shard, net::NodeId source,
       source, shard.id(), crowd::MessageType::kShardRequest, env.encode()));
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DPTD_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DPTD_TEST_SANITIZED 1
-#endif
-#endif
-
 TEST(DistributedProtocolDeathTest, OversizedCountPrefixIsMalformedNotAnAbort) {
   // Regression: container decoders reserved a count's worth of elements
   // before checking the bytes left, so a kBatch claiming 2^28 items reserved
@@ -826,17 +815,7 @@ TEST(DistributedProtocolDeathTest, OversizedCountPrefixIsMalformedNotAnAbort) {
 #endif
   EXPECT_EXIT(
       {
-        std::ifstream statm("/proc/self/statm");
-        std::size_t pages = 0;
-        statm >> pages;
-        rlimit limit{};
-        getrlimit(RLIMIT_AS, &limit);
-        const rlim_t cap =
-            pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) + (rlim_t{1} << 30);
-        limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
-                             ? cap
-                             : std::min(cap, limit.rlim_max);
-        setrlimit(RLIMIT_AS, &limit);
+        dptd::testing::cap_address_space(rlim_t{1} << 30);
 
         Fleet fleet(1, crh_spec(), 2);
         ShardNode& shard = *fleet.shards[0];
