@@ -9,8 +9,7 @@
 //    every K, so rows differ only in time. This is the library's label
 //    path, not the servers': ShardedServer and ShardNode ingest label ids
 //    as exact doubles through ShardIngestor's ObservationMatrixBuilder, and
-//    LocalBackend::vote_prepare copies them into labels via
-//    truth::label_view.
+//    their vote folds read those doubles in place.
 //  - BM_RandomizedResponseVote: the LDP deployment at a smaller fleet —
 //    user-sampled k-RR perturbation plus weighted voting — reporting label
 //    accuracy against ground truth as counters (the utility-under-privacy
@@ -88,7 +87,7 @@ LabelRow make_row(std::size_t user) {
 
 /// Streams `users` synthetic label reports into K per-shard label builders
 /// and finalizes them into the sharded label matrix (label ids stored as
-/// labels from the start, with no label_view copy; see the header comment).
+/// labels, not as the servers' exact doubles; see the header comment).
 /// Returns the matrix and the pure-ingest time.
 ShardedLabelMatrix ingest_round(std::size_t users, std::size_t num_shards,
                                 double* ingest_seconds) {

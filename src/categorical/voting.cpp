@@ -9,26 +9,70 @@
 #include "truth/sharded_stats.h"
 
 namespace dptd::categorical {
+namespace {
 
-void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
-                       std::span<const double> weights,
-                       std::span<double> scores) {
-  const std::size_t L = m.num_labels();
+// Whether a claim is a label below `num_labels`. A label claim always is; a
+// reading is when truth::is_label_value admits it (label_view's rule).
+constexpr bool is_label_claim(Label, std::size_t) { return true; }
+bool is_label_claim(double value, std::size_t num_labels) {
+  return truth::is_label_value(value, num_labels);
+}
+
+template <typename Domain>
+void fold_scores(const data::ShardedClaimMatrix<Domain>& m, std::size_t L,
+                 ThreadPool* pool, std::span<const double> weights,
+                 std::span<double> scores) {
   DPTD_REQUIRE(weights.size() == m.num_users(),
                "fold_label_scores: weights size != num users");
   DPTD_REQUIRE(scores.size() == m.num_objects() * L,
                "fold_label_scores: scores size != num_objects * num_labels");
   // An object a block touched chains all L bins, the ones the block left at
-  // +0.0 included; an object it did not touch chains nothing (see
-  // truth::detail::fold_row_blocks).
+  // +0.0 included; an object it did not touch chains nothing, and a skipped
+  // claim touches nothing (see truth::detail::fold_row_blocks).
   truth::detail::fold_row_blocks<double>(
       m, pool, L,
-      [&](std::size_t user, const LabelMatrix::Entry& e, std::span<double> seg) {
-        seg[e.value] += weights[user];
+      [&](std::size_t user, const auto& e, std::span<double> seg) {
+        seg[static_cast<Label>(e.value)] += weights[user];
       },
       [&](std::size_t n, std::span<const double> seg) {
         for (std::size_t v = 0; v < L; ++v) scores[n * L + v] += seg[v];
-      });
+      },
+      [L](const auto& e) { return is_label_claim(e.value, L); });
+}
+
+template <typename Domain>
+void count_disagreement(const data::ShardedClaimMatrix<Domain>& m,
+                        std::size_t L, ThreadPool* pool,
+                        std::span<const Label> truths,
+                        std::span<double> disagreement) {
+  DPTD_REQUIRE(truths.size() == m.num_objects(),
+               "vote_disagreement: truths size != num objects");
+  DPTD_REQUIRE(disagreement.size() == m.num_users(),
+               "vote_disagreement: disagreement size != num users");
+  truth::for_each_user_row(m, pool, [&](std::size_t user, auto row) {
+    double d = 0.0;
+    for (const auto& e : row) {
+      if (is_label_claim(e.value, L) &&
+          static_cast<Label>(e.value) != truths[e.object]) {
+        d += 1.0;
+      }
+    }
+    disagreement[user] = d;
+  });
+}
+
+}  // namespace
+
+void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
+                       std::span<const double> weights,
+                       std::span<double> scores) {
+  fold_scores(m, m.num_labels(), pool, weights, scores);
+}
+
+void fold_label_scores(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const double> weights,
+                       std::span<double> scores) {
+  fold_scores(m, num_labels, pool, weights, scores);
 }
 
 std::vector<Label> truths_from_scores(std::span<const double> scores,
@@ -70,26 +114,13 @@ void debias_scores(std::span<double> scores, std::size_t num_objects,
 void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
                        std::span<const Label> truths,
                        std::span<double> disagreement) {
-  DPTD_REQUIRE(truths.size() == m.num_objects(),
-               "vote_disagreement: truths size != num objects");
-  DPTD_REQUIRE(disagreement.size() == m.num_users(),
-               "vote_disagreement: disagreement size != num users");
-  // Purely per-user state: nothing to merge, execution order is free.
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const LabelMatrix& shard = m.shard(s);
-    const std::size_t base = m.user_base(s);
-    for_each_range(pool, shard.num_users(),
-                   [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t local = begin; local < end; ++local) {
-                       double d = 0.0;
-                       for (const LabelMatrix::Entry& e :
-                            shard.user_entries(local)) {
-                         if (e.value != truths[e.object]) d += 1.0;
-                       }
-                       disagreement[base + local] = d;
-                     }
-                   });
-  }
+  count_disagreement(m, m.num_labels(), pool, truths, disagreement);
+}
+
+void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const Label> truths,
+                       std::span<double> disagreement) {
+  count_disagreement(m, num_labels, pool, truths, disagreement);
 }
 
 void vote_weights_from_disagreement(std::span<const double> disagreement,

@@ -14,8 +14,16 @@
 // run truth::run_majority_vote / truth::run_weighted_vote over an in-process
 // fold backend — the same loops the distributed coordinator runs over the
 // wire.
+//
+// Each kernel reads either claim domain with one body. Over a label matrix
+// every claim is a label. Over a reading matrix (the one a round ingests,
+// label ids as exact doubles) a claim counts as label v exactly when
+// truth::is_label_value admits it; any other claim is skipped and touches
+// nothing, so the bits equal the label matrix's over truth::label_view of
+// the readings, with no copy made.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,9 +55,14 @@ struct WeightedVotingConfig {
 /// the preceding shards' partial). Weights are indexed by *global* user id.
 /// Claims are summed flat within a canonical user block and block partials
 /// are chained in ascending order, so the result is bitwise identical for
-/// any shard count and any `pool` size.
+/// any shard count and any `pool` size. An object whose claims in a block
+/// are all skipped readings chains nothing for that block.
 void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
                        std::span<const double> weights,
+                       std::span<double> scores);
+/// The same fold over readings, in place, with labels in [0, num_labels).
+void fold_label_scores(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const double> weights,
                        std::span<double> scores);
 
 /// Plurality per object from a score table: argmax over labels, ties break
@@ -69,11 +82,15 @@ std::vector<Label> truths_from_scores(std::span<const double> scores,
 void debias_scores(std::span<double> scores, std::size_t num_objects,
                    std::size_t num_labels, double keep_probability);
 
-/// Per-user count of claims disagreeing with `truths`. Purely per-user state
-/// (no merge): each user's count comes from their own row. `disagreement` is
-/// indexed by global user id and fully overwritten.
+/// Per-user count of label claims disagreeing with `truths`. Purely
+/// per-user state (no merge): each user's count comes from their own row.
+/// `disagreement` is indexed by global user id and fully overwritten.
 void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
                        std::span<const Label> truths,
+                       std::span<double> disagreement);
+/// The same count over readings, in place; skipped readings never disagree.
+void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const Label> truths,
                        std::span<double> disagreement);
 
 /// CRH Eq. (3) on 0/1 loss: weights[s] = -log(max(d_s/total, min_fraction)).

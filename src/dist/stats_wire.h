@@ -73,7 +73,7 @@ enum class ShardOp : std::uint8_t {
   // Telemetry.
   kGetTelemetry = 16,   ///< empty -> Telemetry (lifetime shard counters)
   // Categorical voting (majority / weighted vote over label claims).
-  kVotePrepare = 17,    ///< builds the shard's label view
+  kVotePrepare = 17,    ///< sets the alphabet the vote ops read claims by
   kVoteScores = 18,     ///< label-score chain
   kVoteDisagree = 19,   ///< disagreement chain: (truths, total) -> total
   kVoteWeights = 20,    ///< chained total -> empty ack

@@ -9,11 +9,6 @@
 namespace dptd::truth {
 namespace {
 
-void check_num_labels(std::size_t num_labels) {
-  DPTD_REQUIRE(num_labels >= 2 && num_labels <= kMaxBridgedLabels,
-               "categorical bridge: num_labels out of range");
-}
-
 Result to_result(categorical::VotingResult vr) {
   Result out;
   out.truths.reserve(vr.truths.size());
@@ -44,10 +39,9 @@ categorical::LabelMatrix label_shard(const data::ObservationMatrix& obs,
 
 }  // namespace
 
-bool is_label_value(double value, std::size_t num_labels) {
-  return std::isfinite(value) && value >= 0.0 &&
-         value < static_cast<double>(num_labels) &&
-         value == std::floor(value);
+void check_num_labels(std::size_t num_labels) {
+  DPTD_REQUIRE(num_labels >= 2 && num_labels <= kMaxBridgedLabels,
+               "categorical bridge: num_labels out of range");
 }
 
 std::size_t infer_num_labels(const data::ShardedMatrix& m) {

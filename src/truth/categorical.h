@@ -4,15 +4,15 @@
 // the distributed coordinator — all speak truth::TruthDiscovery over
 // continuous ObservationMatrix claims. This bridge lets those layers run
 // categorical campaigns unchanged: label ids ride as exact small doubles in
-// the observation matrices, label_view copies the sharded matrix into the
-// label instantiation of the same claim matrix (out-of-domain values
-// sanitize-dropped, the same rule on every layer so in-process and
-// distributed runs agree bitwise), and the mergeable voting kernels of
-// categorical/voting.h do the aggregation in canonical block order. Truths
-// come back as label ids in doubles — exact, since every label id is far
-// below 2^53.
+// the observation matrices, and the mergeable voting kernels of
+// categorical/voting.h read them in place, in canonical block order. A claim
+// counts as a label only when is_label_value admits it; any other value is
+// skipped, the same rule on every layer, so in-process and distributed runs
+// agree bitwise. Truths come back as label ids in doubles — exact, since
+// every label id is far below 2^53.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -27,22 +27,33 @@ namespace dptd::truth {
 /// double and per-object histograms stay small.
 inline constexpr std::size_t kMaxBridgedLabels = 1u << 20;
 
+/// Throws std::invalid_argument unless 2 <= num_labels <= kMaxBridgedLabels.
+void check_num_labels(std::size_t num_labels);
+
 /// True iff `value` encodes a valid label id below `num_labels`: finite,
-/// integral, and in [0, num_labels).
-bool is_label_value(double value, std::size_t num_labels);
+/// integral, and in [0, num_labels) (-0.0 reads as label 0). Inline: the
+/// vote folds call it once per claim.
+inline bool is_label_value(double value, std::size_t num_labels) {
+  return std::isfinite(value) && value >= 0.0 &&
+         value < static_cast<double>(num_labels) &&
+         value == std::floor(value);
+}
 
 /// Smallest consistent alphabet for a matrix of label-encoded doubles:
 /// max valid label id + 1, clamped to >= 2. Values that encode no label at
-/// all (non-integral, negative, or >= kMaxBridgedLabels) are ignored — they
-/// are dropped by the view below. Scans every shard, so the result is
-/// independent of the shard count.
+/// all (non-integral, negative, or >= kMaxBridgedLabels) are ignored — the
+/// vote folds skip them. Scans every shard, so the result is independent of
+/// the shard count.
 std::size_t infer_num_labels(const data::ShardedMatrix& m);
 
 /// Copies `m` into a label matrix over [0, num_labels) with the same plan,
-/// shard by shard. Claims whose value fails is_label_value are dropped —
-/// sanitize, never abort, exactly like report ingestion. O(nnz), straight
-/// into from_rows. The categorical kernels over the result are bitwise
-/// identical for any shard count.
+/// shard by shard, dropping the claims whose value fails is_label_value —
+/// sanitize, never abort, exactly like report ingestion. O(nnz) time and a
+/// second entry per claim. Rounds never make this copy: the vote folds read
+/// `m` in place and skip the same claims, so their bits over `m` equal their
+/// bits over the copy. It stays as the explicit conversion for callers that
+/// want label storage, and as the reference the in-place reading is tested
+/// against.
 categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
                                            std::size_t num_labels);
 

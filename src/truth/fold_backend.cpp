@@ -41,7 +41,7 @@ LocalBackend::LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool)
 
 LocalBackend::LocalBackend(const categorical::ShardedLabelMatrix& labels,
                            ThreadPool* pool)
-    : pool_(pool), labels_(&labels) {}
+    : labels_(&labels), pool_(pool) {}
 
 std::size_t LocalBackend::num_users() const {
   return matrix_ != nullptr ? matrix_->num_users() : labels_->num_users();
@@ -56,9 +56,9 @@ const data::ShardedMatrix& LocalBackend::matrix() const {
   return *matrix_;
 }
 
-const categorical::ShardedLabelMatrix& LocalBackend::labels() const {
-  DPTD_REQUIRE(labels_ != nullptr, "LocalBackend: vote step before prepare");
-  return *labels_;
+std::size_t LocalBackend::vote_labels() const {
+  DPTD_REQUIRE(num_labels_ != 0, "LocalBackend: vote step before prepare");
+  return num_labels_;
 }
 
 std::vector<double>& LocalBackend::reg(std::vector<double>& reg, double fill) {
@@ -149,39 +149,51 @@ void LocalBackend::catd_weights(std::span<const double> truths) {
 
 void LocalBackend::vote_prepare(std::size_t num_labels,
                                 double min_disagreement_fraction) {
+  num_labels_ = 0;
   DPTD_REQUIRE(min_disagreement_fraction > 0.0 &&
                    min_disagreement_fraction < 1.0,
                "LocalBackend: min_disagreement_fraction must be in (0,1)");
-  if (matrix_ != nullptr) {
-    // Same sanitize-drop reading on every deployment (truth::label_view).
-    labels_ = nullptr;
-    owned_labels_.emplace(label_view(*matrix_, num_labels));
-    labels_ = &*owned_labels_;
-  }
-  DPTD_REQUIRE(labels().num_labels() == num_labels,
+  check_num_labels(num_labels);
+  DPTD_REQUIRE(labels_ == nullptr || labels_->num_labels() == num_labels,
                "LocalBackend: label alphabet mismatch");
+  num_labels_ = num_labels;
   vote_min_fraction_ = min_disagreement_fraction;
 }
 
 double LocalBackend::vote_disagreement(
     std::span<const categorical::Label> truths, double total) {
-  categorical::vote_disagreement(labels(), pool_, truths, reg(disagreement_));
-  return block_chain_sum(disagreement_, labels().plan().block_size, total);
+  const std::size_t L = vote_labels();
+  if (labels_ != nullptr) {
+    categorical::vote_disagreement(*labels_, pool_, truths,
+                                   reg(disagreement_));
+  } else {
+    categorical::vote_disagreement(*matrix_, L, pool_, truths,
+                                   reg(disagreement_));
+  }
+  const data::ShardPlan& plan =
+      labels_ != nullptr ? labels_->plan() : matrix_->plan();
+  return block_chain_sum(disagreement_, plan.block_size, total);
 }
 
 void LocalBackend::vote_weights(double total) {
-  DPTD_REQUIRE(vote_min_fraction_.has_value(),
-               "LocalBackend: vote_weights before prepare");
+  DPTD_REQUIRE(num_labels_ != 0, "LocalBackend: vote_weights before prepare");
   if (total <= 0.0) {
     weights_.assign(num_users(), 1.0);
     return;
   }
   categorical::vote_weights_from_disagreement(
-      reg(disagreement_), total, *vote_min_fraction_, reg(weights_));
+      reg(disagreement_), total, vote_min_fraction_, reg(weights_));
 }
 
 void LocalBackend::vote_scores(std::span<double> scores) {
-  categorical::fold_label_scores(labels(), pool_, reg(weights_, 1.0), scores);
+  const std::size_t L = vote_labels();
+  if (labels_ != nullptr) {
+    categorical::fold_label_scores(*labels_, pool_, reg(weights_, 1.0),
+                                   scores);
+  } else {
+    categorical::fold_label_scores(*matrix_, L, pool_, reg(weights_, 1.0),
+                                   scores);
+  }
 }
 
 void LocalBackend::moments(std::span<RunningStats> acc) {

@@ -60,7 +60,10 @@ class FoldBackend {
   /// Caches each user's chi-squared quantile.
   virtual void catd_prepare(double significance, double min_residual) = 0;
   virtual void catd_weights(std::span<const double> truths) = 0;
-  /// Reads the claims as labels in [0, num_labels).
+  /// Reads the claims as labels in [0, num_labels) from here on: a claim
+  /// that is no label id below num_labels (truth::is_label_value) is skipped.
+  /// Refuses an alphabet outside [2, kMaxBridgedLabels]; after a refusal the
+  /// vote steps stay refused until a prepare succeeds.
   virtual void vote_prepare(std::size_t num_labels,
                             double min_disagreement_fraction) = 0;
   /// Vote weights from the last vote_disagreement and the chained total;
@@ -101,6 +104,8 @@ std::vector<double> aggregate_truths(FoldBackend& backend);
 /// prepare) throws std::invalid_argument.
 class LocalBackend final : public FoldBackend {
  public:
+  /// Readings: every call works. The vote calls read the label ids in
+  /// place, the matrix is never copied.
   LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool);
   /// Label claims only: the vote calls work, the continuous ones throw.
   LocalBackend(const categorical::ShardedLabelMatrix& labels,
@@ -141,11 +146,14 @@ class LocalBackend final : public FoldBackend {
 
  private:
   const data::ShardedMatrix& matrix() const;
-  const categorical::ShardedLabelMatrix& labels() const;
+  /// vote_prepare's alphabet; throws before a successful prepare.
+  std::size_t vote_labels() const;
   /// `reg` sized to the users, filled with `fill` when first allocated.
   std::vector<double>& reg(std::vector<double>& reg, double fill = 0.0);
 
+  // Exactly one of the two is set.
   const data::ShardedMatrix* matrix_ = nullptr;
+  const categorical::ShardedLabelMatrix* labels_ = nullptr;
   ThreadPool* pool_;
 
   // Per-user registers.
@@ -162,10 +170,8 @@ class LocalBackend final : public FoldBackend {
   std::optional<GtmConfig> gtm_;
   std::vector<double> shift_, scale_;
   double min_residual_ = 0.0;  ///< CATD; chi2_ marks it prepared
-  std::optional<double> vote_min_fraction_;
-  /// vote_prepare's label reading of matrix_ (or the borrowed labels).
-  std::optional<categorical::ShardedLabelMatrix> owned_labels_;
-  const categorical::ShardedLabelMatrix* labels_ = nullptr;
+  std::size_t num_labels_ = 0;  ///< vote; 0 until a prepare succeeds
+  double vote_min_fraction_ = 0.0;
 };
 
 }  // namespace dptd::truth

@@ -56,15 +56,22 @@ void pipeline_blocks(ThreadPool* pool, std::size_t blocks, std::size_t window,
                      const std::function<void(std::size_t, std::size_t)>& compute,
                      const std::function<void(std::size_t)>& chain);
 
+/// The claim filter of a fold that reads every claim.
+struct EveryClaim {
+  constexpr bool operator()(const auto&) const { return true; }
+};
+
 /// The one block walk behind every per-object fold. For each shard (in
 /// ascending order) it reads the user-major rows one canonical block at a
-/// time. Within a block, `add(global_user, entry, seg)` adds each claim into
-/// its object's segment: `width` value-initialized elements of T, created
-/// when the block first touches the object and summed in user order. Then
-/// `chain(object, seg)` folds each object the block touched into the output.
-/// It runs on the calling thread, in ascending block order, and never sees
-/// an object the block did not touch: folding an untouched object's +0.0
-/// segment would turn an accumulated -0.0 into +0.0.
+/// time. Within a block, `add(global_user, entry, seg)` adds each claim that
+/// `keep(entry)` admits into its object's segment: `width` value-initialized
+/// elements of T, created when the block first touches the object and summed
+/// in user order. Then `chain(object, seg)` folds each object the block
+/// touched into the output. It runs on the calling thread, in ascending block
+/// order, and never sees an object the block did not touch: folding an
+/// untouched object's +0.0 segment would turn an accumulated -0.0 into +0.0.
+/// A claim `keep` refuses touches nothing, so a fold that skips claims has
+/// the bits of the same fold over a matrix without them.
 ///
 /// Shard user ranges are block-aligned, so local blocks are global blocks
 /// and these are the same additions, in the same order, as a walk down each
@@ -72,9 +79,11 @@ void pipeline_blocks(ThreadPool* pool, std::size_t blocks, std::size_t window,
 /// them while the calling thread chains (pipeline_blocks); the partial
 /// buffers hold at most 2 x pool-size blocks' touched objects, never the
 /// whole matrix. Each worker keeps one object -> slot map (4 B per object).
-template <typename T, typename Matrix, typename Add, typename Chain>
+template <typename T, typename Matrix, typename Add, typename Chain,
+          typename Keep = EveryClaim>
 void fold_row_blocks(const Matrix& m, ThreadPool* pool, std::size_t width,
-                     const Add& add, const Chain& chain) {
+                     const Add& add, const Chain& chain,
+                     const Keep& keep = {}) {
   constexpr std::uint32_t kUntouched =
       std::numeric_limits<std::uint32_t>::max();
   // One cache line each: workers grow neighbouring ring slots at once.
@@ -107,6 +116,7 @@ void fold_row_blocks(const Matrix& m, ThreadPool* pool, std::size_t width,
           const std::size_t end = std::min(begin + block_size, users);
           for (std::size_t local = begin; local < end; ++local) {
             for (const auto& e : shard.user_entries(local)) {
+              if (!keep(e)) continue;
               std::uint32_t& k = slot[e.object];
               if (k == kUntouched) {
                 k = static_cast<std::uint32_t>(p.objects.size());
@@ -188,15 +198,14 @@ struct GatheredColumns {
 GatheredColumns gather_object_values(const data::ShardedMatrix& m,
                                      ThreadPool* pool);
 
-/// Runs fn(global_user, row) for every user. Purely per-user state: nothing
-/// to merge, so execution order is free. Iterates shard by shard — rows are
-/// contiguous local ids with one base offset, no per-user routing math — and
-/// parallelizes over each shard's users.
-template <typename Fn>
-void for_each_user_row(const data::ShardedMatrix& m, ThreadPool* pool,
-                       const Fn& fn) {
+/// Runs fn(global_user, row) for every user of either claim domain. Purely
+/// per-user state: nothing to merge, so execution order is free. Iterates
+/// shard by shard — rows are contiguous local ids with one base offset, no
+/// per-user routing math — and parallelizes over each shard's users.
+template <typename Matrix, typename Fn>
+void for_each_user_row(const Matrix& m, ThreadPool* pool, const Fn& fn) {
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const data::ObservationMatrix& shard = m.shard(s);
+    const auto& shard = m.shard(s);
     const std::size_t base = m.user_base(s);
     for_each_range(pool, shard.num_users(),
                    [&](std::size_t begin, std::size_t end) {

@@ -128,8 +128,8 @@ inline std::string to_hex(std::span<const std::uint8_t> bytes) {
 }
 
 /// The round's uploads as the coordinator routes them: one kReportBatch.
-/// User 1 claims a non-integer (the vote ops' label view drops it) and user
-/// 5 claims -0.0.
+/// User 1 claims a non-integer (the vote ops skip it) and user 5 claims
+/// -0.0.
 inline std::vector<std::uint8_t> report_batch() {
   struct Claim {
     std::uint64_t object;

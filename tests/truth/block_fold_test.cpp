@@ -377,13 +377,19 @@ TEST(BlockFold, SignedZerosFollowTheColumnWalk) {
   // all its bins, the unclaimed ones included, while object 2, which nobody
   // covers, keeps its -0.0. Chaining a +0.0 segment for an object the block
   // did not touch would flip it; chaining only the claimed label bins would
-  // leave object 0's bin 0 at -0.0.
+  // leave object 0's bin 0 at -0.0. The same labels read in place from
+  // readings must keep those bits: the reading that is no label (2.5, on
+  // object 2) is skipped before it can touch its object.
   data::ObservationMatrix obs(2, 3);
   obs.set(0, 0, -0.0);
   obs.set(1, 1, -0.0);
   categorical::LabelMatrix labels(2, 3, 2);
   labels.set(0, 0, 1);
   labels.set(1, 1, 0);
+  data::ObservationMatrix readings(2, 3);
+  readings.set(0, 0, 1.0);
+  readings.set(0, 2, 2.5);
+  readings.set(1, 1, -0.0);
   const std::vector<double> weights = {-0.0, -0.0};
   const auto emit = [](std::size_t, std::size_t, double value,
                        std::array<double, 1>& c) { c[0] = value; };
@@ -408,6 +414,12 @@ TEST(BlockFold, SignedZerosFollowTheColumnWalk) {
     EXPECT_FALSE(std::signbit(actual_scores[0]));
     EXPECT_TRUE(std::signbit(actual_scores[4]));
     EXPECT_TRUE(std::signbit(actual_scores[5]));
+
+    const data::ShardedMatrix rm =
+        data::ShardedMatrix::partition(readings, k, 1);
+    std::vector<double> read_scores(6, -0.0);
+    categorical::fold_label_scores(rm, 2, nullptr, weights, read_scores);
+    expect_same_bits(actual_scores, read_scores, "reading scores");
   }
 }
 

@@ -6,7 +6,10 @@
 // (the TSan job's race check on the register handoffs).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -214,6 +217,109 @@ TEST(FoldBackend, PooledLoopsMatchSerialForEveryMethod) {
   }
 }
 
+/// Each double's bit pattern: EXPECT_EQ on doubles equates -0.0 and +0.0.
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+std::vector<double> label_doubles(const std::vector<categorical::Label>& in) {
+  return std::vector<double>(in.begin(), in.end());
+}
+
+TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
+  // Labels 0-2 and -0.0 (label 0) mixed with readings that are no label
+  // below 3. Object 6 is claimed by non-labels alone, and so is every claim
+  // of users [16, 24), one whole 8-user block: a non-label claim must touch
+  // nothing, or object 6's -0.0 scores turn +0.0.
+  constexpr std::size_t kUsers = 40;
+  constexpr std::size_t kObjects = 7;
+  const std::vector<double> labels = {0.0, 1.0, 2.0, -0.0, 1.0, 2.0, 0.0};
+  const std::vector<double> non_labels = {2.5, -1.0, 3.0, 1e300};
+  data::ObservationMatrix obs(kUsers, kObjects);
+  for (std::size_t s = 0; s < kUsers; ++s) {
+    for (std::size_t n = 0; n < kObjects; ++n) {
+      if ((s * 7 + n * 3) % 5 == 0) continue;
+      const bool label = n != 6 && (s < 16 || s >= 24) && (s + 2 * n) % 6 != 0;
+      obs.set(s, n,
+              label ? labels[(s * 3 + n) % labels.size()]
+                    : non_labels[(s + n) % non_labels.size()]);
+    }
+  }
+  WeightedVoteConfig vote;
+  vote.num_labels = kLabels;
+  for (std::size_t threads : {1, 2, 4}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    vote.num_threads = threads;
+    for (std::size_t k : {1, 2, 3}) {
+      for (std::size_t block : {1, 3, 8}) {
+        SCOPED_TRACE("pool=" + std::to_string(threads) +
+                     " K=" + std::to_string(k) +
+                     " block=" + std::to_string(block));
+        const data::ShardedMatrix m =
+            data::ShardedMatrix::partition(obs, k, block);
+        const categorical::ShardedLabelMatrix view = label_view(m, kLabels);
+        LocalBackend readings(m, pool.get());
+        LocalBackend copied(view, pool.get());
+        readings.vote_prepare(kLabels, 1e-12);
+        copied.vote_prepare(kLabels, 1e-12);
+
+        std::vector<double> scores(kObjects * kLabels, -0.0);
+        std::vector<double> expected = scores;
+        readings.vote_scores(scores);
+        copied.vote_scores(expected);
+        EXPECT_EQ(bits(scores), bits(expected));
+        EXPECT_TRUE(std::signbit(scores[6 * kLabels]));
+
+        const std::vector<categorical::Label> truths =
+            categorical::truths_from_scores(expected, kObjects, kLabels);
+        const double total = readings.vote_disagreement(truths, 0.0);
+        const double expected_total = copied.vote_disagreement(truths, 0.0);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(total),
+                  std::bit_cast<std::uint64_t>(expected_total));
+        ASSERT_GT(expected_total, 0.0);
+        readings.vote_weights(total);
+        copied.vote_weights(expected_total);
+        EXPECT_EQ(bits(readings.collect_weights()),
+                  bits(copied.collect_weights()));
+
+        const categorical::VotingResult majority =
+            categorical::majority_vote(view, pool.get());
+        const categorical::VotingResult weighted =
+            categorical::weighted_vote(view, vote.voting, pool.get());
+        const MajorityVote majority_method(
+            {.num_labels = kLabels, .num_threads = threads});
+        const WeightedVote weighted_method(vote);
+        const Result cold_majority = majority_method.run_sharded(m);
+        const Result cold = weighted_method.run_sharded(m);
+        EXPECT_EQ(cold_majority.truths, label_doubles(majority.truths));
+        EXPECT_EQ(cold.truths, label_doubles(weighted.truths));
+        EXPECT_EQ(bits(cold.weights), bits(weighted.weights));
+        EXPECT_EQ(cold.iterations, weighted.iterations);
+
+        // Warm: a seed with both halves, its truths and its weights.
+        WarmStart seed;
+        seed.truths = cold.truths;
+        seed.weights = cold.weights;
+        seed.weights[0] = 0.5;
+        seed.truths[0] = 2.0;
+        const categorical::VotingResult warm_weighted =
+            categorical::weighted_vote(
+                view, vote.voting, pool.get(), seed.weights,
+                labels_from_doubles(seed.truths, kLabels));
+        const Result warm = weighted_method.run_sharded(m, seed);
+        EXPECT_EQ(majority_method.run_sharded(m, seed).truths,
+                  label_doubles(majority.truths));
+        EXPECT_EQ(warm.truths, label_doubles(warm_weighted.truths));
+        EXPECT_EQ(bits(warm.weights), bits(warm_weighted.weights));
+        EXPECT_EQ(warm.iterations, warm_weighted.iterations);
+      }
+    }
+  }
+}
+
 TEST(FoldBackend, StepsBeforeTheirPrepareAreRefused) {
   const data::ObservationMatrix obs = claims(16, 4, /*labels=*/false);
   const data::ShardedMatrix matrix = data::ShardedMatrix::single(obs, kBlock);
@@ -228,6 +334,17 @@ TEST(FoldBackend, StepsBeforeTheirPrepareAreRefused) {
   EXPECT_THROW(backend.catd_weights(truths), std::invalid_argument);
   EXPECT_THROW(backend.vote_weights(1.0), std::invalid_argument);
   std::vector<double> scores(4 * kLabels, 0.0);
+  EXPECT_THROW(backend.vote_scores(scores), std::invalid_argument);
+  const std::vector<categorical::Label> label_truths(4, 0);
+  EXPECT_THROW(backend.vote_disagreement(label_truths, 0.0),
+               std::invalid_argument);
+  // The alphabet bounds hold on readings too, and a refused prepare leaves
+  // the vote steps refused even after an earlier prepare succeeded.
+  backend.vote_prepare(kLabels, 1e-12);
+  EXPECT_THROW(backend.vote_prepare(1, 1e-12), std::invalid_argument);
+  EXPECT_THROW(backend.vote_scores(scores), std::invalid_argument);
+  EXPECT_THROW(backend.vote_prepare(kMaxBridgedLabels + 1, 1e-12),
+               std::invalid_argument);
   EXPECT_THROW(backend.vote_scores(scores), std::invalid_argument);
   EXPECT_THROW(backend.set_weights(std::vector<double>(15, 1.0)),
                std::invalid_argument);
