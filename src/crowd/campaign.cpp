@@ -45,16 +45,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   DPTD_REQUIRE(config.churn_probability >= 0.0 &&
                    config.churn_probability < 1.0,
                "run_campaign: churn_probability must be in [0,1)");
-  DPTD_REQUIRE(session.dropout_fraction >= 0.0 &&
-                   session.dropout_fraction < 1.0,
-               "run_campaign: dropout_fraction must be in [0,1)");
-  DPTD_REQUIRE(
-      session.adversary_fraction >= 0.0 && session.adversary_fraction < 1.0,
-      "run_campaign: adversary_fraction must be in [0,1)");
-  DPTD_REQUIRE(session.dropout_fraction + session.adversary_fraction < 1.0,
-               "run_campaign: dropouts + adversaries must leave honest users");
-  DPTD_REQUIRE(session.mean_think_time_seconds >= 0.0,
-               "run_campaign: negative think time");
+  session.validate();
   DPTD_REQUIRE(!config.drifting_truths || config.truth_drift_stddev >= 0.0,
                "run_campaign: negative truth_drift_stddev");
   for (const std::size_t k : config.shard_schedule) {
@@ -69,17 +60,11 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   net::Simulator sim;
   net::Network network(sim, session.latency, derive_seed(config.seed, 0xfe7));
 
-  ServerConfig server_config;
-  server_config.lambda2 = session.lambda2;
-  server_config.collection_window_seconds = session.collection_window_seconds;
-  server_config.num_objects = N;
-  server_config.warm_start = config.warm_start;
   // Elastic campaigns resize the server before each round opens. Round
   // outcomes are bitwise identical for every K at equal canonical block
   // size, so the knobs only change how the service scales.
-  server_config.num_shards = session.num_shards;
-  server_config.stats_block_size = session.stats_block_size;
-  server_config.ingest_threads = session.ingest_threads;
+  ServerConfig server_config = session.server_config(N);
+  server_config.warm_start = config.warm_start;
   ShardedServer server(server_config,
                        truth::make_method(session.method, session.convergence),
                        network);
@@ -192,16 +177,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     const std::uint64_t round_seed = derive_seed(config.seed, round, 0x5e55);
     for (std::size_t s = 0; s < S; ++s) {
       UserDevice& device = *devices[s];
-      std::vector<std::uint64_t> objects;
-      std::vector<double> readings;
-      const auto row = dataset.observations.user_entries(s);
-      objects.reserve(row.size());
-      readings.reserve(row.size());
-      for (const auto& e : row) {
-        objects.push_back(e.object);
-        readings.push_back(e.value);
-      }
-      device.retask(std::move(objects), std::move(readings),
+      DeviceReadings claims = device_readings(dataset.observations, s);
+      device.retask(std::move(claims.objects), std::move(claims.readings),
                     derive_seed(round_seed, 0xd371c3, s));
       device.set_think_time(
           session.mean_think_time_seconds > 0.0

@@ -9,7 +9,6 @@ IngestPipeline::IngestPipeline(IngestPipelineConfig config) : config_(config) {
                "IngestPipeline: queue_capacity must be positive");
   DPTD_REQUIRE(config_.max_batch > 0,
                "IngestPipeline: max_batch must be positive");
-  if (config_.num_workers == 0) config_.num_workers = 1;
   batch_size_ = config_.max_batch < config_.queue_capacity
                     ? config_.max_batch
                     : config_.queue_capacity;
@@ -65,6 +64,7 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
     worker.processed.store(0, std::memory_order_relaxed);
     worker.distinct.store(0, std::memory_order_relaxed);
   }
+  caller_distinct_ = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
     ingestors_[s]->begin_round(plan_.shard_num_users(s), plan_.user_begin(s),
                                num_objects, round, labels);
@@ -94,6 +94,10 @@ void IngestPipeline::stage(std::size_t row,
   Record record;
   record.shard = plan_.shard_of_user(row);
   record.local_user = row - plan_.user_begin(record.shard);
+  if (workers_.empty()) {  // ingest now, from the caller's bytes
+    if (ingest_record(record, payload)) ++caller_distinct_;
+    return;
+  }
   record.size = payload.size();
   Worker& worker = *workers_[worker_of_shard_[record.shard]];
   Batch& batch = worker.staged;
@@ -148,7 +152,7 @@ void IngestPipeline::drain() {
 }
 
 std::size_t IngestPipeline::distinct_reporters() const {
-  std::size_t total = 0;
+  std::size_t total = caller_distinct_;
   for (const auto& worker : workers_) {
     total += worker->distinct.load(std::memory_order_relaxed);
   }
@@ -181,7 +185,18 @@ void IngestPipeline::worker_loop(Worker& worker) {
     }
     const Batch& batch = popped.front();
     for (const Record& record : batch.records) {
-      process_record(worker, batch, record);
+      const std::span<const std::uint8_t> payload =
+          record.external != nullptr
+              ? std::span<const std::uint8_t>(record.external, record.size)
+              : std::span<const std::uint8_t>(batch.arena)
+                    .subspan(record.offset, record.size);
+      if (ingest_record(record, payload)) {
+        // Uncontended mirror for the coordinator's early-close poll; its own
+        // cache line, written only by this worker.
+        worker.distinct.store(
+            worker.distinct.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+      }
     }
     worker.processed.store(
         worker.processed.load(std::memory_order_relaxed) +
@@ -196,28 +211,18 @@ void IngestPipeline::worker_loop(Worker& worker) {
   }
 }
 
-void IngestPipeline::process_record(Worker& worker, const Batch& batch,
-                                    const Record& record) {
-  const std::span<const std::uint8_t> payload =
-      record.external != nullptr
-          ? std::span<const std::uint8_t>(record.external, record.size)
-          : std::span<const std::uint8_t>(batch.arena).subspan(record.offset,
-                                                               record.size);
+bool IngestPipeline::ingest_record(const Record& record,
+                                   std::span<const std::uint8_t> payload) {
   ShardIngestor& ingestor = *ingestors_[record.shard];
   // The producer routed on this header, so it reads; the ingestor takes the
   // fields after the round varint.
   const std::optional<ReportHeader> header = Report::peek_header(payload);
   if (!header) {
     ingestor.reject();
-    return;
+    return false;
   }
-  if (ingestor.ingest(record.local_user,
-                      payload.subspan(header->round_bytes))) {
-    // Uncontended mirror for the coordinator's early-close poll; its own
-    // cache line, written only by this worker.
-    worker.distinct.store(worker.distinct.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
-  }
+  return ingestor.ingest(record.local_user,
+                         payload.subspan(header->round_bytes));
 }
 
 void IngestPipeline::stop_workers() {

@@ -1,8 +1,10 @@
-// Parallel pipelined report ingestion: the network thread only *routes* —
-// an O(1) header peek resolves the owning shard — and stages the raw encoded
-// report in its worker's batch; worker threads run the expensive half of
-// ingestion (full decode, claim sanitization, dedup, row append) through the
-// ShardIngestors of the shards they own.
+// Report ingestion behind one producer: the caller (the network thread)
+// only *routes* — an O(1) header peek resolves the owning shard — and the
+// expensive half of ingestion (full decode, claim sanitization, dedup, row
+// append) runs through the ShardIngestors of the shards. With zero workers
+// that step runs inside submit()/submit_view(), on the caller's thread and
+// from the caller's bytes: no thread, no queue, no copy. With W >= 1 worker
+// threads it runs on the worker that owns the report's shard.
 //
 // Topology: K shards (data::ShardPlan) are split contiguously across
 // W = min(ingest workers, K) worker threads. Each worker has ONE queue fed
@@ -24,8 +26,8 @@
 // order, each queue is FIFO from a single producer, and a shard's reports
 // all travel through the one queue of its owning worker, so per-shard
 // ingestion order — and therefore dedup outcomes and the finalized
-// sub-matrix — is bitwise identical to serial ingestion, for every worker
-// count and batch size.
+// sub-matrix — is the submission order, exactly as at zero workers, for
+// every worker count and batch size.
 //
 // Backpressure: queues are bounded in reports; when one fills, the producer
 // blocks on the hand-off until the worker catches up, so a slow shard
@@ -46,7 +48,8 @@
 namespace dptd::crowd {
 
 struct IngestPipelineConfig {
-  /// Worker threads; clamped to the round's shard count, min 1.
+  /// Worker threads, clamped to the round's shard count. 0 starts none:
+  /// submit() and submit_view() ingest on the caller's thread.
   std::size_t num_workers = 1;
   /// The backpressure bound, counted in reports: a worker's queue holds at
   /// most this many handed-over reports (whole batches, at least one), and a
@@ -75,37 +78,39 @@ class IngestPipeline {
   /// previous round is still staged or being ingested. Categorical rounds
   /// additionally pass the round number and the label policy, which also
   /// selects the upload kind every report decodes as: label-range
-  /// validation and the policy's optional k-RR sampling run on the worker
-  /// that owns the report's shard (never on the producer/network thread),
-  /// seeded by (round, global row) so the bits match serial ingestion for
-  /// every worker count.
+  /// validation and the policy's optional k-RR sampling run wherever the
+  /// report's shard ingests (its worker, or the caller at zero workers),
+  /// seeded by (round, global row) so the bits match for every worker
+  /// count.
   void begin_round(const data::ShardPlan& plan, std::size_t num_objects,
                    std::uint64_t round = 0,
                    const LabelIngestPolicy& labels = {});
 
-  /// Producer side (one thread): stages the encoded report `payload` for the
-  /// matrix row `row` in the owning worker's batch, copying the bytes into
-  /// the batch arena, so the caller's buffer is free once submit returns (the
-  /// caller has already peeked the header and resolved row + round, and
-  /// verified the message kind matches the round's label policy; `is_label`
-  /// is unused). Hands the batch over when it is full, blocking while the
+  /// Producer side (one thread): the encoded report `payload` for the matrix
+  /// row `row` (the caller has already peeked the header and resolved row +
+  /// round, and verified the message kind matches the round's label policy;
+  /// `is_label` is unused). With zero workers it is ingested before submit
+  /// returns. Otherwise it is staged in the owning worker's batch, its bytes
+  /// copied into the batch arena, so the caller's buffer is free once submit
+  /// returns; the batch is handed over when full, blocking while the
   /// worker's queue is full.
   void submit(std::size_t row, std::span<const std::uint8_t> payload,
               bool is_label = false);
-  /// Zero-copy variant: stages a view of `payload`, which must outlive the
-  /// next drain() (e.g. a pre-encoded benchmark corpus).
+  /// Zero-copy variant: with workers, stages a view of `payload`, which must
+  /// outlive the next drain() (e.g. a pre-encoded benchmark corpus).
   void submit_view(std::size_t row, std::span<const std::uint8_t> payload,
                    bool is_label = false);
 
   /// Hands over every partial batch, then blocks until every submitted
-  /// report has been fully ingested (the round close barrier). After drain()
-  /// returns, counters and builders are exact and safe to read from the
-  /// calling thread.
+  /// report has been fully ingested (the round close barrier; nothing to
+  /// wait for at zero workers). After drain() returns, counters and builders
+  /// are exact and safe to read from the calling thread.
   void drain();
 
   /// Distinct users ingested so far, summed across workers. Monotone and
   /// cheap (one relaxed load per worker); exact only after drain() — reports
-  /// still staged in a partial batch are not counted before it.
+  /// still staged in a partial batch are not counted before it — or at zero
+  /// workers.
   std::size_t distinct_reporters() const;
 
   /// Per-shard accounting for the round. Call only after drain().
@@ -155,16 +160,20 @@ class IngestPipeline {
     alignas(64) std::atomic<std::size_t> distinct{0};
   };
 
-  /// Routes `row` to its worker and appends its record (and, when `copy`,
-  /// its bytes) to that worker's staged batch; hands a full batch over.
+  /// Routes `row` to its shard. At zero workers ingests it at once;
+  /// otherwise appends its record (and, when `copy`, its bytes) to the
+  /// owning worker's staged batch and hands a full batch over.
   void stage(std::size_t row, std::span<const std::uint8_t> payload,
              bool copy);
   /// Pushes the worker's staged batch, if any, onto its queue (blocking while
   /// the queue is full) and starts an empty one.
   void hand_off(Worker& worker);
   void worker_loop(Worker& worker);
-  void process_record(Worker& worker, const Batch& batch,
-                      const Record& record);
+  /// The per-report step, on a worker or at zero workers on the caller's
+  /// thread: peeks the header, then hands the fields to the record's shard
+  /// ingestor. Returns true for a new distinct reporter.
+  bool ingest_record(const Record& record,
+                     std::span<const std::uint8_t> payload);
   void stop_workers();
 
   IngestPipelineConfig config_;
@@ -176,6 +185,8 @@ class IngestPipeline {
   std::vector<std::unique_ptr<ShardIngestor>> ingestors_;
   std::vector<std::size_t> worker_of_shard_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Distinct reporters ingested on the caller's thread (zero workers).
+  std::size_t caller_distinct_ = 0;
 
   /// Drain rendezvous: the coordinator arms `draining_`, workers notify
   /// after each batch while it is set. seq_cst on both sides closes the

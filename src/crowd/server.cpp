@@ -5,10 +5,8 @@
 
 #include "categorical/randomized_response.h"
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "common/stopwatch.h"
 
 namespace dptd::crowd {
 
@@ -229,42 +227,23 @@ std::vector<double> remap_warm_weights(
   return weights;
 }
 
-bool aggregate_and_publish(const ServerConfig& config,
-                           truth::TruthDiscovery& method,
-                           net::Transport& network,
-                           std::uint64_t round,
-                           const std::vector<net::NodeId>& participants,
-                           const data::ShardedMatrix& matrix, WarmState& warm,
-                           RoundOutcome& outcome) {
-  // Objects nobody reported on cannot be aggregated; require coverage across
-  // the union of shards and skip aggregation gracefully when violated.
-  for (std::size_t n = 0; n < config.num_objects; ++n) {
-    if (matrix.object_observation_count(n) == 0) {
-      DPTD_LOG_WARN << "round " << round
-                    << ": uncovered objects, skipping aggregation";
-      return false;
-    }
-  }
-
-  Stopwatch timer;
+truth::WarmStart WarmState::seed(
+    bool warm_start, const truth::TruthDiscovery& method,
+    const std::vector<net::NodeId>& participants) const {
   truth::WarmStart seed;
-  if (config.warm_start && warm.valid && method.supports_warm_start()) {
-    seed.truths = warm.result.truths;
-    seed.weights = remap_warm_weights(warm, participants, matrix.num_users());
-    outcome.warm_started = true;
+  if (warm_start && valid && method.supports_warm_start()) {
+    seed.truths = result.truths;
+    seed.weights =
+        remap_warm_weights(*this, participants, participants.size());
   }
-  outcome.result = method.run_sharded(matrix, seed);
-  outcome.aggregation_seconds = timer.elapsed_seconds();
-  warm.result = outcome.result;
-  warm.participants = participants;
-  warm.valid = true;
+  return seed;
+}
 
-  ResultPublish publish;
-  publish.round = round;
-  publish.truths = outcome.result.truths;
-  fan_out(network, config.id, participants, MessageType::kResultPublish,
-          publish.encode());
-  return true;
+void WarmState::record(const truth::Result& round_result,
+                       const std::vector<net::NodeId>& roster) {
+  result = round_result;
+  participants = roster;
+  valid = true;
 }
 
 }  // namespace dptd::crowd

@@ -1,8 +1,9 @@
 // The untrusted aggregation server's building blocks: its configuration and
 // round outcome, the per-shard ingestor every ingest path runs, the roster
-// index, and the round-close tail. crowd::ShardedServer assembles them into
-// the in-process server (K = 1 without ingest workers is the flat path);
-// dist::Coordinator and dist::ShardNode use them across processes.
+// index, and the warm-start state. crowd::ShardedServer assembles them into
+// the in-process server, which ingests through one crowd::IngestPipeline (K
+// = 1 at zero ingest workers is the flat path); dist::Coordinator and
+// dist::ShardNode use them across processes.
 //
 // Reports are ingested as they arrive: each one is decoded, sanitized, and
 // folded into its shard's incremental ObservationMatrixBuilder (deduplicated
@@ -37,7 +38,7 @@ struct LabelIngestPolicy {
   /// and disables label ingestion entirely.
   std::size_t num_labels = 0;
   /// Server-side empirical k-RR sampling applied per ingested claim by the
-  /// shard's ingestor (when pipelined, on the ingest worker that owns the
+  /// shard's ingestor (with ingest workers, on the worker that owns the
   /// user's shard, never on the network thread). 1.0 disables it — clients
   /// that already perturbed locally are the normal LDP deployment.
   double rr_keep_probability = 1.0;
@@ -67,12 +68,12 @@ struct ServerConfig {
   /// Canonical sufficient-statistics block size of the sharded aggregation
   /// path; runs compare bitwise only at equal block sizes.
   std::size_t stats_block_size = data::kDefaultStatsBlockSize;
-  /// Ingestion worker threads (crowd::IngestPipeline). 0 keeps ingestion
-  /// synchronous on the network thread; N >= 1 routes reports onto bounded
-  /// queues drained by min(N, num_shards) workers. The finalized matrices —
-  /// and hence the published truths and the counters — are identical for
-  /// every value: each shard's queue is FIFO from the single network thread,
-  /// so per-shard ingestion order matches the serial path exactly.
+  /// Worker threads of the server's crowd::IngestPipeline. 0 ingests each
+  /// report on the network thread as it is routed; N >= 1 hands reports
+  /// over bounded queues to min(N, num_shards) workers. The finalized
+  /// matrices, the published truths, the counters and the early close are
+  /// the same for every value: each shard ingests in arrival order either
+  /// way, and only a row's first submission can close the round early.
   std::size_t ingest_threads = 0;
   /// Categorical campaign knobs; labels.enabled() switches the round to
   /// kLabelReport ingestion (kReport uploads are then rejected, and vice
@@ -120,8 +121,8 @@ bool ingest_report_claims(data::ObservationMatrixBuilder& builder,
 
 /// One shard's ingestion for one round: the ObservationMatrixBuilder of its
 /// user rows, first-wins dedup, claim sanitizing under the round's
-/// LabelIngestPolicy, and the shard's ShardIngestStats. ShardedServer's
-/// inline path, every IngestPipeline worker and every dist::ShardNode run
+/// LabelIngestPolicy, and the shard's ShardIngestStats. The IngestPipeline
+/// (at every worker count, zero included) and every dist::ShardNode run
 /// this one class, so every ingest path counts an upload alike. Callers route
 /// on the header and hand over an upload's fields with the local row they
 /// already resolved; the ingestor decodes on the shard.
@@ -199,6 +200,15 @@ struct WarmState {
   truth::Result result;
   std::vector<net::NodeId> participants;
   bool valid = false;
+
+  /// The seed of a round over `participants`: the recorded truths and
+  /// remap_warm_weights' weights. Empty when `warm_start` is off, nothing is
+  /// recorded yet, or `method` ignores seeds. Both servers seed from here.
+  truth::WarmStart seed(bool warm_start, const truth::TruthDiscovery& method,
+                        const std::vector<net::NodeId>& participants) const;
+  /// Records a round's result and the roster its weights are indexed by.
+  void record(const truth::Result& round_result,
+              const std::vector<net::NodeId>& roster);
 };
 
 /// The weight seed for `participants` derived from `warm`: the previous
@@ -208,18 +218,5 @@ struct WarmState {
 std::vector<double> remap_warm_weights(
     const WarmState& warm, const std::vector<net::NodeId>& participants,
     std::size_t num_users);
-
-/// ShardedServer's round-close tail: object-coverage check over the sharded
-/// matrix, warm-seed construction, the run_sharded aggregation call, the
-/// ResultPublish fan-out, and the warm-state update. Returns false when
-/// uncovered objects forced the round to skip aggregation. The Coordinator
-/// mirrors its warm seed bit for bit.
-bool aggregate_and_publish(const ServerConfig& config,
-                           truth::TruthDiscovery& method,
-                           net::Transport& network,
-                           std::uint64_t round,
-                           const std::vector<net::NodeId>& participants,
-                           const data::ShardedMatrix& matrix, WarmState& warm,
-                           RoundOutcome& outcome);
 
 }  // namespace dptd::crowd

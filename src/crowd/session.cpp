@@ -11,18 +11,45 @@
 
 namespace dptd::crowd {
 
+void SessionConfig::validate() const {
+  DPTD_REQUIRE(dropout_fraction >= 0.0 && dropout_fraction < 1.0,
+               "SessionConfig: dropout_fraction must be in [0,1)");
+  DPTD_REQUIRE(adversary_fraction >= 0.0 && adversary_fraction < 1.0,
+               "SessionConfig: adversary_fraction must be in [0,1)");
+  DPTD_REQUIRE(dropout_fraction + adversary_fraction < 1.0,
+               "SessionConfig: dropouts + adversaries must leave honest users");
+  DPTD_REQUIRE(mean_think_time_seconds >= 0.0,
+               "SessionConfig: negative think time");
+}
+
+ServerConfig SessionConfig::server_config(std::size_t num_objects) const {
+  ServerConfig config;
+  config.lambda2 = lambda2;
+  config.collection_window_seconds = collection_window_seconds;
+  config.num_objects = num_objects;
+  config.num_shards = num_shards;
+  config.stats_block_size = stats_block_size;
+  config.ingest_threads = ingest_threads;
+  return config;
+}
+
+DeviceReadings device_readings(const data::ObservationMatrix& observations,
+                               std::size_t user) {
+  DeviceReadings out;
+  const auto row = observations.user_entries(user);
+  out.objects.reserve(row.size());
+  out.readings.reserve(row.size());
+  for (const auto& e : row) {
+    out.objects.push_back(e.object);
+    out.readings.push_back(e.value);
+  }
+  return out;
+}
+
 SessionResult run_session(const data::Dataset& dataset,
                           const SessionConfig& config) {
   dataset.validate();
-  DPTD_REQUIRE(config.dropout_fraction >= 0.0 && config.dropout_fraction < 1.0,
-               "SessionConfig: dropout_fraction must be in [0,1)");
-  DPTD_REQUIRE(
-      config.adversary_fraction >= 0.0 && config.adversary_fraction < 1.0,
-      "SessionConfig: adversary_fraction must be in [0,1)");
-  DPTD_REQUIRE(config.dropout_fraction + config.adversary_fraction < 1.0,
-               "SessionConfig: dropouts + adversaries must leave honest users");
-  DPTD_REQUIRE(config.mean_think_time_seconds >= 0.0,
-               "SessionConfig: negative think time");
+  config.validate();
 
   const std::size_t S = dataset.num_users();
   const std::size_t N = dataset.num_objects();
@@ -30,16 +57,10 @@ SessionResult run_session(const data::Dataset& dataset,
   net::Simulator sim;
   net::Network network(sim, config.latency, derive_seed(config.seed, 0xfe7));
 
-  ServerConfig server_config;
-  server_config.lambda2 = config.lambda2;
-  server_config.collection_window_seconds = config.collection_window_seconds;
-  server_config.num_objects = N;
-  server_config.num_shards = config.num_shards;
-  server_config.stats_block_size = config.stats_block_size;
-  server_config.ingest_threads = config.ingest_threads;
   // num_shards > 1 routes ingestion across K shard ingestors (and
   // ingest_threads > 0 pipelines it across workers); aggregation is bitwise
   // identical either way (same canonical block size).
+  const ServerConfig server_config = config.server_config(N);
   ShardedServer server(server_config,
                        truth::make_method(config.method, config.convergence),
                        network);
@@ -58,15 +79,7 @@ SessionResult run_session(const data::Dataset& dataset,
   user_ids.reserve(S);
 
   for (std::size_t s = 0; s < S; ++s) {
-    std::vector<std::uint64_t> objects;
-    std::vector<double> readings;
-    const auto row = dataset.observations.user_entries(s);
-    objects.reserve(row.size());
-    readings.reserve(row.size());
-    for (const auto& e : row) {
-      objects.push_back(e.object);
-      readings.push_back(e.value);
-    }
+    DeviceReadings claims = device_readings(dataset.observations, s);
     DeviceConfig dc;
     dc.id = s;
     dc.server_id = server_config.id;
@@ -82,7 +95,7 @@ SessionResult run_session(const data::Dataset& dataset,
       dc.behavior = DeviceBehavior::kDropout;
     }
     devices.push_back(std::make_unique<UserDevice>(
-        dc, std::move(objects), std::move(readings), network));
+        dc, std::move(claims.objects), std::move(claims.readings), network));
     user_ids.push_back(s);
   }
 

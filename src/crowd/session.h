@@ -28,8 +28,8 @@ struct SessionConfig {
   std::size_t num_shards = 1;
   /// Canonical sufficient-statistics block size for the sharded path.
   std::size_t stats_block_size = data::kDefaultStatsBlockSize;
-  /// Parallel ingestion workers (see ServerConfig::ingest_threads): 0 keeps
-  /// ingestion synchronous; N >= 1 pipelines decode/dedup/append across
+  /// Ingestion worker threads (see ServerConfig::ingest_threads): 0 ingests
+  /// on the network thread; N >= 1 pipelines decode/dedup/append across
   /// min(N, num_shards) worker threads. Results are bitwise identical for
   /// every value.
   std::size_t ingest_threads = 0;
@@ -41,7 +41,23 @@ struct SessionConfig {
   DeviceBehavior adversary_behavior = DeviceBehavior::kConstantLiar;
 
   std::uint64_t seed = 17;
+
+  /// Throws std::invalid_argument unless the dropout and adversary
+  /// fractions leave honest users and the think time is non-negative.
+  void validate() const;
+  /// The server of a session over `num_objects` objects: this config's
+  /// privacy, window, shard and ingest settings.
+  ServerConfig server_config(std::size_t num_objects) const;
 };
+
+/// A device's private observations: user `user`'s row of `observations` as
+/// the parallel object/reading arrays a UserDevice holds.
+struct DeviceReadings {
+  std::vector<std::uint64_t> objects;
+  std::vector<double> readings;
+};
+DeviceReadings device_readings(const data::ObservationMatrix& observations,
+                               std::size_t user);
 
 struct SessionResult {
   RoundOutcome round;              ///< aggregation outcome

@@ -2,13 +2,17 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "common/stopwatch.h"
 
 namespace dptd::crowd {
 
 ShardedServer::ShardedServer(ServerConfig config,
                              std::unique_ptr<truth::TruthDiscovery> method,
                              net::Transport& network)
-    : config_(config), method_(std::move(method)), network_(&network) {
+    : config_(config),
+      method_(std::move(method)),
+      network_(&network),
+      pipeline_(IngestPipelineConfig{.num_workers = config.ingest_threads}) {
   DPTD_REQUIRE(method_ != nullptr, "ShardedServer: null truth-discovery method");
   DPTD_REQUIRE(config_.lambda2 > 0.0, "ShardedServer: lambda2 must be positive");
   DPTD_REQUIRE(config_.collection_window_seconds > 0.0,
@@ -46,23 +50,9 @@ void ShardedServer::start_round(std::uint64_t round,
   participants_ = user_ids;
   plan_ = data::ShardPlan::create(participants_.size(), config_.num_shards,
                                   config_.stats_block_size);
-  if (config_.ingest_threads > 0) {
-    if (!pipeline_) {
-      IngestPipelineConfig pipeline_config;
-      pipeline_config.num_workers = config_.ingest_threads;
-      pipeline_.emplace(pipeline_config);
-    }
-    pipeline_->begin_round(plan_, config_.num_objects, round, config_.labels);
-    submitted_rows_.assign(participants_.size(), 0);
-    producer_distinct_ = 0;
-  } else {
-    ingestors_.resize(plan_.num_shards);
-    for (std::size_t i = 0; i < plan_.num_shards; ++i) {
-      ingestors_[i].begin_round(plan_.shard_num_users(i), plan_.user_begin(i),
-                                config_.num_objects, round, config_.labels);
-    }
-  }
-  distinct_reporters_ = 0;
+  pipeline_.begin_round(plan_, config_.num_objects, round, config_.labels);
+  submitted_rows_.assign(participants_.size(), 0);
+  producer_distinct_ = 0;
   unroutable_rejected_ = 0;
 
   TaskAnnounce task;
@@ -117,40 +107,23 @@ void ShardedServer::on_message(const net::Message& message) {
     return;
   }
 
-  if (pipeline_) {
-    pipeline_->submit(*row, message.payload);
-    // Early close: only a row's FIRST submission can complete the roster
-    // (re-sends are guaranteed duplicates on the owning shard), so the exact
-    // check — a drain barrier, then the workers' distinct count — runs at
-    // most once per round, on the message that covers the last missing user.
-    // Duplicate floods never re-trigger the barrier. If a report's body
-    // later fails to decode on its worker, the distinct count stays short
-    // and the round simply waits for the deadline (a valid re-send of such
-    // a report still ingests; it just cannot re-arm the early close).
-    if (!submitted_rows_[*row]) {
-      submitted_rows_[*row] = 1;
-      if (++producer_distinct_ == participants_.size()) {
-        pipeline_->drain();
-        if (pipeline_->distinct_reporters() == participants_.size()) {
-          finish_round();
-        }
+  pipeline_.submit(*row, message.payload);
+  // Early close: only a row's FIRST submission can complete the roster
+  // (re-sends are guaranteed duplicates on the owning shard), so the exact
+  // check — a drain barrier, then the ingestors' distinct count — runs at
+  // most once per round, on the message that covers the last missing user.
+  // Duplicate floods never re-trigger the barrier. If a first upload's body
+  // fails to decode on its shard, the distinct count stays short and the
+  // round waits for its deadline at every worker count (a valid re-send of
+  // such a report still ingests; it just cannot re-arm the early close).
+  if (!submitted_rows_[*row]) {
+    submitted_rows_[*row] = 1;
+    if (++producer_distinct_ == participants_.size()) {
+      pipeline_.drain();
+      if (pipeline_.distinct_reporters() == participants_.size()) {
+        finish_round();
       }
     }
-    return;
-  }
-
-  // Consistent routing: the same user always lands on the same shard, so a
-  // duplicate re-send is detected by that shard's own dedup state.
-  const std::size_t shard = plan_.shard_of_user(*row);
-  const std::span<const std::uint8_t> fields =
-      std::span<const std::uint8_t>(message.payload)
-          .subspan(header->round_bytes);
-  if (ingestors_[shard].ingest(*row - plan_.user_begin(shard), fields) &&
-      ++distinct_reporters_ == participants_.size()) {
-    // Every *distinct* participant answered across all shards; no need to
-    // wait out the window (duplicate re-sends never inflate this count). The
-    // deadline event still fires but becomes a no-op.
-    finish_round();
   }
 }
 
@@ -158,28 +131,16 @@ void ShardedServer::finish_round() {
   if (!round_open_) return;
   round_open_ = false;
 
-  // Round close: in pipelined mode, drain every queue behind the barrier so
-  // worker-local builders and statistics are final, then merge. Each shard's
-  // sub-matrix was assembled incrementally as reports arrived either way;
-  // the close only finalizes the K builders.
-  std::vector<data::ObservationMatrix> shards;
-  std::vector<ShardIngestStats> stats;
-  if (pipeline_) {
-    shards = pipeline_->finalize_shards();  // drains first
-    stats = pipeline_->shard_stats();
-  } else {
-    shards.reserve(ingestors_.size());
-    for (ShardIngestor& ingestor : ingestors_) {
-      shards.push_back(ingestor.finalize());
-      stats.push_back(ingestor.stats());
-    }
-  }
-
-  RoundOutcome outcome;
+  // Round close: drain every queue behind the barrier so the ingestors'
+  // builders and statistics are final, then merge. Each shard's sub-matrix
+  // was assembled incrementally as reports arrived; the close only
+  // finalizes the K builders.
+  std::vector<data::ObservationMatrix> shards = pipeline_.finalize_shards();
+  RoundOutcome& outcome = outcomes_.emplace_back();
   outcome.round = current_round_;
   outcome.reports_expected = participants_.size();
   outcome.reports_rejected = unroutable_rejected_;
-  outcome.shard_stats = std::move(stats);
+  outcome.shard_stats = pipeline_.shard_stats();
   for (const ShardIngestStats& shard : outcome.shard_stats) {
     outcome.reports_received += shard.reports_received;
     outcome.duplicates_ignored += shard.duplicates_ignored;
@@ -188,16 +149,34 @@ void ShardedServer::finish_round() {
 
   if (outcome.reports_received == 0) {
     DPTD_LOG_WARN << "round " << current_round_ << ": no reports received";
-    outcomes_.push_back(std::move(outcome));
     return;
   }
-
-  // Hand the sharded view to the coordinator's reduction.
+  // Hand the sharded view to the coordinator's reduction. Objects nobody
+  // reported on cannot be aggregated; require coverage across the union of
+  // shards and skip aggregation gracefully when violated.
   const data::ShardedMatrix matrix = data::ShardedMatrix::from_shards(
       plan_, std::move(shards), config_.num_objects);
-  aggregate_and_publish(config_, *method_, *network_, current_round_,
-                        participants_, matrix, warm_, outcome);
-  outcomes_.push_back(std::move(outcome));
+  for (std::size_t n = 0; n < config_.num_objects; ++n) {
+    if (matrix.object_observation_count(n) == 0) {
+      DPTD_LOG_WARN << "round " << current_round_
+                    << ": uncovered objects, skipping aggregation";
+      return;
+    }
+  }
+
+  Stopwatch timer;
+  const truth::WarmStart seed =
+      warm_.seed(config_.warm_start, *method_, participants_);
+  outcome.warm_started = !seed.empty();
+  outcome.result = method_->run_sharded(matrix, seed);
+  outcome.aggregation_seconds = timer.elapsed_seconds();
+  warm_.record(outcome.result, participants_);
+
+  ResultPublish publish;
+  publish.round = current_round_;
+  publish.truths = outcome.result.truths;
+  fan_out(*network_, config_.id, participants_, MessageType::kResultPublish,
+          publish.encode());
 }
 
 }  // namespace dptd::crowd

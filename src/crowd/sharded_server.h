@@ -2,7 +2,7 @@
 // independent ingestion shards, each a ShardIngestor owning an incrementally
 // built sparse sub-matrix of its users' reports, with a coordinator that
 // closes the round and reduces per-shard sufficient statistics through
-// truth::TruthDiscovery::run_sharded. K = 1 without ingest workers is the
+// truth::TruthDiscovery::run_sharded. K = 1 at zero ingest workers is the
 // flat, single-shard server. The announce and the ResultPublish are each
 // encoded once and fanned out (crowd::fan_out) as messages sharing that
 // buffer.
@@ -13,26 +13,26 @@
 // byzantine accounting happen per shard (a duplicate re-send always lands on
 // the same shard as the original) and are rolled up into RoundOutcome.
 //
-// The network thread routes on the header in both ingestion modes: one O(1)
-// peek reads round + user, a stale round is ignored, and an undecodable
-// header or an unknown user is rejected before any shard sees it. The owning
-// shard's ingestor then decodes. ServerConfig::ingest_threads picks where
-// that runs: inline on the network thread (0), or on pipeline workers (N >=
-// 1: the network thread copies the raw payload into its worker's batch,
-// handed over a batch at a time onto a bounded queue — see
-// crowd::IngestPipeline). The two modes produce identical matrices and
-// counters: each shard's queue is FIFO from the single network thread, and
-// both charge an undecodable body to the owning shard. Round close drains
-// every queue behind a barrier before finalizing.
+// The network thread routes on the header: one O(1) peek reads round + user,
+// a stale round is ignored, and an undecodable header or an unknown user is
+// rejected before any shard sees it. Every routed report then goes through
+// the server's one crowd::IngestPipeline, whose owning shard's ingestor
+// decodes it. ServerConfig::ingest_threads is the pipeline's worker count:
+// at 0 the ingestor runs on the network thread inside the submit, at N >= 1
+// on the worker owning the shard. Each shard ingests in arrival order either
+// way, so the matrices and counters are the same for every worker count.
+// Round close drains the pipeline before finalizing.
 //
 // The server sees only perturbed reports, malformed or byzantine reports are
 // dropped or sanitized and counted, and the round closes early on distinct
 // reporters across all shards — duplicate re-sends never inflate the count.
+// Only a row's first submission can complete the roster, so a roster that
+// only a valid re-send after a rejected first upload completes waits for
+// its deadline.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "crowd/ingest_pipeline.h"
@@ -85,17 +85,14 @@ class ShardedServer final : public net::Node {
   std::vector<net::NodeId> participants_;
   ParticipantIndex index_;
   data::ShardPlan plan_;
-  /// Per-shard ingestion state of the open round: here in synchronous mode,
-  /// inside the worker-owned `pipeline_` in pipelined mode.
-  std::vector<ShardIngestor> ingestors_;
-  std::optional<IngestPipeline> pipeline_;
-  std::size_t distinct_reporters_ = 0;  ///< synchronous mode (exact, inline)
-  /// Pipelined mode: rows the producer has already enqueued this round.
-  /// First submission of a row is the only event that can complete the
-  /// roster, so the early-close drain barrier runs at most once per round —
-  /// duplicate floods never re-trigger it.
+  /// The open round's per-shard ingestion, with ingest_threads workers.
+  IngestPipeline pipeline_;
+  /// Rows submitted to the pipeline this round. First submission of a row
+  /// is the only event that can complete the roster, so the early-close
+  /// drain barrier runs at most once per round — duplicate floods never
+  /// re-trigger it.
   std::vector<char> submitted_rows_;
-  std::size_t producer_distinct_ = 0;
+  std::size_t producer_distinct_ = 0;  ///< rows set in submitted_rows_
   /// Rejects no shard saw: wrong kind, undecodable header, unknown user.
   std::size_t unroutable_rejected_ = 0;
   WarmState warm_;

@@ -732,15 +732,11 @@ DistributedOutcome Coordinator::close_round() {
       return Attempt::kUncovered;
     }
 
-    // Warm seed, mirroring crowd::aggregate_and_publish bit for bit. The
-    // seed stays global-sized; live shards slice it by plan index.
-    truth::WarmStart seed;
-    if (config_.warm_start && warm_.valid && method_->supports_warm_start()) {
-      seed.truths = warm_.result.truths;
-      seed.weights =
-          crowd::remap_warm_weights(warm_, participants_, plan_.num_users);
-      out.warm_started = true;
-    }
+    // The in-process server's warm seed. It stays global-sized; live shards
+    // slice it by plan index.
+    const truth::WarmStart seed =
+        warm_.seed(config_.warm_start, *method_, participants_);
+    out.warm_started = !seed.empty();
     truth::validate_warm_start(plan_.num_users, config_.num_objects, seed);
 
     truth::Result result = method_->run_folds(backend, seed);
@@ -783,9 +779,7 @@ DistributedOutcome Coordinator::close_round() {
     out.completed = true;
     out.aggregated = a == Attempt::kAggregated;
     if (out.aggregated && !out.degraded) {
-      warm_.result = out.result;
-      warm_.participants = participants_;
-      warm_.valid = true;
+      warm_.record(out.result, participants_);
     }
     finish();
     return out;

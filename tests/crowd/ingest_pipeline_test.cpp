@@ -106,7 +106,7 @@ TEST(IngestPipeline, MatchesSerialIngestionBitwiseForEveryWorkerCount) {
   const std::vector<data::ObservationMatrix> reference =
       serial_reference(plan, kObjects, rows, payloads);
 
-  for (const std::size_t workers : {1u, 2u, 3u, 4u, 7u}) {
+  for (const std::size_t workers : {0u, 1u, 2u, 3u, 4u, 7u}) {
     IngestPipelineConfig config;
     config.num_workers = workers;
     config.queue_capacity = 16;  // small ring: exercises backpressure
@@ -386,7 +386,7 @@ TEST(IngestPipeline, BeginRoundRefusesUndrainedReportsUntilDrained) {
   EXPECT_EQ(pipeline.distinct_reporters(), plan.num_users);
 }
 
-// --- End-to-end: ShardedServer in pipelined mode -------------------------
+// --- End-to-end: ShardedServer at every worker count ----------------------
 
 constexpr net::NodeId kServerId = 1000;
 
@@ -408,6 +408,10 @@ void send_report(Harness& h, std::size_t user, std::size_t num_objects,
       make_message(user, kServerId, MessageType::kReport, report.encode()));
 }
 
+/// One round of `num_users` reports, every ninth followed by a byzantine
+/// replay. The last user's first upload is its report cut after the claim
+/// count (its header still peeks) and its valid report follows, so only a
+/// re-send completes the roster; the stream ends with a re-send from user 0.
 RoundOutcome run_sharded_round(std::size_t ingest_threads,
                                std::size_t num_users, std::size_t num_objects,
                                std::size_t num_shards) {
@@ -430,9 +434,18 @@ RoundOutcome run_sharded_round(std::size_t ingest_threads,
     return ids;
   }());
   for (std::size_t s = 0; s < num_users; ++s) {
+    if (s + 1 == num_users) {
+      Encoder cut;
+      cut.write_varint(1);  // round
+      cut.write_varint(s);
+      cut.write_varint(num_objects);  // and not one claim
+      h.network.send(
+          make_message(s, kServerId, MessageType::kReport, cut.take()));
+    }
     send_report(h, s, num_objects, 0.25 * static_cast<double>(s % 5));
     if (s % 9 == 0) send_report(h, s, num_objects, 77.0);  // byzantine replay
   }
+  send_report(h, 0, num_objects, 55.0);
   h.sim.run();
   EXPECT_EQ(server.outcomes().size(), 1u);
   return server.outcomes().at(0);

@@ -1,6 +1,6 @@
 // ShardedServer behaviours: consistent routing across K ingestion shards,
-// per-shard dedup/byzantine accounting rolled up into RoundOutcome, round
-// close on distinct reporters across shards, and bitwise equivalence with
+// per-shard dedup/byzantine accounting rolled up into RoundOutcome, the early
+// round close on distinct reporters across shards, and bitwise equivalence with
 // the single-shard (K = 1) server at equal canonical block size.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "common/serialize.h"
 #include "crowd/device.h"
 #include "crowd/server.h"
 #include "crowd/sharded_server.h"
@@ -291,6 +292,47 @@ TEST(ShardedServer, ClosesOnDistinctReportersAcrossShardsNotRawCount) {
   ASSERT_EQ(outcome.result.truths.size(), 1u);
   // All three distinct values aggregated — the straggler's 6.0 is included.
   EXPECT_GT(outcome.result.truths[0], 4.0);
+}
+
+TEST(ShardedServer, ClosesOnTheLastDistinctReportNotTheDeadline) {
+  // Every user reporting once closes the round on the last report, long
+  // before its 30 s deadline: a probe at t = 1 s already sees the outcome.
+  // When the last user's first upload is cut after its header, its valid
+  // re-send still ingests, but only a row's first submission can complete
+  // the roster: the probe sees no outcome, and the deadline closes the round
+  // with every user received. Both hold at every worker count.
+  for (const std::size_t ingest_threads : {0u, 2u}) {
+    for (const bool cut : {false, true}) {
+      SCOPED_TRACE("ingest_threads=" + std::to_string(ingest_threads) +
+                   (cut ? " cut first upload" : " every upload whole"));
+      Harness h;
+      ServerConfig config = sharded_config(2, 2);
+      config.collection_window_seconds = 30.0;
+      config.ingest_threads = ingest_threads;
+      ShardedServer server(config, truth::make_method("mean"), h.network);
+      server.start_round(1, participant_ids(4));
+      for (std::size_t s = 0; s < 3; ++s) send_report(h, s, 2);
+      if (cut) {
+        Encoder header;  // user 3's round and id, and not one byte more
+        header.write_varint(1);
+        header.write_varint(3);
+        h.network.send(
+            make_message(3, kServerId, MessageType::kReport, header.take()));
+      }
+      send_report(h, 3, 2);
+      bool closed_at_probe = false;
+      h.sim.schedule(1.0,
+                     [&] { closed_at_probe = !server.outcomes().empty(); });
+      h.sim.run();
+
+      EXPECT_EQ(closed_at_probe, !cut);
+      ASSERT_EQ(server.outcomes().size(), 1u);
+      const RoundOutcome& outcome = server.outcomes()[0];
+      EXPECT_EQ(outcome.reports_received, 4u);
+      EXPECT_EQ(outcome.reports_rejected, cut ? 1u : 0u);
+      EXPECT_EQ(outcome.result.truths.size(), 2u);
+    }
+  }
 }
 
 TEST(ShardedServer, WarmStartSeedsSecondRoundAcrossShards) {
