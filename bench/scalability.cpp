@@ -115,12 +115,11 @@ BENCHMARK(BM_CatdObjectsScaling)
     ->Complexity(benchmark::oN)
     ->Unit(benchmark::kMillisecond);
 
-/// The shared Eq. (1) kernel on its own: one weighted aggregation pass over
-/// the CSC-by-object view (no iteration loop, no weight update).
+/// The shared Eq. (1) kernel on its own: one weighted aggregation pass (no
+/// iteration loop, no weight update).
 void BM_WeightedAggregate(benchmark::State& state) {
   const auto dataset = make(100, static_cast<std::size_t>(state.range(0)));
   const std::vector<double> weights(dataset.num_users(), 1.0);
-  dataset.observations.ensure_object_index();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         dptd::truth::weighted_aggregate(dataset.observations, weights));

@@ -6,7 +6,7 @@
 // library covers both data types.
 //
 // Storage is the sparse claim matrix of data/dataset.h instantiated over
-// the label domain: the same dual-indexed store, streaming row builder
+// the label domain: the same store of user rows, streaming row builder
 // (data/builder.h) and sharded view (data/sharding.h) as continuous
 // readings, with label ids below `num_labels` in the cells. The vote folds
 // (categorical/voting.h) walk its rows one canonical user block at a time.

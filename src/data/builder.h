@@ -69,8 +69,8 @@ class ClaimMatrixBuilder {
   void reshape(std::size_t num_users, std::size_t num_objects,
                Domain domain = {});
 
-  /// Moves the ingested rows into a dual-indexed ClaimMatrix (O(nnz), no
-  /// dense pass) and resets the builder for reuse.
+  /// Moves the ingested rows into a ClaimMatrix (O(nnz), no dense pass) and
+  /// resets the builder for reuse.
   Matrix finalize();
 
  private:

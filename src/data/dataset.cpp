@@ -95,7 +95,6 @@ void ClaimMatrix<Domain>::set(std::size_t user, std::size_t object,
     row.push_back({object, value});
     ++object_counts_[object];
     ++nnz_;
-    object_index_built_ = false;
     return;
   }
   const auto it = std::lower_bound(
@@ -108,7 +107,6 @@ void ClaimMatrix<Domain>::set(std::size_t user, std::size_t object,
     ++object_counts_[object];
     ++nnz_;
   }
-  object_index_built_ = false;
 }
 
 template <typename Domain>
@@ -122,7 +120,6 @@ void ClaimMatrix<Domain>::clear(std::size_t user, std::size_t object) {
   row.erase(it);
   --object_counts_[object];
   --nnz_;
-  object_index_built_ = false;
 }
 
 template <typename Domain>
@@ -144,53 +141,6 @@ std::span<const typename ClaimMatrix<Domain>::Entry>
 ClaimMatrix<Domain>::user_entries(std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user];
-}
-
-template <typename Domain>
-void ClaimMatrix<Domain>::ensure_object_index() const {
-  if (object_index_built_) return;
-  col_offsets_.assign(num_objects_ + 1, 0);
-  for (std::size_t n = 0; n < num_objects_; ++n) {
-    col_offsets_[n + 1] = col_offsets_[n] + object_counts_[n];
-  }
-  col_users_.resize(nnz_);
-  col_values_.resize(nnz_);
-  // Counting sort: user-major traversal fills every column in ascending
-  // user order, which is what the deterministic kernels rely on.
-  std::vector<std::size_t> cursor(col_offsets_.begin(), col_offsets_.end() - 1);
-  for (std::size_t s = 0; s < num_users_; ++s) {
-    for (const Entry& e : rows_[s]) {
-      const std::size_t k = cursor[e.object]++;
-      col_users_[k] = s;
-      col_values_[k] = e.value;
-    }
-  }
-  object_index_built_ = true;
-}
-
-template <typename Domain>
-typename ClaimMatrix<Domain>::ObjectEntries
-ClaimMatrix<Domain>::object_entries(std::size_t object) const {
-  DPTD_REQUIRE(object < num_objects_, "object out of range");
-  ensure_object_index();
-  const std::size_t begin = col_offsets_[object];
-  const std::size_t count = col_offsets_[object + 1] - begin;
-  return {std::span<const std::size_t>(col_users_).subspan(begin, count),
-          std::span<const Value>(col_values_).subspan(begin, count)};
-}
-
-template <typename Domain>
-std::vector<typename Domain::Value> ClaimMatrix<Domain>::object_values(
-    std::size_t object) const {
-  const ObjectEntries col = object_entries(object);
-  return {col.values.begin(), col.values.end()};
-}
-
-template <typename Domain>
-std::vector<std::size_t> ClaimMatrix<Domain>::object_users(
-    std::size_t object) const {
-  const ObjectEntries col = object_entries(object);
-  return {col.users.begin(), col.users.end()};
 }
 
 template <typename Domain>

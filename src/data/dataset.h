@@ -1,6 +1,7 @@
-// Core data model: the sparse user × object claim matrix, written once over
-// the claim's value domain (continuous readings or categorical labels), plus
-// the continuous Dataset with optional ground truth and generator provenance.
+// Core data model: the sparse user × object claim matrix, stored as user rows
+// and written once over the claim's value domain (continuous readings or
+// categorical labels), plus the continuous Dataset with optional ground truth
+// and generator provenance.
 #pragma once
 
 #include <cmath>
@@ -36,34 +37,25 @@ struct LabelDomain {
   std::size_t num_labels = 0;
 };
 
-/// Sparse S×N matrix of claims from `Domain`, dual-indexed. One instantiation
-/// per domain: ObservationMatrix (readings, below) and
-/// categorical::LabelMatrix (labels).
+/// Sparse S×N matrix of claims from `Domain`. One instantiation per domain:
+/// ObservationMatrix (readings, below) and categorical::LabelMatrix (labels).
 ///
 /// Rows are users (sources), columns are objects (micro-tasks). Crowd sensing
-/// matrices are sparse — each user covers a fraction of the objects — so the
-/// store is one entry per *present* cell, reachable through two views:
-///
-///   - CSR-by-user: per-user rows sorted by object id. Always up to date;
-///     `user_entries(s)` is an allocation-free span over a row. The
-///     per-object folds of truth/sharded_stats.h and categorical/voting.h
-///     walk these rows one canonical user block at a time; per-object counts
-///     are kept eagerly.
-///   - CSC-by-object: contiguous (user, value) column arrays sorted by user
-///     id, built lazily from the rows and cached until the next mutation.
-///     `object_entries(n)` is an allocation-free view into the cache. Only
-///     callers that need whole columns build it: the median, GTM and CATD
-///     initializations and a shard node's kGather.
+/// matrices are sparse — each user covers a fraction of the objects, and each
+/// upload is one user's row — so the store is one entry per *present* cell,
+/// held once: per-user rows sorted by object id. `user_entries(s)` is an
+/// allocation-free span over a row, and per-object counts are kept eagerly.
+/// The per-object folds of truth/sharded_stats.h and categorical/voting.h
+/// walk these rows one canonical user block at a time; the callers that need
+/// whole columns (the median, GTM and CATD initializations and a shard
+/// node's kGather) build them from the rows with truth::gather_object_values.
 ///
 /// Iteration order is identical to the historical dense layout (user-major,
-/// object-ascending within a user; user-ascending within an object), so
-/// kernels that accumulate in traversal order produce bit-identical results.
+/// object-ascending within a user), so kernels that accumulate in traversal
+/// order produce bit-identical results.
 ///
-/// Thread safety: mutations and the first indexed read are not synchronized.
-/// A caller of `object_entries` / `object_values` / `object_users` from
-/// multiple threads calls `ensure_object_index()` once first; after that,
-/// all const accessors are safe to call concurrently. Row reads need no
-/// such step.
+/// Thread safety: mutations are not synchronized; every const accessor is
+/// safe to call concurrently.
 template <typename Domain>
 class ClaimMatrix {
  public:
@@ -74,16 +66,6 @@ class ClaimMatrix {
     std::size_t object = 0;
     Value value{};
     bool operator==(const Entry&) const = default;
-  };
-
-  /// Column view of one object: contributing user ids and their claimed
-  /// values as parallel arrays, sorted by user id.
-  struct ObjectEntries {
-    std::span<const std::size_t> users;
-    std::span<const Value> values;
-
-    std::size_t size() const { return users.size(); }
-    bool empty() const { return users.empty(); }
   };
 
   ClaimMatrix() = default;
@@ -124,23 +106,6 @@ class ClaimMatrix {
   /// is invalidated by any mutation of this user's row.
   std::span<const Entry> user_entries(std::size_t user) const;
 
-  /// Present claims on `object`, sorted by user id. Allocation-free; builds
-  /// the column index on first use (see class comment for thread safety).
-  ObjectEntries object_entries(std::size_t object) const;
-
-  /// Builds the CSC-by-object view if it is stale. Const (the cache is
-  /// logically part of the matrix); call before concurrent column reads.
-  void ensure_object_index() const;
-
-  /// Whether the column index is built and current. The per-object folds
-  /// never build it; tests use this to hold them to that.
-  bool object_index_built() const { return object_index_built_; }
-
-  /// Present values claimed for `object` (ordered by user id), paired with
-  /// the contributing user ids.
-  std::vector<Value> object_values(std::size_t object) const;
-  std::vector<std::size_t> object_users(std::size_t object) const;
-
   /// Present values claimed by `user` (ordered by object id).
   std::vector<Value> user_values(std::size_t user) const;
 
@@ -173,8 +138,7 @@ class ClaimMatrix {
   }
 
   /// Logical equality: same shape and domain, and the same present cells
-  /// with the same values (the lazily built column cache does not
-  /// participate).
+  /// with the same values.
   bool operator==(const ClaimMatrix& other) const {
     return num_users_ == other.num_users_ &&
            num_objects_ == other.num_objects_ && domain_ == other.domain_ &&
@@ -191,14 +155,8 @@ class ClaimMatrix {
   std::size_t num_objects_ = 0;
   [[no_unique_address]] Domain domain_;
   std::size_t nnz_ = 0;
-  std::vector<std::vector<Entry>> rows_;       ///< CSR view, always current
-  std::vector<std::size_t> object_counts_;     ///< per-object nnz, eager
-
-  // CSC-by-object cache, rebuilt on demand after mutations.
-  mutable bool object_index_built_ = false;
-  mutable std::vector<std::size_t> col_offsets_;  ///< size N+1
-  mutable std::vector<std::size_t> col_users_;    ///< size nnz
-  mutable std::vector<Value> col_values_;         ///< size nnz
+  std::vector<std::vector<Entry>> rows_;    ///< per-user, sorted by object
+  std::vector<std::size_t> object_counts_;  ///< per-object nnz, eager
 };
 
 extern template class ClaimMatrix<ReadingDomain>;

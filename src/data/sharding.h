@@ -123,7 +123,7 @@ class ShardedClaimMatrix {
   /// Claims on `object` summed across shards. O(num_shards).
   std::size_t object_observation_count(std::size_t object) const;
 
-  /// Rebuilds the full unsharded matrix (tests and generic fallbacks).
+  /// Rebuilds the full unsharded matrix (tests).
   Matrix concatenated() const;
 
  private:

@@ -41,10 +41,10 @@ Dataset generate_impl(const SyntheticConfig& config,
   Dataset dataset;
   if (truths_override != nullptr) {
     DPTD_REQUIRE(truths_override->size() == config.num_objects,
-                 "generate_synthetic_with_truths: truths size != num_objects");
+                 "generate_synthetic_round: truths size != num_objects");
     for (double t : *truths_override) {
       DPTD_REQUIRE(std::isfinite(t),
-                   "generate_synthetic_with_truths: non-finite truth");
+                   "generate_synthetic_round: non-finite truth");
     }
     dataset.ground_truth = *truths_override;
   } else {
@@ -138,11 +138,6 @@ Dataset generate_impl(const SyntheticConfig& config,
 
 Dataset generate_synthetic(const SyntheticConfig& config) {
   return generate_impl(config, nullptr, nullptr);
-}
-
-Dataset generate_synthetic_with_truths(const SyntheticConfig& config,
-                                       const std::vector<double>& truths) {
-  return generate_impl(config, &truths, nullptr);
 }
 
 Dataset generate_synthetic_round(const SyntheticConfig& config,

@@ -52,14 +52,6 @@ struct SyntheticConfig {
 /// missing rates.
 Dataset generate_synthetic(const SyntheticConfig& config);
 
-/// Same generator, but with the ground truths supplied by the caller instead
-/// of drawn from `config.truth_distribution`. Used by multi-round campaigns
-/// whose truths drift slowly between rounds (warm-start workloads): the
-/// observation noise, missingness, and adversaries are still drawn fresh from
-/// `config.seed`. `truths.size()` must equal `config.num_objects`.
-Dataset generate_synthetic_with_truths(const SyntheticConfig& config,
-                                       const std::vector<double>& truths);
-
 /// Next round of a persistent-fleet workload: ground truths AND per-user
 /// error variances are supplied by the caller (truths drift between rounds;
 /// a device's sensor quality is a property of the device and persists).

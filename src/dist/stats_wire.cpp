@@ -100,7 +100,6 @@ void read_field(Decoder& dec, WeightsBody& slice) {
 }
 
 void read_field(Decoder& dec, truth::GatheredColumns& columns) {
-  columns.aliased = nullptr;
   columns.offsets.assign(1, 0);
   const std::size_t objects = dec.read_count();
   for (std::size_t n = 0; n < objects; ++n) {

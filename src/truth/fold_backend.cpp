@@ -205,7 +205,7 @@ void LocalBackend::aggregate(AggregateStats& acc) {
 }
 
 GatheredColumns LocalBackend::gather() {
-  return gather_object_values(matrix(), pool_);
+  return gather_object_values(matrix());
 }
 
 std::vector<double> LocalBackend::collect_weights() {

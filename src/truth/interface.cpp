@@ -50,11 +50,6 @@ void validate_warm_start(const data::ObservationMatrix& observations,
                       warm);
 }
 
-Result TruthDiscovery::run_sharded(const data::ShardedMatrix& shards,
-                                   const WarmStart& warm) const {
-  return run_warm(shards.concatenated(), warm);
-}
-
 Result TruthDiscovery::run_folds(FoldBackend& backend,
                                  const WarmStart& warm) const {
   (void)backend;

@@ -2,7 +2,8 @@
 //
 // All methods follow the two-principle template the paper summarizes in
 // Algorithm 1: iterate (a) weighted aggregation of claims into truths and
-// (b) re-estimation of user weights from distance-to-truths.
+// (b) re-estimation of user weights from distance-to-truths. Every method
+// implements run_sharded, the entry point a round's server calls.
 #pragma once
 
 #include <memory>
@@ -82,10 +83,9 @@ class TruthDiscovery {
   /// Runs the method over a user-sharded matrix, reducing per-shard
   /// sufficient statistics in fixed shard order. For the registered methods
   /// the result is bitwise identical to the single-shard run for any shard
-  /// count with the same canonical block size. The default concatenates the
-  /// shards and forwards to run_warm() (correct, but pays a full copy).
+  /// count with the same canonical block size.
   virtual Result run_sharded(const data::ShardedMatrix& shards,
-                             const WarmStart& warm = {}) const;
+                             const WarmStart& warm = {}) const = 0;
 
   /// Runs the method's loop over `backend` (truth/fold_backend.h): the one
   /// loop run_sharded and the distributed coordinator share. `warm` is
@@ -123,8 +123,7 @@ class FoldMethod : public TruthDiscovery {
 ///
 /// Accumulated as a canonical block-chained fold that walks the user-major
 /// rows one block at a time (see truth/sharded_stats.h), so results are
-/// bit-identical for any pool size (including serial) and any shard count,
-/// and the column index is never built.
+/// bit-identical for any pool size (including serial) and any shard count.
 std::vector<double> weighted_aggregate(const data::ObservationMatrix& obs,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);

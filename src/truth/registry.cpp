@@ -51,10 +51,6 @@ std::vector<std::string> method_names() {
   return {"crh", "gtm", "catd", "mean", "median"};
 }
 
-std::vector<std::string> categorical_method_names() {
-  return {"majority", "vote"};
-}
-
 bool method_supports_warm_start(const std::string& name) {
   return make_method(name)->supports_warm_start();
 }

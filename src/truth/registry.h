@@ -26,11 +26,6 @@ std::unique_ptr<TruthDiscovery> make_method(
 /// that sweep methods over real-valued datasets iterate this list.
 std::vector<std::string> method_names();
 
-/// Categorical names accepted by make_method ("majority", "vote"), in
-/// display order. These expect label-id claims (small exact doubles) — see
-/// truth/categorical.h.
-std::vector<std::string> categorical_method_names();
-
 /// True when `name` builds a method whose run_warm honors the seed
 /// (supports_warm_start()); false for baselines. Throws for unknown names.
 bool method_supports_warm_start(const std::string& name);

@@ -102,38 +102,22 @@ void fold_object_moments(const data::ShardedMatrix& m, ThreadPool* pool,
       });
 }
 
-GatheredColumns gather_object_values(const data::ShardedMatrix& m,
-                                     ThreadPool* pool) {
+GatheredColumns gather_object_values(const data::ShardedMatrix& m) {
   const std::size_t N = m.num_objects();
   GatheredColumns out;
-  if (m.num_shards() == 1) {
-    // The lone shard's CSC cache already holds every column in user order;
-    // alias it instead of copying nnz values.
-    m.shard(0).ensure_object_index();
-    out.aliased = &m.shard(0);
-    return out;
-  }
   out.offsets.assign(N + 1, 0);
   for (std::size_t n = 0; n < N; ++n) {
     out.offsets[n + 1] = out.offsets[n] + m.object_observation_count(n);
   }
   out.values.resize(out.offsets[N]);
-  // Shards appended in ascending order reproduce the flat matrix's columns:
-  // shard user ranges are contiguous and ascending, and each shard's column
-  // fragment is already sorted by (local, hence global) user id.
   std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
     const data::ObservationMatrix& shard = m.shard(s);
-    shard.ensure_object_index();
-    for_each_range(pool, N, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        const auto col = shard.object_entries(n);
-        for (std::size_t i = 0; i < col.size(); ++i) {
-          out.values[cursor[n] + i] = col.values[i];
-        }
-        cursor[n] += col.size();
+    for (std::size_t local = 0; local < shard.num_users(); ++local) {
+      for (const auto& e : shard.user_entries(local)) {
+        out.values[cursor[e.object]++] = e.value;
       }
-    });
+    }
   }
   return out;
 }

@@ -16,10 +16,10 @@
 // residuals, qualities) touch only the owning shard's row and need no merge.
 //
 // The folds walk each shard's user-major rows one canonical block at a time
-// (detail::fold_row_blocks), so they never build a matrix's object-major
-// column index. That index stays a lazy view for the callers that need whole
-// columns: the median/GTM/CATD initializations (gather_object_values) and a
-// shard node's kGather.
+// (detail::fold_row_blocks); a claim matrix holds nothing but those rows. The
+// callers that need whole columns, the median/GTM/CATD initializations and a
+// shard node's kGather, build them once per cold run with
+// gather_object_values.
 //
 // In-process, "shard sends statistics to the coordinator" is fused into a
 // direct accumulation pass per shard; the communication a distributed
@@ -176,27 +176,25 @@ void fold_object_stats(const data::ShardedMatrix& m, ThreadPool* pool,
 void fold_object_moments(const data::ShardedMatrix& m, ThreadPool* pool,
                          std::span<RunningStats> out);
 
-/// Per-object claim values gathered across shards in global user order (the
-/// exact column a single flat matrix would expose). Loop-invariant: used only
-/// for initialization statistics that need whole columns (medians). In the
-/// single-shard case the columns alias the shard's own CSC cache — no copy;
-/// the view must then not outlive the matrix (callers use it within one run).
+/// Per-object claim values gathered across shards in global user order, as
+/// flat column-major arrays. Loop-invariant: used only for initialization
+/// statistics that need whole columns (medians).
 struct GatheredColumns {
-  std::vector<std::size_t> offsets;  ///< size num_objects + 1 (materialized)
-  std::vector<double> values;        ///< size nnz, column-major (materialized)
-  const data::ObservationMatrix* aliased = nullptr;  ///< single-shard zero-copy
+  std::vector<std::size_t> offsets;  ///< size num_objects + 1
+  std::vector<double> values;        ///< size nnz, column-major
 
-  std::size_t num_objects() const {
-    return aliased != nullptr ? aliased->num_objects() : offsets.size() - 1;
-  }
+  std::size_t num_objects() const { return offsets.size() - 1; }
   std::span<const double> column(std::size_t object) const {
-    if (aliased != nullptr) return aliased->object_entries(object).values;
     return std::span<const double>(values).subspan(
         offsets[object], offsets[object + 1] - offsets[object]);
   }
 };
-GatheredColumns gather_object_values(const data::ShardedMatrix& m,
-                                     ThreadPool* pool);
+
+/// Builds every object's column in one counting-sort pass over the shards'
+/// rows, walked in ascending order: shard user ranges are contiguous and
+/// ascending, so each column fills in global user order, the same for any
+/// shard count.
+GatheredColumns gather_object_values(const data::ShardedMatrix& m);
 
 /// Runs fn(global_user, row) for every user of either claim domain. Purely
 /// per-user state: nothing to merge, so execution order is free. Iterates

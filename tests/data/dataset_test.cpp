@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <vector>
+
+#include "data/sharding.h"
+#include "truth/sharded_stats.h"
 
 namespace dptd::data {
 namespace {
@@ -77,8 +82,11 @@ TEST(ObservationMatrix, ObjectValuesOrderedByUser) {
   ObservationMatrix obs(3, 1);
   obs.set(2, 0, 30.0);
   obs.set(0, 0, 10.0);
-  EXPECT_EQ(obs.object_values(0), (std::vector<double>{10.0, 30.0}));
-  EXPECT_EQ(obs.object_users(0), (std::vector<std::size_t>{0, 2}));
+  const truth::GatheredColumns columns =
+      truth::gather_object_values(ShardedMatrix::single(obs));
+  const std::span<const double> column = columns.column(0);
+  EXPECT_EQ(std::vector<double>(column.begin(), column.end()),
+            (std::vector<double>{10.0, 30.0}));
 }
 
 TEST(ObservationMatrix, UserValuesOrderedByObject) {

@@ -1,18 +1,22 @@
-// Dense↔sparse equivalence suite for the dual-indexed ObservationMatrix.
+// Dense↔sparse equivalence suite for the sparse ObservationMatrix.
 //
 // A trivially-correct dense reference model (value grid + presence mask, the
 // pre-sparse storage semantics) is driven through randomized interleavings of
-// set / overwrite / clear alongside the real matrix; every accessor must
-// agree at every checkpoint. This pins the sparse layout to the historical
-// dense semantics, including traversal order.
+// set / overwrite / clear alongside the real matrix; every accessor, and the
+// columns truth::gather_object_values builds from the rows, must agree at
+// every checkpoint. This pins the sparse layout to the historical dense
+// semantics, including traversal order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/sharding.h"
+#include "truth/sharded_stats.h"
 
 namespace dptd::data {
 namespace {
@@ -52,13 +56,6 @@ class DenseReference {
     }
     return out;
   }
-  std::vector<std::size_t> object_users(std::size_t n) const {
-    std::vector<std::size_t> out;
-    for (std::size_t s = 0; s < users_; ++s) {
-      if (present(s, n)) out.push_back(s);
-    }
-    return out;
-  }
   std::vector<double> user_values(std::size_t s) const {
     std::vector<double> out;
     for (std::size_t n = 0; n < objects_; ++n) {
@@ -82,6 +79,15 @@ class DenseReference {
   std::vector<std::uint8_t> present_;
 };
 
+/// Object n's column as a round reads it: gathered from the rows.
+std::vector<double> gathered_column(const ObservationMatrix& obs,
+                                    std::size_t n) {
+  const truth::GatheredColumns columns =
+      truth::gather_object_values(ShardedMatrix::single(obs));
+  const std::span<const double> column = columns.column(n);
+  return {column.begin(), column.end()};
+}
+
 void expect_equivalent(const ObservationMatrix& obs,
                        const DenseReference& ref) {
   ASSERT_EQ(obs.num_users(), ref.users_);
@@ -102,14 +108,8 @@ void expect_equivalent(const ObservationMatrix& obs,
 
   for (std::size_t n = 0; n < ref.objects_; ++n) {
     ASSERT_EQ(obs.object_observation_count(n), ref.object_values(n).size());
-    ASSERT_EQ(obs.object_values(n), ref.object_values(n)) << "object " << n;
-    ASSERT_EQ(obs.object_users(n), ref.object_users(n)) << "object " << n;
-    // The span accessor must expose exactly the same column, same order.
-    const auto col = obs.object_entries(n);
-    ASSERT_EQ(std::vector<std::size_t>(col.users.begin(), col.users.end()),
-              ref.object_users(n));
-    ASSERT_EQ(std::vector<double>(col.values.begin(), col.values.end()),
-              ref.object_values(n));
+    // The gathered column holds exactly the object's claims, in user order.
+    ASSERT_EQ(gathered_column(obs, n), ref.object_values(n)) << "object " << n;
   }
 
   for (std::size_t s = 0; s < ref.users_; ++s) {
@@ -207,14 +207,14 @@ TEST(SparseEquivalence, ObjectIndexRebuildsAfterMutation) {
   ObservationMatrix obs(3, 2);
   obs.set(0, 0, 1.0);
   obs.set(2, 0, 3.0);
-  EXPECT_EQ(obs.object_values(0), (std::vector<double>{1.0, 3.0}));
-  // Mutate after the column index was built: views must refresh.
+  EXPECT_EQ(gathered_column(obs, 0), (std::vector<double>{1.0, 3.0}));
+  // Mutate after a gather: the next gather sees every change.
   obs.set(1, 0, 2.0);
-  EXPECT_EQ(obs.object_values(0), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(gathered_column(obs, 0), (std::vector<double>{1.0, 2.0, 3.0}));
   obs.clear(0, 0);
-  EXPECT_EQ(obs.object_users(0), (std::vector<std::size_t>{1, 2}));
-  obs.set(1, 0, -2.0);  // overwrite must also invalidate cached values
-  EXPECT_EQ(obs.object_values(0), (std::vector<double>{-2.0, 3.0}));
+  EXPECT_EQ(gathered_column(obs, 0), (std::vector<double>{2.0, 3.0}));
+  obs.set(1, 0, -2.0);  // an overwrite too
+  EXPECT_EQ(gathered_column(obs, 0), (std::vector<double>{-2.0, 3.0}));
 }
 
 }  // namespace

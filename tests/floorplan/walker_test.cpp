@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/statistics.h"
+#include "testing/matrix_builders.h"
 
 namespace dptd::floorplan {
 namespace {
@@ -105,8 +106,8 @@ TEST(Scenario, ReportsCorrelateWithTruth) {
   // Mean reported distance per segment must track the true length closely.
   for (std::size_t n = 0; n < 40; ++n) {
     const double truth = scenario.map.segment(n).length_m;
-    const double reported =
-        dptd::mean(scenario.dataset.observations.object_values(n));
+    const double reported = dptd::mean(
+        testing::column_of(scenario.dataset.observations, n).values);
     EXPECT_NEAR(reported, truth, 0.25 * truth + 1.0) << "segment " << n;
   }
 }

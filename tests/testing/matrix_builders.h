@@ -1,6 +1,7 @@
-// Shared synthetic ObservationMatrix fixtures for the test suites. Keep these
-// tiny and deterministic: every builder returns the same matrix on every call
-// so tests can hard-code the expected aggregates.
+// Shared synthetic ObservationMatrix fixtures for the test suites, and a
+// column read by row scan. Keep the fixtures tiny and deterministic: every
+// builder returns the same matrix on every call so tests can hard-code the
+// expected aggregates.
 #pragma once
 
 #include <cstddef>
@@ -9,6 +10,32 @@
 #include "data/dataset.h"
 
 namespace dptd::testing {
+
+/// One object's claims: the claiming users in ascending order, and their
+/// values.
+template <typename Domain>
+struct Column {
+  std::vector<std::size_t> users;
+  std::vector<typename Domain::Value> values;
+
+  std::size_t size() const { return users.size(); }
+  bool empty() const { return users.empty(); }
+};
+
+/// The column of `object`, read by scanning every user's row: an oracle
+/// that shares no code with truth::gather_object_values.
+template <typename Domain>
+Column<Domain> column_of(const data::ClaimMatrix<Domain>& matrix,
+                         std::size_t object) {
+  Column<Domain> column;
+  for (std::size_t s = 0; s < matrix.num_users(); ++s) {
+    if (const auto value = matrix.get(s, object)) {
+      column.users.push_back(s);
+      column.values.push_back(*value);
+    }
+  }
+  return column;
+}
 
 /// 3 reliable users (offsets -0.1 / 0 / +0.1) + 1 wildly wrong user (+25)
 /// over 4 objects with truths {10, 20, 30, 40}. The canonical scenario for

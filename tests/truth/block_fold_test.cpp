@@ -1,10 +1,13 @@
 // The per-object folds walk user-major rows one canonical block at a time.
 // This suite holds them to the bits of the column walk they replaced: an
-// oracle kept here, written against object_entries, that walks each object's
-// user-sorted column per shard and closes a segment whenever the user
-// crosses into a new block. Every other equivalence suite compares the folds
-// with themselves (K shards against one, N threads against one), so this is
-// the only check against the column walk's bits.
+// oracle kept here, written against testing::column_of (a row scan that
+// shares no code with the folds or with gather_object_values), that walks
+// each object's user-sorted column per shard and closes a segment whenever
+// the user crosses into a new block. Every other equivalence suite compares
+// the folds with themselves (K shards against one, N threads against one),
+// so this is the only check against the column walk's bits. It also holds
+// gather_object_values, the columns the median, GTM and CATD initializations
+// read, to that row scan.
 //
 // The data is built so that any reordering shows: signed zeros in values,
 // weights and initial accumulators, magnitudes from 1e-300 to 1e300 next to
@@ -19,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,6 +36,8 @@
 #include "data/dataset.h"
 #include "data/sharding.h"
 #include "data/synthetic.h"
+#include "testing/matrix_builders.h"
+#include "truth/fold_backend.h"
 #include "truth/interface.h"
 #include "truth/registry.h"
 #include "truth/sharded_stats.h"
@@ -59,7 +65,7 @@ void column_fold_stats(const data::ShardedMatrix& m, const Emit& emit,
     const data::ObservationMatrix& shard = m.shard(s);
     const std::size_t base = m.user_base(s);
     for (std::size_t n = 0; n < m.num_objects(); ++n) {
-      const auto col = shard.object_entries(n);
+      const auto col = testing::column_of(shard, n);
       if (col.empty()) continue;
       if (counts != nullptr) counts[n] += col.size();
       std::array<double, V> contrib{};
@@ -92,7 +98,7 @@ void column_fold_moments(const data::ShardedMatrix& m,
     const data::ObservationMatrix& shard = m.shard(s);
     const std::size_t base = m.user_base(s);
     for (std::size_t n = 0; n < m.num_objects(); ++n) {
-      const auto col = shard.object_entries(n);
+      const auto col = testing::column_of(shard, n);
       if (col.empty()) continue;
       RunningStats acc = out[n];
       RunningStats seg;
@@ -122,7 +128,7 @@ void column_fold_label_scores(const categorical::ShardedLabelMatrix& m,
     const categorical::LabelMatrix& shard = m.shard(s);
     const std::size_t base = m.user_base(s);
     for (std::size_t n = 0; n < m.num_objects(); ++n) {
-      const auto col = shard.object_entries(n);
+      const auto col = testing::column_of(shard, n);
       if (col.empty()) continue;
       std::vector<double> acc(scores.begin() + n * L,
                               scores.begin() + (n + 1) * L);
@@ -471,7 +477,7 @@ TEST(BlockFold, PipelineChainsInOrderWithinTheWindowAndRethrows) {
 }
 
 /// K shards straight out of the streaming builder, as a round close
-/// finalizes them: no column index built yet.
+/// finalizes them.
 data::ShardedMatrix fresh_shards(const data::ObservationMatrix& source,
                                  std::size_t k, std::size_t block) {
   const data::ShardPlan plan =
@@ -502,10 +508,10 @@ void expect_same_result(const Result& expected, const Result& actual) {
 }
 
 TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
-  // The memory claim of the block walk: CRH, mean and both votes fold rows,
-  // so a round over freshly finalized shards never builds the 16 B/claim
-  // column index. Median, GTM and CATD initialize from whole columns and
-  // still build it lazily, with the same results as over a flat matrix.
+  // A round over freshly finalized shards, which hold only user rows, has
+  // the bits of the same run over a flat matrix: CRH, mean and both votes
+  // fold the rows, and median, GTM and CATD also gather whole columns from
+  // them to initialize.
   data::SyntheticConfig config;
   config.num_users = 300;
   config.num_objects = 12;
@@ -522,24 +528,17 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
   struct Case {
     const char* method;
     const data::ObservationMatrix* claims;
-    bool folds_only;
   };
   const Case cases[] = {
-      {"crh", &continuous, true},     {"mean", &continuous, true},
-      {"vote", &labels, true},        {"majority", &labels, true},
-      {"median", &continuous, false}, {"gtm", &continuous, false},
-      {"catd", &continuous, false},
+      {"crh", &continuous},  {"mean", &continuous},   {"vote", &labels},
+      {"majority", &labels}, {"median", &continuous}, {"gtm", &continuous},
+      {"catd", &continuous},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.method);
     const auto method = make_method(c.method, {}, /*num_threads=*/4);
     const data::ShardedMatrix shards = fresh_shards(*c.claims, 3, 8);
     const Result actual = method->run_sharded(shards);
-    if (c.folds_only) {
-      for (std::size_t s = 0; s < shards.num_shards(); ++s) {
-        EXPECT_FALSE(shards.shard(s).object_index_built()) << "shard " << s;
-      }
-    }
     const Result expected =
         method->run_sharded(data::ShardedMatrix::single(*c.claims, 8));
     expect_same_result(expected, actual);
@@ -571,9 +570,6 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
       categorical::weighted_vote(m, {}, &pool);
   const categorical::VotingResult majority =
       categorical::majority_vote(m, &pool);
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    EXPECT_FALSE(m.shard(s).object_index_built()) << "label shard " << s;
-  }
   const categorical::ShardedLabelMatrix single =
       categorical::ShardedLabelMatrix::single(flat, 8);
   const categorical::VotingResult weighted_single =
@@ -581,6 +577,36 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
   EXPECT_EQ(weighted.truths, weighted_single.truths);
   expect_same_bits(weighted_single.weights, weighted.weights, "vote weights");
   EXPECT_EQ(majority.truths, categorical::majority_vote(single).truths);
+}
+
+TEST(BlockFold, GatherBuildsEachColumnInUserOrder) {
+  // At every K, each gathered column is the flat matrix's column in user
+  // order, signed zeros and extreme magnitudes bit for bit; an object nobody
+  // covers gathers an empty column. A shard's backend returns the same.
+  const data::ObservationMatrix obs = wild_matrix(81);
+  for (std::size_t k : kShardCounts) {
+    for (std::size_t block : kBlockSizes) {
+      SCOPED_TRACE("K=" + std::to_string(k) +
+                   " block=" + std::to_string(block));
+      const data::ShardedMatrix shards = fresh_shards(obs, k, block);
+      const GatheredColumns gathered = gather_object_values(shards);
+      ASSERT_EQ(gathered.num_objects(), kObjects);
+      EXPECT_EQ(gathered.offsets.back(), obs.observation_count());
+      for (std::size_t n = 0; n < kObjects; ++n) {
+        const std::span<const double> column = gathered.column(n);
+        expect_same_bits(testing::column_of(obs, n).values,
+                         std::vector<double>(column.begin(), column.end()),
+                         "object " + std::to_string(n));
+        if (n >= kObjects - kUncovered) {
+          EXPECT_TRUE(column.empty()) << "object " << n;
+        }
+      }
+      LocalBackend backend(shards, nullptr);
+      const GatheredColumns from_backend = backend.gather();
+      EXPECT_EQ(from_backend.offsets, gathered.offsets);
+      expect_same_bits(gathered.values, from_backend.values, "backend");
+    }
+  }
 }
 
 }  // namespace

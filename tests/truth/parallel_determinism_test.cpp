@@ -1,7 +1,8 @@
 // Determinism guarantee of the parallel kernels: every registry method must
 // produce bit-identical results for any thread-pool size, because each truth
-// (and each weight) is accumulated in a fixed order from its own CSC column
-// (or CSR row) regardless of how shards land on workers.
+// (and each weight) is accumulated in a fixed order (canonical user blocks in
+// ascending order, or one user's row) regardless of how shards land on
+// workers.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -11,6 +11,7 @@
 #include "common/distributions.h"
 #include "common/statistics.h"
 #include "data/synthetic.h"
+#include "testing/matrix_builders.h"
 #include "truth/registry.h"
 
 namespace dptd::truth {
@@ -74,7 +75,8 @@ TEST_P(MethodPropertySweep, TruthsStayInsideClaimHull) {
   const Result result = method->run(dataset.observations);
 
   for (std::size_t n = 0; n < dataset.num_objects(); ++n) {
-    const std::vector<double> claims = dataset.observations.object_values(n);
+    const std::vector<double> claims =
+        testing::column_of(dataset.observations, n).values;
     const double lo = *std::min_element(claims.begin(), claims.end());
     const double hi = *std::max_element(claims.begin(), claims.end());
     EXPECT_GE(result.truths[n], lo - 1e-6) << param.method << " object " << n;
