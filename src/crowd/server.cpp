@@ -239,8 +239,9 @@ truth::WarmStart WarmState::seed(
   return seed;
 }
 
-void WarmState::record(const truth::Result& round_result,
+void WarmState::record(bool warm_start, const truth::Result& round_result,
                        const std::vector<net::NodeId>& roster) {
+  if (!warm_start) return;
   result = round_result;
   participants = roster;
   valid = true;

@@ -102,6 +102,9 @@ struct RoundOutcome {
   /// sums across shards plus the rejects no shard saw (unknown user,
   /// undecodable header, wrong kind).
   std::vector<ShardIngestStats> shard_stats;
+  /// In ShardedServer::outcomes(), only the newest outcome keeps its truths
+  /// and weights; older ones keep `iterations` and `converged` with both
+  /// vectors released, so a campaign's history stays a few counters a round.
   truth::Result result;
   double aggregation_seconds = 0.0;  ///< wall-clock spent in truth discovery
   bool warm_started = false;         ///< truth discovery was seeded
@@ -207,7 +210,8 @@ struct WarmState {
   truth::WarmStart seed(bool warm_start, const truth::TruthDiscovery& method,
                         const std::vector<net::NodeId>& participants) const;
   /// Records a round's result and the roster its weights are indexed by.
-  void record(const truth::Result& round_result,
+  /// Records nothing when `warm_start` is off: no round would read the seed.
+  void record(bool warm_start, const truth::Result& round_result,
               const std::vector<net::NodeId>& roster);
 };
 

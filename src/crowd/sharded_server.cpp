@@ -136,6 +136,15 @@ void ShardedServer::finish_round() {
   // was assembled incrementally as reports arrived; the close only
   // finalizes the K builders.
   std::vector<data::ObservationMatrix> shards = pipeline_.finalize_shards();
+  // Only the newest outcome keeps its truths and weights: the previous one
+  // drops its vectors before this round aggregates, so a close never holds
+  // two rounds' weights (the warm seed is WarmState's own copy). swap frees
+  // the storage; assigning {} would keep the capacity.
+  if (!outcomes_.empty()) {
+    truth::Result& previous = outcomes_.back().result;
+    std::vector<double>().swap(previous.truths);
+    std::vector<double>().swap(previous.weights);
+  }
   RoundOutcome& outcome = outcomes_.emplace_back();
   outcome.round = current_round_;
   outcome.reports_expected = participants_.size();
@@ -170,7 +179,7 @@ void ShardedServer::finish_round() {
   outcome.warm_started = !seed.empty();
   outcome.result = method_->run_sharded(matrix, seed);
   outcome.aggregation_seconds = timer.elapsed_seconds();
-  warm_.record(outcome.result, participants_);
+  warm_.record(config_.warm_start, outcome.result, participants_);
 
   ResultPublish publish;
   publish.round = current_round_;

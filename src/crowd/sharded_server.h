@@ -56,8 +56,9 @@ class ShardedServer final : public net::Node {
   void on_message(const net::Message& message) override;
 
   /// Announces round `round` to `user_ids` and schedules the aggregation
-  /// deadline. Results are available from `outcomes()` after the transport
-  /// drains. The server is persistent: call again for each round of a
+  /// deadline. The round's outcome is `outcomes().back()` after the
+  /// transport drains; its truths and weights stay there until the next
+  /// round closes. The server is persistent: call again for each round of a
   /// campaign once the previous round has closed.
   void start_round(std::uint64_t round,
                    const std::vector<net::NodeId>& user_ids);
@@ -68,6 +69,9 @@ class ShardedServer final : public net::Node {
   /// truths). Must not be called while a round is open.
   void set_num_shards(std::size_t num_shards);
 
+  /// One outcome per closed round, oldest first. Every outcome keeps its
+  /// counters, shard_stats, iterations, converged flag and timing; only the
+  /// newest keeps its truths and weights (older ones have both released).
   const std::vector<RoundOutcome>& outcomes() const { return outcomes_; }
   const ServerConfig& config() const { return config_; }
   /// The open (or most recent) round's routing plan, for tests and ops.

@@ -779,7 +779,7 @@ DistributedOutcome Coordinator::close_round() {
     out.completed = true;
     out.aggregated = a == Attempt::kAggregated;
     if (out.aggregated && !out.degraded) {
-      warm_.record(out.result, participants_);
+      warm_.record(config_.warm_start, out.result, participants_);
     }
     finish();
     return out;

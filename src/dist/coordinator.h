@@ -237,7 +237,8 @@ class Coordinator final : public net::Node {
   /// Closes ingestion (sends every staged batch, then drains in-flight
   /// routed reports for one transport drain window, so finalize cannot
   /// overtake an on-time report), runs the configured method over the fleet,
-  /// collects the result, and updates the warm state on success. Blocking:
+  /// collects the result, and updates the warm state on success when
+  /// `warm_start` is on (a cold fleet records no seed). Blocking:
   /// polls the transport until the protocol finishes or a shard fails.
   DistributedOutcome close_round();
 

@@ -1,7 +1,8 @@
 // ShardedServer behaviours: consistent routing across K ingestion shards,
 // per-shard dedup/byzantine accounting rolled up into RoundOutcome, the early
-// round close on distinct reporters across shards, and bitwise equivalence with
-// the single-shard (K = 1) server at equal canonical block size.
+// round close on distinct reporters across shards, bitwise equivalence with
+// the single-shard (K = 1) server at equal canonical block size, and a round
+// history in which only the newest outcome keeps its truths and weights.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,8 @@
 #include "crowd/device.h"
 #include "crowd/server.h"
 #include "crowd/sharded_server.h"
+#include "data/dataset.h"
+#include "data/sharding.h"
 #include "truth/registry.h"
 #include "net/network.h"
 
@@ -357,6 +360,129 @@ TEST(ShardedServer, WarmStartSeedsSecondRoundAcrossShards) {
   EXPECT_TRUE(server.outcomes()[1].warm_started);
   EXPECT_LE(server.outcomes()[1].result.iterations,
             server.outcomes()[0].result.iterations);
+}
+
+void expect_same_counters(const RoundOutcome& kept,
+                          const RoundOutcome& newest) {
+  EXPECT_EQ(kept.round, newest.round);
+  EXPECT_EQ(kept.reports_received, newest.reports_received);
+  EXPECT_EQ(kept.reports_expected, newest.reports_expected);
+  EXPECT_EQ(kept.reports_rejected, newest.reports_rejected);
+  EXPECT_EQ(kept.duplicates_ignored, newest.duplicates_ignored);
+  ASSERT_EQ(kept.shard_stats.size(), newest.shard_stats.size());
+  for (std::size_t i = 0; i < kept.shard_stats.size(); ++i) {
+    const ShardIngestStats& a = kept.shard_stats[i];
+    const ShardIngestStats& b = newest.shard_stats[i];
+    EXPECT_EQ(a.reports_received, b.reports_received) << "shard " << i;
+    EXPECT_EQ(a.duplicates_ignored, b.duplicates_ignored) << "shard " << i;
+    EXPECT_EQ(a.malformed_reports, b.malformed_reports) << "shard " << i;
+    EXPECT_EQ(a.rejected_reports, b.rejected_reports) << "shard " << i;
+    EXPECT_EQ(a.invalid_labels, b.invalid_labels) << "shard " << i;
+  }
+  EXPECT_EQ(kept.result.iterations, newest.result.iterations);
+  EXPECT_EQ(kept.result.converged, newest.result.converged);
+  EXPECT_EQ(kept.warm_started, newest.warm_started);
+}
+
+TEST(ShardedServer, OnlyTheNewestOutcomeKeepsItsVectors) {
+  // A campaign's history keeps every round's counters but only the newest
+  // round's truths and weights. Each older outcome must match the newest
+  // outcome of a second server that stopped after that round, and the last
+  // round, warm-seeded from a released outcome, must publish the bits of a
+  // direct run seeded from that second server's intact round.
+  constexpr std::size_t kUsers = 12;
+  constexpr std::size_t kObjects = 3;
+  constexpr std::size_t kRounds = 3;
+  truth::ConvergenceCriteria convergence;
+  convergence.tolerance = 1e-9;
+  convergence.max_iterations = 100;
+  const auto offset = [](std::uint64_t round, std::size_t user) {
+    return 0.1 * static_cast<double>(round) +
+           0.3 * static_cast<double>(user % 3);
+  };
+  // Rounds 1..`rounds`, each with one duplicate re-send and one upload
+  // from outside the roster, so every counter moves.
+  const auto run_rounds = [&](Harness& h, ShardedServer& server,
+                              std::size_t rounds) {
+    for (std::uint64_t round = 1; round <= rounds; ++round) {
+      server.start_round(round, participant_ids(kUsers));
+      send_report(h, 0, kObjects, offset(round, 0), round);
+      send_report(h, kUsers + 5, kObjects, 0.0, round);
+      for (std::size_t s = 0; s < kUsers; ++s) {
+        send_report(h, s, kObjects, offset(round, s), round);
+      }
+      h.sim.run();
+    }
+  };
+
+  for (const std::size_t num_shards : {1u, 3u}) {
+    for (const std::size_t ingest_threads : {0u, 2u}) {
+      for (const bool warm_start : {false, true}) {
+        SCOPED_TRACE("K=" + std::to_string(num_shards) + " ingest_threads=" +
+                     std::to_string(ingest_threads) +
+                     (warm_start ? " warm" : " cold"));
+        ServerConfig config = sharded_config(kObjects, num_shards);
+        config.ingest_threads = ingest_threads;
+        config.warm_start = warm_start;
+        Harness h;
+        ShardedServer server(config, truth::make_method("crh", convergence),
+                             h.network);
+        run_rounds(h, server, kRounds);
+        const std::vector<RoundOutcome>& outcomes = server.outcomes();
+        ASSERT_EQ(outcomes.size(), kRounds);
+        EXPECT_EQ(outcomes.back().warm_started, warm_start);
+
+        truth::Result seed_round;  // round kRounds - 1, vectors intact
+        for (std::size_t r = 0; r < kRounds; ++r) {
+          SCOPED_TRACE("outcome " + std::to_string(r));
+          Harness stopped_h;
+          ShardedServer stopped(config,
+                                truth::make_method("crh", convergence),
+                                stopped_h.network);
+          run_rounds(stopped_h, stopped, r + 1);
+          const RoundOutcome& newest = stopped.outcomes().back();
+          const RoundOutcome& kept = outcomes[r];
+          expect_same_counters(kept, newest);
+          EXPECT_EQ(kept.reports_received, kUsers);
+          EXPECT_EQ(kept.duplicates_ignored, 1u);
+          EXPECT_EQ(kept.reports_rejected, 1u);
+          if (r + 1 < kRounds) {
+            EXPECT_EQ(kept.result.truths.capacity(), 0u);
+            EXPECT_EQ(kept.result.weights.capacity(), 0u);
+            seed_round = newest.result;
+            continue;
+          }
+          ASSERT_EQ(kept.result.truths.size(), kObjects);
+          ASSERT_EQ(kept.result.weights.size(), kUsers);
+          EXPECT_EQ(kept.result.truths, newest.result.truths);
+          EXPECT_EQ(kept.result.weights, newest.result.weights);
+        }
+
+        // The last round's claims, aggregated directly from round
+        // kRounds - 1's intact result when warm.
+        data::ObservationMatrix claims(kUsers, kObjects);
+        for (std::size_t s = 0; s < kUsers; ++s) {
+          for (std::size_t n = 0; n < kObjects; ++n) {
+            claims.set(s, n,
+                       static_cast<double>(s + 10 * n) + offset(kRounds, s));
+          }
+        }
+        truth::WarmStart seed;
+        if (warm_start) {
+          seed.truths = seed_round.truths;
+          seed.weights = seed_round.weights;
+        }
+        const truth::Result direct =
+            truth::make_method("crh", convergence)
+                ->run_sharded(data::ShardedMatrix::partition(
+                                  claims, num_shards, config.stats_block_size),
+                              seed);
+        EXPECT_EQ(outcomes.back().result.truths, direct.truths);
+        EXPECT_EQ(outcomes.back().result.weights, direct.weights);
+        EXPECT_EQ(outcomes.back().result.iterations, direct.iterations);
+      }
+    }
+  }
 }
 
 TEST(ShardedServer, MoreShardsThanBlocksClampGracefully) {

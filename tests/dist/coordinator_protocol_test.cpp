@@ -272,7 +272,9 @@ TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
       });
       obs = std::move(labels);
     }
-    Fleet fleet(3, spec, obs.num_objects());
+    // Warm, so that the warm state left unrecorded below is the degraded
+    // close's doing: a cold fleet records no seed at all.
+    Fleet fleet(3, spec, obs.num_objects(), /*warm_start=*/true);
     ASSERT_TRUE(
         fleet.coordinator->begin_round(1, participant_ids(obs.num_users())))
         << name;
@@ -569,6 +571,25 @@ TEST(DistributedProtocol, RejoinAndChurnReuseTheStableIdWarmRemap) {
       data::ShardedMatrix::partition(second.observations, 3, kTestBlock),
       seed);
   expect_bitwise_equal(reference, retry.result, "churned warm rejoin");
+}
+
+TEST(DistributedProtocol, ColdFleetRecordsNoWarmSeed) {
+  // Without warm_start no round reads a seed, so an aggregated round records
+  // none: no copy of the weights and the roster it would be indexed by.
+  const data::Dataset dataset = random_dataset(23, 32, 4, 0.25);
+  Fleet fleet(2, crh_spec(), dataset.num_objects());
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    ASSERT_TRUE(fleet.coordinator->begin_round(
+        round, participant_ids(dataset.num_users())));
+    send_dataset(fleet, dataset, round);
+    const DistributedOutcome outcome = fleet.coordinator->close_round();
+    ASSERT_TRUE(outcome.aggregated);
+    EXPECT_FALSE(outcome.degraded);
+    EXPECT_FALSE(outcome.warm_started);
+    EXPECT_FALSE(fleet.coordinator->warm().valid);
+    EXPECT_TRUE(fleet.coordinator->warm().result.weights.empty());
+    EXPECT_TRUE(fleet.coordinator->warm().participants.empty());
+  }
 }
 
 TEST(DistributedProtocol, SetupFailureReplansOverSurvivors) {
