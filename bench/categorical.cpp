@@ -2,18 +2,16 @@
 // the categorical twin of bench/sharded.cpp.
 //
 // Suites:
-//  - BM_MillionUserWeightedVote / BM_MillionUserMajorityVote: a synthetic
-//    round of 1,000,000 label reports streamed into K per-shard
-//    LabelMatrixBuilders, finalized into a ShardedLabelMatrix, and closed
-//    with the mergeable voting kernels. Results are bitwise identical at
-//    every K, so rows differ only in time. This is the library's label
-//    path, not the servers': ShardedServer and ShardNode ingest label ids
-//    as exact doubles through ShardIngestor's ObservationMatrixBuilder, and
-//    their vote folds read those doubles in place.
+//  - BM_MillionUserMajorityVote: a synthetic round of 1,000,000 label
+//    reports streamed into K per-shard ObservationMatrixBuilders (label ids
+//    as exact doubles, the store ShardedServer and ShardNode ingest into),
+//    and closed with truth::MajorityVote::run_sharded. Results are bitwise
+//    identical at every K, so rows differ only in time. The weighted twin of
+//    this row is bench/e2e's vote_1m_krr workload.
 //  - BM_RandomizedResponseVote: the LDP deployment at a smaller fleet —
-//    user-sampled k-RR perturbation plus weighted voting — reporting label
-//    accuracy against ground truth as counters (the utility-under-privacy
-//    row the extension's accuracy story tracks).
+//    user-sampled k-RR perturbation plus truth::WeightedVote — reporting
+//    label accuracy against ground truth as counters (the
+//    utility-under-privacy row the extension's accuracy story tracks).
 //
 // Thread-scaling caveats match bench/sharded.cpp: the voting folds use all
 // cores, so cross-machine comparisons of the timed rows only make sense at
@@ -26,19 +24,17 @@
 #include "categorical/label_matrix.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
-#include "categorical/voting.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
+#include "data/builder.h"
 #include "data/sharding.h"
+#include "truth/categorical.h"
 
 namespace {
 
-using dptd::ThreadPool;
 using dptd::categorical::Label;
-using dptd::categorical::LabelMatrix;
-using dptd::categorical::LabelMatrixBuilder;
-using dptd::categorical::ShardedLabelMatrix;
-using dptd::categorical::VotingResult;
+using dptd::data::ObservationMatrix;
+using dptd::data::ObservationMatrixBuilder;
+using dptd::data::ShardedMatrix;
 using dptd::data::ShardPlan;
 
 constexpr std::size_t kMillionUsers = 1'000'000;
@@ -51,7 +47,7 @@ constexpr std::size_t kBlock = 4'096;
 
 struct LabelRow {
   std::vector<std::uint64_t> objects;
-  std::vector<Label> labels;
+  std::vector<double> labels;  ///< label ids as exact doubles
 };
 
 inline std::uint64_t xorshift(std::uint64_t& state) {
@@ -80,22 +76,21 @@ LabelRow make_row(std::size_t user) {
           (label + 1 + xorshift(rng) % (kLabels - 1)) % kLabels);
     }
     row.objects.push_back(object);
-    row.labels.push_back(label);
+    row.labels.push_back(static_cast<double>(label));
   }
   return row;
 }
 
-/// Streams `users` synthetic label reports into K per-shard label builders
-/// and finalizes them into the sharded label matrix (label ids stored as
-/// labels, not as the servers' exact doubles; see the header comment).
-/// Returns the matrix and the pure-ingest time.
-ShardedLabelMatrix ingest_round(std::size_t users, std::size_t num_shards,
-                                double* ingest_seconds) {
+/// Streams `users` synthetic label reports into K per-shard builders and
+/// finalizes them into the sharded matrix. Returns the matrix and the
+/// pure-ingest time.
+ShardedMatrix ingest_round(std::size_t users, std::size_t num_shards,
+                           double* ingest_seconds) {
   const ShardPlan plan = ShardPlan::create(users, num_shards, kBlock);
-  std::vector<LabelMatrixBuilder> builders;
+  std::vector<ObservationMatrixBuilder> builders;
   builders.reserve(plan.num_shards);
   for (std::size_t i = 0; i < plan.num_shards; ++i) {
-    builders.emplace_back(plan.shard_num_users(i), kObjects, kLabels);
+    builders.emplace_back(plan.shard_num_users(i), kObjects);
   }
 
   dptd::Stopwatch timer;
@@ -105,33 +100,31 @@ ShardedLabelMatrix ingest_round(std::size_t users, std::size_t num_shards,
     builders[shard].add_row(user - plan.user_begin(shard), row.objects,
                             row.labels);
   }
-  std::vector<LabelMatrix> shards;
+  std::vector<ObservationMatrix> shards;
   shards.reserve(builders.size());
-  for (LabelMatrixBuilder& builder : builders) {
+  for (ObservationMatrixBuilder& builder : builders) {
     shards.push_back(builder.finalize());
   }
   *ingest_seconds = timer.elapsed_seconds();
-  return ShardedLabelMatrix::from_shards(plan, std::move(shards), kObjects,
-                                         kLabels);
+  return ShardedMatrix::from_shards(plan, std::move(shards), kObjects);
 }
 
-/// Full capacity round at 1M users: label ingest + sharded voting. Arg 0 =
-/// shard count; all counts publish bitwise-identical truths.
-void million_user_round(benchmark::State& state, bool weighted) {
+/// Full capacity round at 1M users: label ingest + sharded plurality vote.
+/// Arg 0 = shard count; all counts publish bitwise-identical truths.
+void BM_MillionUserMajorityVote(benchmark::State& state) {
   const auto num_shards = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(0);  // all cores
+  const dptd::truth::MajorityVote vote(
+      {.num_labels = kLabels, .num_threads = 0});  // all cores
   double ingest_seconds = 0.0;
   double aggregate_seconds = 0.0;
   std::size_t rounds = 0;
   std::size_t iterations = 0;
   for (auto _ : state) {
     double ingest = 0.0;
-    const ShardedLabelMatrix matrix =
+    const ShardedMatrix matrix =
         ingest_round(kMillionUsers, num_shards, &ingest);
     dptd::Stopwatch agg;
-    const VotingResult result =
-        weighted ? dptd::categorical::weighted_vote(matrix, {}, &pool)
-                 : dptd::categorical::majority_vote(matrix, &pool);
+    const dptd::truth::Result result = vote.run_sharded(matrix);
     aggregate_seconds += agg.elapsed_seconds();
     benchmark::DoNotOptimize(result.truths.data());
     ingest_seconds += ingest;
@@ -153,22 +146,6 @@ void million_user_round(benchmark::State& state, bool weighted) {
       benchmark::Counter(per_round(static_cast<double>(iterations)));
 }
 
-void BM_MillionUserWeightedVote(benchmark::State& state) {
-  million_user_round(state, /*weighted=*/true);
-}
-BENCHMARK(BM_MillionUserWeightedVote)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgName("shards")
-    ->Unit(benchmark::kSecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_MillionUserMajorityVote(benchmark::State& state) {
-  million_user_round(state, /*weighted=*/false);
-}
 BENCHMARK(BM_MillionUserMajorityVote)
     ->Arg(1)
     ->Arg(8)
@@ -178,7 +155,7 @@ BENCHMARK(BM_MillionUserMajorityVote)
     ->UseRealTime();
 
 /// The LDP utility row: a 150k-user fleet perturbing labels with
-/// user-sampled k-RR (mean eps = 1/lambda_rr), closed with weighted voting.
+/// user-sampled k-RR (mean eps = 1/lambda_rr), closed with truth::WeightedVote.
 /// Accuracy counters track the privacy-utility trade-off alongside the
 /// timing; lower lambda_rr = weaker privacy = higher accuracy.
 void BM_RandomizedResponseVote(benchmark::State& state) {
@@ -194,17 +171,21 @@ void BM_RandomizedResponseVote(benchmark::State& state) {
       dptd::categorical::generate_categorical(config);
   const dptd::categorical::UserSampledRandomizedResponse mech(
       {.lambda_rr = lambda_rr, .seed = 52});
-  ThreadPool pool(0);
+  dptd::truth::WeightedVoteConfig vote_config;
+  vote_config.num_labels = kLabels;
+  vote_config.num_threads = 0;  // all cores
+  const dptd::truth::WeightedVote vote(vote_config);
   double accuracy = 0.0;
   double flip_rate = 0.0;
   for (auto _ : state) {
     const dptd::categorical::RandomizedResponseOutcome outcome =
-        mech.perturb(dataset.claims);
-    const VotingResult result = dptd::categorical::weighted_vote(
-        ShardedLabelMatrix::single(outcome.perturbed, kBlock), {}, &pool);
+        mech.perturb(dataset.claims, dataset.num_labels);
+    const dptd::truth::Result result =
+        vote.run_sharded(ShardedMatrix::single(outcome.perturbed, kBlock));
     benchmark::DoNotOptimize(result.truths.data());
-    accuracy = dptd::categorical::label_accuracy(result.truths,
-                                                 dataset.ground_truth);
+    accuracy = dptd::categorical::label_accuracy(
+        dptd::truth::labels_from_doubles(result.truths, kLabels),
+        dataset.ground_truth);
     flip_rate = static_cast<double>(outcome.report.flipped_cells) /
                 static_cast<double>(outcome.report.total_cells);
   }

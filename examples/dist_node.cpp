@@ -158,7 +158,7 @@ void inject_label_reports(dist::Coordinator& coordinator,
     report.user_id = s;
     for (const auto& entry : entries) {
       report.objects.push_back(entry.object);
-      report.labels.push_back(entry.value);
+      report.labels.push_back(static_cast<categorical::Label>(entry.value));
     }
     coordinator.on_message(crowd::make_message(report.user_id, kCoordinatorId,
                                                crowd::MessageType::kLabelReport,

@@ -1,16 +1,22 @@
 #include "categorical/label_matrix.h"
 
 #include "common/check.h"
+#include "truth/categorical.h"
 
 namespace dptd::categorical {
 
 void LabelDataset::validate() const {
   DPTD_REQUIRE(claims.num_users() > 0, "LabelDataset: empty matrix");
+  truth::check_num_labels(num_labels);
+  claims.for_each([&](std::size_t, std::size_t, double value) {
+    DPTD_REQUIRE(truth::is_label_value(value, num_labels),
+                 "LabelDataset: claim is no label below num_labels");
+  });
   if (!ground_truth.empty()) {
     DPTD_REQUIRE(ground_truth.size() == claims.num_objects(),
                  "LabelDataset: ground truth size != num objects");
     for (Label truth : ground_truth) {
-      DPTD_REQUIRE(truth < claims.num_labels(),
+      DPTD_REQUIRE(truth < num_labels,
                    "LabelDataset: ground-truth label out of range");
     }
   }

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/distributions.h"
+#include "truth/categorical.h"
 
 namespace dptd::categorical {
 namespace {
@@ -50,10 +51,9 @@ double UserSampledRandomizedResponse::user_epsilon(std::size_t user) const {
 }
 
 RandomizedResponseOutcome UserSampledRandomizedResponse::perturb(
-    const LabelMatrix& original) const {
+    const data::ObservationMatrix& original, std::size_t num_labels) const {
   RandomizedResponseOutcome out{
-      LabelMatrix(original.num_users(), original.num_objects(),
-                  original.num_labels()),
+      data::ObservationMatrix(original.num_users(), original.num_objects()),
       {}};
   out.report.epsilons.resize(original.num_users());
   double keep_sum = 0.0;
@@ -61,18 +61,20 @@ RandomizedResponseOutcome UserSampledRandomizedResponse::perturb(
   for (std::size_t s = 0; s < original.num_users(); ++s) {
     const double eps = user_epsilon(s);
     out.report.epsilons[s] = eps;
-    const double keep = krr_keep_probability(eps, original.num_labels());
+    const double keep = krr_keep_probability(eps, num_labels);
     keep_sum += keep;
     Rng rng(derive_seed(config_.seed, kFlipStream, s));
     // Sparse row walk (object-ascending, so set() hits the append fast path).
     // The flip stream only ever advanced on present cells, so this consumes
     // the exact same draws as the historical dense scan.
-    for (const LabelMatrix::Entry& e : original.user_entries(s)) {
-      const Label noisy =
-          krr_perturb(e.value, keep, original.num_labels(), rng);
-      out.perturbed.set(s, e.object, noisy);
+    for (const data::ObservationMatrix::Entry& e : original.user_entries(s)) {
+      DPTD_REQUIRE(truth::is_label_value(e.value, num_labels),
+                   "UserSampledRandomizedResponse: claim is no label");
+      const auto label = static_cast<Label>(e.value);
+      const Label noisy = krr_perturb(label, keep, num_labels, rng);
+      out.perturbed.set(s, e.object, static_cast<double>(noisy));
       ++out.report.total_cells;
-      if (noisy != e.value) ++out.report.flipped_cells;
+      if (noisy != label) ++out.report.flipped_cells;
     }
   }
   if (original.num_users() > 0) {

@@ -11,7 +11,8 @@
 // releases only lambda_rr), so no party knows any user's actual flip
 // probability. Heavily-flipped users end up with high disagreement and are
 // down-weighted by weighted voting — the same utility story as the
-// continuous mechanism.
+// continuous mechanism. Claims in and out are label-id readings (exact
+// doubles in data::ObservationMatrix), the store every vote reads.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ struct RandomizedResponseReport {
 };
 
 struct RandomizedResponseOutcome {
-  LabelMatrix perturbed;
+  data::ObservationMatrix perturbed;  ///< label-id readings
   RandomizedResponseReport report;
 };
 
@@ -55,7 +56,10 @@ class UserSampledRandomizedResponse {
 
   explicit UserSampledRandomizedResponse(Config config);
 
-  RandomizedResponseOutcome perturb(const LabelMatrix& original) const;
+  /// k-RR over every claim of `original`, whose values must be label ids
+  /// below `num_labels` (truth::is_label_value); throws otherwise.
+  RandomizedResponseOutcome perturb(const data::ObservationMatrix& original,
+                                    std::size_t num_labels) const;
 
   /// The eps the given user samples under this mechanism seed.
   double user_epsilon(std::size_t user) const;

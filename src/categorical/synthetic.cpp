@@ -30,7 +30,7 @@ LabelDataset generate_categorical(const CategoricalConfig& config) {
     p = std::min(0.95, exponential(rng, config.lambda_err));
   }
 
-  LabelMatrix claims(config.num_users, config.num_objects, config.num_labels);
+  data::ObservationMatrix claims(config.num_users, config.num_objects);
   Rng miss_rng = rng.split(1);
   Rng claim_rng = rng.split(2);
   for (std::size_t s = 0; s < config.num_users; ++s) {
@@ -47,17 +47,18 @@ LabelDataset generate_categorical(const CategoricalConfig& config) {
                                                  config.num_labels - 1));
         claim = static_cast<Label>((truth + offset) % config.num_labels);
       }
-      claims.set(s, n, claim);
+      claims.set(s, n, static_cast<double>(claim));
     }
   }
   for (std::size_t n = 0; n < config.num_objects; ++n) {
     if (claims.object_observation_count(n) == 0) {
       const auto s = static_cast<std::size_t>(
           uniform_index(miss_rng, config.num_users));
-      claims.set(s, n, dataset.ground_truth[n]);
+      claims.set(s, n, static_cast<double>(dataset.ground_truth[n]));
     }
   }
   dataset.claims = std::move(claims);
+  dataset.num_labels = config.num_labels;
   dataset.validate();
   return dataset;
 }

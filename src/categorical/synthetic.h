@@ -1,7 +1,8 @@
 // Synthetic categorical workloads for the extension module: users with
 // heterogeneous per-claim error probabilities (exponentially distributed
 // "unreliability", mirroring the continuous generator's Exp(lambda1)
-// variances).
+// variances). Claims are label-id readings in data::ObservationMatrix, the
+// store a label round ingests into.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,9 @@ struct CategoricalConfig {
   std::uint64_t seed = 42;
 };
 
-/// Wrong claims are uniform over the other labels. Every object keeps at
-/// least one claim under missingness.
+/// Label-id readings over config.num_labels labels. Wrong claims are
+/// uniform over the other labels. Every object keeps at least one claim
+/// under missingness.
 LabelDataset generate_categorical(const CategoricalConfig& config);
 
 }  // namespace dptd::categorical

@@ -1,35 +1,32 @@
-// Truth discovery for categorical claims (extension module).
+// Truth discovery for categorical claims (extension module): the mergeable
+// vote kernels behind truth::MajorityVote and truth::WeightedVote.
 //
-//  - majority_vote: quality-blind plurality per object.
-//  - weighted_vote: the CRH-style iteration on labels — weight users by
-//    -log of their share of total disagreement with the current estimates,
-//    then take the weighted plurality. Same two principles as Algorithm 1.
+//  - majority: quality-blind plurality per object.
+//  - weighted: the CRH-style iteration on labels — weight users by -log of
+//    their share of total disagreement with the current estimates, then take
+//    the weighted plurality. Same two principles as Algorithm 1.
 //
-// Both are built on mergeable sufficient statistics in the style of
-// truth/sharded_stats.h: per-object label histograms folded in canonical
-// user-block order (flat within a block of plan.block_size users, block
-// partials chained ascending) and per-user disagreement counts totalled by
-// truth::block_chain_sum. Shard boundaries are block-aligned, so a K-shard
-// run is bitwise identical to the single-shard run for any K. The drivers
-// run truth::run_majority_vote / truth::run_weighted_vote over an in-process
-// fold backend — the same loops the distributed coordinator runs over the
-// wire.
+// Both loops (truth/categorical.h) are built on mergeable sufficient
+// statistics in the style of truth/sharded_stats.h: per-object label
+// histograms folded in canonical user-block order (flat within a block of
+// plan.block_size users, block partials chained ascending) and per-user
+// disagreement counts totalled by truth::block_chain_sum. Shard boundaries
+// are block-aligned, so a K-shard run is bitwise identical to the
+// single-shard run for any K, in process or over the wire.
 //
-// Each kernel reads either claim domain with one body. Over a label matrix
-// every claim is a label. Over a reading matrix (the one a round ingests,
-// label ids as exact doubles) a claim counts as label v exactly when
+// The kernels read the claim matrix a round ingests, label ids as exact
+// doubles, in place: a claim counts as label v exactly when
 // truth::is_label_value admits it; any other claim is skipped and touches
-// nothing, so the bits equal the label matrix's over truth::label_view of
-// the readings, with no copy made.
+// nothing.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "categorical/label_matrix.h"
 #include "common/thread_pool.h"
+#include "data/sharding.h"
 
 namespace dptd::categorical {
 
@@ -50,17 +47,14 @@ struct WeightedVotingConfig {
 // Mergeable kernels (the sharded/distributed building blocks).
 // ---------------------------------------------------------------------------
 
-/// Adds each shard's weighted per-object label histogram into `scores`
-/// (row-major num_objects x num_labels; callers pre-initialize with zeros or
-/// the preceding shards' partial). Weights are indexed by *global* user id.
-/// Claims are summed flat within a canonical user block and block partials
-/// are chained in ascending order, so the result is bitwise identical for
-/// any shard count and any `pool` size. An object whose claims in a block
-/// are all skipped readings chains nothing for that block.
-void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
-                       std::span<const double> weights,
-                       std::span<double> scores);
-/// The same fold over readings, in place, with labels in [0, num_labels).
+/// Adds each shard's weighted per-object histogram of the labels in
+/// [0, num_labels) into `scores` (row-major num_objects x num_labels;
+/// callers pre-initialize with zeros or the preceding shards' partial).
+/// Weights are indexed by *global* user id. Claims are summed flat within a
+/// canonical user block and block partials are chained in ascending order,
+/// so the result is bitwise identical for any shard count and any `pool`
+/// size. An object whose claims in a block are all skipped chains nothing
+/// for that block.
 void fold_label_scores(const data::ShardedMatrix& m, std::size_t num_labels,
                        ThreadPool* pool, std::span<const double> weights,
                        std::span<double> scores);
@@ -82,13 +76,10 @@ std::vector<Label> truths_from_scores(std::span<const double> scores,
 void debias_scores(std::span<double> scores, std::size_t num_objects,
                    std::size_t num_labels, double keep_probability);
 
-/// Per-user count of label claims disagreeing with `truths`. Purely
-/// per-user state (no merge): each user's count comes from their own row.
-/// `disagreement` is indexed by global user id and fully overwritten.
-void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
-                       std::span<const Label> truths,
-                       std::span<double> disagreement);
-/// The same count over readings, in place; skipped readings never disagree.
+/// Per-user count of label claims disagreeing with `truths`; skipped claims
+/// never disagree. Purely per-user state (no merge): each user's count comes
+/// from their own row. `disagreement` is indexed by global user id and fully
+/// overwritten.
 void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
                        ThreadPool* pool, std::span<const Label> truths,
                        std::span<double> disagreement);
@@ -102,28 +93,27 @@ void vote_weights_from_disagreement(std::span<const double> disagreement,
                                     std::span<double> weights);
 
 // ---------------------------------------------------------------------------
-// Drivers.
+// A label-typed view, kept for the layer ladder's kernel rung.
 // ---------------------------------------------------------------------------
 
-/// Plurality vote per object; ties break toward the smaller label id.
-/// Bitwise identical for any shard count of `m` and any `pool` size.
-VotingResult majority_vote(const ShardedLabelMatrix& m,
-                           ThreadPool* pool = nullptr);
+/// Readings that truth::is_label_value admits below `num_labels`, with that
+/// alphabet: what truth::label_view returns. The two overloads below forward
+/// to the reading kernels above.
+struct ShardedLabelMatrix {
+  data::ShardedMatrix readings;
+  std::size_t num_labels = 0;
+};
 
-/// CRH-style iterative weighted voting. `warm_weights` (global user ids)
-/// seeds the first aggregation when non-empty; empty seeds uniformly — a
-/// warm start with all-1.0 weights is bitwise identical to a cold run.
-/// `warm_truths` (one label per object) skips the initial aggregation
-/// entirely and starts the iteration from the given estimates.
-VotingResult weighted_vote(const ShardedLabelMatrix& m,
-                           const WeightedVotingConfig& config = {},
-                           ThreadPool* pool = nullptr,
-                           std::span<const double> warm_weights = {},
-                           std::span<const Label> warm_truths = {});
+inline void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
+                              std::span<const double> weights,
+                              std::span<double> scores) {
+  fold_label_scores(m.readings, m.num_labels, pool, weights, scores);
+}
 
-/// Convenience single-shard entry points over a flat matrix.
-VotingResult majority_vote(const LabelMatrix& claims);
-VotingResult weighted_vote(const LabelMatrix& claims,
-                           const WeightedVotingConfig& config = {});
+inline void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
+                              std::span<const Label> truths,
+                              std::span<double> disagreement) {
+  vote_disagreement(m.readings, m.num_labels, pool, truths, disagreement);
+}
 
 }  // namespace dptd::categorical

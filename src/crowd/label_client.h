@@ -19,10 +19,11 @@
 namespace dptd::crowd {
 
 /// Builds the upload for one user: every claim of `truths` passed through
-/// k-RR at `keep_probability` (1.0 = identity, no draws consumed; must be in
-/// (1/num_labels, 1] otherwise). Draws come from
-/// Rng(derive_seed(seed, round, user_id)) — one stream per (round, user),
-/// independent of every other report.
+/// k-RR at `keep_probability` (1.0 = identity, no draws consumed). Draws
+/// come from Rng(derive_seed(seed, round, user_id)) — one stream per (round,
+/// user), independent of every other report. Throws std::invalid_argument
+/// unless num_labels >= 2, the keep probability is in (1/num_labels, 1] and
+/// every truth is below num_labels, whatever the keep probability.
 LabelReport make_label_report(std::uint64_t round, net::NodeId user_id,
                               std::span<const std::uint64_t> objects,
                               std::span<const categorical::Label> truths,

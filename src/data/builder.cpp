@@ -1,32 +1,29 @@
 #include "data/builder.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
 namespace dptd::data {
 
-template <typename Domain>
-ClaimMatrixBuilder<Domain>::ClaimMatrixBuilder(std::size_t num_users,
-                                               std::size_t num_objects,
-                                               Domain domain)
+ObservationMatrixBuilder::ObservationMatrixBuilder(std::size_t num_users,
+                                                   std::size_t num_objects)
     : num_users_(num_users),
       num_objects_(num_objects),
-      domain_(domain),
       rows_(num_users),
       ingested_(num_users, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ClaimMatrixBuilder: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: invalid value domain");
+               "ObservationMatrixBuilder: dimensions must be positive");
 }
 
-template <typename Domain>
-bool ClaimMatrixBuilder<Domain>::add_row(std::size_t user,
-                                         std::span<const std::uint64_t> objects,
-                                         std::span<const Value> values) {
-  DPTD_REQUIRE(user < num_users_, "ClaimMatrixBuilder: user out of range");
+bool ObservationMatrixBuilder::add_row(std::size_t user,
+                                       std::span<const std::uint64_t> objects,
+                                       std::span<const double> values) {
+  DPTD_REQUIRE(user < num_users_,
+               "ObservationMatrixBuilder: user out of range");
   DPTD_REQUIRE(objects.size() == values.size(),
-               "ClaimMatrixBuilder: objects/values size mismatch");
+               "ObservationMatrixBuilder: objects/values size mismatch");
   if (ingested_[user]) return false;
 
   std::vector<Entry>& row = rows_[user];
@@ -34,12 +31,12 @@ bool ClaimMatrixBuilder<Domain>::add_row(std::size_t user,
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto object = static_cast<std::size_t>(objects[i]);
     DPTD_REQUIRE(object < num_objects_,
-                 "ClaimMatrixBuilder: object out of range");
-    DPTD_REQUIRE(domain_.admits(values[i]),
-                 "ClaimMatrixBuilder: value outside the domain");
-    // Same insertion scheme as ClaimMatrix::set, so a streamed row is bitwise
-    // identical to a batch-assembled one: ascending append fast path,
-    // otherwise sorted insert with last-claim-wins overwrite.
+                 "ObservationMatrixBuilder: object out of range");
+    DPTD_REQUIRE(std::isfinite(values[i]),
+                 "ObservationMatrixBuilder: non-finite value");
+    // Same insertion scheme as ObservationMatrix::set, so a streamed row is
+    // bitwise identical to a batch-assembled one: ascending append fast
+    // path, otherwise sorted insert with last-claim-wins overwrite.
     if (row.empty() || row.back().object < object) {
       row.push_back({object, values[i]});
       ++nnz_;
@@ -60,22 +57,18 @@ bool ClaimMatrixBuilder<Domain>::add_row(std::size_t user,
   return true;
 }
 
-template <typename Domain>
-bool ClaimMatrixBuilder<Domain>::has_row(std::size_t user) const {
-  DPTD_REQUIRE(user < num_users_, "ClaimMatrixBuilder: user out of range");
+bool ObservationMatrixBuilder::has_row(std::size_t user) const {
+  DPTD_REQUIRE(user < num_users_,
+               "ObservationMatrixBuilder: user out of range");
   return ingested_[user] != 0;
 }
 
-template <typename Domain>
-void ClaimMatrixBuilder<Domain>::reshape(std::size_t num_users,
-                                         std::size_t num_objects,
-                                         Domain domain) {
+void ObservationMatrixBuilder::reshape(std::size_t num_users,
+                                       std::size_t num_objects) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ClaimMatrixBuilder: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrixBuilder: invalid value domain");
+               "ObservationMatrixBuilder: dimensions must be positive");
   num_users_ = num_users;
   num_objects_ = num_objects;
-  domain_ = domain;
   rows_.resize(num_users_);
   for (std::vector<Entry>& row : rows_) row.clear();
   ingested_.assign(num_users_, 0);
@@ -83,22 +76,18 @@ void ClaimMatrixBuilder<Domain>::reshape(std::size_t num_users,
   rows_ingested_ = 0;
 }
 
-template <typename Domain>
-void ClaimMatrixBuilder<Domain>::reset() {
+void ObservationMatrixBuilder::reset() {
   rows_.assign(num_users_, {});
   ingested_.assign(num_users_, 0);
   nnz_ = 0;
   rows_ingested_ = 0;
 }
 
-template <typename Domain>
-ClaimMatrix<Domain> ClaimMatrixBuilder<Domain>::finalize() {
-  Matrix out = Matrix::from_rows(std::move(rows_), num_objects_, domain_);
+ObservationMatrix ObservationMatrixBuilder::finalize() {
+  ObservationMatrix out =
+      ObservationMatrix::from_rows(std::move(rows_), num_objects_);
   reset();
   return out;
 }
-
-template class ClaimMatrixBuilder<ReadingDomain>;
-template class ClaimMatrixBuilder<LabelDomain>;
 
 }  // namespace dptd::data

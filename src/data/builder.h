@@ -1,8 +1,9 @@
-// Incremental construction of a sparse ClaimMatrix, one user row at a time,
-// for either claim domain. This is the server's streaming ingestion path:
-// each report is decoded and folded in on arrival (deduplicated by user id),
-// so the round deadline only has to finalize — no burst of matrix assembly
-// at round close, and no dense intermediate at any point.
+// Incremental construction of a sparse ObservationMatrix, one user row at a
+// time. This is the server's streaming ingestion path: each report is
+// decoded and folded in on arrival (deduplicated by user id), so the round
+// deadline only has to finalize — no burst of matrix assembly at round
+// close, and no dense intermediate at any point. Label rounds build the same
+// matrix, with label ids as exact doubles.
 #pragma once
 
 #include <cstdint>
@@ -13,40 +14,30 @@
 
 namespace dptd::data {
 
-/// Builds a ClaimMatrix row-by-row. Rows are ingested at most once per user
-/// (re-sends are rejected, not merged), claims within a row may arrive in
-/// any order and may repeat (last claim per object wins — the same semantics
-/// as calling ClaimMatrix::set in claim order, so a streamed matrix is
-/// bitwise identical to a batch-assembled one).
+/// Builds an ObservationMatrix row-by-row. Rows are ingested at most once
+/// per user (re-sends are rejected, not merged), claims within a row may
+/// arrive in any order and may repeat (last claim per object wins — the same
+/// semantics as calling ObservationMatrix::set in claim order, so a streamed
+/// matrix is bitwise identical to a batch-assembled one).
 ///
 /// The builder is reusable: finalize() moves the accumulated rows out and
 /// leaves the builder empty with the same shape, ready for the next round.
-template <typename Domain>
-class ClaimMatrixBuilder {
+class ObservationMatrixBuilder {
  public:
-  using Matrix = ClaimMatrix<Domain>;
-  using Entry = typename Matrix::Entry;
-  using Value = typename Domain::Value;
+  using Entry = ObservationMatrix::Entry;
 
-  ClaimMatrixBuilder(std::size_t num_users, std::size_t num_objects,
-                     Domain domain = {});
+  ObservationMatrixBuilder(std::size_t num_users, std::size_t num_objects);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_objects() const { return num_objects_; }
-  std::size_t num_labels() const
-    requires std::same_as<Domain, LabelDomain>
-  {
-    return domain_.num_labels;
-  }
 
   /// Ingests `user`'s claims (`objects[i]` ↦ `values[i]`). Returns false and
   /// ignores the row entirely if this user already has an ingested row.
   /// Throws std::invalid_argument for an out-of-range user or object, a
-  /// value outside the domain (non-finite reading, label >= num_labels), or
-  /// mismatched array lengths — callers on untrusted input (the crowd
-  /// server) sanitize claims before ingesting.
+  /// non-finite value, or mismatched array lengths — callers on untrusted
+  /// input (the crowd server) sanitize claims before ingesting.
   bool add_row(std::size_t user, std::span<const std::uint64_t> objects,
-               std::span<const Value> values);
+               std::span<const double> values);
 
   /// True if `user`'s row has been ingested since the last reset/finalize.
   bool has_row(std::size_t user) const;
@@ -62,30 +53,22 @@ class ClaimMatrixBuilder {
   void reset();
 
   /// Resets AND re-shapes in place: the builder afterwards accepts users in
-  /// [0, num_users), objects in [0, num_objects) and values in `domain`,
-  /// with no ingested rows. Reuses the row/flag storage where possible, so a
-  /// long-lived worker can serve rounds of varying participant counts
-  /// without reallocation churn.
-  void reshape(std::size_t num_users, std::size_t num_objects,
-               Domain domain = {});
+  /// [0, num_users) and objects in [0, num_objects), with no ingested rows.
+  /// Reuses the row/flag storage where possible, so a long-lived worker can
+  /// serve rounds of varying participant counts without reallocation churn.
+  void reshape(std::size_t num_users, std::size_t num_objects);
 
-  /// Moves the ingested rows into a ClaimMatrix (O(nnz), no dense pass) and
-  /// resets the builder for reuse.
-  Matrix finalize();
+  /// Moves the ingested rows into an ObservationMatrix (O(nnz), no dense
+  /// pass) and resets the builder for reuse.
+  ObservationMatrix finalize();
 
  private:
   std::size_t num_users_ = 0;
   std::size_t num_objects_ = 0;
-  [[no_unique_address]] Domain domain_;
   std::size_t nnz_ = 0;
   std::size_t rows_ingested_ = 0;
   std::vector<std::vector<Entry>> rows_;
   std::vector<char> ingested_;  ///< per-user flag (row may be legally empty)
 };
-
-extern template class ClaimMatrixBuilder<ReadingDomain>;
-extern template class ClaimMatrixBuilder<LabelDomain>;
-
-using ObservationMatrixBuilder = ClaimMatrixBuilder<ReadingDomain>;
 
 }  // namespace dptd::data

@@ -8,33 +8,28 @@
 
 namespace dptd::data {
 
-template <typename Domain>
-ClaimMatrix<Domain>::ClaimMatrix(std::size_t num_users,
-                                 std::size_t num_objects, Domain domain)
+ObservationMatrix::ObservationMatrix(std::size_t num_users,
+                                     std::size_t num_objects)
     : num_users_(num_users),
       num_objects_(num_objects),
-      domain_(domain),
       rows_(num_users),
       object_counts_(num_objects, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ClaimMatrix: dimensions must be positive");
-  DPTD_REQUIRE(domain.valid(), "ClaimMatrix: invalid value domain");
+               "ObservationMatrix: dimensions must be positive");
 }
 
-template <typename Domain>
-ClaimMatrix<Domain> ClaimMatrix<Domain>::from_rows(
-    std::vector<std::vector<Entry>> rows, std::size_t num_objects,
-    Domain domain) {
-  ClaimMatrix out(rows.size(), num_objects, domain);
+ObservationMatrix ObservationMatrix::from_rows(
+    std::vector<std::vector<Entry>> rows, std::size_t num_objects) {
+  ObservationMatrix out(rows.size(), num_objects);
   out.rows_ = std::move(rows);
   for (const std::vector<Entry>& row : out.rows_) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       DPTD_REQUIRE(row[i].object < num_objects,
-                   "ClaimMatrix::from_rows: object out of range");
-      DPTD_REQUIRE(domain.admits(row[i].value),
-                   "ClaimMatrix::from_rows: value outside the domain");
+                   "ObservationMatrix::from_rows: object out of range");
+      DPTD_REQUIRE(std::isfinite(row[i].value),
+                   "ObservationMatrix::from_rows: non-finite value");
       DPTD_REQUIRE(i == 0 || row[i - 1].object < row[i].object,
-                   "ClaimMatrix::from_rows: row not sorted and unique");
+                   "ObservationMatrix::from_rows: row not sorted and unique");
       ++out.object_counts_[row[i].object];
       ++out.nnz_;
     }
@@ -42,16 +37,14 @@ ClaimMatrix<Domain> ClaimMatrix<Domain>::from_rows(
   return out;
 }
 
-template <typename Domain>
-void ClaimMatrix<Domain>::check_bounds(std::size_t user,
-                                       std::size_t object) const {
-  DPTD_REQUIRE(user < num_users_, "ClaimMatrix: user out of range");
-  DPTD_REQUIRE(object < num_objects_, "ClaimMatrix: object out of range");
+void ObservationMatrix::check_bounds(std::size_t user,
+                                     std::size_t object) const {
+  DPTD_REQUIRE(user < num_users_, "ObservationMatrix: user out of range");
+  DPTD_REQUIRE(object < num_objects_, "ObservationMatrix: object out of range");
 }
 
-template <typename Domain>
-typename std::vector<typename ClaimMatrix<Domain>::Entry>::const_iterator
-ClaimMatrix<Domain>::find_in_row(std::size_t user, std::size_t object) const {
+std::vector<ObservationMatrix::Entry>::const_iterator
+ObservationMatrix::find_in_row(std::size_t user, std::size_t object) const {
   const std::vector<Entry>& row = rows_[user];
   const auto it = std::lower_bound(
       row.begin(), row.end(), object,
@@ -60,35 +53,31 @@ ClaimMatrix<Domain>::find_in_row(std::size_t user, std::size_t object) const {
   return row.end();
 }
 
-template <typename Domain>
-bool ClaimMatrix<Domain>::present(std::size_t user, std::size_t object) const {
+bool ObservationMatrix::present(std::size_t user, std::size_t object) const {
   check_bounds(user, object);
   return find_in_row(user, object) != rows_[user].end();
 }
 
-template <typename Domain>
-typename Domain::Value ClaimMatrix<Domain>::value(std::size_t user,
-                                                  std::size_t object) const {
+double ObservationMatrix::value(std::size_t user, std::size_t object) const {
   check_bounds(user, object);
   const auto it = find_in_row(user, object);
-  DPTD_REQUIRE(it != rows_[user].end(), "ClaimMatrix: reading a missing cell");
+  DPTD_REQUIRE(it != rows_[user].end(),
+               "ObservationMatrix: reading a missing cell");
   return it->value;
 }
 
-template <typename Domain>
-std::optional<typename Domain::Value> ClaimMatrix<Domain>::get(
-    std::size_t user, std::size_t object) const {
+std::optional<double> ObservationMatrix::get(std::size_t user,
+                                             std::size_t object) const {
   check_bounds(user, object);
   const auto it = find_in_row(user, object);
   if (it == rows_[user].end()) return std::nullopt;
   return it->value;
 }
 
-template <typename Domain>
-void ClaimMatrix<Domain>::set(std::size_t user, std::size_t object,
-                              Value value) {
+void ObservationMatrix::set(std::size_t user, std::size_t object,
+                            double value) {
   check_bounds(user, object);
-  DPTD_REQUIRE(domain_.admits(value), "ClaimMatrix: value outside the domain");
+  DPTD_REQUIRE(std::isfinite(value), "ObservationMatrix: non-finite value");
   std::vector<Entry>& row = rows_[user];
   // Fast path: generators and mechanisms append in ascending object order.
   if (row.empty() || row.back().object < object) {
@@ -109,8 +98,7 @@ void ClaimMatrix<Domain>::set(std::size_t user, std::size_t object,
   }
 }
 
-template <typename Domain>
-void ClaimMatrix<Domain>::clear(std::size_t user, std::size_t object) {
+void ObservationMatrix::clear(std::size_t user, std::size_t object) {
   check_bounds(user, object);
   std::vector<Entry>& row = rows_[user];
   const auto it = std::lower_bound(
@@ -122,39 +110,30 @@ void ClaimMatrix<Domain>::clear(std::size_t user, std::size_t object) {
   --nnz_;
 }
 
-template <typename Domain>
-std::size_t ClaimMatrix<Domain>::user_observation_count(
-    std::size_t user) const {
+std::size_t ObservationMatrix::user_observation_count(std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user].size();
 }
 
-template <typename Domain>
-std::size_t ClaimMatrix<Domain>::object_observation_count(
+std::size_t ObservationMatrix::object_observation_count(
     std::size_t object) const {
   DPTD_REQUIRE(object < num_objects_, "object out of range");
   return object_counts_[object];
 }
 
-template <typename Domain>
-std::span<const typename ClaimMatrix<Domain>::Entry>
-ClaimMatrix<Domain>::user_entries(std::size_t user) const {
+std::span<const ObservationMatrix::Entry> ObservationMatrix::user_entries(
+    std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user];
 }
 
-template <typename Domain>
-std::vector<typename Domain::Value> ClaimMatrix<Domain>::user_values(
-    std::size_t user) const {
+std::vector<double> ObservationMatrix::user_values(std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
-  std::vector<Value> out;
+  std::vector<double> out;
   out.reserve(rows_[user].size());
   for (const Entry& e : rows_[user]) out.push_back(e.value);
   return out;
 }
-
-template class ClaimMatrix<ReadingDomain>;
-template class ClaimMatrix<LabelDomain>;
 
 void Dataset::validate() const {
   DPTD_REQUIRE(observations.num_users() > 0 && observations.num_objects() > 0,

@@ -1,13 +1,11 @@
 // Core data model: the sparse user × object claim matrix, stored as user rows
-// and written once over the claim's value domain (continuous readings or
-// categorical labels), plus the continuous Dataset with optional ground truth
-// and generator provenance.
+// of finite readings (continuous readings, or label ids as exact doubles),
+// plus the continuous Dataset with optional ground truth and generator
+// provenance.
 #pragma once
 
 #include <cmath>
-#include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -17,28 +15,9 @@
 
 namespace dptd::data {
 
-/// Value domain of continuous readings: any finite double.
-struct ReadingDomain {
-  using Value = double;
-  bool valid() const { return true; }
-  bool admits(double value) const { return std::isfinite(value); }
-  bool operator==(const ReadingDomain&) const = default;
-};
-
-/// Value domain of categorical claims: label ids in [0, num_labels), with
-/// num_labels >= 2. Converts implicitly from the alphabet size, so the label
-/// matrix, builder and sharded view take it as their trailing argument.
-struct LabelDomain {
-  using Value = std::uint32_t;
-  LabelDomain(std::size_t num_labels = 0) : num_labels(num_labels) {}
-  bool valid() const { return num_labels >= 2; }
-  bool admits(Value label) const { return label < num_labels; }
-  bool operator==(const LabelDomain&) const = default;
-  std::size_t num_labels = 0;
-};
-
-/// Sparse S×N matrix of claims from `Domain`. One instantiation per domain:
-/// ObservationMatrix (readings, below) and categorical::LabelMatrix (labels).
+/// Sparse S×N matrix of finite readings: the one claim store. Continuous
+/// rounds hold the paper's readings in it; categorical rounds hold label ids
+/// as exact doubles, which the vote folds read in place (truth/categorical.h).
 ///
 /// Rows are users (sources), columns are objects (micro-tasks). Crowd sensing
 /// matrices are sparse — each user covers a fraction of the objects, and each
@@ -56,44 +35,34 @@ struct LabelDomain {
 ///
 /// Thread safety: mutations are not synchronized; every const accessor is
 /// safe to call concurrently.
-template <typename Domain>
-class ClaimMatrix {
+class ObservationMatrix {
  public:
-  using Value = typename Domain::Value;
-
   /// One present cell as seen from a user's row.
   struct Entry {
     std::size_t object = 0;
-    Value value{};
+    double value = 0.0;
     bool operator==(const Entry&) const = default;
   };
 
-  ClaimMatrix() = default;
-  /// All cells start missing; values must be admitted by `domain`.
-  ClaimMatrix(std::size_t num_users, std::size_t num_objects,
-              Domain domain = {});
+  ObservationMatrix() = default;
+  /// All cells start missing.
+  ObservationMatrix(std::size_t num_users, std::size_t num_objects);
 
   /// Adopts fully built per-user rows (the streaming builder's finalize
   /// path): each row must be sorted by object id and duplicate-free, with
-  /// in-range objects and values in the domain. Validates and derives the
+  /// in-range objects and finite values. Validates and derives the
   /// per-object counts in one O(nnz) pass — no dense intermediate.
-  static ClaimMatrix from_rows(std::vector<std::vector<Entry>> rows,
-                               std::size_t num_objects, Domain domain = {});
+  static ObservationMatrix from_rows(std::vector<std::vector<Entry>> rows,
+                                     std::size_t num_objects);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_objects() const { return num_objects_; }
-  const Domain& domain() const { return domain_; }
-  std::size_t num_labels() const
-    requires std::same_as<Domain, LabelDomain>
-  {
-    return domain_.num_labels;
-  }
 
   bool present(std::size_t user, std::size_t object) const;
-  Value value(std::size_t user, std::size_t object) const;
-  std::optional<Value> get(std::size_t user, std::size_t object) const;
+  double value(std::size_t user, std::size_t object) const;
+  std::optional<double> get(std::size_t user, std::size_t object) const;
 
-  void set(std::size_t user, std::size_t object, Value value);
+  void set(std::size_t user, std::size_t object, double value);
   void clear(std::size_t user, std::size_t object);
 
   /// Number of present cells. O(1).
@@ -107,7 +76,7 @@ class ClaimMatrix {
   std::span<const Entry> user_entries(std::size_t user) const;
 
   /// Present values claimed by `user` (ordered by object id).
-  std::vector<Value> user_values(std::size_t user) const;
+  std::vector<double> user_values(std::size_t user) const;
 
   /// Applies f(user, object, value) to every present cell, user-major and
   /// object-ascending within a user (the historical dense traversal order).
@@ -122,48 +91,40 @@ class ClaimMatrix {
   /// cell (used by perturbation mechanisms). O(nnz): the sparsity structure
   /// is copied wholesale, only values are mapped.
   template <typename F>
-  ClaimMatrix transformed(F&& fn) const {
-    ClaimMatrix out(num_users_, num_objects_, domain_);
+  ObservationMatrix transformed(F&& fn) const {
+    ObservationMatrix out(num_users_, num_objects_);
     out.rows_ = rows_;
     out.object_counts_ = object_counts_;
     out.nnz_ = nnz_;
     for (std::size_t s = 0; s < num_users_; ++s) {
       for (Entry& e : out.rows_[s]) {
         e.value = fn(s, e.object, e.value);
-        DPTD_REQUIRE(domain_.admits(e.value),
-                     "ClaimMatrix: value outside the domain");
+        DPTD_REQUIRE(std::isfinite(e.value),
+                     "ObservationMatrix: non-finite value");
       }
     }
     return out;
   }
 
-  /// Logical equality: same shape and domain, and the same present cells
-  /// with the same values.
-  bool operator==(const ClaimMatrix& other) const {
+  /// Logical equality: same shape, and the same present cells with the same
+  /// values.
+  bool operator==(const ObservationMatrix& other) const {
     return num_users_ == other.num_users_ &&
-           num_objects_ == other.num_objects_ && domain_ == other.domain_ &&
-           rows_ == other.rows_;
+           num_objects_ == other.num_objects_ && rows_ == other.rows_;
   }
 
  private:
   void check_bounds(std::size_t user, std::size_t object) const;
   /// Iterator to the entry for `object` in `user`'s row, or row end.
-  typename std::vector<Entry>::const_iterator find_in_row(
-      std::size_t user, std::size_t object) const;
+  std::vector<Entry>::const_iterator find_in_row(std::size_t user,
+                                                 std::size_t object) const;
 
   std::size_t num_users_ = 0;
   std::size_t num_objects_ = 0;
-  [[no_unique_address]] Domain domain_;
   std::size_t nnz_ = 0;
   std::vector<std::vector<Entry>> rows_;    ///< per-user, sorted by object
   std::vector<std::size_t> object_counts_;  ///< per-object nnz, eager
 };
-
-extern template class ClaimMatrix<ReadingDomain>;
-extern template class ClaimMatrix<LabelDomain>;
-
-/// The continuous claim matrix of the paper's mechanism.
-using ObservationMatrix = ClaimMatrix<ReadingDomain>;
 
 /// Per-user provenance recorded by the synthetic generator; absent for real
 /// or loaded data. Useful for computing *true* weights (Fig. 7).

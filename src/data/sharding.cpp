@@ -24,91 +24,81 @@ std::size_t ShardPlan::user_begin(std::size_t shard) const {
   return std::min(block_begin(shard) * block_size, num_users);
 }
 
-template <typename Domain>
-ShardedClaimMatrix<Domain> ShardedClaimMatrix<Domain>::single(
-    const Matrix& matrix, std::size_t block_size) {
-  ShardedClaimMatrix out;
+ShardedMatrix ShardedMatrix::single(const ObservationMatrix& matrix,
+                                    std::size_t block_size) {
+  ShardedMatrix out;
   out.plan_ = ShardPlan::create(matrix.num_users(), 1, block_size);
   out.num_objects_ = matrix.num_objects();
-  out.domain_ = matrix.domain();
   out.shards_.push_back(&matrix);
   return out;
 }
 
-template <typename Domain>
-ShardedClaimMatrix<Domain> ShardedClaimMatrix<Domain>::partition(
-    const Matrix& matrix, std::size_t num_shards, std::size_t block_size) {
+ShardedMatrix ShardedMatrix::partition(const ObservationMatrix& matrix,
+                                       std::size_t num_shards,
+                                       std::size_t block_size) {
   const ShardPlan plan =
       ShardPlan::create(matrix.num_users(), num_shards, block_size);
-  std::vector<Matrix> shards;
+  std::vector<ObservationMatrix> shards;
   shards.reserve(plan.num_shards);
   for (std::size_t i = 0; i < plan.num_shards; ++i) {
-    std::vector<std::vector<typename Matrix::Entry>> rows(
+    std::vector<std::vector<ObservationMatrix::Entry>> rows(
         plan.shard_num_users(i));
     for (std::size_t local = 0; local < rows.size(); ++local) {
       const auto row = matrix.user_entries(plan.user_begin(i) + local);
       rows[local].assign(row.begin(), row.end());
     }
-    shards.push_back(Matrix::from_rows(std::move(rows), matrix.num_objects(),
-                                       matrix.domain()));
+    shards.push_back(
+        ObservationMatrix::from_rows(std::move(rows), matrix.num_objects()));
   }
-  return from_shards(plan, std::move(shards), matrix.num_objects(),
-                     matrix.domain());
+  return from_shards(plan, std::move(shards), matrix.num_objects());
 }
 
-template <typename Domain>
-ShardedClaimMatrix<Domain> ShardedClaimMatrix<Domain>::from_shards(
-    const ShardPlan& plan, std::vector<Matrix> shards, std::size_t num_objects,
-    Domain domain) {
+ShardedMatrix ShardedMatrix::from_shards(const ShardPlan& plan,
+                                         std::vector<ObservationMatrix> shards,
+                                         std::size_t num_objects) {
   DPTD_REQUIRE(plan == ShardPlan::create(plan.num_users, plan.num_shards,
                                          plan.block_size),
-               "ShardedClaimMatrix: plan is not normalized");
+               "ShardedMatrix: plan is not normalized");
   DPTD_REQUIRE(shards.size() == plan.num_shards,
-               "ShardedClaimMatrix: shard count does not match the plan");
+               "ShardedMatrix: shard count does not match the plan");
   for (std::size_t i = 0; i < shards.size(); ++i) {
     DPTD_REQUIRE(shards[i].num_users() == plan.shard_num_users(i),
-                 "ShardedClaimMatrix: shard user count does not match plan");
+                 "ShardedMatrix: shard user count does not match plan");
     DPTD_REQUIRE(shards[i].num_objects() == num_objects,
-                 "ShardedClaimMatrix: shard object count mismatch");
-    DPTD_REQUIRE(shards[i].domain() == domain,
-                 "ShardedClaimMatrix: shard domain mismatch");
+                 "ShardedMatrix: shard object count mismatch");
   }
-  ShardedClaimMatrix out;
+  ShardedMatrix out;
   out.plan_ = plan;
   out.num_objects_ = num_objects;
-  out.domain_ = domain;
   out.owned_ = std::move(shards);
   out.shards_.reserve(out.owned_.size());
-  for (const Matrix& m : out.owned_) out.shards_.push_back(&m);
+  for (const ObservationMatrix& m : out.owned_) out.shards_.push_back(&m);
   return out;
 }
 
-template <typename Domain>
-std::size_t ShardedClaimMatrix<Domain>::observation_count() const {
+std::size_t ShardedMatrix::observation_count() const {
   std::size_t total = 0;
-  for (const Matrix* m : shards_) total += m->observation_count();
+  for (const ObservationMatrix* m : shards_) total += m->observation_count();
   return total;
 }
 
-template <typename Domain>
-std::span<const typename ClaimMatrix<Domain>::Entry>
-ShardedClaimMatrix<Domain>::user_row(std::size_t user) const {
-  DPTD_REQUIRE(user < num_users(), "ShardedClaimMatrix: user out of range");
+std::span<const ObservationMatrix::Entry> ShardedMatrix::user_row(
+    std::size_t user) const {
+  DPTD_REQUIRE(user < num_users(), "ShardedMatrix: user out of range");
   const std::size_t s = plan_.shard_of_user(user);
   return shards_[s]->user_entries(user - plan_.user_begin(s));
 }
 
-template <typename Domain>
-std::size_t ShardedClaimMatrix<Domain>::object_observation_count(
-    std::size_t object) const {
+std::size_t ShardedMatrix::object_observation_count(std::size_t object) const {
   std::size_t total = 0;
-  for (const Matrix* m : shards_) total += m->object_observation_count(object);
+  for (const ObservationMatrix* m : shards_) {
+    total += m->object_observation_count(object);
+  }
   return total;
 }
 
-template <typename Domain>
-ClaimMatrix<Domain> ShardedClaimMatrix<Domain>::concatenated() const {
-  std::vector<std::vector<typename Matrix::Entry>> rows(num_users());
+ObservationMatrix ShardedMatrix::concatenated() const {
+  std::vector<std::vector<ObservationMatrix::Entry>> rows(num_users());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::size_t base = user_base(i);
     for (std::size_t local = 0; local < shards_[i]->num_users(); ++local) {
@@ -116,10 +106,7 @@ ClaimMatrix<Domain> ShardedClaimMatrix<Domain>::concatenated() const {
       rows[base + local].assign(row.begin(), row.end());
     }
   }
-  return Matrix::from_rows(std::move(rows), num_objects_, domain_);
+  return ObservationMatrix::from_rows(std::move(rows), num_objects_);
 }
-
-template class ShardedClaimMatrix<ReadingDomain>;
-template class ShardedClaimMatrix<LabelDomain>;
 
 }  // namespace dptd::data

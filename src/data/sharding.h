@@ -1,8 +1,8 @@
-// User-sharded view of a ClaimMatrix, for either claim domain, for
-// horizontally partitioned aggregation: users are grouped into fixed-size
-// canonical blocks, blocks are split contiguously across K shards, and each
-// shard owns the sub-matrix of its users' rows (local user ids, global
-// object ids).
+// User-sharded view of an ObservationMatrix, for horizontally partitioned
+// aggregation: users are grouped into fixed-size canonical blocks, blocks
+// are split contiguously across K shards, and each shard owns the
+// sub-matrix of its users' rows (local user ids, global object ids). Label
+// rounds shard the same matrix, with label ids as exact doubles.
 //
 // The block structure — not the shard count — defines the reduction order of
 // every mergeable statistic (see truth/sharded_stats.h and
@@ -72,73 +72,57 @@ struct ShardPlan {
 /// i holds the rows of global users [plan.user_begin(i), plan.user_end(i))
 /// under local ids starting at 0; objects are not partitioned. Movable, not
 /// copyable (a single-shard view may borrow the underlying matrix).
-template <typename Domain>
-class ShardedClaimMatrix {
+class ShardedMatrix {
  public:
-  using Matrix = ClaimMatrix<Domain>;
-
   /// Single-shard view over an existing matrix — no copy; the view must not
   /// outlive `matrix`. This is the canonical reference every K-shard run is
   /// bitwise compared against.
-  static ShardedClaimMatrix single(
-      const Matrix& matrix, std::size_t block_size = kDefaultStatsBlockSize);
+  static ShardedMatrix single(const ObservationMatrix& matrix,
+                              std::size_t block_size = kDefaultStatsBlockSize);
 
   /// Partitions a copy of `matrix` into `num_shards` owned sub-matrices.
-  static ShardedClaimMatrix partition(
-      const Matrix& matrix, std::size_t num_shards,
+  static ShardedMatrix partition(
+      const ObservationMatrix& matrix, std::size_t num_shards,
       std::size_t block_size = kDefaultStatsBlockSize);
 
   /// Adopts pre-built shard sub-matrices (the sharded server's ingestion
-  /// path). `shards[i]` must have exactly plan.shard_num_users(i) users,
-  /// `num_objects` objects and the domain `domain`; throws
-  /// std::invalid_argument otherwise.
-  static ShardedClaimMatrix from_shards(const ShardPlan& plan,
-                                        std::vector<Matrix> shards,
-                                        std::size_t num_objects,
-                                        Domain domain = {});
+  /// path). `shards[i]` must have exactly plan.shard_num_users(i) users and
+  /// `num_objects` objects; throws std::invalid_argument otherwise.
+  static ShardedMatrix from_shards(const ShardPlan& plan,
+                                   std::vector<ObservationMatrix> shards,
+                                   std::size_t num_objects);
 
-  ShardedClaimMatrix(ShardedClaimMatrix&&) = default;
-  ShardedClaimMatrix& operator=(ShardedClaimMatrix&&) = default;
-  ShardedClaimMatrix(const ShardedClaimMatrix&) = delete;
-  ShardedClaimMatrix& operator=(const ShardedClaimMatrix&) = delete;
+  ShardedMatrix(ShardedMatrix&&) = default;
+  ShardedMatrix& operator=(ShardedMatrix&&) = default;
+  ShardedMatrix(const ShardedMatrix&) = delete;
+  ShardedMatrix& operator=(const ShardedMatrix&) = delete;
 
   const ShardPlan& plan() const { return plan_; }
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t num_users() const { return plan_.num_users; }
   std::size_t num_objects() const { return num_objects_; }
-  std::size_t num_labels() const
-    requires std::same_as<Domain, LabelDomain>
-  {
-    return domain_.num_labels;
-  }
   std::size_t observation_count() const;
 
-  const Matrix& shard(std::size_t i) const { return *shards_[i]; }
+  const ObservationMatrix& shard(std::size_t i) const { return *shards_[i]; }
   /// Global id of shard i's first user (its local user 0).
   std::size_t user_base(std::size_t i) const { return plan_.user_begin(i); }
 
   /// Row of a *global* user id, routed to the owning shard. Allocation-free.
-  std::span<const typename Matrix::Entry> user_row(std::size_t user) const;
+  std::span<const ObservationMatrix::Entry> user_row(std::size_t user) const;
 
   /// Claims on `object` summed across shards. O(num_shards).
   std::size_t object_observation_count(std::size_t object) const;
 
   /// Rebuilds the full unsharded matrix (tests).
-  Matrix concatenated() const;
+  ObservationMatrix concatenated() const;
 
  private:
-  ShardedClaimMatrix() = default;
+  ShardedMatrix() = default;
 
   ShardPlan plan_;
   std::size_t num_objects_ = 0;
-  [[no_unique_address]] Domain domain_;
-  std::vector<Matrix> owned_;
-  std::vector<const Matrix*> shards_;
+  std::vector<ObservationMatrix> owned_;
+  std::vector<const ObservationMatrix*> shards_;
 };
-
-extern template class ShardedClaimMatrix<ReadingDomain>;
-extern template class ShardedClaimMatrix<LabelDomain>;
-
-using ShardedMatrix = ShardedClaimMatrix<ReadingDomain>;
 
 }  // namespace dptd::data

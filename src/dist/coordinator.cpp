@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <tuple>
 #include <type_traits>
@@ -150,7 +151,6 @@ void Coordinator::route_report(const net::Message& message) {
   if (!staged.batch.empty() && staged.type != type) flush_batch(shard);
   staged.type = type;
   staged.batch.add(message.payload, *header);
-  ++reports_routed_;
   ++routed_by_shard_[shard];
   if (staged.batch.bytes() >= kBatchFlushBytes) flush_batch(shard);
   if (!flush_scheduled_) {
@@ -178,7 +178,6 @@ void Coordinator::flush_batch(std::size_t shard) {
   // delivery time and show up in NodeCounters::messages_undeliverable.) The
   // per-shard ledger is what makes a degraded close's reports_lost exact.
   if (network_->undeliverable_to(target) > undeliverable_before) {
-    reports_undeliverable_ += reports;
     undeliverable_by_shard_[shard] += reports;
   }
 }
@@ -643,9 +642,7 @@ bool Coordinator::begin_round(std::uint64_t round,
     round_planned_ = true;
     participants_ = std::move(participants);
     index_ = std::move(index);
-    reports_routed_ = 0;
     reports_unroutable_ = 0;
-    reports_undeliverable_ = 0;
     live_.resize(plan_.num_shards);
     for (std::size_t i = 0; i < plan_.num_shards; ++i) live_[i] = i;
     routed_by_shard_.assign(plan_.num_shards, 0);
@@ -670,12 +667,14 @@ DistributedOutcome Coordinator::close_round() {
   network_->drain_for(network_->drain_window_seconds());
   DistributedOutcome out;
   out.round = round_;
-  out.reports_routed = reports_routed_;
 
   const auto finish = [&]() {
-    out.reports_routed = reports_routed_;
+    const auto sum = [](const std::vector<std::size_t>& ledger) {
+      return std::accumulate(ledger.begin(), ledger.end(), std::size_t{0});
+    };
+    out.reports_routed = sum(routed_by_shard_);
     out.reports_unroutable = reports_unroutable_;
-    out.reports_undeliverable = reports_undeliverable_;
+    out.reports_undeliverable = sum(undeliverable_by_shard_);
     out.resends = round_resends_;
     out.stale_responses = stale_responses_ - stale_at_begin_;
     out.network = network_->stats().since(stats_at_begin_);

@@ -307,6 +307,7 @@ class Coordinator final : public net::Node {
   std::vector<std::size_t> live_;
   /// Per-plan-index report routing counters, the exact-loss ledger of a
   /// degraded close: lost(i) = routed_by_shard_[i] - undeliverable_by_shard_[i].
+  /// The round's reports_routed and reports_undeliverable are their sums.
   std::vector<std::size_t> routed_by_shard_;
   std::vector<std::size_t> undeliverable_by_shard_;
   /// Per plan index: uploads routed this transport turn, not yet sent.
@@ -319,9 +320,7 @@ class Coordinator final : public net::Node {
   /// Expires with the coordinator, so a flush the transport still holds
   /// after destruction does nothing.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
-  std::size_t reports_routed_ = 0;
   std::size_t reports_unroutable_ = 0;
-  std::size_t reports_undeliverable_ = 0;
   net::NetworkStats stats_at_begin_;
   /// Per-round deltas for NodeCounters: snapshots taken at begin_round.
   std::unordered_map<net::NodeId, std::size_t> undeliverable_at_begin_;

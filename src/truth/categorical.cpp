@@ -21,22 +21,6 @@ Result to_result(categorical::VotingResult vr) {
   return out;
 }
 
-categorical::LabelMatrix label_shard(const data::ObservationMatrix& obs,
-                                     std::size_t num_labels) {
-  std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(
-      obs.num_users());
-  for (std::size_t s = 0; s < obs.num_users(); ++s) {
-    const auto row = obs.user_entries(s);
-    rows[s].reserve(row.size());
-    for (const data::ObservationMatrix::Entry& e : row) {
-      if (!is_label_value(e.value, num_labels)) continue;
-      rows[s].push_back({e.object, static_cast<categorical::Label>(e.value)});
-    }
-  }
-  return categorical::LabelMatrix::from_rows(std::move(rows),
-                                             obs.num_objects(), num_labels);
-}
-
 }  // namespace
 
 void check_num_labels(std::size_t num_labels) {
@@ -59,13 +43,23 @@ std::size_t infer_num_labels(const data::ShardedMatrix& m) {
 categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
                                            std::size_t num_labels) {
   check_num_labels(num_labels);
-  std::vector<categorical::LabelMatrix> shards;
+  std::vector<data::ObservationMatrix> shards;
   shards.reserve(m.num_shards());
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    shards.push_back(label_shard(m.shard(s), num_labels));
+  for (std::size_t i = 0; i < m.num_shards(); ++i) {
+    const data::ObservationMatrix& shard = m.shard(i);
+    std::vector<std::vector<data::ObservationMatrix::Entry>> rows(
+        shard.num_users());
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      for (const data::ObservationMatrix::Entry& e : shard.user_entries(s)) {
+        if (is_label_value(e.value, num_labels)) rows[s].push_back(e);
+      }
+    }
+    shards.push_back(data::ObservationMatrix::from_rows(std::move(rows),
+                                                        m.num_objects()));
   }
-  return categorical::ShardedLabelMatrix::from_shards(
-      m.plan(), std::move(shards), m.num_objects(), num_labels);
+  return {data::ShardedMatrix::from_shards(m.plan(), std::move(shards),
+                                           m.num_objects()),
+          num_labels};
 }
 
 std::vector<categorical::Label> labels_from_doubles(

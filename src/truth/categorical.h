@@ -1,10 +1,11 @@
-// Categorical voting behind the TruthDiscovery interface.
+// Categorical voting behind the TruthDiscovery interface: the one front door
+// for every vote, batch or round.
 //
 // The production layers — registry, warm-started campaigns, sharded servers,
 // the distributed coordinator — all speak truth::TruthDiscovery over
-// continuous ObservationMatrix claims. This bridge lets those layers run
-// categorical campaigns unchanged: label ids ride as exact small doubles in
-// the observation matrices, and the mergeable voting kernels of
+// ObservationMatrix claims, and categorical claims are such claims: label
+// ids ride as exact small doubles in the observation matrices, from the
+// generator and k-RR onwards, and the mergeable voting kernels of
 // categorical/voting.h read them in place, in canonical block order. A claim
 // counts as a label only when is_label_value admits it; any other value is
 // skipped, the same rule on every layer, so in-process and distributed runs
@@ -46,14 +47,13 @@ inline bool is_label_value(double value, std::size_t num_labels) {
 /// the shard count.
 std::size_t infer_num_labels(const data::ShardedMatrix& m);
 
-/// Copies `m` into a label matrix over [0, num_labels) with the same plan,
-/// shard by shard, dropping the claims whose value fails is_label_value —
-/// sanitize, never abort, exactly like report ingestion. O(nnz) time and a
-/// second entry per claim. Rounds never make this copy: the vote folds read
-/// `m` in place and skip the same claims, so their bits over `m` equal their
-/// bits over the copy. It stays as the explicit conversion for callers that
-/// want label storage, and as the reference the in-place reading is tested
-/// against.
+/// Copies `m` with the same plan, shard by shard, keeping only the claims
+/// is_label_value admits below `num_labels` — sanitize, never abort, exactly
+/// like report ingestion — and pairs the copy with that alphabet. O(nnz)
+/// time and a second entry per claim. Rounds never make this copy: the vote
+/// folds read `m` in place and skip the same claims, so their bits over `m`
+/// equal their bits over the copy. It stays as the reference the in-place
+/// reading is tested against.
 categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
                                            std::size_t num_labels);
 
@@ -65,16 +65,17 @@ std::vector<categorical::Label> labels_from_doubles(
     std::span<const double> truths, std::size_t num_labels);
 
 /// Plurality vote over `backend`'s label claims in [0, num_labels): one
-/// uniform-weight score fold. The loop behind truth::MajorityVote and
-/// categorical::majority_vote.
+/// uniform-weight score fold; ties break toward the smaller label id. The
+/// loop behind truth::MajorityVote.
 categorical::VotingResult run_majority_vote(FoldBackend& backend,
                                             std::size_t num_labels);
 
 /// CRH-style iterative weighted voting over `backend`'s label claims: the
-/// loop behind truth::WeightedVote and categorical::weighted_vote. Non-empty
-/// `warm_truths` skip the initial aggregation (the first weight update then
-/// overwrites any seed weights before a fold reads them); otherwise
-/// `warm_weights` (empty = uniform) feed it.
+/// loop behind truth::WeightedVote. Non-empty `warm_truths` skip the initial
+/// aggregation (the first weight update then overwrites any seed weights
+/// before a fold reads them); otherwise `warm_weights` (empty = uniform)
+/// feed it — a warm start with all-1.0 weights is bitwise identical to a
+/// cold run.
 categorical::VotingResult run_weighted_vote(
     FoldBackend& backend, const categorical::WeightedVotingConfig& config,
     std::size_t num_labels, std::span<const double> warm_weights,

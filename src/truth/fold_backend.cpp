@@ -37,24 +37,7 @@ std::vector<double> aggregate_truths(FoldBackend& backend) {
 }
 
 LocalBackend::LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool)
-    : matrix_(&matrix), pool_(pool) {}
-
-LocalBackend::LocalBackend(const categorical::ShardedLabelMatrix& labels,
-                           ThreadPool* pool)
-    : labels_(&labels), pool_(pool) {}
-
-std::size_t LocalBackend::num_users() const {
-  return matrix_ != nullptr ? matrix_->num_users() : labels_->num_users();
-}
-
-std::size_t LocalBackend::num_objects() const {
-  return matrix_ != nullptr ? matrix_->num_objects() : labels_->num_objects();
-}
-
-const data::ShardedMatrix& LocalBackend::matrix() const {
-  DPTD_REQUIRE(matrix_ != nullptr, "LocalBackend: no continuous claims");
-  return *matrix_;
-}
+    : matrix_(matrix), pool_(pool) {}
 
 std::size_t LocalBackend::vote_labels() const {
   DPTD_REQUIRE(num_labels_ != 0, "LocalBackend: vote step before prepare");
@@ -89,9 +72,9 @@ double LocalBackend::crh_loss(std::span<const double> truths, double total) {
   DPTD_REQUIRE(crh_loss_.has_value(), "LocalBackend: crh_loss before prepare");
   DPTD_REQUIRE(truths.size() == num_objects(),
                "LocalBackend: truths size != num objects");
-  crh_user_losses(matrix(), pool_, *crh_loss_, truths, stddevs_, reg(losses_));
+  crh_user_losses(matrix_, pool_, *crh_loss_, truths, stddevs_, reg(losses_));
   // Local blocks are global blocks, so this continues the global chain.
-  return block_chain_sum(losses_, matrix().plan().block_size, total);
+  return block_chain_sum(losses_, matrix_.plan().block_size, total);
 }
 
 void LocalBackend::crh_weights(double total) {
@@ -116,7 +99,7 @@ void LocalBackend::gtm_step(std::span<const double> truth_mean,
   DPTD_REQUIRE(truth_mean.size() == num_objects() &&
                    truth_var.size() == num_objects(),
                "LocalBackend: posterior size != num objects");
-  gtm_m_step(matrix(), pool_, *gtm_, shift_, scale_, truth_mean, truth_var,
+  gtm_m_step(matrix_, pool_, *gtm_, shift_, scale_, truth_mean, truth_var,
              reg(quality_, 1.0), reg(weights_, 1.0));
 }
 
@@ -126,7 +109,7 @@ void LocalBackend::gtm_posterior(std::span<double> precision,
   DPTD_REQUIRE(precision.size() == num_objects() &&
                    weighted.size() == num_objects(),
                "LocalBackend: posterior size != num objects");
-  gtm_posterior_fold(matrix(), pool_, shift_, scale_, reg(weights_, 1.0),
+  gtm_posterior_fold(matrix_, pool_, shift_, scale_, reg(weights_, 1.0),
                      precision, weighted);
 }
 
@@ -135,7 +118,7 @@ void LocalBackend::catd_prepare(double significance, double min_residual) {
                "LocalBackend: significance must be in (0,1)");
   min_residual_ = min_residual;
   chi2_.assign(num_users(), 0.0);
-  catd_chi_squared(matrix(), pool_, significance, chi2_);
+  catd_chi_squared(matrix_, pool_, significance, chi2_);
 }
 
 void LocalBackend::catd_weights(std::span<const double> truths) {
@@ -143,7 +126,7 @@ void LocalBackend::catd_weights(std::span<const double> truths) {
                "LocalBackend: catd_weights before prepare");
   DPTD_REQUIRE(truths.size() == num_objects(),
                "LocalBackend: truths size != num objects");
-  catd_user_weights(matrix(), pool_, chi2_, truths, min_residual_,
+  catd_user_weights(matrix_, pool_, chi2_, truths, min_residual_,
                     reg(weights_));
 }
 
@@ -154,25 +137,15 @@ void LocalBackend::vote_prepare(std::size_t num_labels,
                    min_disagreement_fraction < 1.0,
                "LocalBackend: min_disagreement_fraction must be in (0,1)");
   check_num_labels(num_labels);
-  DPTD_REQUIRE(labels_ == nullptr || labels_->num_labels() == num_labels,
-               "LocalBackend: label alphabet mismatch");
   num_labels_ = num_labels;
   vote_min_fraction_ = min_disagreement_fraction;
 }
 
 double LocalBackend::vote_disagreement(
     std::span<const categorical::Label> truths, double total) {
-  const std::size_t L = vote_labels();
-  if (labels_ != nullptr) {
-    categorical::vote_disagreement(*labels_, pool_, truths,
-                                   reg(disagreement_));
-  } else {
-    categorical::vote_disagreement(*matrix_, L, pool_, truths,
-                                   reg(disagreement_));
-  }
-  const data::ShardPlan& plan =
-      labels_ != nullptr ? labels_->plan() : matrix_->plan();
-  return block_chain_sum(disagreement_, plan.block_size, total);
+  categorical::vote_disagreement(matrix_, vote_labels(), pool_, truths,
+                                 reg(disagreement_));
+  return block_chain_sum(disagreement_, matrix_.plan().block_size, total);
 }
 
 void LocalBackend::vote_weights(double total) {
@@ -186,26 +159,20 @@ void LocalBackend::vote_weights(double total) {
 }
 
 void LocalBackend::vote_scores(std::span<double> scores) {
-  const std::size_t L = vote_labels();
-  if (labels_ != nullptr) {
-    categorical::fold_label_scores(*labels_, pool_, reg(weights_, 1.0),
-                                   scores);
-  } else {
-    categorical::fold_label_scores(*matrix_, L, pool_, reg(weights_, 1.0),
-                                   scores);
-  }
+  categorical::fold_label_scores(matrix_, vote_labels(), pool_,
+                                 reg(weights_, 1.0), scores);
 }
 
 void LocalBackend::moments(std::span<RunningStats> acc) {
-  fold_object_moments(matrix(), pool_, acc);
+  fold_object_moments(matrix_, pool_, acc);
 }
 
 void LocalBackend::aggregate(AggregateStats& acc) {
-  weighted_aggregate_fold(matrix(), reg(weights_, 1.0), acc, pool_);
+  weighted_aggregate_fold(matrix_, reg(weights_, 1.0), acc, pool_);
 }
 
 GatheredColumns LocalBackend::gather() {
-  return gather_object_values(matrix());
+  return gather_object_values(matrix_);
 }
 
 std::vector<double> LocalBackend::collect_weights() {

@@ -1,9 +1,11 @@
 // The narrow interface every truth-discovery loop runs over. Each method's
 // loop (paper Algorithm 1: weighted aggregation, then weight re-estimation)
-// is written once, in truth/<method>.cpp, against FoldBackend; LocalBackend
-// runs it in process over a ShardedMatrix, and dist::RemoteBackend runs it
-// over the coordinator's shard RPCs. Both execute the same kernels in the
-// same canonical block order, so the bits agree for any shard count.
+// is written once, in truth/<method>.cpp or truth/categorical.cpp, against
+// FoldBackend; LocalBackend runs it in process over a ShardedMatrix, and
+// dist::RemoteBackend runs it over the coordinator's shard RPCs. Both
+// execute the same kernels in the same canonical block order, so the bits
+// agree for any shard count. Categorical claims are label-id readings in the
+// same matrix, so the vote loops run over the same two backends.
 //
 // Three kinds of call:
 //  - Register writes return nothing. They set the per-user state the next
@@ -100,22 +102,18 @@ std::vector<double> aggregate_truths(FoldBackend& backend);
 
 /// The in-process backend: the pooled kernels over a borrowed matrix. It
 /// owns the per-user registers and allocates each one when a step first
-/// needs it. A precondition failure (a wrong size, a step before its
-/// prepare) throws std::invalid_argument.
+/// needs it. The vote calls read label ids in place; the matrix is never
+/// copied. A precondition failure (a wrong size, a step before its prepare)
+/// throws std::invalid_argument.
 class LocalBackend final : public FoldBackend {
  public:
-  /// Readings: every call works. The vote calls read the label ids in
-  /// place, the matrix is never copied.
   LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool);
-  /// Label claims only: the vote calls work, the continuous ones throw.
-  LocalBackend(const categorical::ShardedLabelMatrix& labels,
-               ThreadPool* pool);
 
   LocalBackend(const LocalBackend&) = delete;
   LocalBackend& operator=(const LocalBackend&) = delete;
 
-  std::size_t num_users() const override;
-  std::size_t num_objects() const override;
+  std::size_t num_users() const override { return matrix_.num_users(); }
+  std::size_t num_objects() const override { return matrix_.num_objects(); }
   ThreadPool* pool() const override { return pool_; }
 
   void set_weights(std::span<const double> weights) override;
@@ -145,15 +143,12 @@ class LocalBackend final : public FoldBackend {
   std::vector<double> collect_weights() override;
 
  private:
-  const data::ShardedMatrix& matrix() const;
   /// vote_prepare's alphabet; throws before a successful prepare.
   std::size_t vote_labels() const;
   /// `reg` sized to the users, filled with `fill` when first allocated.
   std::vector<double>& reg(std::vector<double>& reg, double fill = 0.0);
 
-  // Exactly one of the two is set.
-  const data::ShardedMatrix* matrix_ = nullptr;
-  const categorical::ShardedLabelMatrix* labels_ = nullptr;
+  const data::ShardedMatrix& matrix_;
   ThreadPool* pool_;
 
   // Per-user registers.

@@ -79,10 +79,9 @@ struct EveryClaim {
 /// them while the calling thread chains (pipeline_blocks); the partial
 /// buffers hold at most 2 x pool-size blocks' touched objects, never the
 /// whole matrix. Each worker keeps one object -> slot map (4 B per object).
-template <typename T, typename Matrix, typename Add, typename Chain,
-          typename Keep = EveryClaim>
-void fold_row_blocks(const Matrix& m, ThreadPool* pool, std::size_t width,
-                     const Add& add, const Chain& chain,
+template <typename T, typename Add, typename Chain, typename Keep = EveryClaim>
+void fold_row_blocks(const data::ShardedMatrix& m, ThreadPool* pool,
+                     std::size_t width, const Add& add, const Chain& chain,
                      const Keep& keep = {}) {
   constexpr std::uint32_t kUntouched =
       std::numeric_limits<std::uint32_t>::max();
@@ -196,12 +195,13 @@ struct GatheredColumns {
 /// shard count.
 GatheredColumns gather_object_values(const data::ShardedMatrix& m);
 
-/// Runs fn(global_user, row) for every user of either claim domain. Purely
-/// per-user state: nothing to merge, so execution order is free. Iterates
-/// shard by shard — rows are contiguous local ids with one base offset, no
-/// per-user routing math — and parallelizes over each shard's users.
-template <typename Matrix, typename Fn>
-void for_each_user_row(const Matrix& m, ThreadPool* pool, const Fn& fn) {
+/// Runs fn(global_user, row) for every user. Purely per-user state: nothing
+/// to merge, so execution order is free. Iterates shard by shard — rows are
+/// contiguous local ids with one base offset, no per-user routing math — and
+/// parallelizes over each shard's users.
+template <typename Fn>
+void for_each_user_row(const data::ShardedMatrix& m, ThreadPool* pool,
+                       const Fn& fn) {
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
     const auto& shard = m.shard(s);
     const std::size_t base = m.user_base(s);

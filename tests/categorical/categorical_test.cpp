@@ -1,5 +1,7 @@
-// Extension module tests: label matrix, voting, k-RR mechanism, and the
-// end-to-end categorical private-truth-discovery story.
+// Extension module tests: label-id claims, voting, k-RR mechanism, and the
+// end-to-end categorical private-truth-discovery story. Labels are readings
+// (exact doubles) in the one claim store, and every vote runs through
+// truth::MajorityVote / truth::WeightedVote.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,28 +9,52 @@
 #include "categorical/label_matrix.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
-#include "categorical/voting.h"
 #include "common/statistics.h"
+#include "truth/categorical.h"
 
 namespace dptd::categorical {
 namespace {
 
+truth::Result run_majority(const data::ObservationMatrix& claims,
+                           std::size_t num_labels) {
+  return truth::MajorityVote({.num_labels = num_labels}).run(claims);
+}
+
+truth::Result run_weighted(const data::ObservationMatrix& claims,
+                           std::size_t num_labels) {
+  truth::WeightedVoteConfig config;
+  config.num_labels = num_labels;
+  return truth::WeightedVote(config).run(claims);
+}
+
+std::vector<Label> labels(const truth::Result& result,
+                          std::size_t num_labels) {
+  return truth::labels_from_doubles(result.truths, num_labels);
+}
+
 TEST(LabelMatrix, SetGetClearAndBounds) {
-  LabelMatrix m(2, 3, 4);
+  LabelDataset dataset{data::ObservationMatrix(2, 3), 4, {}};
+  data::ObservationMatrix& m = dataset.claims;
   EXPECT_EQ(m.observation_count(), 0u);
-  m.set(0, 1, 3);
+  m.set(0, 1, 3.0);
   EXPECT_TRUE(m.present(0, 1));
-  EXPECT_EQ(m.value(0, 1), 3u);
+  EXPECT_EQ(m.value(0, 1), 3.0);
   m.clear(0, 1);
   EXPECT_FALSE(m.present(0, 1));
-  EXPECT_THROW(m.set(0, 0, 4), std::invalid_argument);  // label out of range
-  EXPECT_THROW(m.set(2, 0, 0), std::invalid_argument);  // user out of range
+  EXPECT_THROW(m.set(2, 0, 0.0), std::invalid_argument);  // user out of range
   EXPECT_THROW((void)m.value(0, 0), std::invalid_argument);  // missing
+  for (std::size_t n = 0; n < 3; ++n) m.set(0, n, 3.0);
+  EXPECT_NO_THROW(dataset.validate());
+  m.set(1, 0, 4.0);  // label out of range: the dataset refuses it
+  EXPECT_THROW(dataset.validate(), std::invalid_argument);
 }
 
 TEST(LabelMatrix, RejectsDegenerateShapes) {
-  EXPECT_THROW(LabelMatrix(0, 1, 2), std::invalid_argument);
-  EXPECT_THROW(LabelMatrix(1, 1, 1), std::invalid_argument);
+  EXPECT_THROW(data::ObservationMatrix(0, 1), std::invalid_argument);
+  EXPECT_THROW(truth::check_num_labels(1), std::invalid_argument);
+  LabelDataset one_label{data::ObservationMatrix(1, 1), 1, {}};
+  one_label.claims.set(0, 0, 0.0);
+  EXPECT_THROW(one_label.validate(), std::invalid_argument);
 }
 
 TEST(LabelAccuracy, CountsMatches) {
@@ -38,20 +64,20 @@ TEST(LabelAccuracy, CountsMatches) {
 }
 
 TEST(MajorityVote, PluralityWins) {
-  LabelMatrix m(5, 1, 3);
-  m.set(0, 0, 1);
-  m.set(1, 0, 1);
-  m.set(2, 0, 1);
-  m.set(3, 0, 2);
-  m.set(4, 0, 0);
-  EXPECT_EQ(majority_vote(m).truths[0], 1u);
+  data::ObservationMatrix m(5, 1);
+  m.set(0, 0, 1.0);
+  m.set(1, 0, 1.0);
+  m.set(2, 0, 1.0);
+  m.set(3, 0, 2.0);
+  m.set(4, 0, 0.0);
+  EXPECT_EQ(run_majority(m, 3).truths[0], 1.0);
 }
 
 TEST(MajorityVote, TiesBreakTowardSmallerLabel) {
-  LabelMatrix m(2, 1, 3);
-  m.set(0, 0, 2);
-  m.set(1, 0, 1);
-  EXPECT_EQ(majority_vote(m).truths[0], 1u);
+  data::ObservationMatrix m(2, 1);
+  m.set(0, 0, 2.0);
+  m.set(1, 0, 1.0);
+  EXPECT_EQ(run_majority(m, 3).truths[0], 1.0);
 }
 
 TEST(WeightedVote, DownweightsBadUsers) {
@@ -68,24 +94,24 @@ TEST(WeightedVote, DownweightsBadUsers) {
   for (std::size_t n = 0; n < 60; ++n) {
     const Label lie =
         static_cast<Label>((dataset.ground_truth[n] + 1) % 3);
-    dataset.claims.set(3, n, lie);
-    dataset.claims.set(4, n, lie);
+    dataset.claims.set(3, n, static_cast<double>(lie));
+    dataset.claims.set(4, n, static_cast<double>(lie));
   }
-  const VotingResult result = weighted_vote(dataset.claims);
-  EXPECT_GT(label_accuracy(result.truths, dataset.ground_truth), 0.95);
+  const truth::Result result = run_weighted(dataset.claims, 3);
+  EXPECT_GT(label_accuracy(labels(result, 3), dataset.ground_truth), 0.95);
   EXPECT_LT(result.weights[3], result.weights[0]);
   EXPECT_LT(result.weights[4], result.weights[0]);
 }
 
 TEST(WeightedVote, UnanimousDataConvergesImmediately) {
-  LabelMatrix m(3, 2, 2);
+  data::ObservationMatrix m(3, 2);
   for (std::size_t s = 0; s < 3; ++s) {
-    m.set(s, 0, 1);
-    m.set(s, 1, 0);
+    m.set(s, 0, 1.0);
+    m.set(s, 1, 0.0);
   }
-  const VotingResult result = weighted_vote(m);
+  const truth::Result result = run_weighted(m, 2);
   EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.truths, (std::vector<Label>{1, 0}));
+  EXPECT_EQ(result.truths, (std::vector<double>{1.0, 0.0}));
   for (double w : result.weights) EXPECT_DOUBLE_EQ(w, 1.0);
 }
 
@@ -96,11 +122,11 @@ TEST(WeightedVote, AtLeastAsAccurateAsMajorityOnHeterogeneousData) {
   config.lambda_err = 2.0;  // noisy population
   config.seed = 11;
   const LabelDataset dataset = generate_categorical(config);
-  const double weighted =
-      label_accuracy(weighted_vote(dataset.claims).truths,
-                     dataset.ground_truth);
-  const double majority = label_accuracy(majority_vote(dataset.claims).truths,
-                                         dataset.ground_truth);
+  const std::size_t L = dataset.num_labels;
+  const double weighted = label_accuracy(
+      labels(run_weighted(dataset.claims, L), L), dataset.ground_truth);
+  const double majority = label_accuracy(
+      labels(run_majority(dataset.claims, L), L), dataset.ground_truth);
   EXPECT_GE(weighted, majority - 0.01);
 }
 
@@ -158,8 +184,10 @@ TEST(UserSampledRr, DeterministicInSeed) {
   config.num_objects = 10;
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse mech({.lambda_rr = 1.0, .seed = 9});
-  const RandomizedResponseOutcome a = mech.perturb(dataset.claims);
-  const RandomizedResponseOutcome b = mech.perturb(dataset.claims);
+  const RandomizedResponseOutcome a =
+      mech.perturb(dataset.claims, dataset.num_labels);
+  const RandomizedResponseOutcome b =
+      mech.perturb(dataset.claims, dataset.num_labels);
   EXPECT_EQ(a.perturbed, b.perturbed);
   EXPECT_EQ(a.report.epsilons, b.report.epsilons);
 }
@@ -171,8 +199,8 @@ TEST(UserSampledRr, StrongerPrivacyFlipsMore) {
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse weak({.lambda_rr = 0.2, .seed = 3});
   const UserSampledRandomizedResponse strong({.lambda_rr = 5.0, .seed = 3});
-  const auto weak_out = weak.perturb(dataset.claims);
-  const auto strong_out = strong.perturb(dataset.claims);
+  const auto weak_out = weak.perturb(dataset.claims, dataset.num_labels);
+  const auto strong_out = strong.perturb(dataset.claims, dataset.num_labels);
   EXPECT_LT(weak_out.report.flipped_cells, strong_out.report.flipped_cells);
 }
 
@@ -188,13 +216,14 @@ TEST(EndToEnd, WeightedVotingAbsorbsRandomizedResponseNoise) {
   const LabelDataset dataset = generate_categorical(config);
 
   const UserSampledRandomizedResponse mech({.lambda_rr = 0.7, .seed = 13});
-  const RandomizedResponseOutcome outcome = mech.perturb(dataset.claims);
+  const RandomizedResponseOutcome outcome =
+      mech.perturb(dataset.claims, dataset.num_labels);
   EXPECT_GT(outcome.report.flipped_cells, 0u);
 
   const double weighted = label_accuracy(
-      weighted_vote(outcome.perturbed).truths, dataset.ground_truth);
+      labels(run_weighted(outcome.perturbed, 4), 4), dataset.ground_truth);
   const double majority = label_accuracy(
-      majority_vote(outcome.perturbed).truths, dataset.ground_truth);
+      labels(run_majority(outcome.perturbed, 4), 4), dataset.ground_truth);
   EXPECT_GT(weighted, 0.9);
   EXPECT_GE(weighted, majority);
 }
@@ -210,8 +239,8 @@ TEST(Synthetic, LambdaErrControlsAccuracy) {
   const auto agreement = [](const LabelDataset& d) {
     std::size_t hits = 0;
     std::size_t total = 0;
-    d.claims.for_each([&](std::size_t, std::size_t n, Label l) {
-      hits += (l == d.ground_truth[n]);
+    d.claims.for_each([&](std::size_t, std::size_t n, double l) {
+      hits += (static_cast<Label>(l) == d.ground_truth[n]);
       ++total;
     });
     return static_cast<double>(hits) / static_cast<double>(total);
@@ -254,9 +283,9 @@ TEST_P(RrPrivacySweep, WeightedVotingStaysAboveChance) {
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse mech({.lambda_rr = lambda_rr,
                                             .seed = 17});
-  const auto outcome = mech.perturb(dataset.claims);
+  const auto outcome = mech.perturb(dataset.claims, dataset.num_labels);
   const double accuracy = label_accuracy(
-      weighted_vote(outcome.perturbed).truths, dataset.ground_truth);
+      labels(run_weighted(outcome.perturbed, 4), 4), dataset.ground_truth);
   EXPECT_GT(accuracy, 0.3) << "lambda_rr=" << lambda_rr;  // chance = 0.25
 }
 

@@ -1,10 +1,12 @@
-// Satellite suites of the sparse categorical engine:
-//  - the sparse LabelMatrix agrees with a dense reference grid under
+// Satellite suites of the sparse categorical engine, over label ids held as
+// readings in the one claim store:
+//  - a matrix of label readings agrees with a dense reference grid under
 //    randomized set/clear traffic, on every accessor;
-//  - the streaming LabelMatrixBuilder produces matrices bitwise identical to
-//    batch assembly (last-claim-wins, duplicate rows rejected, reusable);
-//  - the voting kernels are bitwise invariant across shard counts
-//    K ∈ {1,2,4,8}, cold and warm-started;
+//  - the streaming builder fed label readings produces matrices bitwise
+//    identical to batch assembly (last-claim-wins, duplicate rows rejected,
+//    reusable);
+//  - truth::MajorityVote / truth::WeightedVote are bitwise invariant across
+//    shard counts K ∈ {1,2,4,8}, cold and warm-started;
 //  - k-RR debiasing edge cases: p = 1 identity, invalid keep probabilities
 //    (including the empty (1/L, 1] interval at L = 1), empty objects, and
 //    argmax preservation.
@@ -21,29 +23,34 @@
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
 #include "categorical/voting.h"
+#include "data/builder.h"
+#include "data/sharding.h"
+#include "truth/categorical.h"
 
 namespace dptd::categorical {
 namespace {
 
 constexpr std::size_t kBlock = 8;
 
-/// Dense reference: one optional label per cell, mutated in lockstep with
-/// the sparse matrix under test.
+/// Dense reference: one optional label reading per cell, mutated in lockstep
+/// with the sparse matrix under test.
 struct DenseGrid {
   std::size_t users;
   std::size_t objects;
-  std::vector<std::optional<Label>> cells;
+  std::vector<std::optional<double>> cells;
 
-  DenseGrid(std::size_t u, std::size_t n) : users(u), objects(n), cells(u * n) {}
-  std::optional<Label>& at(std::size_t s, std::size_t n) {
+  DenseGrid(std::size_t u, std::size_t n)
+      : users(u), objects(n), cells(u * n) {}
+  std::optional<double>& at(std::size_t s, std::size_t n) {
     return cells[s * objects + n];
   }
-  const std::optional<Label>& at(std::size_t s, std::size_t n) const {
+  const std::optional<double>& at(std::size_t s, std::size_t n) const {
     return cells[s * objects + n];
   }
 };
 
-void expect_matches_dense(const LabelMatrix& sparse, const DenseGrid& dense) {
+void expect_matches_dense(const data::ObservationMatrix& sparse,
+                          const DenseGrid& dense) {
   std::size_t nnz = 0;
   for (std::size_t s = 0; s < dense.users; ++s) {
     std::size_t row_count = 0;
@@ -90,13 +97,13 @@ TEST(SparseLabelMatrix, MatchesDenseReferenceUnderRandomizedMutation) {
   std::uniform_int_distribution<Label> pick_label(0, kLabels - 1);
   std::uniform_int_distribution<int> pick_op(0, 9);
 
-  LabelMatrix sparse(kUsers, kObjects, kLabels);
+  data::ObservationMatrix sparse(kUsers, kObjects);
   DenseGrid dense(kUsers, kObjects);
   for (int step = 0; step < 2000; ++step) {
     const std::size_t s = pick_user(rng);
     const std::size_t n = pick_object(rng);
     if (pick_op(rng) < 7) {  // mostly sets (overwrites included)
-      const Label l = pick_label(rng);
+      const auto l = static_cast<double>(pick_label(rng));
       sparse.set(s, n, l);
       dense.at(s, n) = l;
     } else {
@@ -113,20 +120,20 @@ TEST(SparseLabelMatrix, FoldScoresMatchesDenseHistogramExactly) {
   const LabelDataset dataset = generate_categorical(
       {.num_users = 40, .num_objects = 12, .num_labels = 4,
        .lambda_err = 3.0, .missing_rate = 0.35, .seed = 9});
-  const std::size_t L = dataset.claims.num_labels();
+  const std::size_t L = dataset.num_labels;
   std::vector<double> weights(dataset.claims.num_users());
   for (std::size_t s = 0; s < weights.size(); ++s) {
     weights[s] = static_cast<double>(s % 7 + 1);
   }
 
   std::vector<double> naive(dataset.claims.num_objects() * L, 0.0);
-  dataset.claims.for_each([&](std::size_t s, std::size_t n, Label l) {
-    naive[n * L + l] += weights[s];
+  dataset.claims.for_each([&](std::size_t s, std::size_t n, double l) {
+    naive[n * L + static_cast<Label>(l)] += weights[s];
   });
 
-  const auto view = ShardedLabelMatrix::single(dataset.claims, kBlock);
+  const auto view = data::ShardedMatrix::single(dataset.claims, kBlock);
   std::vector<double> folded(naive.size(), 0.0);
-  fold_label_scores(view, nullptr, weights, folded);
+  fold_label_scores(view, L, nullptr, weights, folded);
   for (std::size_t i = 0; i < naive.size(); ++i) {
     EXPECT_EQ(folded[i], naive[i]) << "cell " << i;
   }
@@ -142,17 +149,17 @@ TEST(LabelMatrixBuilder, StreamingEqualsBatchBitwise) {
   std::uniform_int_distribution<std::size_t> pick_count(0, 14);
 
   // Per-user claim streams with repeated objects (last claim wins) and
-  // arbitrary object order — the builder must match LabelMatrix::set run in
-  // the identical claim order.
-  LabelMatrix batch(kUsers, kObjects, kLabels);
-  LabelMatrixBuilder builder(kUsers, kObjects, kLabels);
+  // arbitrary object order — the builder must match ObservationMatrix::set
+  // run in the identical claim order.
+  data::ObservationMatrix batch(kUsers, kObjects);
+  data::ObservationMatrixBuilder builder(kUsers, kObjects);
   for (std::size_t s = 0; s < kUsers; ++s) {
     std::vector<std::uint64_t> objects;
-    std::vector<Label> labels;
+    std::vector<double> labels;
     const std::size_t count = pick_count(rng);
     for (std::size_t i = 0; i < count; ++i) {
       objects.push_back(pick_object(rng));
-      labels.push_back(pick_label(rng));
+      labels.push_back(static_cast<double>(pick_label(rng)));
       batch.set(s, objects.back(), labels.back());
     }
     ASSERT_TRUE(builder.add_row(s, objects, labels));
@@ -161,12 +168,15 @@ TEST(LabelMatrixBuilder, StreamingEqualsBatchBitwise) {
     EXPECT_FALSE(builder.add_row(s, objects, labels));
   }
   EXPECT_EQ(builder.rows_ingested(), kUsers);
-  const LabelMatrix streamed = builder.finalize();
+  const data::ObservationMatrix streamed = builder.finalize();
   EXPECT_EQ(streamed, batch);
 
   // Voting over the two matrices is bitwise identical.
-  const VotingResult a = weighted_vote(batch);
-  const VotingResult b = weighted_vote(streamed);
+  truth::WeightedVoteConfig vote_config;
+  vote_config.num_labels = kLabels;
+  const truth::WeightedVote vote(vote_config);
+  const truth::Result a = vote.run(batch);
+  const truth::Result b = vote.run(streamed);
   EXPECT_EQ(a.truths, b.truths);
   ASSERT_EQ(a.weights.size(), b.weights.size());
   for (std::size_t s = 0; s < a.weights.size(); ++s) {
@@ -178,14 +188,14 @@ TEST(LabelMatrixBuilder, StreamingEqualsBatchBitwise) {
   EXPECT_EQ(builder.rows_ingested(), 0u);
   EXPECT_EQ(builder.observation_count(), 0u);
   const std::vector<std::uint64_t> objs{0, 3};
-  const std::vector<Label> labs{1, 2};
+  const std::vector<double> labs{1.0, 2.0};
   ASSERT_TRUE(builder.add_row(4, objs, labs));
-  const LabelMatrix second = builder.finalize();
+  const data::ObservationMatrix second = builder.finalize();
   EXPECT_EQ(second.observation_count(), 2u);
-  EXPECT_EQ(second.get(4, 3), std::optional<Label>(2));
+  EXPECT_EQ(second.get(4, 3), std::optional<double>(2.0));
 }
 
-void expect_voting_equal(const VotingResult& a, const VotingResult& b,
+void expect_voting_equal(const truth::Result& a, const truth::Result& b,
                          const std::string& label) {
   EXPECT_EQ(a.truths, b.truths) << label;
   ASSERT_EQ(a.weights.size(), b.weights.size()) << label;
@@ -202,29 +212,34 @@ TEST(SparseLabelVoting, BitwiseInvariantAcrossShardCountsColdAndWarm) {
   const LabelDataset dataset = generate_categorical(
       {.num_users = 96, .num_objects = 24, .num_labels = 5,
        .lambda_err = 0.8, .missing_rate = 0.3, .seed = 1});
-  const auto reference_view = ShardedLabelMatrix::single(dataset.claims, kBlock);
-  const VotingResult majority_ref = majority_vote(reference_view);
-  const VotingResult vote_ref = weighted_vote(reference_view);
+  const truth::MajorityVote majority({.num_labels = dataset.num_labels});
+  truth::WeightedVoteConfig vote_config;
+  vote_config.num_labels = dataset.num_labels;
+  const truth::WeightedVote vote(vote_config);
+  const auto reference_view =
+      data::ShardedMatrix::single(dataset.claims, kBlock);
+  const truth::Result majority_ref = majority.run_sharded(reference_view);
+  const truth::Result vote_ref = vote.run_sharded(reference_view);
   ASSERT_GT(vote_ref.iterations, 1u);
 
+  // Warm halves of the seed, each against the single-shard twin.
+  const truth::WarmStart warm_weights{{}, vote_ref.weights};
+  const truth::WarmStart warm_truths{vote_ref.truths, {}};
+  const truth::Result warm_w_ref =
+      vote.run_sharded(reference_view, warm_weights);
+  const truth::Result warm_t_ref = vote.run_sharded(reference_view, warm_truths);
   for (const std::size_t k : {1u, 2u, 4u, 8u}) {
     const std::string label = "K=" + std::to_string(k);
-    const auto view = ShardedLabelMatrix::partition(dataset.claims, k, kBlock);
-    expect_voting_equal(majority_ref, majority_vote(view),
+    const auto view =
+        data::ShardedMatrix::partition(dataset.claims, k, kBlock);
+    expect_voting_equal(majority_ref, majority.run_sharded(view),
                         "majority " + label);
-    expect_voting_equal(vote_ref, weighted_vote(view), "vote cold " + label);
-
-    // Warm halves of the seed, each against the single-shard twin.
-    const VotingResult warm_w_ref =
-        weighted_vote(reference_view, {}, nullptr, vote_ref.weights);
-    expect_voting_equal(
-        warm_w_ref, weighted_vote(view, {}, nullptr, vote_ref.weights),
-        "vote warm-weights " + label);
-    const VotingResult warm_t_ref =
-        weighted_vote(reference_view, {}, nullptr, {}, vote_ref.truths);
-    expect_voting_equal(
-        warm_t_ref, weighted_vote(view, {}, nullptr, {}, vote_ref.truths),
-        "vote warm-truths " + label);
+    expect_voting_equal(vote_ref, vote.run_sharded(view),
+                        "vote cold " + label);
+    expect_voting_equal(warm_w_ref, vote.run_sharded(view, warm_weights),
+                        "vote warm-weights " + label);
+    expect_voting_equal(warm_t_ref, vote.run_sharded(view, warm_truths),
+                        "vote warm-truths " + label);
   }
 }
 

@@ -1,13 +1,18 @@
 // Categorical campaign rounds through the server stack: the same label
 // report stream lands bitwise-identical published truths through the flat
-// (K = 1) server, the multi-shard ShardedServer, and the pipelined ingestion
-// path; server-side k-RR sampling is deterministic for every worker and
-// shard count; out-of-alphabet labels are counted and dropped, never fatal;
-// and wrong-kind uploads (continuous report in a label round and vice versa)
-// are rejected and counted.
+// (K = 1) server, the multi-shard ShardedServer, the pipelined ingestion
+// path and the batch front door over the generator's own claims;
+// server-side k-RR sampling is deterministic for every worker and shard
+// count; out-of-alphabet labels are counted and dropped, never fatal;
+// wrong-kind uploads (continuous report in a label round and vice versa) are
+// rejected and counted; and the label client checks its preconditions on
+// every call.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "crowd/protocol.h"
 #include "crowd/server.h"
 #include "crowd/sharded_server.h"
+#include "data/sharding.h"
 #include "net/network.h"
 #include "truth/registry.h"
 
@@ -75,7 +81,7 @@ void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
     std::vector<categorical::Label> labels;
     for (const auto& entry : row) {
       objects.push_back(entry.object);
-      labels.push_back(entry.value);
+      labels.push_back(static_cast<categorical::Label>(entry.value));
     }
     const LabelReport report = make_label_report(
         round, s, objects, labels, kLabels, /*keep_probability=*/1.0,
@@ -100,19 +106,24 @@ RoundOutcome run_label_round(const ServerConfig& config,
   return outcomes.empty() ? RoundOutcome{} : outcomes[0];
 }
 
+/// Each double's bit pattern: EXPECT_EQ on doubles equates -0.0 and +0.0.
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+void expect_same_bits(const truth::Result& a, const truth::Result& b,
+                      const std::string& label) {
+  EXPECT_EQ(bits(a.truths), bits(b.truths)) << label;
+  EXPECT_EQ(bits(a.weights), bits(b.weights)) << label;
+  EXPECT_EQ(a.iterations, b.iterations) << label;
+}
+
 void expect_results_bitwise_equal(const RoundOutcome& a,
                                   const RoundOutcome& b,
                                   const std::string& label) {
-  ASSERT_EQ(a.result.truths.size(), b.result.truths.size()) << label;
-  for (std::size_t n = 0; n < a.result.truths.size(); ++n) {
-    // EXPECT_EQ on doubles is exact comparison — bit-identity.
-    EXPECT_EQ(a.result.truths[n], b.result.truths[n]) << label << " " << n;
-  }
-  ASSERT_EQ(a.result.weights.size(), b.result.weights.size()) << label;
-  for (std::size_t s = 0; s < a.result.weights.size(); ++s) {
-    EXPECT_EQ(a.result.weights[s], b.result.weights[s]) << label << " " << s;
-  }
-  EXPECT_EQ(a.result.iterations, b.result.iterations) << label;
+  expect_same_bits(a.result, b.result, label);
   EXPECT_EQ(a.reports_received, b.reports_received) << label;
 }
 
@@ -134,6 +145,13 @@ TEST(LabelServer, FlatShardedAndPipelinedPublishIdenticalBits) {
   const RoundOutcome pipelined =
       run_label_round(label_config(8, 4, 3), dataset);
   expect_results_bitwise_equal(flat, pipelined, "pipelined K=4 W=3");
+
+  // The batch front door over the generator's own claims, at the round's
+  // block size: the generator's store is the store the round ingested.
+  expect_same_bits(flat.result,
+                   truth::make_method("vote")->run_sharded(
+                       data::ShardedMatrix::single(dataset.claims, 4)),
+                   "batch run_sharded");
 }
 
 TEST(LabelServer, ServerSideRrIsDeterministicAcrossWorkersAndShards) {
@@ -242,6 +260,33 @@ TEST(LabelServer, WrongKindUploadsAreRejectedBothWays) {
     EXPECT_EQ(server.outcomes()[0].reports_received, 1u);
     EXPECT_GE(server.outcomes()[0].reports_rejected, 1u);
   }
+}
+
+TEST(LabelClient, PreconditionsHoldAtEveryKeepProbability) {
+  const std::vector<std::uint64_t> objects{0, 1, 2};
+  const std::vector<categorical::Label> truths{0, 3, 1};
+  const auto report = [&](std::span<const categorical::Label> labels,
+                          std::size_t num_labels, double keep) {
+    return make_label_report(1, 7, std::span(objects).first(labels.size()),
+                             labels, num_labels, keep, /*seed=*/5);
+  };
+  // Valid: the identity at keep 1.0, and real k-RR inside (1/L, 1).
+  EXPECT_EQ(report(truths, 4, 1.0).labels, truths);
+  EXPECT_EQ(report(truths, 8, 0.6).labels.size(), 3u);
+  // A keep above 1 is refused, not taken for the identity.
+  EXPECT_THROW(report(truths, 4, 1.5), std::invalid_argument);
+  EXPECT_THROW(report({}, 4, 1.5), std::invalid_argument);
+  // A keep at or below 1/L carries no signal.
+  EXPECT_THROW(report(truths, 4, 0.25), std::invalid_argument);
+  EXPECT_THROW(report(truths, 4, 0.1), std::invalid_argument);
+  EXPECT_THROW(report(truths, 4, 0.0), std::invalid_argument);
+  // A label outside the alphabet is refused at every keep, 1.0 included.
+  EXPECT_THROW(report(truths, 3, 1.0), std::invalid_argument);
+  EXPECT_THROW(report(truths, 3, 0.9), std::invalid_argument);
+  // One label is no alphabet, whether or not a draw would flip.
+  const std::vector<categorical::Label> zeros{0, 0, 0};
+  EXPECT_THROW(report(zeros, 1, 1.0), std::invalid_argument);
+  EXPECT_THROW(report(zeros, 1, 0.999), std::invalid_argument);
 }
 
 }  // namespace

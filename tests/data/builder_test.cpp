@@ -124,10 +124,17 @@ TEST(ObservationMatrixBuilder, ValidatesInput) {
   EXPECT_THROW(builder.add_row(0, two_objects, values),
                std::invalid_argument);
 
-  // The label builder refuses a label outside its alphabet.
-  categorical::LabelMatrixBuilder labels(2, 3, 3);
-  const std::vector<categorical::Label> bad_label{3};
-  EXPECT_THROW(labels.add_row(0, objects, bad_label), std::invalid_argument);
+  // A label outside its alphabet is a finite reading to the builder; the
+  // dataset that declares the alphabet refuses it.
+  ObservationMatrixBuilder labels(2, 3);
+  const std::vector<double> bad_label{3.0};
+  ASSERT_TRUE(labels.add_row(0, objects, bad_label));
+  categorical::LabelDataset dataset{labels.finalize(), 3, {}};
+  dataset.claims.set(1, 1, 0.0);
+  dataset.claims.set(1, 2, 2.0);
+  EXPECT_THROW(dataset.validate(), std::invalid_argument);
+  dataset.claims.set(0, 0, 2.0);
+  EXPECT_NO_THROW(dataset.validate());
 }
 
 TEST(ObservationMatrixBuilder, ResetAndFinalizeLeaveBuilderReusable) {
@@ -224,10 +231,16 @@ TEST(ObservationMatrixFromRows, ValidatesRows) {
                  std::invalid_argument);
   }
   {
-    // A label matrix refuses a label outside its alphabet.
-    std::vector<std::vector<categorical::LabelMatrix::Entry>> rows{{{0, 3}}};
-    EXPECT_THROW(categorical::LabelMatrix::from_rows(std::move(rows), 3, 3),
-                 std::invalid_argument);
+    // Label-id readings from rows: a label outside the alphabet, or a value
+    // that is no label id at all, fails the dataset that declares it.
+    for (const double bad : {3.0, 1.5, -1.0}) {
+      std::vector<std::vector<Entry>> rows{{{0, 1.0}, {1, 2.0}, {2, bad}}};
+      categorical::LabelDataset dataset{
+          ObservationMatrix::from_rows(std::move(rows), 3), 3, {}};
+      EXPECT_THROW(dataset.validate(), std::invalid_argument) << bad;
+      dataset.claims.set(0, 2, 0.0);
+      EXPECT_NO_THROW(dataset.validate()) << bad;
+    }
   }
 }
 

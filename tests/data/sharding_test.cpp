@@ -7,9 +7,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "categorical/label_matrix.h"
 #include "data/sharding.h"
 #include "data/synthetic.h"
+#include "truth/categorical.h"
 
 namespace dptd::data {
 namespace {
@@ -163,14 +163,20 @@ TEST(ShardedMatrix, FromShardsValidatesShapes) {
     EXPECT_THROW(ShardedMatrix::from_shards(bogus, std::move(shards), 5),
                  std::invalid_argument);
   }
-  // A label shard with a different alphabet.
+  // Label shards hold label-id readings and no alphabet, so the shards of
+  // one view cannot disagree on it: the vote over them declares it, and an
+  // alphabet below 2 labels is refused (truth::check_num_labels).
   {
-    std::vector<categorical::LabelMatrix> two;
-    two.emplace_back(8, 5, 3);
-    two.emplace_back(8, 5, 4);
-    EXPECT_THROW(
-        categorical::ShardedLabelMatrix::from_shards(plan, std::move(two), 5, 3),
-        std::invalid_argument);
+    std::vector<ObservationMatrix> two;
+    two.emplace_back(8, 5);
+    two.emplace_back(8, 5);
+    two[0].set(0, 0, 2.0);
+    two[1].set(7, 4, 1.0);
+    const ShardedMatrix labels =
+        ShardedMatrix::from_shards(plan, std::move(two), 5);
+    EXPECT_THROW(truth::MajorityVote({.num_labels = 1}), std::invalid_argument);
+    EXPECT_EQ(truth::MajorityVote({.num_labels = 3}).run_sharded(labels).truths,
+              (std::vector<double>{2.0, 0.0, 0.0, 0.0, 1.0}));
   }
   // And the happy path.
   {

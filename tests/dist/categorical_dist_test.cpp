@@ -41,16 +41,6 @@ categorical::LabelDataset label_dataset(std::uint64_t seed, std::size_t users,
   return categorical::generate_categorical(config);
 }
 
-/// The in-process reference input: label ids as exact doubles, the same
-/// encoding the shard builders store from decoded kLabelReport claims.
-data::ObservationMatrix as_observations(const categorical::LabelMatrix& m) {
-  data::ObservationMatrix obs(m.num_users(), m.num_objects());
-  m.for_each([&](std::size_t s, std::size_t n, categorical::Label l) {
-    obs.set(s, n, static_cast<double>(l));
-  });
-  return obs;
-}
-
 MethodSpec spec_for(const std::string& name) {
   MethodSpec spec;
   if (name == "majority") {
@@ -120,7 +110,7 @@ void send_label_dataset(Fleet& fleet,
     report.user_id = s;
     for (const auto& entry : row) {
       report.objects.push_back(entry.object);
-      report.labels.push_back(entry.value);
+      report.labels.push_back(static_cast<categorical::Label>(entry.value));
     }
     fleet.network.send(crowd::make_message(report.user_id, kCoordinatorId,
                                            crowd::MessageType::kLabelReport,
@@ -133,9 +123,10 @@ class CategoricalDistributed : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CategoricalDistributed, ColdRoundMatchesInProcessBitwiseAtEveryK) {
   const std::string name = GetParam();
+  // The in-process reference input is the generator's own claims: label ids
+  // as exact doubles, the encoding the shard builders store from decoded
+  // kLabelReport claims.
   const categorical::LabelDataset dataset = label_dataset(501, 64, 12);
-  const data::ObservationMatrix observations =
-      as_observations(dataset.claims);
   const MethodSpec spec = spec_for(name);
   const auto method = make_method(spec);
 
@@ -152,7 +143,7 @@ TEST_P(CategoricalDistributed, ColdRoundMatchesInProcessBitwiseAtEveryK) {
     EXPECT_EQ(outcome.reports_unroutable, 0u) << label;
 
     const truth::Result reference = method->run_sharded(
-        data::ShardedMatrix::partition(observations, k, kTestBlock));
+        data::ShardedMatrix::partition(dataset.claims, k, kTestBlock));
     expect_bitwise_equal(reference, outcome.result, label);
   }
 }
@@ -161,8 +152,6 @@ TEST(CategoricalDistributed, WeightedVoteIteratesAndWarmRoundMatches) {
   const MethodSpec spec = spec_for("vote");
   const categorical::LabelDataset previous = label_dataset(61, 64, 12);
   const categorical::LabelDataset current = label_dataset(62, 64, 12);
-  const data::ObservationMatrix prev_obs = as_observations(previous.claims);
-  const data::ObservationMatrix cur_obs = as_observations(current.claims);
   const auto method = make_method(spec);
   const auto participants = participant_ids(64);
 
@@ -184,12 +173,12 @@ TEST(CategoricalDistributed, WeightedVoteIteratesAndWarmRoundMatches) {
 
     // Unchanged roster: the in-process seed is round 1's converged state.
     const truth::Result prior = method->run_sharded(
-        data::ShardedMatrix::partition(prev_obs, k, kTestBlock));
+        data::ShardedMatrix::partition(previous.claims, k, kTestBlock));
     truth::WarmStart seed;
     seed.truths = prior.truths;
     seed.weights = prior.weights;
     const truth::Result reference = method->run_sharded(
-        data::ShardedMatrix::partition(cur_obs, k, kTestBlock), seed);
+        data::ShardedMatrix::partition(current.claims, k, kTestBlock), seed);
     expect_bitwise_equal(reference, second.result, label);
   }
 }

@@ -217,14 +217,14 @@ categorical::LabelDataset pin_label_dataset(std::uint64_t seed,
   config.seed = seed;
   categorical::LabelDataset dataset = categorical::generate_categorical(config);
   if (unanimous) {
-    std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(64);
+    std::vector<std::vector<data::ObservationMatrix::Entry>> rows(64);
     for (std::size_t s = 0; s < rows.size(); ++s) {
       for (std::size_t n = 0; n < config.num_objects; ++n) {
-        rows[s].push_back({n, static_cast<categorical::Label>(n % kPinLabels)});
+        rows[s].push_back({n, static_cast<double>(n % kPinLabels)});
       }
     }
-    dataset.claims = categorical::LabelMatrix::from_rows(
-        std::move(rows), config.num_objects, kPinLabels);
+    dataset.claims =
+        data::ObservationMatrix::from_rows(std::move(rows), config.num_objects);
   }
   return dataset;
 }
@@ -239,7 +239,7 @@ void send_label_dataset(Fleet& fleet, const categorical::LabelDataset& dataset,
     report.user_id = s;
     for (const auto& entry : row) {
       report.objects.push_back(entry.object);
-      report.labels.push_back(entry.value);
+      report.labels.push_back(static_cast<categorical::Label>(entry.value));
     }
     fleet.network.send(crowd::make_message(report.user_id, kCoordinatorId,
                                            crowd::MessageType::kLabelReport,

@@ -233,7 +233,7 @@ void inject_reports(Coordinator& coordinator, const Workload& workload,
       report.user_id = s;
       for (const auto& entry : row) {
         report.objects.push_back(entry.object);
-        report.labels.push_back(entry.value);
+        report.labels.push_back(static_cast<categorical::Label>(entry.value));
       }
       coordinator.on_message(
           crowd::make_message(report.user_id, kCoordinatorId,

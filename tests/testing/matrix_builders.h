@@ -12,11 +12,10 @@
 namespace dptd::testing {
 
 /// One object's claims: the claiming users in ascending order, and their
-/// values.
-template <typename Domain>
+/// values (readings, or label ids as exact doubles).
 struct Column {
   std::vector<std::size_t> users;
-  std::vector<typename Domain::Value> values;
+  std::vector<double> values;
 
   std::size_t size() const { return users.size(); }
   bool empty() const { return users.empty(); }
@@ -24,10 +23,9 @@ struct Column {
 
 /// The column of `object`, read by scanning every user's row: an oracle
 /// that shares no code with truth::gather_object_values.
-template <typename Domain>
-Column<Domain> column_of(const data::ClaimMatrix<Domain>& matrix,
-                         std::size_t object) {
-  Column<Domain> column;
+inline Column column_of(const data::ObservationMatrix& matrix,
+                        std::size_t object) {
+  Column column;
   for (std::size_t s = 0; s < matrix.num_users(); ++s) {
     if (const auto value = matrix.get(s, object)) {
       column.users.push_back(s);

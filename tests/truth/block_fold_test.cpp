@@ -37,6 +37,7 @@
 #include "data/sharding.h"
 #include "data/synthetic.h"
 #include "testing/matrix_builders.h"
+#include "truth/categorical.h"
 #include "truth/fold_backend.h"
 #include "truth/interface.h"
 #include "truth/registry.h"
@@ -119,13 +120,13 @@ void column_fold_moments(const data::ShardedMatrix& m,
   }
 }
 
-void column_fold_label_scores(const categorical::ShardedLabelMatrix& m,
+/// Over label-id readings, every claim a label below L.
+void column_fold_label_scores(const data::ShardedMatrix& m, std::size_t L,
                               const std::vector<double>& weights,
                               std::vector<double>& scores) {
-  const std::size_t L = m.num_labels();
   const std::size_t block_size = m.plan().block_size;
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const categorical::LabelMatrix& shard = m.shard(s);
+    const data::ObservationMatrix& shard = m.shard(s);
     const std::size_t base = m.user_base(s);
     for (std::size_t n = 0; n < m.num_objects(); ++n) {
       const auto col = testing::column_of(shard, n);
@@ -144,7 +145,8 @@ void column_fold_label_scores(const categorical::ShardedLabelMatrix& m,
           }
           block_end = ((base + user) / block_size + 1) * block_size - base;
         }
-        seg[col.values[i]] += weights[base + user];
+        seg[static_cast<categorical::Label>(col.values[i])] +=
+            weights[base + user];
       }
       for (std::size_t v = 0; v < L; ++v) scores[n * L + v] = acc[v] + seg[v];
     }
@@ -196,15 +198,15 @@ data::ObservationMatrix wild_matrix(std::uint64_t seed) {
   return obs;
 }
 
-categorical::LabelMatrix wild_labels(std::uint64_t seed) {
+/// Label ids below kLabels as exact doubles.
+data::ObservationMatrix wild_labels(std::uint64_t seed) {
   Rng rng(seed);
-  categorical::LabelMatrix claims_matrix(kUsers, kObjects, kLabels);
+  data::ObservationMatrix claims_matrix(kUsers, kObjects);
   for (std::size_t s = 0; s < kUsers; ++s) {
     if (unit(rng) < 0.15) continue;
     for (std::size_t n = 0; n < kObjects; ++n) {
       if (claims(rng, s, n)) {
-        claims_matrix.set(s, n,
-                          static_cast<categorical::Label>(rng.next() % kLabels));
+        claims_matrix.set(s, n, static_cast<double>(rng.next() % kLabels));
       }
     }
   }
@@ -363,16 +365,16 @@ TEST(BlockFold, ObjectMomentsMatchColumnWalk) {
 }
 
 TEST(BlockFold, LabelScoresMatchColumnWalk) {
-  const categorical::LabelMatrix claims_matrix = wild_labels(51);
+  const data::ObservationMatrix claims_matrix = wild_labels(51);
   const std::vector<double> weights = wild_weights(52);
   const std::vector<double> init = wild_init(53, kObjects * kLabels);
   sweep([&](std::size_t k, std::size_t block, ThreadPool* pool) {
-    const categorical::ShardedLabelMatrix m =
-        categorical::ShardedLabelMatrix::partition(claims_matrix, k, block);
+    const data::ShardedMatrix m =
+        data::ShardedMatrix::partition(claims_matrix, k, block);
     std::vector<double> expected = init;
     std::vector<double> actual = init;
-    column_fold_label_scores(m, weights, expected);
-    categorical::fold_label_scores(m, pool, weights, actual);
+    column_fold_label_scores(m, kLabels, weights, expected);
+    categorical::fold_label_scores(m, kLabels, pool, weights, actual);
     expect_same_bits(expected, actual, "scores");
   });
 }
@@ -383,15 +385,16 @@ TEST(BlockFold, SignedZerosFollowTheColumnWalk) {
   // all its bins, the unclaimed ones included, while object 2, which nobody
   // covers, keeps its -0.0. Chaining a +0.0 segment for an object the block
   // did not touch would flip it; chaining only the claimed label bins would
-  // leave object 0's bin 0 at -0.0. The same labels read in place from
-  // readings must keep those bits: the reading that is no label (2.5, on
-  // object 2) is skipped before it can touch its object.
+  // leave object 0's bin 0 at -0.0. The same labels next to a reading that
+  // is no label (2.5, on object 2), and with label 0 written as -0.0, must
+  // keep those bits: the non-label is skipped before it can touch its
+  // object.
   data::ObservationMatrix obs(2, 3);
   obs.set(0, 0, -0.0);
   obs.set(1, 1, -0.0);
-  categorical::LabelMatrix labels(2, 3, 2);
-  labels.set(0, 0, 1);
-  labels.set(1, 1, 0);
+  data::ObservationMatrix labels(2, 3);
+  labels.set(0, 0, 1.0);
+  labels.set(1, 1, 0.0);
   data::ObservationMatrix readings(2, 3);
   readings.set(0, 0, 1.0);
   readings.set(0, 2, 2.5);
@@ -410,12 +413,11 @@ TEST(BlockFold, SignedZerosFollowTheColumnWalk) {
     EXPECT_FALSE(std::signbit(actual[0]));
     EXPECT_TRUE(std::signbit(actual[2]));
 
-    const categorical::ShardedLabelMatrix lm =
-        categorical::ShardedLabelMatrix::partition(labels, k, 1);
+    const data::ShardedMatrix lm = data::ShardedMatrix::partition(labels, k, 1);
     std::vector<double> expected_scores(6, -0.0);
     std::vector<double> actual_scores(6, -0.0);
-    column_fold_label_scores(lm, weights, expected_scores);
-    categorical::fold_label_scores(lm, nullptr, weights, actual_scores);
+    column_fold_label_scores(lm, 2, weights, expected_scores);
+    categorical::fold_label_scores(lm, 2, nullptr, weights, actual_scores);
     expect_same_bits(expected_scores, actual_scores, "scores");
     EXPECT_FALSE(std::signbit(actual_scores[0]));
     EXPECT_TRUE(std::signbit(actual_scores[4]));
@@ -544,39 +546,21 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
     expect_same_result(expected, actual);
   }
 
-  // The label matrices the vote kernels fold directly.
-  const categorical::LabelMatrix flat = wild_labels(79);
-  std::vector<categorical::LabelMatrix> label_shards;
-  const data::ShardPlan plan = data::ShardPlan::create(kUsers, 3, 8);
-  for (std::size_t s = 0; s < plan.num_shards; ++s) {
-    categorical::LabelMatrixBuilder builder(plan.shard_num_users(s), kObjects,
-                                            kLabels);
-    for (std::size_t local = 0; local < plan.shard_num_users(s); ++local) {
-      std::vector<std::uint64_t> objects;
-      std::vector<categorical::Label> row_labels;
-      for (const auto& e : flat.user_entries(plan.user_begin(s) + local)) {
-        objects.push_back(e.object);
-        row_labels.push_back(e.value);
-      }
-      builder.add_row(local, objects, row_labels);
-    }
-    label_shards.push_back(builder.finalize());
-  }
-  const categorical::ShardedLabelMatrix m =
-      categorical::ShardedLabelMatrix::from_shards(
-          plan, std::move(label_shards), kObjects, kLabels);
-  ThreadPool pool(4);
-  const categorical::VotingResult weighted =
-      categorical::weighted_vote(m, {}, &pool);
-  const categorical::VotingResult majority =
-      categorical::majority_vote(m, &pool);
-  const categorical::ShardedLabelMatrix single =
-      categorical::ShardedLabelMatrix::single(flat, 8);
-  const categorical::VotingResult weighted_single =
-      categorical::weighted_vote(single);
-  EXPECT_EQ(weighted.truths, weighted_single.truths);
-  expect_same_bits(weighted_single.weights, weighted.weights, "vote weights");
-  EXPECT_EQ(majority.truths, categorical::majority_vote(single).truths);
+  // Wild label readings (empty users and blocks, uncovered objects) over
+  // the full alphabet, pooled on fresh shards against one serial shard.
+  const data::ObservationMatrix flat = wild_labels(79);
+  const data::ShardedMatrix m = fresh_shards(flat, 3, 8);
+  WeightedVoteConfig vote_config;
+  vote_config.num_labels = kLabels;
+  vote_config.num_threads = 4;
+  const Result weighted = WeightedVote(vote_config).run_sharded(m);
+  const Result majority =
+      MajorityVote({.num_labels = kLabels, .num_threads = 4}).run_sharded(m);
+  const data::ShardedMatrix single = data::ShardedMatrix::single(flat, 8);
+  vote_config.num_threads = 1;
+  expect_same_result(WeightedVote(vote_config).run_sharded(single), weighted);
+  expect_same_result(
+      MajorityVote({.num_labels = kLabels}).run_sharded(single), majority);
 }
 
 TEST(BlockFold, GatherBuildsEachColumnInUserOrder) {

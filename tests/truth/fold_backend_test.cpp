@@ -224,10 +224,6 @@ std::vector<std::uint64_t> bits(const std::vector<double>& values) {
   return out;
 }
 
-std::vector<double> label_doubles(const std::vector<categorical::Label>& in) {
-  return std::vector<double>(in.begin(), in.end());
-}
-
 TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
   // Labels 0-2 and -0.0 (label 0) mixed with readings that are no label
   // below 3. Object 6 is claimed by non-labels alone, and so is every claim
@@ -262,7 +258,7 @@ TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
             data::ShardedMatrix::partition(obs, k, block);
         const categorical::ShardedLabelMatrix view = label_view(m, kLabels);
         LocalBackend readings(m, pool.get());
-        LocalBackend copied(view, pool.get());
+        LocalBackend copied(view.readings, pool.get());
         readings.vote_prepare(kLabels, 1e-12);
         copied.vote_prepare(kLabels, 1e-12);
 
@@ -285,17 +281,16 @@ TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
         EXPECT_EQ(bits(readings.collect_weights()),
                   bits(copied.collect_weights()));
 
-        const categorical::VotingResult majority =
-            categorical::majority_vote(view, pool.get());
-        const categorical::VotingResult weighted =
-            categorical::weighted_vote(view, vote.voting, pool.get());
+        // The whole loops, over the readings and over label_view's copy.
         const MajorityVote majority_method(
             {.num_labels = kLabels, .num_threads = threads});
         const WeightedVote weighted_method(vote);
+        const Result majority = majority_method.run_sharded(view.readings);
+        const Result weighted = weighted_method.run_sharded(view.readings);
         const Result cold_majority = majority_method.run_sharded(m);
         const Result cold = weighted_method.run_sharded(m);
-        EXPECT_EQ(cold_majority.truths, label_doubles(majority.truths));
-        EXPECT_EQ(cold.truths, label_doubles(weighted.truths));
+        EXPECT_EQ(cold_majority.truths, majority.truths);
+        EXPECT_EQ(cold.truths, weighted.truths);
         EXPECT_EQ(bits(cold.weights), bits(weighted.weights));
         EXPECT_EQ(cold.iterations, weighted.iterations);
 
@@ -305,14 +300,12 @@ TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
         seed.weights = cold.weights;
         seed.weights[0] = 0.5;
         seed.truths[0] = 2.0;
-        const categorical::VotingResult warm_weighted =
-            categorical::weighted_vote(
-                view, vote.voting, pool.get(), seed.weights,
-                labels_from_doubles(seed.truths, kLabels));
+        const Result warm_weighted =
+            weighted_method.run_sharded(view.readings, seed);
         const Result warm = weighted_method.run_sharded(m, seed);
         EXPECT_EQ(majority_method.run_sharded(m, seed).truths,
-                  label_doubles(majority.truths));
-        EXPECT_EQ(warm.truths, label_doubles(warm_weighted.truths));
+                  majority.truths);
+        EXPECT_EQ(warm.truths, warm_weighted.truths);
         EXPECT_EQ(bits(warm.weights), bits(warm_weighted.weights));
         EXPECT_EQ(warm.iterations, warm_weighted.iterations);
       }
@@ -351,17 +344,6 @@ TEST(FoldBackend, StepsBeforeTheirPrepareAreRefused) {
   backend.crh_prepare(CrhLoss::kSquared, 1e-12, std::vector<double>(4, 1.0));
   EXPECT_THROW(backend.crh_loss(std::vector<double>(3, 0.0), 0.0),
                std::invalid_argument);
-
-  // A label-claims backend runs the vote loops and nothing continuous.
-  const categorical::LabelMatrix labels(16, 4, kLabels);
-  const categorical::ShardedLabelMatrix view =
-      categorical::ShardedLabelMatrix::single(labels, kBlock);
-  LocalBackend votes(view, nullptr);
-  AggregateStats acc;
-  acc.reset(4);
-  EXPECT_THROW(votes.aggregate(acc), std::invalid_argument);
-  EXPECT_THROW(votes.vote_prepare(kLabels + 1, 1e-12), std::invalid_argument);
-  EXPECT_EQ(run_majority_vote(votes, kLabels).truths.size(), 4u);
 }
 
 }  // namespace
