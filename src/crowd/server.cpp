@@ -158,13 +158,14 @@ data::ObservationMatrix ShardIngestor::finalize() {
 void ParticipantIndex::build(const std::vector<net::NodeId>& participants) {
   ParticipantIndex built;
   built.size_ = participants.size();
+  built.base_ = participants.empty() ? 0 : participants.front();
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    if (participants[i] != static_cast<net::NodeId>(i)) {
-      built.identity_ = false;
+    if (participants[i] - built.base_ != i) {
+      built.contiguous_ = false;
       break;
     }
   }
-  if (!built.identity_) {
+  if (!built.contiguous_) {
     built.rows_.reserve(participants.size());
     for (std::size_t i = 0; i < participants.size(); ++i) {
       DPTD_REQUIRE(built.rows_.emplace(participants[i], i).second,
@@ -175,9 +176,11 @@ void ParticipantIndex::build(const std::vector<net::NodeId>& participants) {
 }
 
 std::optional<std::size_t> ParticipantIndex::row_of(net::NodeId user) const {
-  if (identity_) {
-    if (static_cast<std::size_t>(user) >= size_) return std::nullopt;
-    return static_cast<std::size_t>(user);
+  if (contiguous_) {
+    // Unsigned like build()'s test, so an id below base_ wraps past size_.
+    const net::NodeId row = user - base_;
+    if (row >= size_) return std::nullopt;
+    return static_cast<std::size_t>(row);
   }
   const auto it = rows_.find(user);
   if (it == rows_.end()) return std::nullopt;

@@ -174,10 +174,11 @@ class alignas(64) ShardIngestor {
 };
 
 /// Maps a report's stable user/node id to its row in the round's observation
-/// matrix (= its position in the participants roster). The common dense
-/// roster [0, P) resolves by identity without a table; arbitrary rosters —
-/// partial fleets after churn — build a hash index. ShardedServer and the
-/// Coordinator resolve global rows with it, each ShardNode its roster slice.
+/// matrix (= its position in the participants roster). A contiguous roster
+/// [base, base + P) — the full fleet [0, P), and every ShardNode's slice of
+/// it — resolves by subtraction without a table; other rosters (partial
+/// fleets after churn) build a hash index. ShardedServer and the Coordinator
+/// resolve global rows with it, each ShardNode its roster slice.
 class ParticipantIndex {
  public:
   /// Throws std::invalid_argument, leaving the index unchanged, when an id
@@ -190,7 +191,8 @@ class ParticipantIndex {
 
  private:
   std::size_t size_ = 0;
-  bool identity_ = true;
+  bool contiguous_ = true;
+  net::NodeId base_ = 0;  ///< first id of a contiguous roster
   std::unordered_map<net::NodeId, std::size_t> rows_;
 };
 

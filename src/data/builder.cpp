@@ -26,8 +26,10 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
                "ObservationMatrixBuilder: objects/values size mismatch");
   if (ingested_[user]) return false;
 
-  std::vector<Entry>& row = rows_[user];
-  row.reserve(objects.size());
+  // The row is built in the arena's free tail and claimed only once every
+  // claim has passed its checks.
+  Entry* const row = arena_.reserve(objects.size());
+  std::size_t size = 0;
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto object = static_cast<std::size_t>(objects[i]);
     DPTD_REQUIRE(object < num_objects_,
@@ -37,21 +39,24 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
     // Same insertion scheme as ObservationMatrix::set, so a streamed row is
     // bitwise identical to a batch-assembled one: ascending append fast
     // path, otherwise sorted insert with last-claim-wins overwrite.
-    if (row.empty() || row.back().object < object) {
-      row.push_back({object, values[i]});
-      ++nnz_;
+    if (size == 0 || row[size - 1].object < object) {
+      row[size++] = {object, values[i]};
       continue;
     }
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), object,
+    Entry* const it = std::lower_bound(
+        row, row + size, object,
         [](const Entry& e, std::size_t n) { return e.object < n; });
-    if (it != row.end() && it->object == object) {
+    if (it->object == object) {
       it->value = values[i];
     } else {
-      row.insert(it, {object, values[i]});
-      ++nnz_;
+      std::copy_backward(it, row + size, row + size + 1);
+      *it = {object, values[i]};
+      ++size;
     }
   }
+  arena_.commit(size);
+  rows_[user] = {row, size};
+  nnz_ += size;
   ingested_[user] = 1;
   ++rows_ingested_;
   return true;
@@ -69,14 +74,11 @@ void ObservationMatrixBuilder::reshape(std::size_t num_users,
                "ObservationMatrixBuilder: dimensions must be positive");
   num_users_ = num_users;
   num_objects_ = num_objects;
-  rows_.resize(num_users_);
-  for (std::vector<Entry>& row : rows_) row.clear();
-  ingested_.assign(num_users_, 0);
-  nnz_ = 0;
-  rows_ingested_ = 0;
+  reset();
 }
 
 void ObservationMatrixBuilder::reset() {
+  arena_ = {};
   rows_.assign(num_users_, {});
   ingested_.assign(num_users_, 0);
   nnz_ = 0;
@@ -84,8 +86,8 @@ void ObservationMatrixBuilder::reset() {
 }
 
 ObservationMatrix ObservationMatrixBuilder::finalize() {
-  ObservationMatrix out =
-      ObservationMatrix::from_rows(std::move(rows_), num_objects_);
+  ObservationMatrix out = ObservationMatrix::adopt(
+      std::move(arena_), std::move(rows_), num_objects_);
   reset();
   return out;
 }

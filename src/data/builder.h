@@ -20,8 +20,15 @@ namespace dptd::data {
 /// semantics as calling ObservationMatrix::set in claim order, so a streamed
 /// matrix is bitwise identical to a batch-assembled one).
 ///
-/// The builder is reusable: finalize() moves the accumulated rows out and
-/// leaves the builder empty with the same shape, ready for the next round.
+/// Storage is the matrix's own: add_row writes each row at the tail of a
+/// claim arena (ObservationMatrix's block policy: blocks that start at 4 KiB,
+/// double up to 256 KiB and never move) and records a (pointer, length) span
+/// per user, so ingesting a row allocates nothing beyond the arena's next
+/// block. A row that fails validation halfway leaves no claims behind.
+///
+/// The builder is reusable: finalize() hands the arena and the row spans to
+/// the matrix without copying a claim, and leaves the builder empty with the
+/// same shape, ready for the next round. Moving a builder keeps its rows.
 class ObservationMatrixBuilder {
  public:
   using Entry = ObservationMatrix::Entry;
@@ -54,12 +61,13 @@ class ObservationMatrixBuilder {
 
   /// Resets AND re-shapes in place: the builder afterwards accepts users in
   /// [0, num_users) and objects in [0, num_objects), with no ingested rows.
-  /// Reuses the row/flag storage where possible, so a long-lived worker can
-  /// serve rounds of varying participant counts without reallocation churn.
+  /// Reuses the row index and flag storage where possible, so a long-lived
+  /// worker can serve rounds of varying participant counts without
+  /// reallocation churn.
   void reshape(std::size_t num_users, std::size_t num_objects);
 
-  /// Moves the ingested rows into an ObservationMatrix (O(nnz), no dense
-  /// pass) and resets the builder for reuse.
+  /// Hands the ingested rows to an ObservationMatrix (O(nnz) checks, no
+  /// claim copied) and resets the builder for reuse.
   ObservationMatrix finalize();
 
  private:
@@ -67,7 +75,8 @@ class ObservationMatrixBuilder {
   std::size_t num_objects_ = 0;
   std::size_t nnz_ = 0;
   std::size_t rows_ingested_ = 0;
-  std::vector<std::vector<Entry>> rows_;
+  ObservationMatrix::Arena arena_;
+  std::vector<std::span<Entry>> rows_;  ///< per-user run in arena_
   std::vector<char> ingested_;  ///< per-user flag (row may be legally empty)
 };
 

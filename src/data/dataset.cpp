@@ -3,10 +3,60 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 
 namespace dptd::data {
+
+namespace {
+
+using Entry = ObservationMatrix::Entry;
+
+/// Block policy of the claim arena: the first block holds 4 KiB of entries
+/// and each later one doubles, up to 4 KiB << 6 = 256 KiB. A 2k-user round
+/// stays within a few small blocks; a 1M-user round fills a few hundred
+/// large ones instead of a million small chunks.
+constexpr std::size_t kFirstBlockEntries =
+    (std::size_t{4} << 10) / sizeof(Entry);
+constexpr std::size_t kBlockDoublings = 6;
+
+bool before_object(const Entry& e, std::size_t object) {
+  return e.object < object;
+}
+
+}  // namespace
+
+ObservationMatrix::Arena& ObservationMatrix::Arena::operator=(
+    Arena&& other) noexcept {
+  blocks_ = std::exchange(other.blocks_, {});
+  block_ = std::exchange(other.block_, nullptr);
+  used_ = std::exchange(other.used_, 0);
+  capacity_ = std::exchange(other.capacity_, 0);
+  return *this;
+}
+
+Entry* ObservationMatrix::Arena::reserve(std::size_t n) {
+  if (capacity_ - used_ < n) {
+    const std::size_t regular =
+        kFirstBlockEntries << std::min(blocks_.size(), kBlockDoublings);
+    const std::size_t capacity = std::max(n, regular);
+    std::unique_ptr<Entry[], Release> block(
+        static_cast<Entry*>(::operator new(capacity * sizeof(Entry))));
+    blocks_.push_back(std::move(block));
+    block_ = blocks_.back().get();
+    used_ = 0;
+    capacity_ = capacity;
+  }
+  return block_ + used_;
+}
+
+std::span<Entry> ObservationMatrix::Arena::append(std::span<const Entry> row) {
+  Entry* const out = reserve(row.size());
+  std::copy(row.begin(), row.end(), out);
+  commit(row.size());
+  return {out, row.size()};
+}
 
 ObservationMatrix::ObservationMatrix(std::size_t num_users,
                                      std::size_t num_objects)
@@ -18,11 +68,44 @@ ObservationMatrix::ObservationMatrix(std::size_t num_users,
                "ObservationMatrix: dimensions must be positive");
 }
 
+ObservationMatrix::ObservationMatrix(const ObservationMatrix& other)
+    : num_users_(other.num_users_),
+      num_objects_(other.num_objects_),
+      nnz_(other.nnz_),
+      object_counts_(other.object_counts_) {
+  rows_.reserve(other.rows_.size());
+  for (const std::span<const Entry> row : other.rows_) {
+    rows_.push_back(arena_.append(row));
+  }
+}
+
+ObservationMatrix& ObservationMatrix::operator=(
+    const ObservationMatrix& other) {
+  if (this != &other) *this = ObservationMatrix(other);
+  return *this;
+}
+
 ObservationMatrix ObservationMatrix::from_rows(
-    std::vector<std::vector<Entry>> rows, std::size_t num_objects) {
-  ObservationMatrix out(rows.size(), num_objects);
+    const std::vector<std::vector<Entry>>& rows, std::size_t num_objects) {
+  Arena arena;
+  std::vector<std::span<Entry>> spans;
+  spans.reserve(rows.size());
+  for (const std::vector<Entry>& row : rows) spans.push_back(arena.append(row));
+  return adopt(std::move(arena), std::move(spans), num_objects);
+}
+
+ObservationMatrix ObservationMatrix::adopt(Arena arena,
+                                           std::vector<std::span<Entry>> rows,
+                                           std::size_t num_objects) {
+  DPTD_REQUIRE(!rows.empty() && num_objects > 0,
+               "ObservationMatrix: dimensions must be positive");
+  ObservationMatrix out;
+  out.num_users_ = rows.size();
+  out.num_objects_ = num_objects;
+  out.arena_ = std::move(arena);
   out.rows_ = std::move(rows);
-  for (const std::vector<Entry>& row : out.rows_) {
+  out.object_counts_.assign(num_objects, 0);
+  for (const std::span<const Entry> row : out.rows_) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       DPTD_REQUIRE(row[i].object < num_objects,
                    "ObservationMatrix::from_rows: object out of range");
@@ -43,69 +126,77 @@ void ObservationMatrix::check_bounds(std::size_t user,
   DPTD_REQUIRE(object < num_objects_, "ObservationMatrix: object out of range");
 }
 
-std::vector<ObservationMatrix::Entry>::const_iterator
-ObservationMatrix::find_in_row(std::size_t user, std::size_t object) const {
-  const std::vector<Entry>& row = rows_[user];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
-  if (it != row.end() && it->object == object) return it;
-  return row.end();
+const Entry* ObservationMatrix::find_in_row(std::size_t user,
+                                            std::size_t object) const {
+  const std::span<const Entry> row = rows_[user];
+  const auto it =
+      std::lower_bound(row.begin(), row.end(), object, before_object);
+  if (it != row.end() && it->object == object) return &*it;
+  return nullptr;
 }
 
 bool ObservationMatrix::present(std::size_t user, std::size_t object) const {
   check_bounds(user, object);
-  return find_in_row(user, object) != rows_[user].end();
+  return find_in_row(user, object) != nullptr;
 }
 
 double ObservationMatrix::value(std::size_t user, std::size_t object) const {
   check_bounds(user, object);
-  const auto it = find_in_row(user, object);
-  DPTD_REQUIRE(it != rows_[user].end(),
-               "ObservationMatrix: reading a missing cell");
-  return it->value;
+  const Entry* const e = find_in_row(user, object);
+  DPTD_REQUIRE(e != nullptr, "ObservationMatrix: reading a missing cell");
+  return e->value;
 }
 
 std::optional<double> ObservationMatrix::get(std::size_t user,
                                              std::size_t object) const {
   check_bounds(user, object);
-  const auto it = find_in_row(user, object);
-  if (it == rows_[user].end()) return std::nullopt;
-  return it->value;
+  const Entry* const e = find_in_row(user, object);
+  if (e == nullptr) return std::nullopt;
+  return e->value;
 }
 
 void ObservationMatrix::set(std::size_t user, std::size_t object,
                             double value) {
   check_bounds(user, object);
   DPTD_REQUIRE(std::isfinite(value), "ObservationMatrix: non-finite value");
-  std::vector<Entry>& row = rows_[user];
+  std::span<Entry>& row = rows_[user];
   // Fast path: generators and mechanisms append in ascending object order.
-  if (row.empty() || row.back().object < object) {
-    row.push_back({object, value});
-    ++object_counts_[object];
-    ++nnz_;
-    return;
-  }
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
+  const auto it = row.empty() || row.back().object < object
+                      ? row.end()
+                      : std::lower_bound(row.begin(), row.end(), object,
+                                         before_object);
   if (it != row.end() && it->object == object) {
     it->value = value;  // overwrite, structure unchanged
-  } else {
-    row.insert(it, {object, value});
-    ++object_counts_[object];
-    ++nnz_;
+    return;
   }
+  const std::size_t size = row.size();
+  const auto at = static_cast<std::size_t>(it - row.begin());
+  Entry* out = row.data();
+  if (arena_.can_grow(row)) {
+    arena_.commit(1);
+    std::copy_backward(out + at, out + size, out + size + 1);
+  } else {
+    // Not the tail: the row is rewritten there and its old run abandoned.
+    Entry* const moved = arena_.reserve(size + 1);
+    std::copy(out, out + at, moved);
+    std::copy(out + at, out + size, moved + at + 1);
+    arena_.commit(size + 1);
+    out = moved;
+  }
+  out[at] = {object, value};
+  row = {out, size + 1};
+  ++object_counts_[object];
+  ++nnz_;
 }
 
 void ObservationMatrix::clear(std::size_t user, std::size_t object) {
   check_bounds(user, object);
-  std::vector<Entry>& row = rows_[user];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), object,
-      [](const Entry& e, std::size_t n) { return e.object < n; });
+  std::span<Entry>& row = rows_[user];
+  const auto it =
+      std::lower_bound(row.begin(), row.end(), object, before_object);
   if (it == row.end() || it->object != object) return;  // already absent
-  row.erase(it);
+  std::copy(it + 1, row.end(), it);
+  row = row.first(row.size() - 1);
   --object_counts_[object];
   --nnz_;
 }
@@ -121,7 +212,7 @@ std::size_t ObservationMatrix::object_observation_count(
   return object_counts_[object];
 }
 
-std::span<const ObservationMatrix::Entry> ObservationMatrix::user_entries(
+std::span<const Entry> ObservationMatrix::user_entries(
     std::size_t user) const {
   DPTD_REQUIRE(user < num_users_, "user out of range");
   return rows_[user];
@@ -133,6 +224,16 @@ std::vector<double> ObservationMatrix::user_values(std::size_t user) const {
   out.reserve(rows_[user].size());
   for (const Entry& e : rows_[user]) out.push_back(e.value);
   return out;
+}
+
+bool ObservationMatrix::operator==(const ObservationMatrix& other) const {
+  return num_users_ == other.num_users_ &&
+         num_objects_ == other.num_objects_ &&
+         std::ranges::equal(rows_, other.rows_,
+                            [](std::span<const Entry> a,
+                               std::span<const Entry> b) {
+                              return std::ranges::equal(a, b);
+                            });
 }
 
 void Dataset::validate() const {

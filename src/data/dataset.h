@@ -1,14 +1,17 @@
 // Core data model: the sparse user × object claim matrix, stored as user rows
-// of finite readings (continuous readings, or label ids as exact doubles),
-// plus the continuous Dataset with optional ground truth and generator
-// provenance.
+// of finite readings (continuous readings, or label ids as exact doubles) in
+// one block arena per matrix, plus the continuous Dataset with optional
+// ground truth and generator provenance.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -29,6 +32,19 @@ namespace dptd::data {
 /// whole columns (the median, GTM and CATD initializations and a shard
 /// node's kGather) build them from the rows with truth::gather_object_values.
 ///
+/// Storage: every row is one contiguous run of entries in the matrix's claim
+/// arena, indexed by a (pointer, length) span per user — no heap allocation
+/// per row. The arena is a list of blocks that are never reallocated, so a
+/// written row never moves: the first block holds 4 KiB of entries, each
+/// later block twice its predecessor up to 256 KiB, and a row longer than
+/// the next block gets a block of its own length. `set` grows a row in place
+/// when it is the arena's tail (every user-major fill); otherwise it rewrites
+/// the row at the tail and abandons the old run.
+///
+/// Copying a matrix copies its claims into a fresh arena (a copy of the row
+/// spans would alias the source). Moving it moves the blocks, so every span
+/// `user_entries` returned stays valid and reads the same claims.
+///
 /// Iteration order is identical to the historical dense layout (user-major,
 /// object-ascending within a user), so kernels that accumulate in traversal
 /// order produce bit-identical results.
@@ -48,12 +64,17 @@ class ObservationMatrix {
   /// All cells start missing.
   ObservationMatrix(std::size_t num_users, std::size_t num_objects);
 
-  /// Adopts fully built per-user rows (the streaming builder's finalize
-  /// path): each row must be sorted by object id and duplicate-free, with
-  /// in-range objects and finite values. Validates and derives the
-  /// per-object counts in one O(nnz) pass — no dense intermediate.
-  static ObservationMatrix from_rows(std::vector<std::vector<Entry>> rows,
-                                     std::size_t num_objects);
+  ObservationMatrix(const ObservationMatrix& other);
+  ObservationMatrix& operator=(const ObservationMatrix& other);
+  ObservationMatrix(ObservationMatrix&&) noexcept = default;
+  ObservationMatrix& operator=(ObservationMatrix&&) noexcept = default;
+
+  /// Builds a matrix from per-user rows: each row must be sorted by object
+  /// id and duplicate-free, with in-range objects and finite values.
+  /// Validates and derives the per-object counts in one O(nnz) pass — no
+  /// dense intermediate.
+  static ObservationMatrix from_rows(
+      const std::vector<std::vector<Entry>>& rows, std::size_t num_objects);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_objects() const { return num_objects_; }
@@ -72,7 +93,8 @@ class ObservationMatrix {
   std::size_t object_observation_count(std::size_t object) const;
 
   /// Present claims of `user`, sorted by object id. Allocation-free; the span
-  /// is invalidated by any mutation of this user's row.
+  /// is invalidated by any mutation of this user's row and by the matrix's
+  /// destruction, but not by a move.
   std::span<const Entry> user_entries(std::size_t user) const;
 
   /// Present values claimed by `user` (ordered by object id).
@@ -92,10 +114,7 @@ class ObservationMatrix {
   /// is copied wholesale, only values are mapped.
   template <typename F>
   ObservationMatrix transformed(F&& fn) const {
-    ObservationMatrix out(num_users_, num_objects_);
-    out.rows_ = rows_;
-    out.object_counts_ = object_counts_;
-    out.nnz_ = nnz_;
+    ObservationMatrix out(*this);
     for (std::size_t s = 0; s < num_users_; ++s) {
       for (Entry& e : out.rows_[s]) {
         e.value = fn(s, e.object, e.value);
@@ -108,21 +127,60 @@ class ObservationMatrix {
 
   /// Logical equality: same shape, and the same present cells with the same
   /// values.
-  bool operator==(const ObservationMatrix& other) const {
-    return num_users_ == other.num_users_ &&
-           num_objects_ == other.num_objects_ && rows_ == other.rows_;
-  }
+  bool operator==(const ObservationMatrix& other) const;
 
  private:
+  friend class ObservationMatrixBuilder;
+
+  /// Append-only entry storage behind a matrix or a builder (the block
+  /// policy above). Writing a row is reserve(n), fill up to n entries, then
+  /// commit the count filled: a row that throws halfway claims nothing.
+  /// A moved-from arena is empty, not left pointing into blocks it gave up.
+  class Arena {
+   public:
+    Arena() = default;
+    Arena(Arena&& other) noexcept { *this = std::move(other); }
+    Arena& operator=(Arena&& other) noexcept;
+
+    /// `n` contiguous free entries at the tail, starting a new block when
+    /// the current one has less room. Nothing is claimed until commit().
+    Entry* reserve(std::size_t n);
+    /// Claims the first `n` entries of the last reserve().
+    void commit(std::size_t n) { used_ += n; }
+    /// True when `row` ends at the tail and one more entry fits after it.
+    bool can_grow(std::span<const Entry> row) const {
+      return used_ < capacity_ && row.size() <= used_ &&
+             block_ + (used_ - row.size()) == row.data();
+    }
+    /// Copies `row` to the tail; returns where it now lives.
+    std::span<Entry> append(std::span<const Entry> row);
+
+   private:
+    struct Release {
+      void operator()(Entry* block) const { ::operator delete(block); }
+    };
+
+    std::vector<std::unique_ptr<Entry[], Release>> blocks_;
+    Entry* block_ = nullptr;    ///< the last block
+    std::size_t used_ = 0;      ///< entries claimed in the last block
+    std::size_t capacity_ = 0;  ///< entries the last block holds
+  };
+
+  /// Adopts an arena and the row spans into it (the builder's finalize and
+  /// from_rows), with from_rows' checks and per-object counts.
+  static ObservationMatrix adopt(Arena arena,
+                                 std::vector<std::span<Entry>> rows,
+                                 std::size_t num_objects);
+
   void check_bounds(std::size_t user, std::size_t object) const;
-  /// Iterator to the entry for `object` in `user`'s row, or row end.
-  std::vector<Entry>::const_iterator find_in_row(std::size_t user,
-                                                 std::size_t object) const;
+  /// The entry for `object` in `user`'s row, or nullptr.
+  const Entry* find_in_row(std::size_t user, std::size_t object) const;
 
   std::size_t num_users_ = 0;
   std::size_t num_objects_ = 0;
   std::size_t nnz_ = 0;
-  std::vector<std::vector<Entry>> rows_;    ///< per-user, sorted by object
+  Arena arena_;
+  std::vector<std::span<Entry>> rows_;      ///< per-user, sorted by object
   std::vector<std::size_t> object_counts_;  ///< per-object nnz, eager
 };
 

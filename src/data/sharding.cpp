@@ -41,15 +41,14 @@ ShardedMatrix ShardedMatrix::partition(const ObservationMatrix& matrix,
   std::vector<ObservationMatrix> shards;
   shards.reserve(plan.num_shards);
   for (std::size_t i = 0; i < plan.num_shards; ++i) {
-    std::vector<std::vector<ObservationMatrix::Entry>> rows(
-        plan.shard_num_users(i));
-    for (std::size_t local = 0; local < rows.size(); ++local) {
-      const auto row = matrix.user_entries(plan.user_begin(i) + local);
-      rows[local].assign(row.begin(), row.end());
-    }
-    shards.push_back(
-        ObservationMatrix::from_rows(std::move(rows), matrix.num_objects()));
+    shards.emplace_back(plan.shard_num_users(i), matrix.num_objects());
   }
+  // User-major order fills each shard's rows in turn, so every set()
+  // appends at its shard's arena tail.
+  matrix.for_each([&](std::size_t user, std::size_t object, double value) {
+    const std::size_t shard = plan.shard_of_user(user);
+    shards[shard].set(user - plan.user_begin(shard), object, value);
+  });
   return from_shards(plan, std::move(shards), matrix.num_objects());
 }
 
@@ -98,15 +97,15 @@ std::size_t ShardedMatrix::object_observation_count(std::size_t object) const {
 }
 
 ObservationMatrix ShardedMatrix::concatenated() const {
-  std::vector<std::vector<ObservationMatrix::Entry>> rows(num_users());
+  ObservationMatrix out(num_users(), num_objects_);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::size_t base = user_base(i);
-    for (std::size_t local = 0; local < shards_[i]->num_users(); ++local) {
-      const auto row = shards_[i]->user_entries(local);
-      rows[base + local].assign(row.begin(), row.end());
-    }
+    shards_[i]->for_each([&](std::size_t local, std::size_t object,
+                             double value) {
+      out.set(base + local, object, value);
+    });
   }
-  return ObservationMatrix::from_rows(std::move(rows), num_objects_);
+  return out;
 }
 
 }  // namespace dptd::data

@@ -47,15 +47,11 @@ categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
   shards.reserve(m.num_shards());
   for (std::size_t i = 0; i < m.num_shards(); ++i) {
     const data::ObservationMatrix& shard = m.shard(i);
-    std::vector<std::vector<data::ObservationMatrix::Entry>> rows(
-        shard.num_users());
-    for (std::size_t s = 0; s < rows.size(); ++s) {
-      for (const data::ObservationMatrix::Entry& e : shard.user_entries(s)) {
-        if (is_label_value(e.value, num_labels)) rows[s].push_back(e);
-      }
-    }
-    shards.push_back(data::ObservationMatrix::from_rows(std::move(rows),
-                                                        m.num_objects()));
+    data::ObservationMatrix admitted(shard.num_users(), m.num_objects());
+    shard.for_each([&](std::size_t user, std::size_t object, double value) {
+      if (is_label_value(value, num_labels)) admitted.set(user, object, value);
+    });
+    shards.push_back(std::move(admitted));
   }
   return {data::ShardedMatrix::from_shards(m.plan(), std::move(shards),
                                            m.num_objects()),

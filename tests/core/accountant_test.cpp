@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/bounds.h"
 
@@ -143,6 +144,16 @@ struct WindowCase {
   std::size_t users;
   bool expect_feasible;
 };
+
+/// CMake's test discovery names each case by its printed value, e.g.
+/// `Grid/WindowSweep.FeasibilityMatchesExpectation/eps0.0001_users5`.
+/// Without this gtest prints the struct's bytes, padding included, and the
+/// names change from build to build. A gtest name generator alone would not
+/// help: discovery keeps the printed value after any name that is not an
+/// index.
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  *os << "eps" << c.epsilon << "_users" << c.users;
+}
 
 class WindowSweep : public ::testing::TestWithParam<WindowCase> {};
 

@@ -455,6 +455,62 @@ TEST(CrowdServer, RepeatedRosterIdIsRefusedAtRoundOpen) {
   EXPECT_EQ(five.published_truths().size(), 1u);
 }
 
+TEST(ParticipantIndex, ContiguousRosterResolvesBySubtraction) {
+  // A ShardNode's roster slice [base, base + P): its own ids and no others.
+  ParticipantIndex index;
+  index.build({1000, 1001, 1002, 1003});
+  EXPECT_EQ(index.row_of(1000), 0u);
+  EXPECT_EQ(index.row_of(1003), 3u);
+  EXPECT_EQ(index.row_of(999), std::nullopt);
+  EXPECT_EQ(index.row_of(1004), std::nullopt);
+  EXPECT_EQ(index.row_of(0), std::nullopt);
+
+  // The full fleet [0, P) is the base-0 roster.
+  index.build({0, 1, 2});
+  EXPECT_EQ(index.row_of(0), 0u);
+  EXPECT_EQ(index.row_of(2), 2u);
+  EXPECT_EQ(index.row_of(3), std::nullopt);
+
+  // Ids that wrap past the largest NodeId are still one contiguous run.
+  constexpr net::NodeId kTop = std::numeric_limits<net::NodeId>::max();
+  index.build({kTop, 0});
+  EXPECT_EQ(index.row_of(kTop), 0u);
+  EXPECT_EQ(index.row_of(0), 1u);
+  EXPECT_EQ(index.row_of(1), std::nullopt);
+  EXPECT_EQ(index.row_of(kTop - 1), std::nullopt);
+}
+
+TEST(ParticipantIndex, OtherRostersResolveThroughTheTable) {
+  ParticipantIndex index;
+  index.build({7, 3, 12});  // a churned fleet
+  EXPECT_EQ(index.row_of(7), 0u);
+  EXPECT_EQ(index.row_of(3), 1u);
+  EXPECT_EQ(index.row_of(12), 2u);
+  EXPECT_EQ(index.row_of(4), std::nullopt);
+  EXPECT_EQ(index.row_of(8), std::nullopt);
+  EXPECT_EQ(index.row_of(0), std::nullopt);
+
+  index.build({5, 4, 3});  // a run in descending order is no slice
+  EXPECT_EQ(index.row_of(5), 0u);
+  EXPECT_EQ(index.row_of(3), 2u);
+  EXPECT_EQ(index.row_of(6), std::nullopt);
+}
+
+TEST(ParticipantIndex, RepeatedIdIsRefusedAndLeavesTheIndexUnchanged) {
+  ParticipantIndex index;
+  index.build({1000, 1001, 1002});
+  EXPECT_THROW(index.build({1001, 1002, 1001}), std::invalid_argument);
+  EXPECT_EQ(index.row_of(1000), 0u);
+  EXPECT_EQ(index.row_of(1002), 2u);
+  EXPECT_EQ(index.row_of(1003), std::nullopt);
+
+  index.build({9, 4});
+  EXPECT_THROW(index.build({4, 4}), std::invalid_argument);
+  EXPECT_EQ(index.row_of(9), 0u);
+  EXPECT_EQ(index.row_of(4), 1u);
+  EXPECT_EQ(index.row_of(5), std::nullopt);
+}
+
 TEST(CrowdServer, ValidatesConfiguration) {
   Harness h;
   ServerConfig config;
