@@ -89,15 +89,24 @@ void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
   });
 }
 
-void vote_weights_from_disagreement(std::span<const double> disagreement,
+void vote_weights_from_disagreement(ThreadPool* pool,
+                                    std::span<const double> disagreement,
                                     double total, double min_fraction,
                                     std::span<double> weights) {
   DPTD_REQUIRE(weights.size() == disagreement.size(),
                "vote_weights_from_disagreement: size mismatch");
-  for (std::size_t s = 0; s < disagreement.size(); ++s) {
-    const double fraction = std::max(disagreement[s] / total, min_fraction);
-    weights[s] = -std::log(fraction);
+  if (total <= 0.0) {
+    std::fill(weights.begin(), weights.end(), 1.0);
+    return;
   }
+  for_each_range(pool, disagreement.size(),
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t s = begin; s < end; ++s) {
+                     const double fraction =
+                         std::max(disagreement[s] / total, min_fraction);
+                     weights[s] = -std::log(fraction);
+                   }
+                 });
 }
 
 }  // namespace dptd::categorical

@@ -84,11 +84,13 @@ void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
                        ThreadPool* pool, std::span<const Label> truths,
                        std::span<double> disagreement);
 
-/// CRH Eq. (3) on 0/1 loss: weights[s] = -log(max(d_s/total, min_fraction)).
-/// Call with the block-chained total (truth::block_chain_sum over the
-/// disagreement vector); total <= 0 means unanimous agreement and the caller
-/// short-circuits to uniform weights.
-void vote_weights_from_disagreement(std::span<const double> disagreement,
+/// CRH Eq. (3) on 0/1 loss: weights[s] = -log(max(d_s/total, min_fraction)),
+/// or all-ones when total <= 0 (unanimous agreement). Call with the
+/// block-chained total (truth::block_chain_sum over the disagreement
+/// vector). Each weight reads only its own count, so the bits are the same
+/// for any `pool`.
+void vote_weights_from_disagreement(ThreadPool* pool,
+                                    std::span<const double> disagreement,
                                     double total, double min_fraction,
                                     std::span<double> weights);
 

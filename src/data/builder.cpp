@@ -9,10 +9,7 @@ namespace dptd::data {
 
 ObservationMatrixBuilder::ObservationMatrixBuilder(std::size_t num_users,
                                                    std::size_t num_objects)
-    : num_users_(num_users),
-      num_objects_(num_objects),
-      rows_(num_users),
-      ingested_(num_users, 0) {
+    : num_users_(num_users), num_objects_(num_objects) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
                "ObservationMatrixBuilder: dimensions must be positive");
 }
@@ -24,7 +21,13 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
                "ObservationMatrixBuilder: user out of range");
   DPTD_REQUIRE(objects.size() == values.size(),
                "ObservationMatrixBuilder: objects/values size mismatch");
-  if (ingested_[user]) return false;
+  if (ingested_.empty()) {
+    // The first row since a reset: the index comes back at the kept shape.
+    rows_.assign(num_users_, {});
+    ingested_.assign(num_users_, 0);
+  } else if (ingested_[user]) {
+    return false;
+  }
 
   // The row is built in the arena's free tail and claimed only once every
   // claim has passed its checks.
@@ -65,7 +68,7 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
 bool ObservationMatrixBuilder::has_row(std::size_t user) const {
   DPTD_REQUIRE(user < num_users_,
                "ObservationMatrixBuilder: user out of range");
-  return ingested_[user] != 0;
+  return !ingested_.empty() && ingested_[user] != 0;
 }
 
 void ObservationMatrixBuilder::reshape(std::size_t num_users,
@@ -79,13 +82,18 @@ void ObservationMatrixBuilder::reshape(std::size_t num_users,
 
 void ObservationMatrixBuilder::reset() {
   arena_ = {};
-  rows_.assign(num_users_, {});
-  ingested_.assign(num_users_, 0);
+  // Nothing reads the per-user index before the next row arrives, so it is
+  // released, not re-filled: swapping with empty vectors frees the capacity
+  // that assign() or clear() would keep.
+  std::vector<std::span<Entry>>().swap(rows_);
+  std::vector<char>().swap(ingested_);
   nnz_ = 0;
   rows_ingested_ = 0;
 }
 
 ObservationMatrix ObservationMatrixBuilder::finalize() {
+  // No row since the last reset: every user's row is empty.
+  if (rows_.empty()) rows_.resize(num_users_);
   ObservationMatrix out = ObservationMatrix::adopt(
       std::move(arena_), std::move(rows_), num_objects_);
   reset();

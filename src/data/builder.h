@@ -28,7 +28,10 @@ namespace dptd::data {
 ///
 /// The builder is reusable: finalize() hands the arena and the row spans to
 /// the matrix without copying a claim, and leaves the builder empty with the
-/// same shape, ready for the next round. Moving a builder keeps its rows.
+/// same shape, ready for the next round. Its per-user index (17 B a user)
+/// exists only while rows are being ingested: reset(), reshape() and
+/// finalize() release it and the next add_row re-creates it, so a builder
+/// between rounds holds no per-user memory. Moving a builder keeps its rows.
 class ObservationMatrixBuilder {
  public:
   using Entry = ObservationMatrix::Entry;
@@ -60,10 +63,8 @@ class ObservationMatrixBuilder {
   void reset();
 
   /// Resets AND re-shapes in place: the builder afterwards accepts users in
-  /// [0, num_users) and objects in [0, num_objects), with no ingested rows.
-  /// Reuses the row index and flag storage where possible, so a long-lived
-  /// worker can serve rounds of varying participant counts without
-  /// reallocation churn.
+  /// [0, num_users) and objects in [0, num_objects), with no ingested rows,
+  /// so a long-lived worker can serve rounds of varying participant counts.
   void reshape(std::size_t num_users, std::size_t num_objects);
 
   /// Hands the ingested rows to an ObservationMatrix (O(nnz) checks, no

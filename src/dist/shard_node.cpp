@@ -233,7 +233,14 @@ std::vector<std::uint8_t> ShardNode::execute(
         matrix_ = ingestor_.finalize();
         view_.emplace(data::ShardedMatrix::single(*matrix_, block_size_));
       }
-      backend_.emplace(*view_, nullptr);
+      // The slice's shape alone picks the side: a pool for many blocks,
+      // serial folds for a few.
+      ThreadPool* pool = nullptr;
+      if (view_->plan().num_blocks() >= kPoolMinBlocks) {
+        if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(0);
+        pool = pool_.get();
+      }
+      backend_.emplace(*view_, pool);
       IngestSummaryBody summary;
       summary.stats = ingestor_.stats();
       summary.object_counts.resize(num_objects_);

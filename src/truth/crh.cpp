@@ -54,21 +54,23 @@ void crh_user_losses(const data::ShardedMatrix& shards, ThreadPool* pool,
   });
 }
 
-std::vector<double> crh_weights_from_losses(std::span<const double> losses,
-                                            double total,
-                                            double min_loss_fraction) {
-  std::vector<double> weights(losses.size(), 0.0);
+void crh_weights_from_losses(ThreadPool* pool, std::span<const double> losses,
+                             double total, double min_loss_fraction,
+                             std::span<double> weights) {
+  DPTD_REQUIRE(weights.size() == losses.size(),
+               "crh_weights_from_losses: weights size != losses size");
   if (total <= 0.0) {
     // All users agree exactly with the truths: equal (unit) weights.
     std::fill(weights.begin(), weights.end(), 1.0);
-    return weights;
+    return;
   }
-  for (std::size_t s = 0; s < losses.size(); ++s) {
-    const double fraction = std::max(losses[s] / total, min_loss_fraction);
-    // Eq. (3): w_s = -log(loss_s / total); non-negative since fraction <= 1.
-    weights[s] = -std::log(fraction);
-  }
-  return weights;
+  for_each_range(pool, losses.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) {
+      const double fraction = std::max(losses[s] / total, min_loss_fraction);
+      // Eq. (3): w_s = -log(loss_s / total); non-negative since fraction <= 1.
+      weights[s] = -std::log(fraction);
+    }
+  });
 }
 
 Crh::Crh(CrhConfig config) : FoldMethod(config.num_threads), config_(config) {

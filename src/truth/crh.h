@@ -69,11 +69,13 @@ void crh_user_losses(const data::ShardedMatrix& shards, ThreadPool* pool,
                      std::span<double> losses);
 
 /// Eq. (3) weights from per-user losses and the (block-chained) global loss
-/// total: w_s = -log(max(loss_s / total, min_loss_fraction)), or all-ones
-/// when total <= 0. Slice-wise: a shard applies it to its own losses once
-/// the total is known.
-std::vector<double> crh_weights_from_losses(std::span<const double> losses,
-                                            double total,
-                                            double min_loss_fraction);
+/// total, written into `weights` (same size as `losses`):
+/// w_s = -log(max(loss_s / total, min_loss_fraction)), or all-ones when
+/// total <= 0. Slice-wise: a shard applies it to its own losses once the
+/// total is known. Each weight reads only its own loss, so the bits are the
+/// same for any `pool`.
+void crh_weights_from_losses(ThreadPool* pool, std::span<const double> losses,
+                             double total, double min_loss_fraction,
+                             std::span<double> weights);
 
 }  // namespace dptd::truth

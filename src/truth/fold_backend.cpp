@@ -80,7 +80,8 @@ double LocalBackend::crh_loss(std::span<const double> truths, double total) {
 void LocalBackend::crh_weights(double total) {
   DPTD_REQUIRE(crh_loss_.has_value(),
                "LocalBackend: crh_weights before prepare");
-  weights_ = crh_weights_from_losses(reg(losses_), total, crh_min_fraction_);
+  crh_weights_from_losses(pool_, reg(losses_), total, crh_min_fraction_,
+                          reg(weights_));
 }
 
 void LocalBackend::gtm_prepare(const GtmConfig& config,
@@ -150,12 +151,8 @@ double LocalBackend::vote_disagreement(
 
 void LocalBackend::vote_weights(double total) {
   DPTD_REQUIRE(num_labels_ != 0, "LocalBackend: vote_weights before prepare");
-  if (total <= 0.0) {
-    weights_.assign(num_users(), 1.0);
-    return;
-  }
   categorical::vote_weights_from_disagreement(
-      reg(disagreement_), total, vote_min_fraction_, reg(weights_));
+      pool_, reg(disagreement_), total, vote_min_fraction_, reg(weights_));
 }
 
 void LocalBackend::vote_scores(std::span<double> scores) {

@@ -163,6 +163,48 @@ TEST(ObservationMatrixBuilder, ResetAndFinalizeLeaveBuilderReusable) {
   EXPECT_TRUE(second.present(1, 0));
 }
 
+TEST(ObservationMatrixBuilder, FinalizedBuilderHasNoRowsAndRefillsAtItsShape) {
+  // finalize() releases the per-user index; has_row answers false for every
+  // user until the next round's rows re-create it at the kept shape.
+  const std::size_t users = 5;
+  ObservationMatrixBuilder builder(users, 3);
+  const std::vector<std::vector<ObservationMatrix::Entry>> rows = {
+      {{0, 1.0}, {2, 2.5}}, {}, {{1, -1.0}}, {{0, 4.0}, {1, 5.0}, {2, 6.0}},
+      {}};
+  for (std::size_t s = 0; s < users; ++s) {
+    std::vector<std::uint64_t> objects;
+    std::vector<double> values;
+    for (const auto& e : rows[s]) {
+      objects.push_back(e.object);
+      values.push_back(e.value);
+    }
+    ASSERT_TRUE(builder.add_row(s, objects, values));
+  }
+  EXPECT_EQ(builder.finalize(), ObservationMatrix::from_rows(rows, 3));
+
+  EXPECT_EQ(builder.num_users(), users);
+  EXPECT_EQ(builder.num_objects(), 3u);
+  for (std::size_t s = 0; s < users; ++s) EXPECT_FALSE(builder.has_row(s));
+  EXPECT_THROW(builder.has_row(users), std::invalid_argument);
+
+  // The next round, in another order, with a re-send and an absent user.
+  const std::vector<std::uint64_t> objects{2, 0};
+  ASSERT_TRUE(builder.add_row(3, objects, std::vector<double>{7.0, 8.0}));
+  EXPECT_FALSE(builder.add_row(3, {}, {}));
+  ASSERT_TRUE(builder.add_row(0, {}, {}));
+  EXPECT_TRUE(builder.has_row(3));
+  EXPECT_FALSE(builder.has_row(1));
+  EXPECT_EQ(builder.rows_ingested(), 2u);
+  EXPECT_EQ(builder.finalize(),
+            ObservationMatrix::from_rows({{}, {}, {}, {{0, 8.0}, {2, 7.0}}, {}},
+                                         3));
+
+  // A round with no row at all still finalizes at the kept shape.
+  const ObservationMatrix empty = builder.finalize();
+  EXPECT_EQ(empty.num_users(), users);
+  EXPECT_EQ(empty.observation_count(), 0u);
+}
+
 TEST(ObservationMatrixBuilder, EmptyRowCountsAsIngested) {
   ObservationMatrixBuilder builder(2, 2);
   EXPECT_TRUE(builder.add_row(0, {}, {}));

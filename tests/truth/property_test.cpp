@@ -55,8 +55,12 @@ TEST(Lemma44, TightForConstantInputs) {
   EXPECT_DOUBLE_EQ(weighted_mean(ts, ws), mean(ts));
 }
 
+// CMake's test discovery appends each case's bytes to its ctest name, so the
+// method name is held in place rather than by pointer: no byte of a case
+// depends on where the build put a string, and the names are the same in
+// every build.
 struct MethodCase {
-  const char* method;
+  char method[8];
   double lambda1;
   std::uint64_t seed;
 };
