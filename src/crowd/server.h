@@ -138,7 +138,9 @@ class alignas(64) ShardIngestor {
   /// of them global row `user_base` (the k-RR stream's key is user_base +
   /// row), claims on objects [0, num_objects). Uploads decode as LabelReport
   /// when `labels` is enabled, as Report otherwise. Zeroes the counters and
-  /// reuses the builder's storage across rounds.
+  /// reuses the builder's storage across rounds. A shape the builder refuses
+  /// (std::invalid_argument, e.g. more than 2^32 objects) leaves the
+  /// ingestor as it was.
   void begin_round(std::size_t num_users, std::size_t user_base,
                    std::size_t num_objects, std::uint64_t round,
                    const LabelIngestPolicy& labels);

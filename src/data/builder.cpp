@@ -8,10 +8,8 @@
 namespace dptd::data {
 
 ObservationMatrixBuilder::ObservationMatrixBuilder(std::size_t num_users,
-                                                   std::size_t num_objects)
-    : num_users_(num_users), num_objects_(num_objects) {
-  DPTD_REQUIRE(num_users > 0 && num_objects > 0,
-               "ObservationMatrixBuilder: dimensions must be positive");
+                                                   std::size_t num_objects) {
+  reshape(num_users, num_objects);
 }
 
 bool ObservationMatrixBuilder::add_row(std::size_t user,
@@ -43,7 +41,7 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
     // bitwise identical to a batch-assembled one: ascending append fast
     // path, otherwise sorted insert with last-claim-wins overwrite.
     if (size == 0 || row[size - 1].object < object) {
-      row[size++] = {object, values[i]};
+      row[size++] = {static_cast<std::uint32_t>(object), values[i]};
       continue;
     }
     Entry* const it = std::lower_bound(
@@ -53,7 +51,7 @@ bool ObservationMatrixBuilder::add_row(std::size_t user,
       it->value = values[i];
     } else {
       std::copy_backward(it, row + size, row + size + 1);
-      *it = {object, values[i]};
+      *it = {static_cast<std::uint32_t>(object), values[i]};
       ++size;
     }
   }
@@ -75,6 +73,8 @@ void ObservationMatrixBuilder::reshape(std::size_t num_users,
                                        std::size_t num_objects) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
                "ObservationMatrixBuilder: dimensions must be positive");
+  DPTD_REQUIRE(num_objects <= ObservationMatrix::kMaxObjects,
+               "ObservationMatrixBuilder: more than 2^32 objects");
   num_users_ = num_users;
   num_objects_ = num_objects;
   reset();

@@ -21,10 +21,12 @@ namespace dptd::data {
 /// matrix is bitwise identical to a batch-assembled one).
 ///
 /// Storage is the matrix's own: add_row writes each row at the tail of a
-/// claim arena (ObservationMatrix's block policy: blocks that start at 4 KiB,
-/// double up to 256 KiB and never move) and records a (pointer, length) span
-/// per user, so ingesting a row allocates nothing beyond the arena's next
-/// block. A row that fails validation halfway leaves no claims behind.
+/// claim arena (ObservationMatrix's 12-byte entries and block policy: blocks
+/// that start at 4 KiB, double up to 256 KiB and never move) and records a
+/// (pointer, length) span per user, so ingesting a row allocates nothing
+/// beyond the arena's next block. A row that fails validation halfway leaves
+/// no claims behind. Object ids are stored in 32 bits, so the constructor
+/// and reshape() refuse more than ObservationMatrix::kMaxObjects objects.
 ///
 /// The builder is reusable: finalize() hands the arena and the row spans to
 /// the matrix without copying a claim, and leaves the builder empty with the

@@ -25,6 +25,13 @@ bool before_object(const Entry& e, std::size_t object) {
   return e.object < object;
 }
 
+/// `num_objects`, once every id below it is known to fit an Entry.
+std::size_t checked_num_objects(std::size_t num_objects) {
+  DPTD_REQUIRE(num_objects <= ObservationMatrix::kMaxObjects,
+               "ObservationMatrix: more than 2^32 objects");
+  return num_objects;
+}
+
 }  // namespace
 
 ObservationMatrix::Arena& ObservationMatrix::Arena::operator=(
@@ -61,7 +68,7 @@ std::span<Entry> ObservationMatrix::Arena::append(std::span<const Entry> row) {
 ObservationMatrix::ObservationMatrix(std::size_t num_users,
                                      std::size_t num_objects)
     : num_users_(num_users),
-      num_objects_(num_objects),
+      num_objects_(checked_num_objects(num_objects)),
       rows_(num_users),
       object_counts_(num_objects, 0) {
   DPTD_REQUIRE(num_users > 0 && num_objects > 0,
@@ -101,7 +108,7 @@ ObservationMatrix ObservationMatrix::adopt(Arena arena,
                "ObservationMatrix: dimensions must be positive");
   ObservationMatrix out;
   out.num_users_ = rows.size();
-  out.num_objects_ = num_objects;
+  out.num_objects_ = checked_num_objects(num_objects);
   out.arena_ = std::move(arena);
   out.rows_ = std::move(rows);
   out.object_counts_.assign(num_objects, 0);
@@ -183,7 +190,7 @@ void ObservationMatrix::set(std::size_t user, std::size_t object,
     arena_.commit(size + 1);
     out = moved;
   }
-  out[at] = {object, value};
+  out[at] = {static_cast<std::uint32_t>(object), value};
   row = {out, size + 1};
   ++object_counts_[object];
   ++nnz_;

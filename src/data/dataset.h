@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <optional>
@@ -32,14 +33,16 @@ namespace dptd::data {
 /// whole columns (the median, GTM and CATD initializations and a shard
 /// node's kGather) build them from the rows with truth::gather_object_values.
 ///
-/// Storage: every row is one contiguous run of entries in the matrix's claim
-/// arena, indexed by a (pointer, length) span per user — no heap allocation
-/// per row. The arena is a list of blocks that are never reallocated, so a
-/// written row never moves: the first block holds 4 KiB of entries, each
-/// later block twice its predecessor up to 256 KiB, and a row longer than
-/// the next block gets a block of its own length. `set` grows a row in place
-/// when it is the arena's tail (every user-major fill); otherwise it rewrites
-/// the row at the tail and abandons the old run.
+/// Storage: every row is one contiguous run of 12-byte entries (a 32-bit
+/// object id and the reading, packed to 4-byte alignment) in the matrix's
+/// claim arena, indexed by a (pointer, length) span per user — no heap
+/// allocation per row. The 32-bit ids bound every shape at kMaxObjects =
+/// 2^32 objects. The arena is a list of blocks that are never reallocated,
+/// so a written row never moves: the first block holds 4 KiB of entries,
+/// each later block twice its predecessor up to 256 KiB, and a row longer
+/// than the next block gets a block of its own length. `set` grows a row in
+/// place when it is the arena's tail (every user-major fill); otherwise it
+/// rewrites the row at the tail and abandons the old run.
 ///
 /// Copying a matrix copies its claims into a fresh arena (a copy of the row
 /// spans would alias the source). Moving it moves the blocks, so every span
@@ -53,12 +56,21 @@ namespace dptd::data {
 /// safe to call concurrently.
 class ObservationMatrix {
  public:
-  /// One present cell as seen from a user's row.
-  struct Entry {
-    std::size_t object = 0;
+  /// One present cell as seen from a user's row: a 32-bit object id, then
+  /// the reading, packed into 12 bytes. `value` sits at offset 4, so it is
+  /// read and written by value only; binding a `double&` to it is a compile
+  /// error, and a `double*` to it would be misaligned.
+  struct [[gnu::packed, gnu::aligned(4)]] Entry {
+    std::uint32_t object = 0;
     double value = 0.0;
     bool operator==(const Entry&) const = default;
   };
+  static_assert(sizeof(Entry) == 12 && alignof(Entry) == 4);
+
+  /// Object ids are 32-bit: a matrix or builder shaped for more objects is
+  /// refused with std::invalid_argument before anything is sized by the
+  /// object count.
+  static constexpr std::size_t kMaxObjects = std::size_t{1} << 32;
 
   ObservationMatrix() = default;
   /// All cells start missing.

@@ -194,25 +194,29 @@ std::vector<std::uint8_t> ShardNode::execute(
           setup.num_labels > truth::kMaxBridgedLabels) {
         throw DecodeError("SetupBody: invalid label alphabet");
       }
+      crowd::ParticipantIndex index;
       try {
-        index_.build(setup.participants);  // unchanged if it throws
+        index.build(setup.participants);
       } catch (const std::invalid_argument&) {
         throw DecodeError("SetupBody: participant id repeated");
       }
-      round_ = setup.round;
-      round_open_ = true;
-      num_objects_ = static_cast<std::size_t>(setup.num_objects);
-      block_size_ = static_cast<std::size_t>(setup.block_size);
-      num_labels_ = static_cast<std::size_t>(setup.num_labels);
       // LDP stays on the device in the distributed deployment: the policy
       // only carries the alphabet for range validation, never a sampling
       // probability.
       crowd::LabelIngestPolicy labels;
-      labels.num_labels = num_labels_;
+      labels.num_labels = static_cast<std::size_t>(setup.num_labels);
+      // Unchanged if it throws (more objects than the claim store's 32-bit
+      // ids hold), so a refused kSetup leaves the open round as it was.
       ingestor_.begin_round(
           setup.participants.size(),
           plan.user_begin(static_cast<std::size_t>(setup.shard_index)),
-          num_objects_, round_, labels);
+          static_cast<std::size_t>(setup.num_objects), setup.round, labels);
+      index_ = std::move(index);
+      round_ = setup.round;
+      round_open_ = true;
+      num_objects_ = static_cast<std::size_t>(setup.num_objects);
+      block_size_ = static_cast<std::size_t>(setup.block_size);
+      num_labels_ = labels.num_labels;
       backend_.reset();
       view_.reset();
       matrix_.reset();

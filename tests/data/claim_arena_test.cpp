@@ -30,6 +30,15 @@ using Rows = std::vector<std::vector<Entry>>;
 static_assert(std::is_nothrow_move_constructible_v<ObservationMatrix>);
 static_assert(std::is_nothrow_move_constructible_v<ObservationMatrixBuilder>);
 
+// The arena's block policy (dataset.cpp), counted in entries: the first
+// block holds as many as fit in 4 KiB, and each later block twice as many,
+// up to the 256 KiB cap (64 times the first). The seven blocks up to the
+// cap hold kRegularEntries together; later blocks stay at the cap.
+constexpr std::size_t kFirstBlockEntries =
+    (std::size_t{4} << 10) / sizeof(Entry);
+constexpr std::size_t kBlockCapEntries = kFirstBlockEntries << 6;
+constexpr std::size_t kRegularEntries = kFirstBlockEntries * 127;
+
 /// Feeds `rows` to a builder row by row, each row's claims in reverse order
 /// (so every claim after the first takes the sorted-insert path).
 void add_rows_reversed(ObservationMatrixBuilder& builder, const Rows& rows) {
@@ -50,7 +59,7 @@ Rows strided_rows(std::size_t users, std::size_t per_row) {
   for (std::size_t s = 0; s < users; ++s) {
     for (std::size_t k = 0; k < per_row; ++k) {
       rows[s].push_back(
-          {(s + k * per_row) % (per_row * per_row),
+          {static_cast<std::uint32_t>((s + k * per_row) % (per_row * per_row)),
            static_cast<double>(s) + 0.25 * static_cast<double>(k)});
     }
     std::sort(rows[s].begin(), rows[s].end(),
@@ -62,13 +71,15 @@ Rows strided_rows(std::size_t users, std::size_t per_row) {
 }
 
 TEST(ClaimArena, RowLongerThanABlockGetsABlockOfItsOwn) {
-  // 20,000 entries are 320 KB, past the 256 KiB block cap. Short rows on
-  // either side keep the long row from starting at the first block's start.
-  constexpr std::size_t kLong = 20000;
+  // A row a quarter longer than the 256 KiB block cap holds (27,280 entries
+  // of 12 B: 327,360 B). Short rows on either side keep the long row from
+  // starting at the first block's start.
+  constexpr std::size_t kLong = kBlockCapEntries + kBlockCapEntries / 4;
   Rows rows(3);
   rows[0] = {{3, 1.0}, {7, 2.0}};
   for (std::size_t n = 0; n < kLong; ++n) {
-    rows[1].push_back({n, 0.5 * static_cast<double>(n)});
+    rows[1].push_back(
+        {static_cast<std::uint32_t>(n), 0.5 * static_cast<double>(n)});
   }
   rows[2] = {{kLong - 1, -1.0}};
   const ObservationMatrix expected = ObservationMatrix::from_rows(rows, kLong);
@@ -91,12 +102,14 @@ TEST(ClaimArena, RowLongerThanABlockGetsABlockOfItsOwn) {
 }
 
 TEST(ClaimArena, RowsAcrossTheBlockGrowthMatchFromRows) {
-  // 6,000 rows of 7 claims are 42,000 entries: more than the 4 KiB → 256 KiB
-  // blocks hold together (32,512), so rows land in every block size and a
-  // set() fill moves rows that reach a block's end.
-  const Rows rows = strided_rows(6000, 7);
+  // Rows of 7 claims, one user for every 5 entries the 4 KiB → 256 KiB
+  // blocks hold together (8,661 users, 60,627 entries against 43,307 at
+  // 12 B): rows land in every block size and past it, and a set() fill moves
+  // rows that reach a block's end.
+  const Rows rows = strided_rows(kRegularEntries / 5, 7);
   const ObservationMatrix expected = ObservationMatrix::from_rows(rows, 49);
-  EXPECT_EQ(expected.observation_count(), 42000u);
+  EXPECT_EQ(expected.observation_count(), rows.size() * 7);
+  EXPECT_GT(expected.observation_count(), kRegularEntries);
 
   ObservationMatrixBuilder builder(rows.size(), 49);
   add_rows_reversed(builder, rows);
@@ -129,6 +142,42 @@ TEST(ClaimArena, ARowThatThrowsHalfwayClaimsNothing) {
   ASSERT_TRUE(builder.add_row(1, good, good_values));
   EXPECT_EQ(builder.finalize(),
             ObservationMatrix::from_rows({{}, {{3, 4.0}}}, 4));
+}
+
+TEST(ClaimArena, BuildersRefuseMoreObjectsThanIdsHold) {
+  // Object ids are 32-bit, so a builder refuses 2^32 + 1 objects when it is
+  // shaped, before a finalize could size anything by the object count (a
+  // per-object count array that long is 32 GiB).
+  constexpr std::size_t kTooMany = ObservationMatrix::kMaxObjects + 1;
+  EXPECT_THROW(ObservationMatrixBuilder(1, kTooMany), std::invalid_argument);
+
+  // A refused reshape leaves the builder's shape and rows as they were.
+  ObservationMatrixBuilder builder(2, 3);
+  const std::vector<std::uint64_t> objects{2};
+  const std::vector<double> values{1.0};
+  ASSERT_TRUE(builder.add_row(0, objects, values));
+  ASSERT_THROW(builder.reshape(2, kTooMany), std::invalid_argument);
+  EXPECT_EQ(builder.num_objects(), 3u);
+  EXPECT_TRUE(builder.has_row(0));
+  EXPECT_EQ(builder.finalize(),
+            ObservationMatrix::from_rows({{{2, 1.0}}, {}}, 3));
+
+  // 2^32 objects is a shape: the highest id fits. (Never finalized, since
+  // its per-object counts would be 32 GiB.)
+  ObservationMatrixBuilder widest(1, ObservationMatrix::kMaxObjects);
+  const std::vector<std::uint64_t> top{ObservationMatrix::kMaxObjects - 1};
+  EXPECT_TRUE(widest.add_row(0, top, values));
+  EXPECT_EQ(widest.observation_count(), 1u);
+}
+
+TEST(ClaimArena, MatricesRefuseMoreObjectsThanIdsHold) {
+  // Both matrix shapes refuse 2^32 + 1 objects before the per-object count
+  // array (32 GiB) is sized; the builder's finalize goes through the same
+  // check as from_rows.
+  constexpr std::size_t kTooMany = ObservationMatrix::kMaxObjects + 1;
+  EXPECT_THROW(ObservationMatrix(1, kTooMany), std::invalid_argument);
+  EXPECT_THROW(ObservationMatrix::from_rows({{}}, kTooMany),
+               std::invalid_argument);
 }
 
 TEST(ClaimArena, SetOnANonTailRowMovesItAndClearStillWorks) {
@@ -253,7 +302,8 @@ TEST(ClaimArena, ReshapedBuilderRoundsMatchFromRows) {
     for (std::vector<Entry>& row : rows) {
       for (std::size_t n = 0; n < round.objects; ++n) {
         if (bernoulli(rng, 0.5)) {
-          row.push_back({n, static_cast<double>(rng.next() % 1000) / 8.0});
+          row.push_back({static_cast<std::uint32_t>(n),
+                         static_cast<double>(rng.next() % 1000) / 8.0});
         }
       }
     }

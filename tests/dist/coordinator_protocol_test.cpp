@@ -1003,6 +1003,46 @@ TEST(DistributedProtocol, SetupWithARepeatedIdIsMalformedNotFatal) {
   EXPECT_EQ(summary.stats.rejected_reports, 0u);
 }
 
+TEST(DistributedProtocol, SetupWithMoreObjectsThanIdsHoldIsMalformed) {
+  // Regression: claims store 32-bit object ids, so a kSetup shaped for
+  // 2^32 + 1 objects must be refused like any malformed body: counted,
+  // unanswered, the watermark and the open round left as they were. An
+  // accepted one made the shard size a 32 GiB per-object array at finalize.
+  const data::Dataset dataset = random_dataset(71, 24, 3, 0.2);
+  Fleet fleet(1, crh_spec(), dataset.num_objects());
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7780;
+  fleet.network.attach(kRecorder, recorder);
+  ASSERT_TRUE(
+      fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
+  const std::uint64_t watermark = shard.op_watermark().value();
+
+  SetupBody wide;
+  wide.round = 2;
+  wide.num_users = 4;
+  wide.num_shards = 1;
+  wide.shard_index = 0;
+  wide.num_objects = data::ObservationMatrix::kMaxObjects + 1;
+  wide.block_size = kTestBlock;
+  wide.participants = {100, 101, 102, 103};
+  deliver_request(shard, kRecorder, watermark + 1, ShardOp::kSetup,
+                  wide.encode());
+  fleet.sim.run();
+  // Past these the round would finalize the refused shape.
+  ASSERT_EQ(shard.malformed_messages(), 1u);
+  ASSERT_EQ(shard.op_watermark(), watermark);
+  EXPECT_TRUE(recorder.received.empty());
+
+  send_dataset(fleet, dataset, 1);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  EXPECT_EQ(outcome.shard_stats[0].rejected_reports, 0u);
+  const truth::Result reference = make_method(crh_spec())->run_sharded(
+      data::ShardedMatrix::partition(dataset.observations, 1, kTestBlock));
+  expect_bitwise_equal(reference, outcome.result, "after refused setup");
+}
+
 /// Opens round 1 on a single-shard fleet with 4 users / 2 objects and brings
 /// it to the ready-to-iterate state (setup, 4 reports, finalize) using op ids
 /// 1 and 2 — the staging every kBatch protocol test below builds on.

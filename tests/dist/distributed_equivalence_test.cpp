@@ -220,7 +220,8 @@ categorical::LabelDataset pin_label_dataset(std::uint64_t seed,
     std::vector<std::vector<data::ObservationMatrix::Entry>> rows(64);
     for (std::size_t s = 0; s < rows.size(); ++s) {
       for (std::size_t n = 0; n < config.num_objects; ++n) {
-        rows[s].push_back({n, static_cast<double>(n % kPinLabels)});
+        rows[s].push_back({static_cast<std::uint32_t>(n),
+                           static_cast<double>(n % kPinLabels)});
       }
     }
     dataset.claims =
