@@ -88,7 +88,8 @@ void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
 /// or all-ones when total <= 0 (unanimous agreement). Call with the
 /// block-chained total (truth::block_chain_sum over the disagreement
 /// vector). Each weight reads only its own count, so the bits are the same
-/// for any `pool`.
+/// for any `pool`, and `weights` may alias `disagreement` (a fold backend
+/// turns its register of counts into weights in place).
 void vote_weights_from_disagreement(ThreadPool* pool,
                                     std::span<const double> disagreement,
                                     double total, double min_fraction,

@@ -184,7 +184,9 @@ void ObservationMatrix::set(std::size_t user, std::size_t object,
     std::copy_backward(out + at, out + size, out + size + 1);
   } else {
     // Not the tail: the row is rewritten there and its old run abandoned.
-    Entry* const moved = arena_.reserve(size + 1);
+    // Room for as many claims again lets the row grow in place while it
+    // stays the tail, so a row grown to n claims moves O(log n) times.
+    Entry* const moved = arena_.reserve(2 * size + 1);
     std::copy(out, out + at, moved);
     std::copy(out + at, out + size, moved + at + 1);
     arena_.commit(size + 1);

@@ -42,7 +42,9 @@ namespace dptd::data {
 /// each later block twice its predecessor up to 256 KiB, and a row longer
 /// than the next block gets a block of its own length. `set` grows a row in
 /// place when it is the arena's tail (every user-major fill); otherwise it
-/// rewrites the row at the tail and abandons the old run.
+/// rewrites the row at the tail, where it reserves room for as many claims
+/// again, and abandons the old run. So growing one row to n claims copies
+/// O(n) entries and holds O(n) memory, past the block cap too.
 ///
 /// Copying a matrix copies its claims into a fresh arena (a copy of the row
 /// spans would alias the source). Moving it moves the blocks, so every span

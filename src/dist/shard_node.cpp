@@ -257,9 +257,10 @@ std::vector<std::uint8_t> ShardNode::execute(
       return encode_fields(Telemetry{stale_requests_, malformed_messages_});
     case ShardOp::kBatch: {
       // Sub-ops execute strictly in order; decode already refused lifecycle
-      // ops and nesting, and every remaining op is idempotent, so a mid-batch
-      // abort (reported as one malformed message, watermark not advanced) is
-      // safe for the coordinator to resend.
+      // ops, nesting and any op but kGetTelemetry after a kCollectWeights,
+      // and every op that can run before an abort is idempotent, so a
+      // mid-batch abort (reported as one malformed message, watermark not
+      // advanced) is safe for the coordinator to resend.
       const BatchBody req = BatchBody::decode(body);
       BatchReplyBody out;
       out.bodies.reserve(req.items.size());

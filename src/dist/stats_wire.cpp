@@ -190,6 +190,7 @@ BatchBody BatchBody::decode(std::span<const std::uint8_t> bytes) {
   BatchBody msg;
   msg.items.resize(dec.read_count());
   if (msg.items.empty()) throw DecodeError("BatchBody: empty batch");
+  bool collected = false;
   for (BatchItem& item : msg.items) {
     const std::uint8_t op = dec.read_u8();
     if (op < static_cast<std::uint8_t>(ShardOp::kSetup) ||
@@ -204,6 +205,13 @@ BatchBody BatchBody::decode(std::span<const std::uint8_t> bytes) {
         item.op == ShardOp::kBatch) {
       throw DecodeError("BatchBody: op not batchable");
     }
+    // A collect hands the weight register over, so the only op that may
+    // follow it is kGetTelemetry, which never fails: an abort after the
+    // collect would have the resend collect an empty register.
+    if (collected && item.op != ShardOp::kGetTelemetry) {
+      throw DecodeError("BatchBody: op after kCollectWeights");
+    }
+    collected = collected || item.op == ShardOp::kCollectWeights;
     item.body = dec.read_bytes();
   }
   if (!dec.done()) throw DecodeError("BatchBody: trailing bytes");

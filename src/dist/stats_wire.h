@@ -20,13 +20,15 @@
 // builds each request from its row's fields; a shard decodes it through the
 // same row and runs it on its own LocalBackend (run_op). One tuple codec
 // writes every body, a field at a time, with one field codec per wire type.
-// Per-user state (weights, losses, qualities) never crosses the wire during
-// iterations: it lives in the shard's backend and only the final weight
-// slices are collected. Register writes (weights, truths, scalars, prepared
-// constants) are idempotent by construction and ride the next frame each
-// shard receives as kBatch prefix items; chained folds carry their full input
-// state in the request body, so a timeout-and-resend re-executes
-// deterministically.
+// Per-user state (the weight register, which holds losses between a loss fold
+// and its weight update) never crosses the wire during iterations: it lives
+// in the shard's backend and only the final weight slices are collected.
+// Register writes (weights, truths, scalars, prepared constants, weight
+// updates) are idempotent by construction and ride the next frame each shard
+// receives as kBatch prefix items; chained folds carry their full input state
+// in the request body, so a timeout-and-resend re-executes deterministically.
+// The one op a second run would change is kCollectWeights, which hands the
+// register over; in a batch, only kGetTelemetry may follow it.
 #pragma once
 
 #include <concepts>
@@ -93,9 +95,10 @@ struct BatchItem {
 /// rides the exactly-once watermark as a single unit, so a resend replays the
 /// memoized reply rather than re-executing. Round-lifecycle ops (kSetup,
 /// kFinalizeIngest) and nested batches are refused at decode time — before any
-/// sub-op runs — so a malformed batch can never half-apply; the remaining ops
-/// are all idempotent, which keeps a mid-batch DecodeError abort safe to
-/// resend.
+/// sub-op runs — so a malformed batch can never half-apply, and so is any op
+/// but kGetTelemetry (which cannot fail) after a kCollectWeights; every op
+/// that can run before an abort is idempotent, which keeps a mid-batch
+/// DecodeError abort safe to resend.
 struct BatchBody {
   std::vector<BatchItem> items;
 

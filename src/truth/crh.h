@@ -73,7 +73,8 @@ void crh_user_losses(const data::ShardedMatrix& shards, ThreadPool* pool,
 /// w_s = -log(max(loss_s / total, min_loss_fraction)), or all-ones when
 /// total <= 0. Slice-wise: a shard applies it to its own losses once the
 /// total is known. Each weight reads only its own loss, so the bits are the
-/// same for any `pool`.
+/// same for any `pool`, and `weights` may alias `losses` (a fold backend
+/// turns its register of losses into weights in place).
 void crh_weights_from_losses(ThreadPool* pool, std::span<const double> losses,
                              double total, double min_loss_fraction,
                              std::span<double> weights);

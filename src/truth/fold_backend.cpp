@@ -1,5 +1,7 @@
 #include "truth/fold_backend.h"
 
+#include <utility>
+
 #include "categorical/voting.h"
 #include "common/check.h"
 #include "truth/catd.h"
@@ -50,13 +52,14 @@ std::vector<double>& LocalBackend::reg(std::vector<double>& reg, double fill) {
 }
 
 void LocalBackend::set_weights(std::span<const double> weights) {
+  DPTD_REQUIRE(weights.empty() || weights.size() == num_users(),
+               "LocalBackend: weights size != num users");
+  losses_pending_ = false;
   if (weights.empty()) {
     weights_.assign(num_users(), 1.0);
-    return;
+  } else {
+    weights_.assign(weights.begin(), weights.end());
   }
-  DPTD_REQUIRE(weights.size() == num_users(),
-               "LocalBackend: weights size != num users");
-  weights_.assign(weights.begin(), weights.end());
 }
 
 void LocalBackend::crh_prepare(CrhLoss loss, double min_loss_fraction,
@@ -72,16 +75,17 @@ double LocalBackend::crh_loss(std::span<const double> truths, double total) {
   DPTD_REQUIRE(crh_loss_.has_value(), "LocalBackend: crh_loss before prepare");
   DPTD_REQUIRE(truths.size() == num_objects(),
                "LocalBackend: truths size != num objects");
-  crh_user_losses(matrix_, pool_, *crh_loss_, truths, stddevs_, reg(losses_));
+  crh_user_losses(matrix_, pool_, *crh_loss_, truths, stddevs_, reg(weights_));
+  losses_pending_ = true;
   // Local blocks are global blocks, so this continues the global chain.
-  return block_chain_sum(losses_, matrix_.plan().block_size, total);
+  return block_chain_sum(weights_, matrix_.plan().block_size, total);
 }
 
 void LocalBackend::crh_weights(double total) {
   DPTD_REQUIRE(crh_loss_.has_value(),
                "LocalBackend: crh_weights before prepare");
-  crh_weights_from_losses(pool_, reg(losses_), total, crh_min_fraction_,
-                          reg(weights_));
+  if (!std::exchange(losses_pending_, false)) return;  // applied already
+  crh_weights_from_losses(pool_, weights_, total, crh_min_fraction_, weights_);
 }
 
 void LocalBackend::gtm_prepare(const GtmConfig& config,
@@ -100,8 +104,9 @@ void LocalBackend::gtm_step(std::span<const double> truth_mean,
   DPTD_REQUIRE(truth_mean.size() == num_objects() &&
                    truth_var.size() == num_objects(),
                "LocalBackend: posterior size != num objects");
+  losses_pending_ = false;
   gtm_m_step(matrix_, pool_, *gtm_, shift_, scale_, truth_mean, truth_var,
-             reg(quality_, 1.0), reg(weights_, 1.0));
+             reg(weights_, 1.0));
 }
 
 void LocalBackend::gtm_posterior(std::span<double> precision,
@@ -127,6 +132,7 @@ void LocalBackend::catd_weights(std::span<const double> truths) {
                "LocalBackend: catd_weights before prepare");
   DPTD_REQUIRE(truths.size() == num_objects(),
                "LocalBackend: truths size != num objects");
+  losses_pending_ = false;
   catd_user_weights(matrix_, pool_, chi2_, truths, min_residual_,
                     reg(weights_));
 }
@@ -144,15 +150,21 @@ void LocalBackend::vote_prepare(std::size_t num_labels,
 
 double LocalBackend::vote_disagreement(
     std::span<const categorical::Label> truths, double total) {
-  categorical::vote_disagreement(matrix_, vote_labels(), pool_, truths,
-                                 reg(disagreement_));
-  return block_chain_sum(disagreement_, matrix_.plan().block_size, total);
+  // Checked before the register is touched: a refused fold leaves it as is.
+  const std::size_t labels = vote_labels();
+  DPTD_REQUIRE(truths.size() == num_objects(),
+               "LocalBackend: truths size != num objects");
+  categorical::vote_disagreement(matrix_, labels, pool_, truths,
+                                 reg(weights_));
+  losses_pending_ = true;
+  return block_chain_sum(weights_, matrix_.plan().block_size, total);
 }
 
 void LocalBackend::vote_weights(double total) {
   DPTD_REQUIRE(num_labels_ != 0, "LocalBackend: vote_weights before prepare");
-  categorical::vote_weights_from_disagreement(
-      pool_, reg(disagreement_), total, vote_min_fraction_, reg(weights_));
+  if (!std::exchange(losses_pending_, false)) return;  // applied already
+  categorical::vote_weights_from_disagreement(pool_, weights_, total,
+                                              vote_min_fraction_, weights_);
 }
 
 void LocalBackend::vote_scores(std::span<double> scores) {
@@ -173,7 +185,8 @@ GatheredColumns LocalBackend::gather() {
 }
 
 std::vector<double> LocalBackend::collect_weights() {
-  return reg(weights_, 1.0);
+  losses_pending_ = false;
+  return std::exchange(reg(weights_, 1.0), {});
 }
 
 }  // namespace dptd::truth

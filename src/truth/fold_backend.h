@@ -16,7 +16,14 @@
 //    canonical block order (truth/sharded_stats.h), continuing exactly where
 //    the caller's state stopped.
 //  - gather() returns every object's claims in user order, and
-//    collect_weights() the weight register.
+//    collect_weights() hands the weight register over.
+//
+// The weight register is the one per-user register every method shares. A
+// loss fold (crh_loss, vote_disagreement) leaves each user's loss in it, and
+// the weight update that follows (crh_weights, vote_weights) turns the losses
+// into weights in place: between the two, the register holds losses. After
+// collect_weights() it holds nothing, and the next fold reads all ones, as on
+// a fresh backend.
 #pragma once
 
 #include <cstddef>
@@ -50,13 +57,15 @@ class FoldBackend {
   virtual void set_weights(std::span<const double> weights) = 0;
   virtual void crh_prepare(CrhLoss loss, double min_loss_fraction,
                            std::span<const double> stddevs) = 0;
-  /// CRH Eq. (3) weights from the last crh_loss and the chained total.
+  /// CRH Eq. (3): turns the losses the last crh_loss left in the weight
+  /// register into weights, given their chained total. A second call with no
+  /// crh_loss in between changes nothing, so a resent update applies once.
   virtual void crh_weights(double total) = 0;
   /// GTM priors (alpha, beta, min_variance) and standardization.
   virtual void gtm_prepare(const GtmConfig& config,
                            std::span<const double> shift,
                            std::span<const double> scale) = 0;
-  /// GTM M-step: each user's quality, and its precision as the weight.
+  /// GTM M-step: each user's precision (inverse MAP variance) as the weight.
   virtual void gtm_step(std::span<const double> truth_mean,
                         std::span<const double> truth_var) = 0;
   /// Caches each user's chi-squared quantile.
@@ -68,14 +77,17 @@ class FoldBackend {
   /// vote steps stay refused until a prepare succeeds.
   virtual void vote_prepare(std::size_t num_labels,
                             double min_disagreement_fraction) = 0;
-  /// Vote weights from the last vote_disagreement and the chained total;
-  /// a total <= 0 (unanimity) sets every weight to one.
+  /// Turns the counts the last vote_disagreement left in the weight register
+  /// into weights, given their chained total; a total <= 0 (unanimity) sets
+  /// every weight to one. Like crh_weights, a repeat with no
+  /// vote_disagreement in between changes nothing.
   virtual void vote_weights(double total) = 0;
 
   // Chained folds.
   virtual void moments(std::span<RunningStats> acc) = 0;
   virtual void aggregate(AggregateStats& acc) = 0;
-  /// Stores each user's loss against `truths`; returns `total` plus their
+  /// Writes each user's loss against `truths` into the weight register, for
+  /// crh_weights to turn into weights; returns `total` plus their
   /// block-chained sum.
   virtual double crh_loss(std::span<const double> truths, double total) = 0;
   /// GTM E-step statistics under the weight register's precisions.
@@ -83,12 +95,16 @@ class FoldBackend {
                              std::span<double> weighted) = 0;
   /// Weighted label histogram, row-major num_objects x num_labels.
   virtual void vote_scores(std::span<double> scores) = 0;
-  /// Stores each user's disagreement count; returns `total` plus their
+  /// Writes each user's disagreement count into the weight register, for
+  /// vote_weights to turn into weights; returns `total` plus their
   /// block-chained sum.
   virtual double vote_disagreement(std::span<const categorical::Label> truths,
                                    double total) = 0;
 
   virtual GatheredColumns gather() = 0;
+  /// Hands the weight register over (all ones when no weight was written)
+  /// and leaves it empty: a second collect with no weight write in between
+  /// returns all ones.
   virtual std::vector<double> collect_weights() = 0;
 
   /// Called where a loop enters and leaves its iterations.
@@ -101,10 +117,13 @@ class FoldBackend {
 std::vector<double> aggregate_truths(FoldBackend& backend);
 
 /// The in-process backend: the pooled kernels over a borrowed matrix. It
-/// owns the per-user registers and allocates each one when a step first
-/// needs it. The vote calls read label ids in place; the matrix is never
-/// copied. A precondition failure (a wrong size, a step before its prepare)
-/// throws std::invalid_argument.
+/// owns two per-user registers, the weights and CATD's prepared chi-squared
+/// quantiles, and allocates each one when a step first needs it; the loss
+/// folds write into the weight register, and collect_weights moves it out
+/// rather than copying it. The vote calls read label ids in place; the
+/// matrix is never copied. A precondition failure (a wrong size, a step
+/// before its prepare) throws std::invalid_argument and leaves the registers
+/// as they were.
 class LocalBackend final : public FoldBackend {
  public:
   LocalBackend(const data::ShardedMatrix& matrix, ThreadPool* pool);
@@ -153,10 +172,9 @@ class LocalBackend final : public FoldBackend {
 
   // Per-user registers.
   std::vector<double> weights_;
-  std::vector<double> losses_;        // CRH
-  std::vector<double> quality_;       // GTM
-  std::vector<double> chi2_;          // CATD
-  std::vector<double> disagreement_;  // vote
+  std::vector<double> chi2_;  // CATD
+  /// weights_ holds a loss fold's losses that no weight update turned yet.
+  bool losses_pending_ = false;
 
   // Prepared per-run constants, empty until the method's prepare.
   std::optional<CrhLoss> crh_loss_;

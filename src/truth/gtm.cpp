@@ -65,15 +65,15 @@ void gtm_m_step(const data::ShardedMatrix& shards, ThreadPool* pool,
                 const GtmConfig& config, std::span<const double> shift,
                 std::span<const double> scale,
                 std::span<const double> truth_mean,
-                std::span<const double> truth_var, std::span<double> quality,
+                std::span<const double> truth_var,
                 std::span<double> precisions) {
   // M-step: MAP variance per user given current truth posteriors.
   //   sigma_s^2 = (beta + 0.5 sum_n [(z - m_n)^2 + v_n]) / (alpha + 1 + N_s/2)
   // Each user's residual comes from its own row — shard-local, no merge.
   for_each_user_row(shards, pool, [&](std::size_t s, auto row) {
     if (row.empty()) {
-      quality[s] = 1.0 / config.min_variance;  // no data: prior-dominated
-      precisions[s] = 1.0 / quality[s];
+      const double variance = 1.0 / config.min_variance;  // prior-dominated
+      precisions[s] = 1.0 / variance;
       return;
     }
     double resid = 0.0;
@@ -85,8 +85,9 @@ void gtm_m_step(const data::ShardedMatrix& shards, ThreadPool* pool,
     const double numerator = config.quality_prior_beta + 0.5 * resid;
     const double denominator = config.quality_prior_alpha + 1.0 +
                                0.5 * static_cast<double>(row.size());
-    quality[s] = std::max(numerator / denominator, config.min_variance);
-    precisions[s] = 1.0 / quality[s];
+    const double variance =
+        std::max(numerator / denominator, config.min_variance);
+    precisions[s] = 1.0 / variance;
   });
 }
 

@@ -53,13 +53,14 @@ class Gtm final : public FoldMethod {
 
 // The per-user kernels behind a fold backend's GTM steps.
 
-/// M-step: MAP variance (quality) and precision per user given current truth
-/// posteriors. Outputs are indexed by the matrix's own user ids. Shard-local.
+/// M-step: each user's precision, the inverse of its MAP variance (quality)
+/// given current truth posteriors. `precisions` is indexed by the matrix's
+/// own user ids. Shard-local.
 void gtm_m_step(const data::ShardedMatrix& shards, ThreadPool* pool,
                 const GtmConfig& config, std::span<const double> shift,
                 std::span<const double> scale,
                 std::span<const double> truth_mean,
-                std::span<const double> truth_var, std::span<double> quality,
+                std::span<const double> truth_var,
                 std::span<double> precisions);
 
 /// E-step fold: ADDS each claim's precision and precision-weighted

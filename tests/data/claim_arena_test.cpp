@@ -101,6 +101,33 @@ TEST(ClaimArena, RowLongerThanABlockGetsABlockOfItsOwn) {
   EXPECT_EQ(grown.object_observation_count(kLong - 1), 2u);
 }
 
+TEST(ClaimArena, GrowingARowPastTheBlockCapMovesItRarely) {
+  // Ascending set() grows one row 300 claims past the 256 KiB block cap.
+  // A moved row takes room for as many claims again, so it moves each time
+  // it doubles, not on every set once it outgrows a block.
+  constexpr std::size_t kLength = kBlockCapEntries + 300;
+  ObservationMatrix m(2, kLength);
+  m.set(0, 0, -1.0);  // the long row does not start at the arena's start
+  std::size_t moves = 0;
+  const Entry* row = nullptr;
+  for (std::size_t n = 0; n < kLength; ++n) {
+    m.set(1, n, static_cast<double>(n));
+    const Entry* const now = m.user_entries(1).data();
+    if (row != nullptr && now != row) ++moves;
+    row = now;
+  }
+  // The row fills the rest of the first block, then moves each time it
+  // doubles: 7 moves in all, the last one past the cap.
+  EXPECT_LE(moves, 8u);
+  ASSERT_EQ(m.user_observation_count(1), kLength);
+  for (std::size_t n = 0; n < kLength; n += 997) {
+    EXPECT_EQ(m.value(1, n), static_cast<double>(n));
+  }
+  EXPECT_EQ(m.value(1, kLength - 1), static_cast<double>(kLength - 1));
+  EXPECT_EQ(m.value(0, 0), -1.0);
+  EXPECT_EQ(m.observation_count(), kLength + 1);
+}
+
 TEST(ClaimArena, RowsAcrossTheBlockGrowthMatchFromRows) {
   // Rows of 7 claims, one user for every 5 entries the 4 KiB → 256 KiB
   // blocks hold together (8,661 users, 60,627 entries against 43,307 at

@@ -20,6 +20,7 @@
 #include "dist/coordinator.h"
 #include "dist/pinned_ops.h"
 #include "dist/shard_node.h"
+#include "truth/fold_backend.h"
 #include "truth/interface.h"
 #include "net/network.h"
 #include "testing/address_space.h"
@@ -1222,9 +1223,9 @@ TEST(DistributedProtocol, DelayedDuplicateBatchReplaysMemoNeverReexecutes) {
       recorder.received.back().payload;
 
   // Resend of the in-flight op id: the reply bytes are replayed verbatim
-  // from the memo (a re-executed kCollectWeights would produce the same
-  // numbers — the envelope bytes being identical proves it came from the
-  // memo path, which is also what keeps non-idempotent batches safe).
+  // from the memo (a re-executed kCollectWeights would find the register
+  // handed over and reply all ones — the memo path is what keeps
+  // non-idempotent batches safe).
   deliver_request(shard, kRecorder, 3, ShardOp::kBatch, batch);
   fleet.sim.run();
   ASSERT_EQ(recorder.received.size(), 4u);
@@ -1248,6 +1249,106 @@ TEST(DistributedProtocol, DelayedDuplicateBatchReplaysMemoNeverReexecutes) {
       crowd::StatsEnvelope::decode(recorder.received.back().payload);
   EXPECT_EQ(reply.op_id, 5u);
   EXPECT_EQ(WeightsBody::decode(reply.body).weights, newer.weights);
+}
+
+TEST(DistributedProtocol, AWeightUpdateResentAfterAMidBatchAbortAppliesOnce) {
+  // kCrhWeights turns the losses in the shard's weight register into weights
+  // in place. When a later item of its batch fails to decode, the update has
+  // run, and the coordinator resends the whole batch under the same op id:
+  // the second run must leave the weights as the first made them, not take
+  // the log of weights.
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7782;
+  fleet.network.attach(kRecorder, recorder);
+  stage_single_shard_round(fleet, kRecorder);
+
+  const Doubles stddevs{1.0, 1.0};
+  const Doubles truths{2.0, 3.0};
+  deliver_request(shard, kRecorder, 3, ShardOp::kCrhPrepare,
+                  encode_fields(ArgsOf<ShardOp::kCrhPrepare>{
+                      truth::CrhLoss::kSquared, 1e-12, stddevs}));
+  deliver_request(shard, kRecorder, 4, ShardOp::kCrhLoss,
+                  encode_fields(ArgsOf<ShardOp::kCrhLoss>{truths, 0.0}));
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 4u);  // setup, finalize, prepare, loss
+  const double total =
+      std::get<0>(decode_fields<ReplyOf<ShardOp::kCrhLoss>>(
+          crowd::StatsEnvelope::decode(recorder.received.back().payload)
+              .body));
+
+  truth::AggregateStats acc;
+  acc.reset(2);
+  BatchBody batch;
+  batch.items.push_back(
+      {ShardOp::kCrhWeights,
+       encode_fields(ArgsOf<ShardOp::kCrhWeights>{total})});
+  batch.items.push_back(
+      {ShardOp::kAggregate, encode_fields(ArgsOf<ShardOp::kAggregate>{acc})});
+  BatchBody cut = batch;
+  cut.items.back().body.pop_back();  // the aggregate no longer decodes
+  deliver_request(shard, kRecorder, 5, ShardOp::kBatch, cut.encode());
+  EXPECT_EQ(shard.malformed_messages(), 1u);
+  deliver_request(shard, kRecorder, 5, ShardOp::kBatch, batch.encode());
+  deliver_request(shard, kRecorder, 6, ShardOp::kCollectWeights, {});
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 6u);
+
+  // The in-process backend over the same claims, updated once.
+  const data::ObservationMatrix claims = data::ObservationMatrix::from_rows(
+      {{{0, 1.0}, {1, 2.0}},
+       {{0, 2.0}, {1, 3.0}},
+       {{0, 3.0}, {1, 4.0}},
+       {{0, 4.0}, {1, 5.0}}},
+      2);
+  const data::ShardedMatrix matrix =
+      data::ShardedMatrix::single(claims, kTestBlock);
+  truth::LocalBackend reference(matrix, nullptr);
+  reference.crh_prepare(truth::CrhLoss::kSquared, 1e-12, stddevs);
+  reference.crh_weights(reference.crh_loss(truths, 0.0));
+  const crowd::StatsEnvelope reply =
+      crowd::StatsEnvelope::decode(recorder.received.back().payload);
+  EXPECT_EQ(WeightsBody::decode(reply.body).weights,
+            reference.collect_weights());
+}
+
+TEST(DistributedProtocol, OnlyTelemetryMayFollowACollectInABatch) {
+  // kCollectWeights hands the shard's weight register over. Were an item
+  // after it to abort the batch, the resend would collect an empty register
+  // and reply all ones, so decode refuses any op after a collect but
+  // kGetTelemetry, which cannot fail, before a sub-op runs.
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7783;
+  fleet.network.attach(kRecorder, recorder);
+  stage_single_shard_round(fleet, kRecorder);
+
+  WeightsBody good;
+  good.weights = {2.0, 3.0, 4.0, 5.0};
+  deliver_request(shard, kRecorder, 3, ShardOp::kSetWeights, good.encode());
+  WeightsBody overwrite;
+  overwrite.weights = {9.0, 9.0, 9.0, 9.0};
+  BatchBody refused;
+  refused.items.push_back({ShardOp::kSetWeights, overwrite.encode()});
+  refused.items.push_back({ShardOp::kCollectWeights, {}});
+  refused.items.push_back({ShardOp::kSetWeights, overwrite.encode()});
+  deliver_request(shard, kRecorder, 4, ShardOp::kBatch, refused.encode());
+  EXPECT_EQ(shard.malformed_messages(), 1u);
+
+  // The coordinator's collect frame, under the same op id: the collect,
+  // then the telemetry. Neither refused item ran.
+  BatchBody collect;
+  collect.items.push_back({ShardOp::kCollectWeights, {}});
+  collect.items.push_back({ShardOp::kGetTelemetry, {}});
+  deliver_request(shard, kRecorder, 4, ShardOp::kBatch, collect.encode());
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 4u);  // setup, finalize, set, batch
+  const BatchReplyBody bodies = BatchReplyBody::decode(
+      crowd::StatsEnvelope::decode(recorder.received.back().payload).body);
+  ASSERT_EQ(bodies.bodies.size(), 2u);
+  EXPECT_EQ(WeightsBody::decode(bodies.bodies[0]).weights, good.weights);
 }
 
 /// A kReportBatch of continuous uploads from users 0..2 (two claims each),

@@ -10,12 +10,16 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "categorical/label_matrix.h"
+#include "categorical/voting.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "data/sharding.h"
@@ -66,6 +70,15 @@ struct Split {
     }
   }
 
+  /// Sets `weights` on the whole backend and each part's slice on the part.
+  void set_weights(std::span<const double> weights) {
+    all->set_weights(weights);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      parts[i]->set_weights(
+          weights.subspan(whole.user_base(i), whole.shard(i).num_users()));
+    }
+  }
+
   /// The parts' weight registers, concatenated in shard order.
   std::vector<double> part_weights() {
     std::vector<double> out;
@@ -86,12 +99,7 @@ TEST(FoldBackend, ShardChainContinuesThePartitionedFoldBitwise) {
   for (std::size_t s = 0; s < weights.size(); ++s) {
     weights[s] = 0.5 + static_cast<double>(s % 7) * 0.3;
   }
-  split.all->set_weights(weights);
-  for (std::size_t i = 0; i < split.parts.size(); ++i) {
-    const std::size_t begin = split.whole.user_base(i);
-    split.parts[i]->set_weights(std::span<const double>(weights).subspan(
-        begin, split.whole.shard(i).num_users()));
-  }
+  split.set_weights(weights);
   AggregateStats whole;
   AggregateStats chained;
   whole.reset(N);
@@ -128,9 +136,12 @@ TEST(FoldBackend, ShardChainContinuesThePartitionedFoldBitwise) {
   EXPECT_EQ(split.all->crh_loss(truths, 0.0), total);
   split.all->crh_weights(total);
   for (auto& part : split.parts) part->crh_weights(total);
-  EXPECT_EQ(split.all->collect_weights(), split.part_weights());
+  const std::vector<double> crh = split.all->collect_weights();
+  EXPECT_EQ(crh, split.part_weights());
 
-  // GTM: the posterior chain under those precisions, then the M-step.
+  // GTM: the posterior chain under those weights as precisions (the collects
+  // above handed the registers over), then the M-step.
+  split.set_weights(crh);
   GtmConfig gtm;
   const std::vector<double> shift(N, 0.25);
   const std::vector<double> scale(N, 2.0);
@@ -313,6 +324,107 @@ TEST(FoldBackend, VoteFoldsOverReadingsDropWhatLabelViewDrops) {
   }
 }
 
+TEST(FoldBackend, CollectHandsTheWeightRegisterOver) {
+  // collect_weights moves the register out, so a second collect with no
+  // weight write in between reads all ones, as on a fresh backend, and
+  // every weight write fills the register again.
+  const data::ObservationMatrix obs = claims(16, 4, /*labels=*/true);
+  const data::ShardedMatrix matrix = data::ShardedMatrix::single(obs, kBlock);
+  LocalBackend backend(matrix, nullptr);
+  const std::vector<double> ones(16, 1.0);
+  std::vector<double> w(16);
+  for (std::size_t s = 0; s < w.size(); ++s) {
+    w[s] = 0.5 + 0.25 * static_cast<double>(s % 5);
+  }
+  backend.set_weights(w);
+  EXPECT_EQ(backend.collect_weights(), w);
+  EXPECT_EQ(backend.collect_weights(), ones);
+
+  const std::vector<double> truths(4, 1.0);
+  const std::vector<double> spread(4, 0.5);
+  const std::vector<categorical::Label> labels(4, 1);
+  backend.crh_prepare(CrhLoss::kSquared, 1e-12, std::vector<double>(4, 1.0));
+  backend.gtm_prepare(GtmConfig{}, std::vector<double>(4, 0.0),
+                      std::vector<double>(4, 1.0));
+  backend.catd_prepare(0.05, 1e-12);
+  backend.vote_prepare(kLabels, 1e-12);
+  const std::vector<std::pair<std::string, std::function<void()>>> writes = {
+      {"set_weights", [&] { backend.set_weights(w); }},
+      {"crh_weights",
+       [&] { backend.crh_weights(backend.crh_loss(truths, 0.0)); }},
+      {"gtm_step", [&] { backend.gtm_step(truths, spread); }},
+      {"catd_weights", [&] { backend.catd_weights(truths); }},
+      {"vote_weights",
+       [&] { backend.vote_weights(backend.vote_disagreement(labels, 0.0)); }},
+  };
+  for (const auto& [name, write] : writes) {
+    write();
+    const std::vector<double> weights = backend.collect_weights();
+    EXPECT_EQ(weights.size(), 16u) << name;
+    EXPECT_NE(weights, ones) << name;
+    EXPECT_EQ(backend.collect_weights(), ones) << name;
+  }
+}
+
+TEST(FoldBackend, LossFoldsBecomeWeightsInPlaceBitwise) {
+  // The loss folds write into the weight register and the updates turn it
+  // into weights in place. The same kernels over separate buffers must give
+  // the same total and the same weights, bit for bit, and an update run
+  // twice (a resent write) applies once. 1,600 users put every per-user
+  // kernel above the pool's serial threshold at K = 1 and 3.
+  constexpr std::size_t kUsers = 1600;
+  constexpr std::size_t kObjects = 12;
+  constexpr double kMinFraction = 1e-3;
+  const data::ObservationMatrix values = claims(kUsers, kObjects, false);
+  const data::ObservationMatrix labels = claims(kUsers, kObjects, true);
+  std::vector<double> truths(kObjects);
+  std::vector<categorical::Label> label_truths(kObjects);
+  for (std::size_t n = 0; n < kObjects; ++n) {
+    truths[n] = 0.75 * static_cast<double>(n);
+    label_truths[n] = static_cast<categorical::Label>(n % kLabels);
+  }
+  const std::vector<double> stddevs(kObjects, 1.5);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    for (std::size_t k : {1, 3}) {
+      SCOPED_TRACE("pool=" + std::to_string(pool ? pool->size() : 0) +
+                   " K=" + std::to_string(k));
+      const data::ShardedMatrix m =
+          data::ShardedMatrix::partition(values, k, kBlock);
+      LocalBackend backend(m, pool);
+      backend.crh_prepare(CrhLoss::kNormalizedSquared, kMinFraction, stddevs);
+      const double total = backend.crh_loss(truths, 0.25);
+      backend.crh_weights(total);
+      backend.crh_weights(total);
+      std::vector<double> losses(kUsers);
+      crh_user_losses(m, pool, CrhLoss::kNormalizedSquared, truths, stddevs,
+                      losses);
+      const double expected_total = block_chain_sum(losses, kBlock, 0.25);
+      std::vector<double> expected(kUsers);
+      crh_weights_from_losses(pool, losses, expected_total, kMinFraction,
+                              expected);
+      EXPECT_EQ(bits({total}), bits({expected_total}));
+      EXPECT_EQ(bits(backend.collect_weights()), bits(expected));
+
+      const data::ShardedMatrix lm =
+          data::ShardedMatrix::partition(labels, k, kBlock);
+      LocalBackend voter(lm, pool);
+      voter.vote_prepare(kLabels, kMinFraction);
+      const double disagreed = voter.vote_disagreement(label_truths, 0.0);
+      voter.vote_weights(disagreed);
+      voter.vote_weights(disagreed);
+      std::vector<double> counts(kUsers);
+      categorical::vote_disagreement(lm, kLabels, pool, label_truths, counts);
+      const double expected_disagreed = block_chain_sum(counts, kBlock, 0.0);
+      ASSERT_GT(expected_disagreed, 0.0);
+      categorical::vote_weights_from_disagreement(
+          pool, counts, expected_disagreed, kMinFraction, expected);
+      EXPECT_EQ(bits({disagreed}), bits({expected_disagreed}));
+      EXPECT_EQ(bits(voter.collect_weights()), bits(expected));
+    }
+  }
+}
+
 TEST(FoldBackend, StepsBeforeTheirPrepareAreRefused) {
   const data::ObservationMatrix obs = claims(16, 4, /*labels=*/false);
   const data::ShardedMatrix matrix = data::ShardedMatrix::single(obs, kBlock);
@@ -344,6 +456,12 @@ TEST(FoldBackend, StepsBeforeTheirPrepareAreRefused) {
   backend.crh_prepare(CrhLoss::kSquared, 1e-12, std::vector<double>(4, 1.0));
   EXPECT_THROW(backend.crh_loss(std::vector<double>(3, 0.0), 0.0),
                std::invalid_argument);
+  backend.vote_prepare(kLabels, 1e-12);
+  EXPECT_THROW(backend.vote_disagreement(
+                   std::vector<categorical::Label>(3, 0), 0.0),
+               std::invalid_argument);
+  // No refused step touched the weight register: it still reads uniform.
+  EXPECT_EQ(backend.collect_weights(), std::vector<double>(16, 1.0));
 }
 
 }  // namespace
