@@ -30,19 +30,6 @@
 
 namespace dptd::categorical {
 
-struct VotingResult {
-  std::vector<Label> truths;    ///< one label per object
-  std::vector<double> weights;  ///< one non-negative weight per user
-  std::size_t iterations = 0;
-  bool converged = false;
-};
-
-struct WeightedVotingConfig {
-  std::size_t max_iterations = 50;
-  /// Stop when no object's estimate changed between iterations.
-  double min_disagreement_fraction = 1e-12;  ///< clamp before the log
-};
-
 // ---------------------------------------------------------------------------
 // Mergeable kernels (the sharded/distributed building blocks).
 // ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   }
   caller_distinct_ = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    ingestors_[s]->begin_round(plan_.shard_num_users(s), plan_.user_begin(s),
-                               num_objects, round, labels);
+    ingestors_[s]->begin_round(plan_.shard_num_users(s), num_objects, round,
+                               labels);
   }
   for (std::size_t w = 0; w < num_workers; ++w) {
     if (!workers_[w]->thread.joinable()) {

@@ -75,13 +75,10 @@ class IngestPipeline {
   /// The previous round, if any, must have been drained (finalize_shards or
   /// drain); this is the caller's round-close barrier, and begin_round
   /// throws std::invalid_argument, changing nothing, while any report of the
-  /// previous round is still staged or being ingested. Categorical rounds
-  /// additionally pass the round number and the label policy, which also
-  /// selects the upload kind every report decodes as: label-range
-  /// validation and the policy's optional k-RR sampling run wherever the
-  /// report's shard ingests (its worker, or the caller at zero workers),
-  /// seeded by (round, global row) so the bits match for every worker
-  /// count.
+  /// previous round is still staged or being ingested. Every report decodes
+  /// against `round`; the label policy selects the upload kind, and label
+  /// range checks run wherever the report's shard ingests (its worker, or
+  /// the caller at zero workers).
   void begin_round(const data::ShardPlan& plan, std::size_t num_objects,
                    std::uint64_t round = 0,
                    const LabelIngestPolicy& labels = {});

@@ -3,9 +3,7 @@
 #include <cmath>
 #include <type_traits>
 
-#include "categorical/randomized_response.h"
 #include "common/check.h"
-#include "common/rng.h"
 #include "common/serialize.h"
 
 namespace dptd::crowd {
@@ -47,18 +45,14 @@ struct LabelIngestOutcome {
 
 /// The categorical twin of ingest_report_claims: validates every claim's
 /// object range AND label range (out-of-alphabet labels are dropped and
-/// counted, never aborting the report), optionally applies the policy's
-/// server-side k-RR sampling (seeded by (round, global_user), so the result
-/// is identical on every ingestion mode), and ingests the surviving claims
-/// as exact label-id doubles under `local_user`. The caller must have
+/// counted, never aborting the report) and ingests the surviving claims as
+/// exact label-id doubles under `local_user`. The caller must have
 /// dedup-checked `local_user` already.
 LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
                                        std::size_t local_user,
-                                       std::size_t global_user,
                                        const LabelReport& report,
                                        std::size_t num_objects,
-                                       const LabelIngestPolicy& policy,
-                                       std::uint64_t round) {
+                                       std::size_t num_labels) {
   LabelIngestOutcome outcome;
   const std::size_t count =
       std::min(report.objects.size(), report.labels.size());
@@ -68,28 +62,17 @@ LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
   std::vector<double> values;
   objects.reserve(count);
   values.reserve(count);
-  // One lazily-created stream per report, keyed by (round, global user): the
-  // draws consumed are a function of the report alone, never of which thread
-  // or shard ingests it, so every ingestion mode lands identical bits.
-  std::optional<Rng> rng;
-  const bool sample = policy.rr_keep_probability < 1.0;
   for (std::size_t i = 0; i < count; ++i) {
     if (report.objects[i] >= num_objects) {
       outcome.malformed = true;
       continue;
     }
-    if (report.labels[i] >= policy.num_labels) {
+    if (report.labels[i] >= num_labels) {
       ++outcome.invalid_labels;
       continue;
     }
-    categorical::Label label = report.labels[i];
-    if (sample) {
-      if (!rng) rng.emplace(derive_seed(policy.rr_seed, round, global_user));
-      label = categorical::krr_perturb(label, policy.rr_keep_probability,
-                                       policy.num_labels, *rng);
-    }
     objects.push_back(report.objects[i]);
-    values.push_back(static_cast<double>(label));
+    values.push_back(static_cast<double>(report.labels[i]));
   }
   builder.add_row(local_user, objects, values);
   return outcome;
@@ -97,15 +80,14 @@ LabelIngestOutcome ingest_label_claims(data::ObservationMatrixBuilder& builder,
 
 }  // namespace
 
-void ShardIngestor::begin_round(std::size_t num_users, std::size_t user_base,
-                                std::size_t num_objects, std::uint64_t round,
+void ShardIngestor::begin_round(std::size_t num_users, std::size_t num_objects,
+                                std::uint64_t round,
                                 const LabelIngestPolicy& labels) {
   if (builder_.has_value()) {
     builder_->reshape(num_users, num_objects);
   } else {
     builder_.emplace(num_users, num_objects);
   }
-  user_base_ = user_base;
   num_objects_ = num_objects;
   round_ = round;
   labels_ = labels;
@@ -135,11 +117,8 @@ bool ShardIngestor::ingest_as(std::size_t row,
     return false;
   }
   if constexpr (std::is_same_v<Upload, LabelReport>) {
-    // The sampling stream is keyed by the GLOBAL row, so the ingested bits
-    // are the same for every shard count.
-    const LabelIngestOutcome outcome =
-        ingest_label_claims(*builder_, row, user_base_ + row, upload,
-                            num_objects_, labels_, round_);
+    const LabelIngestOutcome outcome = ingest_label_claims(
+        *builder_, row, upload, num_objects_, labels_.num_labels);
     if (outcome.malformed) ++stats_.malformed_reports;
     stats_.invalid_labels += outcome.invalid_labels;
   } else {

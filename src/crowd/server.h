@@ -32,20 +32,14 @@
 namespace dptd::crowd {
 
 /// Categorical-round ingestion policy. Every ShardIngestor of a round applies
-/// the same one, so every ingestion mode lands identical bits.
+/// the same one, so every ingestion mode lands identical bits. Labels arrive
+/// already perturbed: devices apply k-RR before upload
+/// (crowd::make_label_report), and ingestion only range-checks them.
 struct LabelIngestPolicy {
-  /// Label alphabet size of the round; 0 (or 1) means a continuous campaign
-  /// and disables label ingestion entirely.
+  /// Label alphabet size of the round; 0 means a continuous campaign and
+  /// disables label ingestion entirely. ShardedServer accepts 0 or
+  /// [2, truth::kMaxBridgedLabels].
   std::size_t num_labels = 0;
-  /// Server-side empirical k-RR sampling applied per ingested claim by the
-  /// shard's ingestor (with ingest workers, on the worker that owns the
-  /// user's shard, never on the network thread). 1.0 disables it — clients
-  /// that already perturbed locally are the normal LDP deployment.
-  double rr_keep_probability = 1.0;
-  /// Root seed of the sampling stream; each report's draws come from
-  /// Rng(derive_seed(rr_seed, round, global_row)), so results are identical
-  /// for every worker count and every shard count.
-  std::uint64_t rr_seed = 0x6c61626cULL;  // "labl"
 
   bool enabled() const { return num_labels >= 2; }
 };
@@ -75,7 +69,7 @@ struct ServerConfig {
   /// the same for every value: each shard ingests in arrival order either
   /// way, and only a row's first submission can close the round early.
   std::size_t ingest_threads = 0;
-  /// Categorical campaign knobs; labels.enabled() switches the round to
+  /// The round's label alphabet; labels.enabled() switches the round to
   /// kLabelReport ingestion (kReport uploads are then rejected, and vice
   /// versa for continuous rounds).
   LabelIngestPolicy labels;
@@ -134,16 +128,14 @@ bool ingest_report_claims(data::ObservationMatrixBuilder& builder,
 /// and two ingestors never share a line.
 class alignas(64) ShardIngestor {
  public:
-  /// Arms the ingestor for round `round`: `num_users` local rows, the first
-  /// of them global row `user_base` (the k-RR stream's key is user_base +
-  /// row), claims on objects [0, num_objects). Uploads decode as LabelReport
-  /// when `labels` is enabled, as Report otherwise. Zeroes the counters and
-  /// reuses the builder's storage across rounds. A shape the builder refuses
+  /// Arms the ingestor for round `round`: `num_users` local rows, claims on
+  /// objects [0, num_objects). Uploads decode as LabelReport when `labels`
+  /// is enabled, as Report otherwise. Zeroes the counters and reuses the
+  /// builder's storage across rounds. A shape the builder refuses
   /// (std::invalid_argument, e.g. more than 2^32 objects) leaves the
   /// ingestor as it was.
-  void begin_round(std::size_t num_users, std::size_t user_base,
-                   std::size_t num_objects, std::uint64_t round,
-                   const LabelIngestPolicy& labels);
+  void begin_round(std::size_t num_users, std::size_t num_objects,
+                   std::uint64_t round, const LabelIngestPolicy& labels);
 
   /// Ingests one upload for local row `row` of an armed ingestor. `fields`
   /// are its bytes after the round varint — exactly a kReportBatch item.
@@ -168,7 +160,6 @@ class alignas(64) ShardIngestor {
   bool ingest_as(std::size_t row, std::span<const std::uint8_t> fields);
 
   std::optional<data::ObservationMatrixBuilder> builder_;
-  std::size_t user_base_ = 0;
   std::size_t num_objects_ = 0;
   std::uint64_t round_ = 0;
   LabelIngestPolicy labels_;

@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "truth/categorical.h"
 
 namespace dptd::crowd {
 
@@ -23,12 +24,9 @@ ShardedServer::ShardedServer(ServerConfig config,
                "ShardedServer: num_shards must be positive");
   DPTD_REQUIRE(config_.stats_block_size > 0,
                "ShardedServer: stats_block_size must be positive");
-  if (config_.labels.enabled()) {
-    DPTD_REQUIRE(
-        config_.labels.rr_keep_probability <= 1.0 &&
-            config_.labels.rr_keep_probability >
-                1.0 / static_cast<double>(config_.labels.num_labels),
-        "ShardedServer: rr_keep_probability must be in (1/num_labels, 1]");
+  // 0 is a continuous campaign; any other alphabet must be one a vote reads.
+  if (config_.labels.num_labels != 0) {
+    truth::check_num_labels(config_.labels.num_labels);
   }
   network_->attach(config_.id, *this);
 }

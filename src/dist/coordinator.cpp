@@ -84,11 +84,6 @@ Coordinator::Coordinator(CoordinatorConfig config, MethodSpec method,
                "Coordinator: num_objects must be positive");
   DPTD_REQUIRE(config_.block_size > 0,
                "Coordinator: block_size must be positive");
-  DPTD_REQUIRE(!spec_.categorical() ||
-                   (spec_.num_labels() >= 2 &&
-                    spec_.num_labels() <= truth::kMaxBridgedLabels),
-               "Coordinator: categorical method needs an explicit label "
-               "alphabet (2 <= num_labels <= kMaxBridgedLabels)");
   config_.rpc.validate();
   network_->attach(config_.id, *this);
 }

@@ -91,15 +91,15 @@ struct CoordinatorConfig {
 
 /// Which method the coordinator drives, with its full configuration. The
 /// coordinator runs make_method(spec)'s loop (TruthDiscovery::run_folds);
-/// categorical kinds need the explicit alphabet a shard's Setup carries.
+/// a categorical kind's alphabet also rides to every shard in its Setup.
 struct MethodSpec {
   enum class Kind { kCrh, kGtm, kCatd, kMean, kMedian, kMajority, kVote };
   Kind kind = Kind::kCrh;
   truth::CrhConfig crh;
   truth::GtmConfig gtm;
   truth::CatdConfig catd;
-  /// Categorical kinds: the label alphabet must be explicit (>= 2) — shards
-  /// cannot infer it locally without diverging, so it rides in SetupBody.
+  /// Categorical kinds: the vote's constructor, and so the Coordinator's,
+  /// refuses an alphabet outside [2, truth::kMaxBridgedLabels].
   truth::MajorityVoteConfig majority;
   truth::WeightedVoteConfig vote;
 

@@ -200,17 +200,13 @@ std::vector<std::uint8_t> ShardNode::execute(
       } catch (const std::invalid_argument&) {
         throw DecodeError("SetupBody: participant id repeated");
       }
-      // LDP stays on the device in the distributed deployment: the policy
-      // only carries the alphabet for range validation, never a sampling
-      // probability.
       crowd::LabelIngestPolicy labels;
       labels.num_labels = static_cast<std::size_t>(setup.num_labels);
       // Unchanged if it throws (more objects than the claim store's 32-bit
       // ids hold), so a refused kSetup leaves the open round as it was.
-      ingestor_.begin_round(
-          setup.participants.size(),
-          plan.user_begin(static_cast<std::size_t>(setup.shard_index)),
-          static_cast<std::size_t>(setup.num_objects), setup.round, labels);
+      ingestor_.begin_round(setup.participants.size(),
+                            static_cast<std::size_t>(setup.num_objects),
+                            setup.round, labels);
       index_ = std::move(index);
       round_ = setup.round;
       round_open_ = true;

@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "truth/baselines.h"
 #include "truth/catd.h"
-#include "truth/categorical.h"
 #include "truth/crh.h"
 #include "truth/gtm.h"
 
@@ -32,17 +31,6 @@ std::unique_ptr<TruthDiscovery> make_method(
   }
   if (name == "mean") return std::make_unique<MeanAggregator>(num_threads);
   if (name == "median") return std::make_unique<MedianAggregator>(num_threads);
-  if (name == "majority") {
-    MajorityVoteConfig config;
-    config.num_threads = num_threads;
-    return std::make_unique<MajorityVote>(config);
-  }
-  if (name == "vote") {
-    WeightedVoteConfig config;
-    config.voting.max_iterations = convergence.max_iterations;
-    config.num_threads = num_threads;
-    return std::make_unique<WeightedVote>(config);
-  }
   DPTD_REQUIRE(false, "unknown truth-discovery method: " + name);
   return nullptr;
 }

@@ -10,20 +10,21 @@
 
 namespace dptd::truth {
 
-/// Builds "crh", "gtm", "catd", "mean", "median", or the categorical
-/// bridges "majority"/"vote", with the given convergence criteria (ignored
-/// by single-pass baselines; "vote" uses max_iterations only) and worker
-/// thread count (1 = serial, 0 = hardware concurrency; every method is
+/// Builds "crh", "gtm", "catd", "mean" or "median" with the given
+/// convergence criteria (ignored by single-pass baselines) and worker thread
+/// count (1 = serial, 0 = hardware concurrency; every method is
 /// bit-identical across thread counts). The iterative methods ("crh",
-/// "gtm", "catd", "vote") honor TruthDiscovery::run_warm for multi-round
-/// warm starts; the single-pass baselines ignore the seed. Throws
-/// std::invalid_argument for unknown names.
+/// "gtm", "catd") honor TruthDiscovery::run_warm for multi-round warm
+/// starts; the single-pass baselines ignore the seed. Throws
+/// std::invalid_argument for unknown names. The categorical votes are not
+/// registered: a vote needs its label alphabet, so build truth::MajorityVote
+/// or truth::WeightedVote (truth/categorical.h) with the round's alphabet.
 std::unique_ptr<TruthDiscovery> make_method(
     const std::string& name, const ConvergenceCriteria& convergence = {},
     std::size_t num_threads = 1);
 
-/// Continuous-data names accepted by make_method, in display order. Drivers
-/// that sweep methods over real-valued datasets iterate this list.
+/// Every name make_method accepts, in display order. Drivers that sweep
+/// methods over real-valued datasets iterate this list.
 std::vector<std::string> method_names();
 
 /// True when `name` builds a method whose run_warm honors the seed

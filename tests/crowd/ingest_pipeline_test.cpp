@@ -577,7 +577,7 @@ TEST(ShardIngestorDeathTest, OversizedClaimCountIsARejectNotAnAbort) {
         bool one_reject_each = true;
         for (const LabelIngestPolicy& policy : {LabelIngestPolicy{}, labels}) {
           ShardIngestor ingestor;
-          ingestor.begin_round(2, 0, 3, 1, policy);
+          ingestor.begin_round(2, 3, 1, policy);
           ingestor.ingest(0, upload.bytes());
           one_reject_each =
               one_reject_each && ingestor.stats().rejected_reports == 1;

@@ -2,7 +2,7 @@
 // report stream lands bitwise-identical published truths through the flat
 // (K = 1) server, the multi-shard ShardedServer, the pipelined ingestion
 // path and the batch front door over the generator's own claims;
-// server-side k-RR sampling is deterministic for every worker and shard
+// device-side k-RR flips land identical bits at every worker and shard
 // count; out-of-alphabet labels are counted and dropped, never fatal;
 // wrong-kind uploads (continuous report in a label round and vice versa) are
 // rejected and counted; and the label client checks its preconditions on
@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "crowd/sharded_server.h"
 #include "data/sharding.h"
 #include "net/network.h"
+#include "truth/categorical.h"
 #include "truth/registry.h"
 
 namespace dptd::crowd {
@@ -51,8 +53,7 @@ categorical::LabelDataset label_workload(std::uint64_t seed,
 }
 
 ServerConfig label_config(std::size_t num_objects, std::size_t num_shards,
-                          std::size_t ingest_threads,
-                          double rr_keep = 1.0) {
+                          std::size_t ingest_threads) {
   ServerConfig config;
   config.id = kServerId;
   config.num_objects = num_objects;
@@ -61,8 +62,17 @@ ServerConfig label_config(std::size_t num_objects, std::size_t num_shards,
   config.ingest_threads = ingest_threads;
   config.stats_block_size = 4;
   config.labels.num_labels = kLabels;
-  config.labels.rr_keep_probability = rr_keep;
   return config;
+}
+
+std::unique_ptr<truth::TruthDiscovery> weighted_vote() {
+  return std::make_unique<truth::WeightedVote>(
+      truth::WeightedVoteConfig{.num_labels = kLabels});
+}
+
+std::unique_ptr<truth::TruthDiscovery> majority_vote() {
+  return std::make_unique<truth::MajorityVote>(
+      truth::MajorityVoteConfig{.num_labels = kLabels});
 }
 
 std::vector<net::NodeId> participant_ids(std::size_t count) {
@@ -71,10 +81,11 @@ std::vector<net::NodeId> participant_ids(std::size_t count) {
   return ids;
 }
 
-/// Uploads every user's row through the real client-side report builder
-/// (keep probability 1.0: the trusted-aggregator deployment, no client RR).
+/// Uploads every user's row through the real client-side report builder,
+/// which flips each label by k-RR at `keep` (1.0: the trusted-aggregator
+/// deployment, no flips).
 void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
-                        std::uint64_t round = 1) {
+                        double keep) {
   for (std::size_t s = 0; s < dataset.claims.num_users(); ++s) {
     const auto row = dataset.claims.user_entries(s);
     std::vector<std::uint64_t> objects;
@@ -84,22 +95,21 @@ void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
       labels.push_back(static_cast<categorical::Label>(entry.value));
     }
     const LabelReport report = make_label_report(
-        round, s, objects, labels, kLabels, /*keep_probability=*/1.0,
-        /*seed=*/round);
+        /*round=*/1, s, objects, labels, kLabels, keep, /*seed=*/1);
     h.network.send(make_message(s, kServerId, MessageType::kLabelReport,
                                 report.encode()));
   }
 }
 
-/// Runs one label round through a server of the config's shape and returns
-/// its outcome.
+/// Runs one weighted-vote label round through a server of the config's
+/// shape, its devices flipping at `keep`, and returns its outcome.
 RoundOutcome run_label_round(const ServerConfig& config,
                              const categorical::LabelDataset& dataset,
-                             const std::string& method = "vote") {
+                             double keep = 1.0) {
   Harness h;
-  ShardedServer server(config, truth::make_method(method), h.network);
+  ShardedServer server(config, weighted_vote(), h.network);
   server.start_round(1, participant_ids(dataset.claims.num_users()));
-  send_label_dataset(h, dataset);
+  send_label_dataset(h, dataset, keep);
   h.sim.run();
   const auto& outcomes = server.outcomes();
   EXPECT_EQ(outcomes.size(), 1u);
@@ -149,30 +159,29 @@ TEST(LabelServer, FlatShardedAndPipelinedPublishIdenticalBits) {
   // The batch front door over the generator's own claims, at the round's
   // block size: the generator's store is the store the round ingested.
   expect_same_bits(flat.result,
-                   truth::make_method("vote")->run_sharded(
+                   weighted_vote()->run_sharded(
                        data::ShardedMatrix::single(dataset.claims, 4)),
                    "batch run_sharded");
 }
 
 TEST(LabelServer, ServerSideRrIsDeterministicAcrossWorkersAndShards) {
+  // Named for server-side k-RR, which is gone: devices flip their labels.
   const categorical::LabelDataset dataset = label_workload(21, 32, 10);
   const double keep = 0.7;  // > 1/kLabels, real flips
-  const RoundOutcome base =
-      run_label_round(label_config(10, 1, 0, keep), dataset);
-  expect_results_bitwise_equal(
-      base, run_label_round(label_config(10, 4, 0, keep), dataset),
-      "rr sharded");
-  expect_results_bitwise_equal(
-      base, run_label_round(label_config(10, 4, 1, keep), dataset),
-      "rr one worker");
-  expect_results_bitwise_equal(
-      base, run_label_round(label_config(10, 4, 3, keep), dataset),
-      "rr three workers");
+  const RoundOutcome base = run_label_round(label_config(10, 1, 0), dataset,
+                                            keep);
+  for (std::size_t shards : {1, 4}) {
+    for (std::size_t workers : {0, 1, 3}) {
+      expect_results_bitwise_equal(
+          base,
+          run_label_round(label_config(10, shards, workers), dataset, keep),
+          "rr K=" + std::to_string(shards) + " W=" + std::to_string(workers));
+    }
+  }
 
-  // Sanity: the sampling actually perturbed something — the weighted-vote
+  // Sanity: the flips actually perturbed something — the weighted-vote
   // outcome differs somewhere from the unperturbed round.
-  const RoundOutcome clean =
-      run_label_round(label_config(10, 1, 0, 1.0), dataset);
+  const RoundOutcome clean = run_label_round(label_config(10, 1, 0), dataset);
   bool differs = false;
   for (std::size_t s = 0; s < base.result.weights.size(); ++s) {
     if (base.result.weights[s] != clean.result.weights[s]) differs = true;
@@ -182,8 +191,7 @@ TEST(LabelServer, ServerSideRrIsDeterministicAcrossWorkersAndShards) {
 
 TEST(LabelServer, InvalidLabelsAreCountedAndDroppedNotFatal) {
   Harness h;
-  ShardedServer server(label_config(2, 1, 0), truth::make_method("majority"),
-                       h.network);
+  ShardedServer server(label_config(2, 1, 0), majority_vote(), h.network);
   server.start_round(1, participant_ids(3));
   for (std::size_t s = 0; s < 3; ++s) {
     LabelReport report;
@@ -210,8 +218,7 @@ TEST(LabelServer, WrongKindUploadsAreRejectedBothWays) {
   // A label round rejects a continuous kReport from an enrolled user...
   {
     Harness h;
-    ShardedServer server(label_config(2, 2, 0), truth::make_method("majority"),
-                         h.network);
+    ShardedServer server(label_config(2, 2, 0), majority_vote(), h.network);
     server.start_round(1, participant_ids(4));
     Report continuous;
     continuous.round = 1;

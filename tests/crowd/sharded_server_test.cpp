@@ -16,6 +16,7 @@
 #include "crowd/sharded_server.h"
 #include "data/dataset.h"
 #include "data/sharding.h"
+#include "truth/categorical.h"
 #include "truth/registry.h"
 #include "net/network.h"
 
@@ -534,6 +535,18 @@ TEST(ShardedServer, ValidatesConfiguration) {
       std::invalid_argument);
   ServerConfig ok = sharded_config(1, 2);
   EXPECT_THROW(ShardedServer(ok, nullptr, h.network), std::invalid_argument);
+  // A label alphabet no vote can read is refused: one label would open a
+  // continuous round that drops every label report. A fresh network for
+  // each, since a server that does get built keeps its id attached.
+  for (std::size_t labels : {std::size_t{1}, truth::kMaxBridgedLabels + 1}) {
+    Harness fresh;
+    ServerConfig bad_labels = sharded_config(1, 2);
+    bad_labels.labels.num_labels = labels;
+    EXPECT_THROW(
+        ShardedServer(bad_labels, truth::make_method("mean"), fresh.network),
+        std::invalid_argument)
+        << "num_labels=" << labels;
+  }
 }
 
 }  // namespace

@@ -165,7 +165,8 @@ TEST(ShardedMatrix, FromShardsValidatesShapes) {
   }
   // Label shards hold label-id readings and no alphabet, so the shards of
   // one view cannot disagree on it: the vote over them declares it, and an
-  // alphabet below 2 labels is refused (truth::check_num_labels).
+  // alphabet outside [2, kMaxBridgedLabels] is refused
+  // (truth::check_num_labels).
   {
     std::vector<ObservationMatrix> two;
     two.emplace_back(8, 5);
@@ -174,7 +175,13 @@ TEST(ShardedMatrix, FromShardsValidatesShapes) {
     two[1].set(7, 4, 1.0);
     const ShardedMatrix labels =
         ShardedMatrix::from_shards(plan, std::move(two), 5);
-    EXPECT_THROW(truth::MajorityVote({.num_labels = 1}), std::invalid_argument);
+    for (std::size_t bad : {std::size_t{0}, std::size_t{1},
+                            truth::kMaxBridgedLabels + 1}) {
+      EXPECT_THROW(truth::MajorityVote({.num_labels = bad}),
+                   std::invalid_argument);
+      EXPECT_THROW(truth::WeightedVote({.num_labels = bad}),
+                   std::invalid_argument);
+    }
     EXPECT_EQ(truth::MajorityVote({.num_labels = 3}).run_sharded(labels).truths,
               (std::vector<double>{2.0, 0.0, 0.0, 0.0, 1.0}));
   }

@@ -4,12 +4,16 @@
 // kVoteDisagree/kVoteWeights) publishes results bitwise identical to the
 // in-process truth::MajorityVote / truth::WeightedVote::run_sharded at the
 // same K — cold and warm-started — and applies the same ingest mechanisms:
-// out-of-alphabet labels counted and dropped, wrong-kind uploads rejected.
+// out-of-alphabet labels counted and dropped, wrong-kind uploads rejected;
+// a categorical spec without an alphabet, or with a weighted-vote config out
+// of range, is refused when the coordinator is built.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "categorical/label_matrix.h"
@@ -267,6 +271,33 @@ TEST(CategoricalDistributed, WrongKindUploadsAreRejectedBothWays) {
     crh_rejected += stats.rejected_reports;
   }
   EXPECT_EQ(crh_rejected, 1u);
+}
+
+TEST(CategoricalDistributed, CategoricalSpecWithoutAnAlphabetIsRefused) {
+  // The alphabet rides to every shard in its Setup, so a categorical spec
+  // must declare one a vote can read: none (0) or a single label is refused.
+  for (const char* name : {"majority", "vote"}) {
+    for (std::size_t labels : {0u, 1u}) {
+      MethodSpec spec = spec_for(name);
+      spec.majority.num_labels = labels;
+      spec.vote.num_labels = labels;
+      EXPECT_THROW(Fleet(2, spec, 4), std::invalid_argument)
+          << name << " num_labels=" << labels;
+    }
+  }
+}
+
+TEST(CategoricalDistributed, BadWeightedVoteConfigIsRefusedWhenBuilt) {
+  // Refused with the spec, not at the first close: a loop that throws there
+  // leaves the round open, and every later begin_round is refused.
+  for (const auto& [iterations, fraction] :
+       {std::pair<std::size_t, double>{0, 1e-12}, {50, 0.0}, {50, 1.0}}) {
+    MethodSpec spec = spec_for("vote");
+    spec.vote.max_iterations = iterations;
+    spec.vote.min_disagreement_fraction = fraction;
+    EXPECT_THROW(Fleet(2, spec, 4), std::invalid_argument)
+        << "max_iterations=" << iterations << " fraction=" << fraction;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(CategoricalMethods, CategoricalDistributed,

@@ -22,7 +22,6 @@
 #include "dist/coordinator.h"
 #include "dist/shard_node.h"
 #include "truth/interface.h"
-#include "truth/registry.h"
 #include "net/network.h"
 
 namespace dptd::dist {
@@ -527,6 +526,16 @@ std::vector<Upload> ingest_stream(bool labels) {
   return stream;
 }
 
+/// The counting rounds' method: mean, or majority over kCountLabels labels.
+MethodSpec count_spec(bool labels) {
+  MethodSpec spec = spec_for("mean");
+  if (labels) {
+    spec.kind = MethodSpec::Kind::kMajority;
+    spec.majority.num_labels = kCountLabels;
+  }
+  return spec;
+}
+
 crowd::RoundOutcome run_server_round(const std::vector<Upload>& stream,
                                      bool labels,
                                      std::size_t ingest_threads) {
@@ -538,8 +547,8 @@ crowd::RoundOutcome run_server_round(const std::vector<Upload>& stream,
   config.stats_block_size = kCountBlock;
   config.ingest_threads = ingest_threads;
   config.labels.num_labels = labels ? kCountLabels : 0;
-  crowd::ShardedServer server(
-      config, truth::make_method(labels ? "majority" : "mean"), network);
+  crowd::ShardedServer server(config, make_method(count_spec(labels)),
+                              network);
   server.start_round(1, participant_ids(kCountUsers));
   for (const Upload& upload : stream) {
     network.send(crowd::make_message(upload.source, config.id, upload.type,
@@ -553,13 +562,8 @@ crowd::RoundOutcome run_server_round(const std::vector<Upload>& stream,
 
 std::vector<crowd::ShardIngestStats> run_fleet_round(
     const std::vector<Upload>& stream, bool labels) {
-  MethodSpec spec = spec_for("mean");
-  if (labels) {
-    spec.kind = MethodSpec::Kind::kMajority;
-    spec.majority.num_labels = kCountLabels;
-  }
-  Fleet fleet(kCountShards, spec, kCountObjects, /*warm_start=*/false,
-              kCountBlock);
+  Fleet fleet(kCountShards, count_spec(labels), kCountObjects,
+              /*warm_start=*/false, kCountBlock);
   EXPECT_TRUE(fleet.coordinator->begin_round(1, participant_ids(kCountUsers)));
   for (const Upload& upload : stream) {
     fleet.network.send(crowd::make_message(upload.source, kCoordinatorId,

@@ -181,7 +181,7 @@ TEST(StatsWire, EveryOpKeepsItsBytes) {
     spec.gtm.convergence.max_iterations = 10;
     spec.catd.convergence.max_iterations = 10;
     spec.vote.num_labels = 3;
-    spec.vote.voting.max_iterations = 10;
+    spec.vote.max_iterations = 10;
     EXPECT_EQ(round_digest(spec), pin.digest) << pin.name << std::hex;
   }
 }

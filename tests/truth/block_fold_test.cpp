@@ -536,9 +536,22 @@ TEST(BlockFold, RoundPathNeverBuildsTheColumnIndex) {
       {"majority", &labels}, {"median", &continuous}, {"gtm", &continuous},
       {"catd", &continuous},
   };
+  // The label claims draw from 3 labels, the alphabet both votes declare.
+  const auto build = [](const std::string& name)
+      -> std::unique_ptr<TruthDiscovery> {
+    if (name == "vote") {
+      return std::make_unique<WeightedVote>(
+          WeightedVoteConfig{.num_labels = 3, .num_threads = 4});
+    }
+    if (name == "majority") {
+      return std::make_unique<MajorityVote>(
+          MajorityVoteConfig{.num_labels = 3, .num_threads = 4});
+    }
+    return make_method(name, {}, /*num_threads=*/4);
+  };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.method);
-    const auto method = make_method(c.method, {}, /*num_threads=*/4);
+    const auto method = build(c.method);
     const data::ShardedMatrix shards = fresh_shards(*c.claims, 3, 8);
     const Result actual = method->run_sharded(shards);
     const Result expected =

@@ -196,7 +196,7 @@ TEST(FoldBackend, PooledLoopsMatchSerialForEveryMethod) {
   for (const std::string& name : method_names()) {
     methods.push_back(make_method(name));
   }
-  // A backend cannot infer an alphabet: the vote loops need it explicit.
+  // The votes are not registered: each is built with its alphabet.
   methods.push_back(std::make_unique<MajorityVote>(
       MajorityVoteConfig{.num_labels = kLabels}));
   WeightedVoteConfig vote_config;

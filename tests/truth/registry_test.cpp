@@ -28,6 +28,9 @@ TEST(Registry, AdvertisesExpectedMethods) {
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_method("truthfinder"), std::invalid_argument);
   EXPECT_THROW(make_method(""), std::invalid_argument);
+  // The votes need an alphabet a name cannot carry: they are built directly.
+  EXPECT_THROW(make_method("majority"), std::invalid_argument);
+  EXPECT_THROW(make_method("vote"), std::invalid_argument);
 }
 
 TEST(Registry, PassesConvergenceCriteria) {
