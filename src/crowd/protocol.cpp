@@ -209,14 +209,4 @@ net::Message make_message(net::NodeId source, net::NodeId destination,
                       std::move(payload)};
 }
 
-void fan_out(net::Transport& transport, net::NodeId source,
-             std::span<const net::NodeId> destinations, MessageType type,
-             std::vector<std::uint8_t> payload) {
-  const net::Payload shared = net::Payload::shared(std::move(payload));
-  for (const net::NodeId destination : destinations) {
-    transport.send(net::Message{source, destination,
-                                static_cast<std::uint32_t>(type), shared});
-  }
-}
-
 }  // namespace dptd::crowd

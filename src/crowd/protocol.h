@@ -7,9 +7,10 @@
 //
 // The protocol is deliberately non-interactive per user: one downlink and one
 // uplink message — the efficiency property §5.3 relies on. The server encodes
-// each announce and each ResultPublish once, and fan_out() sends it to every
-// participant as messages sharing that one read-only buffer (net::Payload):
-// a million-device fan-out holds one payload, not a copy per device.
+// each announce and each ResultPublish once, and crowd::fan_out (server.h)
+// walks the round's roster, sending every participant a message that shares
+// that one read-only buffer (net::Payload): a million-device fan-out holds
+// one payload, not a copy per device, and a contiguous roster no id list.
 //
 // Inside a distributed deployment (dist/) the coordinator forwards the
 // uploads it routes to a shard as kReportBatch messages, one per shard per
@@ -187,14 +188,5 @@ struct StatsEnvelope {
 /// Wraps an encoded payload in a routed message that owns it.
 net::Message make_message(net::NodeId source, net::NodeId destination,
                           MessageType type, std::vector<std::uint8_t> payload);
-
-/// Sends one `type` message from `source` to every id in `destinations`, all
-/// carrying the same encoded `payload`. The messages share one read-only
-/// buffer (net::Payload::shared), so a million-device fan-out costs a
-/// reference count per device, not a copy of the bytes; every transport still
-/// counts one message of the full payload size per recipient.
-void fan_out(net::Transport& transport, net::NodeId source,
-             std::span<const net::NodeId> destinations, MessageType type,
-             std::vector<std::uint8_t> payload);
 
 }  // namespace dptd::crowd

@@ -1,7 +1,10 @@
 #include "crowd/server.h"
 
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/serialize.h"
@@ -134,29 +137,49 @@ data::ObservationMatrix ShardIngestor::finalize() {
   return builder_->finalize();
 }
 
+namespace {
+
+/// True when the range [base, base + count) ends at or before the largest
+/// NodeId, so base + count does not overflow.
+bool range_fits(net::NodeId base, std::size_t count) {
+  return count <= std::numeric_limits<net::NodeId>::max() - base;
+}
+
+}  // namespace
+
 void ParticipantIndex::build(const std::vector<net::NodeId>& participants) {
+  const net::NodeId base = participants.empty() ? 0 : participants.front();
+  bool contiguous = range_fits(base, participants.size());
+  for (std::size_t i = 0; contiguous && i < participants.size(); ++i) {
+    contiguous = participants[i] - base == i;
+  }
+  if (contiguous) {
+    build_range(base, participants.size());
+    return;
+  }
   ParticipantIndex built;
   built.size_ = participants.size();
-  built.base_ = participants.empty() ? 0 : participants.front();
+  built.ids_ = participants;
+  built.rows_.reserve(participants.size());
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    if (participants[i] - built.base_ != i) {
-      built.contiguous_ = false;
-      break;
-    }
-  }
-  if (!built.contiguous_) {
-    built.rows_.reserve(participants.size());
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      DPTD_REQUIRE(built.rows_.emplace(participants[i], i).second,
-                   "ParticipantIndex: participant id repeated in the roster");
-    }
+    DPTD_REQUIRE(built.rows_.emplace(participants[i], i).second,
+                 "ParticipantIndex: participant id repeated in the roster");
   }
   *this = std::move(built);
 }
 
+void ParticipantIndex::build_range(net::NodeId base, std::size_t count) {
+  DPTD_REQUIRE(range_fits(base, count),
+               "ParticipantIndex: roster range runs past the largest id");
+  ParticipantIndex built;
+  built.size_ = count;
+  built.base_ = base;
+  *this = std::move(built);
+}
+
 std::optional<std::size_t> ParticipantIndex::row_of(net::NodeId user) const {
-  if (contiguous_) {
-    // Unsigned like build()'s test, so an id below base_ wraps past size_.
+  if (ids_.empty()) {
+    // Unsigned, so an id below base_ wraps past size_.
     const net::NodeId row = user - base_;
     if (row >= size_) return std::nullopt;
     return static_cast<std::size_t>(row);
@@ -164,6 +187,37 @@ std::optional<std::size_t> ParticipantIndex::row_of(net::NodeId user) const {
   const auto it = rows_.find(user);
   if (it == rows_.end()) return std::nullopt;
   return it->second;
+}
+
+ParticipantIndex::Slice ParticipantIndex::slice(std::size_t begin,
+                                                std::size_t end) const {
+  DPTD_REQUIRE(begin <= end && end <= size_,
+               "ParticipantIndex: slice outside the roster");
+  Slice slice;
+  slice.count = end - begin;
+  if (ids_.empty()) {
+    slice.first = base_ + begin;
+  } else {
+    slice.ids = std::span<const net::NodeId>(ids_).subspan(begin, slice.count);
+  }
+  return slice;
+}
+
+std::vector<net::NodeId> ParticipantIndex::ids() const {
+  if (!ids_.empty()) return ids_;
+  std::vector<net::NodeId> ids(size_);
+  std::iota(ids.begin(), ids.end(), base_);
+  return ids;
+}
+
+void fan_out(net::Transport& transport, net::NodeId source,
+             const ParticipantIndex& roster, MessageType type,
+             std::vector<std::uint8_t> payload) {
+  const net::Payload shared = net::Payload::shared(std::move(payload));
+  for (std::size_t row = 0; row < roster.size(); ++row) {
+    transport.send(net::Message{source, roster.id_of(row),
+                                static_cast<std::uint32_t>(type), shared});
+  }
 }
 
 std::vector<double> remap_warm_weights(
@@ -222,10 +276,10 @@ truth::WarmStart WarmState::seed(
 }
 
 void WarmState::record(bool warm_start, const truth::Result& round_result,
-                       const std::vector<net::NodeId>& roster) {
+                       std::vector<net::NodeId> roster) {
   if (!warm_start) return;
   result = round_result;
-  participants = roster;
+  participants = std::move(roster);
   valid = true;
 }
 

@@ -1,9 +1,10 @@
 // The untrusted aggregation server's building blocks: its configuration and
-// round outcome, the per-shard ingestor every ingest path runs, the roster
-// index, and the warm-start state. crowd::ShardedServer assembles them into
-// the in-process server, which ingests through one crowd::IngestPipeline (K
-// = 1 at zero ingest workers is the flat path); dist::Coordinator and
-// dist::ShardNode use them across processes.
+// round outcome, the per-shard ingestor every ingest path runs, the round's
+// roster (ParticipantIndex) and the fan-out over it, and the warm-start
+// state. crowd::ShardedServer assembles them into the in-process server,
+// which ingests through one crowd::IngestPipeline (K = 1 at zero ingest
+// workers is the flat path); dist::Coordinator and dist::ShardNode use them
+// across processes.
 //
 // Reports are ingested as they arrive: each one is decoded, sanitized, and
 // folded into its shard's incremental ObservationMatrixBuilder (deduplicated
@@ -166,28 +167,62 @@ class alignas(64) ShardIngestor {
   ShardIngestStats stats_;
 };
 
-/// Maps a report's stable user/node id to its row in the round's observation
-/// matrix (= its position in the participants roster). A contiguous roster
+/// The round's roster: row -> stable user/node id and back, a row being a
+/// user's row in the round's observation matrix. A contiguous roster
 /// [base, base + P) — the full fleet [0, P), and every ShardNode's slice of
-/// it — resolves by subtraction without a table; other rosters (partial
-/// fleets after churn) build a hash index. ShardedServer and the Coordinator
-/// resolve global rows with it, each ShardNode its roster slice.
+/// it — is stored as its two ends and resolves by subtraction; only another
+/// roster (a partial fleet after churn) keeps its id list, with a hash index.
+/// ShardedServer and the Coordinator hold the round's roster in one, each
+/// ShardNode its slice. A range never runs past the largest NodeId, so an id
+/// list that would wrap is kept as a list.
 class ParticipantIndex {
  public:
+  /// Rows [begin, end) of the roster, e.g. one shard's ShardPlan slice. A
+  /// contiguous roster's slice is the range [first, first + count) and
+  /// leaves `ids` empty; an id list's slice views its ids.
+  struct Slice {
+    net::NodeId first = 0;
+    std::size_t count = 0;
+    std::span<const net::NodeId> ids;
+  };
+
   /// Throws std::invalid_argument, leaving the index unchanged, when an id
   /// repeats: its second row could never be filled, so the round would wait
   /// for its deadline.
   void build(const std::vector<net::NodeId>& participants);
+  /// The contiguous roster [base, base + count). Throws
+  /// std::invalid_argument, leaving the index unchanged, when the range runs
+  /// past the largest NodeId.
+  void build_range(net::NodeId base, std::size_t count);
+
   /// The matrix row of `user`, or nullopt when `user` is not enrolled this
   /// round (byzantine or stale id).
   std::optional<std::size_t> row_of(net::NodeId user) const;
+  std::size_t size() const { return size_; }
+  /// The id of row `row` < size().
+  net::NodeId id_of(std::size_t row) const {
+    return ids_.empty() ? base_ + row : ids_[row];
+  }
+  Slice slice(std::size_t begin, std::size_t end) const;
+  /// The roster as an id list, in row order: a copy, for the warm state.
+  std::vector<net::NodeId> ids() const;
 
  private:
   std::size_t size_ = 0;
-  bool contiguous_ = true;
-  net::NodeId base_ = 0;  ///< first id of a contiguous roster
+  net::NodeId base_ = 0;          ///< first id of a contiguous roster
+  std::vector<net::NodeId> ids_;  ///< empty for a contiguous roster
   std::unordered_map<net::NodeId, std::size_t> rows_;
 };
+
+/// Sends one `type` message from `source` to every id of `roster`, in row
+/// order, all carrying the same encoded `payload`. The messages share one
+/// read-only buffer (net::Payload::shared), so a million-device fan-out
+/// costs a reference count per device, not a copy of the bytes, and a
+/// contiguous roster is walked without an id list; every transport still
+/// counts one message of the full payload size per recipient.
+void fan_out(net::Transport& transport, net::NodeId source,
+             const ParticipantIndex& roster, MessageType type,
+             std::vector<std::uint8_t> payload);
 
 /// Previous round's converged state, the warm-start seed, together with the
 /// roster its weights are indexed by. Keeping the roster is what lets
@@ -207,7 +242,7 @@ struct WarmState {
   /// Records a round's result and the roster its weights are indexed by.
   /// Records nothing when `warm_start` is off: no round would read the seed.
   void record(bool warm_start, const truth::Result& round_result,
-              const std::vector<net::NodeId>& roster);
+              std::vector<net::NodeId> roster);
 };
 
 /// The weight seed for `participants` derived from `warm`: the previous

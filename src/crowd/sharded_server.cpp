@@ -31,6 +31,8 @@ ShardedServer::ShardedServer(ServerConfig config,
   network_->attach(config_.id, *this);
 }
 
+ShardedServer::~ShardedServer() { network_->detach(config_.id); }
+
 void ShardedServer::set_num_shards(std::size_t num_shards) {
   DPTD_REQUIRE(num_shards > 0, "ShardedServer: num_shards must be positive");
   DPTD_REQUIRE(!round_open_,
@@ -45,11 +47,10 @@ void ShardedServer::start_round(std::uint64_t round,
   index_.build(user_ids);  // refuses a repeated id before any state changes
   current_round_ = round;
   round_open_ = true;
-  participants_ = user_ids;
-  plan_ = data::ShardPlan::create(participants_.size(), config_.num_shards,
+  plan_ = data::ShardPlan::create(index_.size(), config_.num_shards,
                                   config_.stats_block_size);
   pipeline_.begin_round(plan_, config_.num_objects, round, config_.labels);
-  submitted_rows_.assign(participants_.size(), 0);
+  submitted_rows_.assign(index_.size(), 0);
   producer_distinct_ = 0;
   unroutable_rejected_ = 0;
 
@@ -57,7 +58,7 @@ void ShardedServer::start_round(std::uint64_t round,
   task.round = round;
   task.lambda2 = config_.lambda2;
   task.num_objects = config_.num_objects;
-  fan_out(*network_, config_.id, user_ids, MessageType::kTaskAnnounce,
+  fan_out(*network_, config_.id, index_, MessageType::kTaskAnnounce,
           task.encode());
 
   network_->schedule(config_.collection_window_seconds,
@@ -116,9 +117,9 @@ void ShardedServer::on_message(const net::Message& message) {
   // such a report still ingests; it just cannot re-arm the early close).
   if (!submitted_rows_[*row]) {
     submitted_rows_[*row] = 1;
-    if (++producer_distinct_ == participants_.size()) {
+    if (++producer_distinct_ == index_.size()) {
       pipeline_.drain();
-      if (pipeline_.distinct_reporters() == participants_.size()) {
+      if (pipeline_.distinct_reporters() == index_.size()) {
         finish_round();
       }
     }
@@ -145,7 +146,7 @@ void ShardedServer::finish_round() {
   }
   RoundOutcome& outcome = outcomes_.emplace_back();
   outcome.round = current_round_;
-  outcome.reports_expected = participants_.size();
+  outcome.reports_expected = index_.size();
   outcome.reports_rejected = unroutable_rejected_;
   outcome.shard_stats = pipeline_.shard_stats();
   for (const ShardIngestStats& shard : outcome.shard_stats) {
@@ -171,18 +172,21 @@ void ShardedServer::finish_round() {
     }
   }
 
+  // Only the warm state reads the roster as ids: a cold round makes no list.
+  std::vector<net::NodeId> roster;
+  if (config_.warm_start) roster = index_.ids();
   Stopwatch timer;
   const truth::WarmStart seed =
-      warm_.seed(config_.warm_start, *method_, participants_);
+      warm_.seed(config_.warm_start, *method_, roster);
   outcome.warm_started = !seed.empty();
   outcome.result = method_->run_sharded(matrix, seed);
   outcome.aggregation_seconds = timer.elapsed_seconds();
-  warm_.record(config_.warm_start, outcome.result, participants_);
+  warm_.record(config_.warm_start, outcome.result, std::move(roster));
 
   ResultPublish publish;
   publish.round = current_round_;
   publish.truths = outcome.result.truths;
-  fan_out(*network_, config_.id, participants_, MessageType::kResultPublish,
+  fan_out(*network_, config_.id, index_, MessageType::kResultPublish,
           publish.encode());
 }
 

@@ -4,8 +4,8 @@
 // closes the round and reduces per-shard sufficient statistics through
 // truth::TruthDiscovery::run_sharded. K = 1 at zero ingest workers is the
 // flat, single-shard server. The announce and the ResultPublish are each
-// encoded once and fanned out (crowd::fan_out) as messages sharing that
-// buffer.
+// encoded once and fanned out (crowd::fan_out) over the round's
+// ParticipantIndex as messages sharing that buffer.
 //
 // Routing follows data::ShardPlan (canonical user blocks split contiguously
 // across shards), so for any shard count the published truths are bitwise
@@ -52,6 +52,11 @@ class ShardedServer final : public net::Node {
   ShardedServer(ServerConfig config,
                 std::unique_ptr<truth::TruthDiscovery> method,
                 net::Transport& network);
+  /// Detaches from the transport, so its id can be attached again.
+  ~ShardedServer() override;
+
+  ShardedServer(const ShardedServer&) = delete;
+  ShardedServer& operator=(const ShardedServer&) = delete;
 
   void on_message(const net::Message& message) override;
 
@@ -86,7 +91,8 @@ class ShardedServer final : public net::Node {
 
   std::uint64_t current_round_ = 0;
   bool round_open_ = false;
-  std::vector<net::NodeId> participants_;
+  /// The open (or most recent) round's roster: a contiguous one keeps no id
+  /// list.
   ParticipantIndex index_;
   data::ShardPlan plan_;
   /// The open round's per-shard ingestion, with ingest_threads workers.

@@ -585,14 +585,14 @@ class RemoteBackend final : public truth::FoldBackend {
 // Round lifecycle
 
 bool Coordinator::begin_round(std::uint64_t round,
-                              std::vector<net::NodeId> participants) {
+                              const std::vector<net::NodeId>& participants) {
   DPTD_REQUIRE(!round_planned_, "Coordinator: a round is already open");
   DPTD_REQUIRE(!participants.empty(), "Coordinator: no participants");
   // Refuses a repeated id before any state changes or Setup goes out.
   crowd::ParticipantIndex index;
   index.build(participants);
   while (!roster_.empty()) {
-    plan_ = data::ShardPlan::create(participants.size(), roster_.size(),
+    plan_ = data::ShardPlan::create(index.size(), roster_.size(),
                                     config_.block_size);
     active_.assign(roster_.begin(),
                    roster_.begin() +
@@ -619,11 +619,16 @@ bool Coordinator::begin_round(std::uint64_t round,
         setup.num_objects = config_.num_objects;
         setup.block_size = config_.block_size;
         setup.num_labels = spec_.num_labels();
-        setup.participants.assign(
-            participants.begin() +
-                static_cast<std::ptrdiff_t>(plan_.user_begin(i)),
-            participants.begin() +
-                static_cast<std::ptrdiff_t>(plan_.user_end(i)));
+        // A contiguous roster's slice travels as a range, any other as its
+        // id list.
+        const crowd::ParticipantIndex::Slice slice =
+            index.slice(plan_.user_begin(i), plan_.user_end(i));
+        if (slice.ids.empty()) {
+          setup.range_base = slice.first;
+          setup.range_count = slice.count;
+        } else {
+          setup.participants.assign(slice.ids.begin(), slice.ids.end());
+        }
         return BatchItem{ShardOp::kSetup, setup.encode()};
       });
     } catch (const ShardFailure& failure) {
@@ -635,7 +640,6 @@ bool Coordinator::begin_round(std::uint64_t round,
     round_ = round;
     round_open_ = true;
     round_planned_ = true;
-    participants_ = std::move(participants);
     index_ = std::move(index);
     reports_unroutable_ = 0;
     live_.resize(plan_.num_shards);
@@ -651,6 +655,21 @@ bool Coordinator::begin_round(std::uint64_t round,
 
 DistributedOutcome Coordinator::close_round() {
   DPTD_REQUIRE(round_planned_, "Coordinator: no open round");
+  try {
+    return close_planned_round();
+  } catch (...) {
+    // Anything but a shard failure (a transport error, the warm-seed check,
+    // std::bad_alloc) ends the round without an outcome. Forget the round
+    // and the RPCs it left waiting, so the next begin_round opens afresh.
+    round_planned_ = false;
+    active_.clear();
+    outstanding_.clear();
+    arrived_.clear();
+    throw;
+  }
+}
+
+DistributedOutcome Coordinator::close_planned_round() {
   round_open_ = false;  // reports from here on are late: unroutable
   flush_batches();
   // Drain the forward pipeline before finalizing: a report routed before the
@@ -692,6 +711,9 @@ DistributedOutcome Coordinator::close_round() {
     round_planned_ = false;
     active_.clear();
   };
+  // Only the warm state reads the roster as ids: a cold fleet makes no list.
+  std::vector<net::NodeId> roster;
+  if (config_.warm_start) roster = index_.ids();
   const auto abort_round = [&](net::NodeId dead) {
     out.completed = false;
     out.aggregated = false;
@@ -729,7 +751,7 @@ DistributedOutcome Coordinator::close_round() {
     // The in-process server's warm seed. It stays global-sized; live shards
     // slice it by plan index.
     const truth::WarmStart seed =
-        warm_.seed(config_.warm_start, *method_, participants_);
+        warm_.seed(config_.warm_start, *method_, roster);
     out.warm_started = !seed.empty();
     truth::validate_warm_start(plan_.num_users, config_.num_objects, seed);
 
@@ -773,7 +795,7 @@ DistributedOutcome Coordinator::close_round() {
     out.completed = true;
     out.aggregated = a == Attempt::kAggregated;
     if (out.aggregated && !out.degraded) {
-      warm_.record(config_.warm_start, out.result, participants_);
+      warm_.record(config_.warm_start, out.result, std::move(roster));
     }
     finish();
     return out;

@@ -226,12 +226,14 @@ class Coordinator final : public net::Node {
   const std::vector<net::NodeId>& roster() const { return roster_; }
 
   /// Opens round `round` over `participants` (stable user ids): plans the
-  /// shard split, pushes each shard its Setup (blocking, with resends), and
-  /// starts routing kReport/kLabelReport uploads. Shards that fail setup are
+  /// shard split, pushes each shard its Setup with its roster slice
+  /// (blocking, with resends), and starts routing kReport/kLabelReport
+  /// uploads. The roster is read, not kept: a contiguous one is held as its
+  /// two ends and its slices travel as ranges. Shards that fail setup are
   /// removed and the round is re-planned over the survivors; returns false
   /// only when no shard survives.
   bool begin_round(std::uint64_t round,
-                   std::vector<net::NodeId> participants);
+                   const std::vector<net::NodeId>& participants);
   bool round_open() const { return round_open_; }
 
   /// Closes ingestion (sends every staged batch, then drains in-flight
@@ -239,7 +241,9 @@ class Coordinator final : public net::Node {
   /// overtake an on-time report), runs the configured method over the fleet,
   /// collects the result, and updates the warm state on success when
   /// `warm_start` is on (a cold fleet records no seed). Blocking:
-  /// polls the transport until the protocol finishes or a shard fails.
+  /// polls the transport until the protocol finishes or a shard fails. An
+  /// exception other than a shard failure (from the transport, say) still
+  /// ends the round before it propagates, so begin_round can open the next.
   DistributedOutcome close_round();
 
   void on_message(const net::Message& message) override;
@@ -274,6 +278,10 @@ class Coordinator final : public net::Node {
       const std::function<BatchItem(std::size_t)>& request_of);
   void pump();
 
+  /// close_round once the round is known to be open; what it throws leaves
+  /// the round half closed.
+  DistributedOutcome close_planned_round();
+
   /// Users owned by the live shards (== plan_.num_users when none excluded).
   std::size_t live_num_users() const;
 
@@ -297,7 +305,8 @@ class Coordinator final : public net::Node {
   bool round_open_ = false;
   bool round_planned_ = false;  ///< begin_round succeeded, close pending
   std::uint64_t round_ = 0;
-  std::vector<net::NodeId> participants_;
+  /// The round's roster: a contiguous one keeps no id list, and each
+  /// shard's Setup carries its slice as a range.
   crowd::ParticipantIndex index_;
   data::ShardPlan plan_;
   std::vector<net::NodeId> active_;  ///< shard_index -> node id this round

@@ -184,10 +184,10 @@ std::vector<std::uint8_t> ShardNode::execute(
           static_cast<std::size_t>(setup.num_users),
           static_cast<std::size_t>(setup.num_shards),
           static_cast<std::size_t>(setup.block_size));
+      const std::size_t slice_users =
+          plan.shard_num_users(static_cast<std::size_t>(setup.shard_index));
       if (plan.num_shards != setup.num_shards ||
-          setup.participants.size() !=
-              plan.shard_num_users(
-                  static_cast<std::size_t>(setup.shard_index))) {
+          setup.slice_size() != slice_users) {
         throw DecodeError("SetupBody: roster slice does not match plan");
       }
       if (setup.num_labels == 1 ||
@@ -196,15 +196,20 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       crowd::ParticipantIndex index;
       try {
-        index.build(setup.participants);
+        if (setup.participants.empty()) {
+          index.build_range(setup.range_base, slice_users);
+        } else {
+          index.build(setup.participants);
+        }
       } catch (const std::invalid_argument&) {
-        throw DecodeError("SetupBody: participant id repeated");
+        throw DecodeError(
+            "SetupBody: participant id repeated, or range past the last id");
       }
       crowd::LabelIngestPolicy labels;
       labels.num_labels = static_cast<std::size_t>(setup.num_labels);
       // Unchanged if it throws (more objects than the claim store's 32-bit
       // ids hold), so a refused kSetup leaves the open round as it was.
-      ingestor_.begin_round(setup.participants.size(),
+      ingestor_.begin_round(slice_users,
                             static_cast<std::size_t>(setup.num_objects),
                             setup.round, labels);
       index_ = std::move(index);

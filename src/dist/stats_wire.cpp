@@ -138,15 +138,30 @@ std::optional<std::vector<std::uint8_t>> run_op(ShardOp op, std::span<const std:
 }
 
 std::vector<std::uint8_t> SetupBody::encode() const {
+  if (!participants.empty()) {
+    return write_fields(round, num_users, num_shards, shard_index,
+                        num_objects, block_size, num_labels, participants);
+  }
+  // A range: the zero a list's count never is, then its two ends.
   return write_fields(round, num_users, num_shards, shard_index, num_objects,
-                      block_size, num_labels, participants);
+                      block_size, num_labels, std::uint64_t{0}, range_base,
+                      range_count);
 }
 
 SetupBody SetupBody::decode(std::span<const std::uint8_t> bytes) {
   SetupBody msg;
-  read_fields(bytes, msg.round, msg.num_users, msg.num_shards,
-              msg.shard_index, msg.num_objects, msg.block_size,
-              msg.num_labels, msg.participants);
+  Decoder dec(bytes);
+  for (std::uint64_t* x : {&msg.round, &msg.num_users, &msg.num_shards,
+                           &msg.shard_index, &msg.num_objects,
+                           &msg.block_size, &msg.num_labels}) {
+    *x = dec.read_varint();
+  }
+  read_field(dec, msg.participants);
+  if (msg.participants.empty()) {
+    msg.range_base = dec.read_varint();
+    msg.range_count = dec.read_varint();
+  }
+  if (!dec.done()) throw DecodeError("stats body: trailing bytes");
   return msg;
 }
 

@@ -115,7 +115,14 @@ struct BatchReplyBody {
 };
 
 /// Round setup: the shard derives its global user range from the plan fields
-/// and builds a local participant index over its roster slice.
+/// and builds a local participant index over its roster slice. The slice
+/// travels last, in one of two forms. An id list is [count >= 1][ids...],
+/// one varint each. With `participants` empty, the slice is the contiguous
+/// range [range_base, range_base + range_count), sent as
+/// [0][range_base][range_count]: a few bytes for a slice of any size. The
+/// Coordinator sends a range for every slice of a contiguous roster, a list
+/// for any other; a zero count never meant a list, as kSetup refuses an
+/// empty slice.
 struct SetupBody {
   std::uint64_t round = 0;
   std::uint64_t num_users = 0;   ///< global (= roster size)
@@ -127,7 +134,14 @@ struct SetupBody {
   /// categorical round ingests crowd::LabelReport uploads (kReport uploads
   /// are rejected, and vice versa).
   std::uint64_t num_labels = 0;
-  std::vector<net::NodeId> participants;  ///< this shard's roster slice
+  std::vector<net::NodeId> participants;  ///< an id-list slice
+  net::NodeId range_base = 0;             ///< a range slice, when no list
+  std::uint64_t range_count = 0;
+
+  /// Users in the slice, in either form.
+  std::uint64_t slice_size() const {
+    return participants.empty() ? range_count : participants.size();
+  }
 
   std::vector<std::uint8_t> encode() const;
   static SetupBody decode(std::span<const std::uint8_t> bytes);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "crowd/device.h"
 #include "crowd/server.h"
@@ -471,7 +472,8 @@ TEST(ParticipantIndex, ContiguousRosterResolvesBySubtraction) {
   EXPECT_EQ(index.row_of(2), 2u);
   EXPECT_EQ(index.row_of(3), std::nullopt);
 
-  // Ids that wrap past the largest NodeId are still one contiguous run.
+  // Ids that wrap past the largest NodeId resolve too (a range never wraps,
+  // so this roster keeps its id list).
   constexpr net::NodeId kTop = std::numeric_limits<net::NodeId>::max();
   index.build({kTop, 0});
   EXPECT_EQ(index.row_of(kTop), 0u);
@@ -509,6 +511,58 @@ TEST(ParticipantIndex, RepeatedIdIsRefusedAndLeavesTheIndexUnchanged) {
   EXPECT_EQ(index.row_of(9), 0u);
   EXPECT_EQ(index.row_of(4), 1u);
   EXPECT_EQ(index.row_of(5), std::nullopt);
+}
+
+TEST(ParticipantIndex, IdsAndSlicesOverBothForms) {
+  ParticipantIndex index;
+  // A contiguous roster is a range: its slices are ranges too.
+  index.build({1000, 1001, 1002, 1003, 1004});
+  EXPECT_EQ(index.size(), 5u);
+  EXPECT_EQ(index.id_of(0), 1000u);
+  EXPECT_EQ(index.id_of(4), 1004u);
+  ParticipantIndex::Slice slice = index.slice(1, 4);
+  EXPECT_TRUE(slice.ids.empty());
+  EXPECT_EQ(slice.first, 1001u);
+  EXPECT_EQ(slice.count, 3u);
+  EXPECT_EQ(index.ids(),
+            (std::vector<net::NodeId>{1000, 1001, 1002, 1003, 1004}));
+
+  // build_range is the same roster without the list.
+  index.build_range(1000, 5);
+  EXPECT_EQ(index.size(), 5u);
+  EXPECT_EQ(index.row_of(1004), 4u);
+  EXPECT_EQ(index.row_of(1005), std::nullopt);
+  EXPECT_EQ(index.id_of(2), 1002u);
+  EXPECT_EQ(index.slice(0, 5).first, 1000u);
+  EXPECT_EQ(index.slice(0, 5).count, 5u);
+
+  // Any other roster keeps its list, and a slice views it.
+  index.build({7, 3, 12, 5});
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.id_of(0), 7u);
+  EXPECT_EQ(index.id_of(3), 5u);
+  slice = index.slice(1, 3);
+  EXPECT_EQ(slice.count, 2u);
+  EXPECT_EQ(std::vector<net::NodeId>(slice.ids.begin(), slice.ids.end()),
+            (std::vector<net::NodeId>{3, 12}));
+  EXPECT_EQ(index.ids(), (std::vector<net::NodeId>{7, 3, 12, 5}));
+  EXPECT_THROW(index.slice(2, 5), std::invalid_argument);
+
+  // A run that wraps past the largest id is no range.
+  constexpr net::NodeId kTop = std::numeric_limits<net::NodeId>::max();
+  index.build({kTop - 1, kTop, 0});
+  slice = index.slice(0, 3);
+  EXPECT_EQ(std::vector<net::NodeId>(slice.ids.begin(), slice.ids.end()),
+            (std::vector<net::NodeId>{kTop - 1, kTop, 0}));
+  EXPECT_EQ(index.row_of(0), 2u);
+
+  // A range past the largest id is refused and changes nothing.
+  EXPECT_THROW(index.build_range(kTop - 1, 2), std::invalid_argument);
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(index.row_of(kTop), 1u);
+  index.build_range(kTop - 1, 1);
+  EXPECT_EQ(index.row_of(kTop - 1), 0u);
+  EXPECT_EQ(index.row_of(kTop), std::nullopt);
 }
 
 TEST(CrowdServer, ValidatesConfiguration) {

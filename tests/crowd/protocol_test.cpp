@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "crowd/server.h"
 #include "net/network.h"
 #include "net/simulator.h"
 
@@ -231,7 +232,9 @@ TEST(Protocol, FanOutSharesOneBufferAndCountsEveryRecipientAtFullSize) {
   publish.round = 4;
   publish.truths = {1.5, -2.0, 3.25};
   const std::vector<std::uint8_t> encoded = publish.encode();
-  fan_out(network, 1, ids, MessageType::kResultPublish, encoded);
+  ParticipantIndex roster;
+  roster.build(ids);
+  fan_out(network, 1, roster, MessageType::kResultPublish, encoded);
   sim.run();
 
   ASSERT_EQ(devices[0].received.size(), 1u);

@@ -16,6 +16,7 @@
 #include "crowd/sharded_server.h"
 #include "data/dataset.h"
 #include "data/sharding.h"
+#include "data/synthetic.h"
 #include "truth/categorical.h"
 #include "truth/registry.h"
 #include "net/network.h"
@@ -523,6 +524,113 @@ TEST(ShardedServer, RepeatedRosterIdIsRefusedAtRoundOpen) {
   }
 }
 
+TEST(ShardedServer, DestroyedServerDetachesItsId) {
+  // Regression: the server attached in its constructor and never detached,
+  // so the network kept a dangling node under its id and refused a second
+  // server with that id.
+  Harness h;
+  ServerConfig config = sharded_config(2, 2);
+  {
+    ShardedServer server(config, truth::make_method("mean"), h.network);
+    EXPECT_TRUE(h.network.attached(kServerId));
+  }
+  EXPECT_FALSE(h.network.attached(kServerId));
+
+  std::unique_ptr<ShardedServer> again;
+  ASSERT_NO_THROW(again = std::make_unique<ShardedServer>(
+                      config, truth::make_method("mean"), h.network));
+  EXPECT_TRUE(h.network.attached(kServerId));
+  // The id reaches the new server: its round closes on its last report.
+  again->start_round(1, participant_ids(4));
+  for (std::size_t s = 0; s < 4; ++s) send_report(h, s, 2);
+  h.sim.run_until(5.0);
+  ASSERT_EQ(again->outcomes().size(), 1u);
+  EXPECT_EQ(again->outcomes()[0].reports_received, 4u);
+}
+
+TEST(ShardedServer, WarmCampaignKeepsItsBitsAcrossRosterForms) {
+  // A roster that goes contiguous -> churned -> contiguous switches the
+  // server's index between a range and an id list. Every round must equal
+  // run_sharded over the same claims, seeded the way the warm tests seed a
+  // reference: remap_warm_weights over the rounds' plain id vectors.
+  constexpr std::size_t kUsers = 48;
+  constexpr std::size_t kObjects = 4;
+  constexpr std::size_t kBlock = 8;
+  std::vector<std::vector<net::NodeId>> rosters(3);
+  rosters[0] = participant_ids(kUsers);  // [0, 48)
+  rosters[1] = rosters[0];               // 4 users leave, 4 new ones join
+  rosters[1][3] = 200;
+  rosters[1][17] = 201;
+  rosters[1][30] = 202;
+  rosters[1][41] = 203;
+  for (std::size_t s = 0; s < kUsers; ++s) {
+    rosters[2].push_back(8 + s);  // [8, 56): survivors, returners, joiners
+  }
+  truth::ConvergenceCriteria convergence;
+  convergence.tolerance = 1e-9;
+  convergence.max_iterations = 100;
+  const auto method = truth::make_method("crh", convergence);
+
+  for (std::size_t k : {1, 3}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    Harness h;
+    ServerConfig config = sharded_config(kObjects, k, kBlock);
+    config.warm_start = true;
+    ShardedServer server(config, truth::make_method("crh", convergence),
+                         h.network);
+    WarmState reference_warm;
+    for (std::size_t r = 0; r < rosters.size(); ++r) {
+      const std::uint64_t round = r + 1;
+      data::SyntheticConfig synthetic;
+      synthetic.num_users = kUsers;
+      synthetic.num_objects = kObjects;
+      synthetic.missing_rate = 0.25;
+      synthetic.seed = 90 + r;
+      const data::Dataset dataset = data::generate_synthetic(synthetic);
+
+      server.start_round(round, rosters[r]);
+      for (std::size_t s = 0; s < kUsers; ++s) {
+        Report report;
+        report.round = round;
+        report.user_id = rosters[r][s];
+        for (const auto& entry : dataset.observations.user_entries(s)) {
+          report.objects.push_back(entry.object);
+          report.values.push_back(entry.value);
+        }
+        h.network.send(make_message(report.user_id, kServerId,
+                                    MessageType::kReport, report.encode()));
+      }
+      h.sim.run();
+      ASSERT_EQ(server.outcomes().size(), round);
+      const RoundOutcome& outcome = server.outcomes().back();
+      EXPECT_EQ(outcome.warm_started, r > 0);
+
+      truth::WarmStart seed;
+      if (reference_warm.valid) {
+        seed.truths = reference_warm.result.truths;
+        seed.weights = remap_warm_weights(reference_warm, rosters[r], kUsers);
+      }
+      const truth::Result reference = method->run_sharded(
+          data::ShardedMatrix::partition(dataset.observations, k, kBlock),
+          seed);
+      ASSERT_EQ(outcome.result.truths.size(), reference.truths.size());
+      for (std::size_t n = 0; n < kObjects; ++n) {
+        EXPECT_EQ(outcome.result.truths[n], reference.truths[n])
+            << "round " << round << " truth " << n;
+      }
+      ASSERT_EQ(outcome.result.weights.size(), reference.weights.size());
+      for (std::size_t s = 0; s < kUsers; ++s) {
+        EXPECT_EQ(outcome.result.weights[s], reference.weights[s])
+            << "round " << round << " weight " << s;
+      }
+      EXPECT_EQ(outcome.result.iterations, reference.iterations);
+      reference_warm.result = reference;
+      reference_warm.participants = rosters[r];
+      reference_warm.valid = true;
+    }
+  }
+}
+
 TEST(ShardedServer, ValidatesConfiguration) {
   Harness h;
   ServerConfig bad_shards = sharded_config(1, 0);
@@ -536,8 +644,7 @@ TEST(ShardedServer, ValidatesConfiguration) {
   ServerConfig ok = sharded_config(1, 2);
   EXPECT_THROW(ShardedServer(ok, nullptr, h.network), std::invalid_argument);
   // A label alphabet no vote can read is refused: one label would open a
-  // continuous round that drops every label report. A fresh network for
-  // each, since a server that does get built keeps its id attached.
+  // continuous round that drops every label report.
   for (std::size_t labels : {std::size_t{1}, truth::kMaxBridgedLabels + 1}) {
     Harness fresh;
     ServerConfig bad_labels = sharded_config(1, 2);

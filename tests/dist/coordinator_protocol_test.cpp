@@ -9,7 +9,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1042,6 +1044,152 @@ TEST(DistributedProtocol, SetupWithMoreObjectsThanIdsHoldIsMalformed) {
   const truth::Result reference = make_method(crh_spec())->run_sharded(
       data::ShardedMatrix::partition(dataset.observations, 1, kTestBlock));
   expect_bitwise_equal(reference, outcome.result, "after refused setup");
+}
+
+TEST(DistributedProtocol, SetupWithABadRangeIsMalformed) {
+  // A range slice whose end runs past the largest id, or whose count is not
+  // the plan's slice, is refused like any malformed body: counted,
+  // unanswered, the watermark and the open round left as they were.
+  const data::Dataset dataset = random_dataset(73, 24, 3, 0.2);
+  Fleet fleet(1, crh_spec(), dataset.num_objects());
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7781;
+  fleet.network.attach(kRecorder, recorder);
+  ASSERT_TRUE(
+      fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
+  const std::uint64_t watermark = shard.op_watermark().value();
+
+  SetupBody overflow;
+  overflow.round = 2;
+  overflow.num_users = 4;
+  overflow.num_shards = 1;
+  overflow.shard_index = 0;
+  overflow.num_objects = 3;
+  overflow.block_size = kTestBlock;
+  overflow.range_base = std::numeric_limits<net::NodeId>::max() - 2;
+  overflow.range_count = 4;
+  SetupBody short_slice = overflow;
+  short_slice.range_base = 100;
+  short_slice.range_count = 3;
+  SetupBody huge_slice = short_slice;
+  huge_slice.range_count = std::numeric_limits<std::uint64_t>::max();
+  for (const SetupBody* bad : {&overflow, &short_slice, &huge_slice}) {
+    deliver_request(shard, kRecorder, watermark + 1, ShardOp::kSetup,
+                    bad->encode());
+  }
+  fleet.sim.run();
+  ASSERT_EQ(shard.malformed_messages(), 3u);
+  ASSERT_EQ(shard.op_watermark(), watermark);
+  EXPECT_TRUE(recorder.received.empty());
+
+  send_dataset(fleet, dataset, 1);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  EXPECT_EQ(outcome.shard_stats[0].rejected_reports, 0u);
+  const truth::Result reference = make_method(crh_spec())->run_sharded(
+      data::ShardedMatrix::partition(dataset.observations, 1, kTestBlock));
+  expect_bitwise_equal(reference, outcome.result, "after refused ranges");
+}
+
+/// The Coordinator's transport: forwards everything, and once armed, throws
+/// from the next send, as a failing socket or an allocation could.
+class ThrowingTransport final : public net::Transport {
+ public:
+  explicit ThrowingTransport(net::Transport& inner) : inner_(&inner) {}
+
+  bool armed = false;
+
+  void attach(net::NodeId id, net::Node& node) override {
+    inner_->attach(id, node);
+  }
+  void detach(net::NodeId id) override { inner_->detach(id); }
+  bool attached(net::NodeId id) const override {
+    return inner_->attached(id);
+  }
+  void send(net::Message message) override {
+    if (armed) {
+      armed = false;
+      throw std::runtime_error("transport: send failed");
+    }
+    inner_->send(std::move(message));
+  }
+  double now() const override { return inner_->now(); }
+  std::size_t poll(double deadline) override { return inner_->poll(deadline); }
+  std::size_t run_until_idle() override { return inner_->run_until_idle(); }
+  void schedule(double delay, std::function<void()> fn) override {
+    inner_->schedule(delay, std::move(fn));
+  }
+  const net::NetworkStats& stats() const override { return inner_->stats(); }
+  std::size_t undeliverable_to(net::NodeId destination) const override {
+    return inner_->undeliverable_to(destination);
+  }
+  double drain_window_seconds() const override {
+    return inner_->drain_window_seconds();
+  }
+
+ private:
+  net::Transport* inner_;
+};
+
+TEST(DistributedProtocol, CloseThatThrowsLeavesTheCoordinatorReady) {
+  // Regression: close_round caught only shard failures, so any other
+  // exception left the round planned and every later begin_round threw "a
+  // round is already open".
+  const data::Dataset dataset = random_dataset(75, 32, 4, 0.25);
+  const MethodSpec spec = crh_spec();
+  net::Simulator sim;
+  net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0}, 7);
+  ThrowingTransport transport(network);
+  CoordinatorConfig config;
+  config.id = kCoordinatorId;
+  config.num_objects = dataset.num_objects();
+  config.block_size = kTestBlock;
+  Coordinator coordinator(config, spec, transport);
+  std::vector<std::unique_ptr<ShardNode>> shards;
+  for (std::size_t i = 0; i < 2; ++i) {
+    shards.push_back(std::make_unique<ShardNode>(kShardBase + i, network));
+    coordinator.add_shard(kShardBase + i);
+  }
+  const auto send_round = [&](std::uint64_t round) {
+    for (std::size_t s = 0; s < dataset.num_users(); ++s) {
+      crowd::Report report;
+      report.round = round;
+      report.user_id = s;
+      for (const auto& entry : dataset.observations.user_entries(s)) {
+        report.objects.push_back(entry.object);
+        report.values.push_back(entry.value);
+      }
+      network.send(crowd::make_message(s, kCoordinatorId,
+                                       crowd::MessageType::kReport,
+                                       report.encode()));
+    }
+    sim.run();
+  };
+
+  ASSERT_TRUE(coordinator.begin_round(1, participant_ids(dataset.num_users())));
+  send_round(1);
+  transport.armed = true;  // the close's first send throws
+  EXPECT_THROW(coordinator.close_round(), std::runtime_error);
+  EXPECT_FALSE(transport.armed);
+  EXPECT_FALSE(coordinator.round_open());
+
+  ASSERT_TRUE(coordinator.begin_round(2, participant_ids(dataset.num_users())));
+  send_round(2);
+  const DistributedOutcome outcome = coordinator.close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  EXPECT_FALSE(outcome.degraded);
+  EXPECT_EQ(outcome.resends, 0u);
+
+  // The bits of a fresh fleet running the same round.
+  Fleet fresh(2, spec, dataset.num_objects());
+  ASSERT_TRUE(
+      fresh.coordinator->begin_round(2, participant_ids(dataset.num_users())));
+  send_dataset(fresh, dataset, 2);
+  const DistributedOutcome fresh_outcome = fresh.coordinator->close_round();
+  ASSERT_TRUE(fresh_outcome.aggregated);
+  expect_bitwise_equal(fresh_outcome.result, outcome.result,
+                       "after a throwing close");
 }
 
 /// Opens round 1 on a single-shard fleet with 4 users / 2 objects and brings

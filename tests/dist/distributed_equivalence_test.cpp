@@ -261,41 +261,42 @@ struct WirePin {
 // rounds). "vote1" is a unanimous label set: voting stops on a zero
 // disagreement total in its first iteration. Every upload reaches the
 // coordinator at the same virtual time, so each shard receives its routed
-// reports as one kReportBatch. These constants are the wire protocol's
-// shape: a change that moves one must say why.
+// reports as one kReportBatch. The roster, ids 0..63, is contiguous, so
+// every kSetup carries its slice as a three-byte range. These constants are
+// the wire protocol's shape: a change that moves one must say why.
 constexpr WirePin kWirePins[] = {
-    {"crh", 1, false, {103, 9294, 28, 2835}},
-    {"crh", 1, true, {99, 9438, 24, 2430}},
-    {"crh", 3, false, {181, 16664, 84, 8505}},
-    {"crh", 3, true, {169, 16000, 72, 7290}},
-    {"gtm", 1, false, {89, 10532, 14, 2163}},
-    {"gtm", 1, true, {93, 9738, 18, 2781}},
-    {"gtm", 3, false, {139, 16071, 42, 6489}},
-    {"gtm", 3, true, {151, 16900, 54, 8343}},
-    {"catd", 1, false, {123, 17425, 50, 9375}},
-    {"catd", 1, true, {93, 10503, 20, 3750}},
-    {"catd", 3, false, {241, 36364, 150, 28125}},
-    {"catd", 3, true, {151, 18813, 60, 11250}},
-    {"mean", 1, false, {73, 5661, 2, 328}},
-    {"mean", 1, true, {73, 5697, 2, 328}},
-    {"mean", 3, false, {91, 6403, 6, 984}},
-    {"mean", 3, true, {91, 6439, 6, 984}},
-    {"median", 1, false, {73, 7501, 2, 2168}},
-    {"median", 1, true, {73, 7553, 2, 2184}},
-    {"median", 3, false, {91, 7616, 6, 2197}},
-    {"median", 3, true, {91, 7668, 6, 2213}},
-    {"majority", 1, false, {73, 2029, 2, 418}},
-    {"majority", 1, true, {72, 1967, 2, 418}},
-    {"majority", 3, false, {91, 2951, 6, 1254}},
-    {"majority", 3, true, {90, 2889, 6, 1254}},
-    {"vote", 1, false, {77, 2994, 4, 441}},
-    {"vote", 1, true, {80, 2970, 8, 882}},
-    {"vote", 3, false, {103, 4822, 12, 1323}},
-    {"vote", 3, true, {114, 4874, 24, 2646}},
+    {"crh", 1, false, {103, 9232, 28, 2835}},
+    {"crh", 1, true, {99, 9376, 24, 2430}},
+    {"crh", 3, false, {181, 16606, 84, 8505}},
+    {"crh", 3, true, {169, 15942, 72, 7290}},
+    {"gtm", 1, false, {89, 10470, 14, 2163}},
+    {"gtm", 1, true, {93, 9676, 18, 2781}},
+    {"gtm", 3, false, {139, 16013, 42, 6489}},
+    {"gtm", 3, true, {151, 16842, 54, 8343}},
+    {"catd", 1, false, {123, 17363, 50, 9375}},
+    {"catd", 1, true, {93, 10441, 20, 3750}},
+    {"catd", 3, false, {241, 36306, 150, 28125}},
+    {"catd", 3, true, {151, 18755, 60, 11250}},
+    {"mean", 1, false, {73, 5599, 2, 328}},
+    {"mean", 1, true, {73, 5635, 2, 328}},
+    {"mean", 3, false, {91, 6345, 6, 984}},
+    {"mean", 3, true, {91, 6381, 6, 984}},
+    {"median", 1, false, {73, 7439, 2, 2168}},
+    {"median", 1, true, {73, 7491, 2, 2184}},
+    {"median", 3, false, {91, 7558, 6, 2197}},
+    {"median", 3, true, {91, 7610, 6, 2213}},
+    {"majority", 1, false, {73, 1967, 2, 418}},
+    {"majority", 1, true, {72, 1905, 2, 418}},
+    {"majority", 3, false, {91, 2893, 6, 1254}},
+    {"majority", 3, true, {90, 2831, 6, 1254}},
+    {"vote", 1, false, {77, 2932, 4, 441}},
+    {"vote", 1, true, {80, 2908, 8, 882}},
+    {"vote", 3, false, {103, 4764, 12, 1323}},
+    {"vote", 3, true, {114, 4816, 24, 2646}},
     // Unanimity: the loop pays one disagreement chain (2K messages); the
     // uniform weight write it queues rides the final collect.
-    {"vote1", 1, false, {75, 3009, 2, 29}},
-    {"vote1", 3, false, {97, 4035, 6, 87}},};
+    {"vote1", 1, false, {75, 2947, 2, 29}},
+    {"vote1", 3, false, {97, 3977, 6, 87}},};
 
 TEST(DistributedEquivalence, WireShapeMatchesPinnedFrameCounts) {
   for (const WirePin& pin : kWirePins) {
@@ -336,6 +337,73 @@ TEST(DistributedEquivalence, WireShapeMatchesPinnedFrameCounts) {
         << "{\"" << name << "\", " << pin.k << ", "
         << (pin.warm ? "true" : "false") << ", {" << traffic[0] << ", "
         << traffic[1] << ", " << traffic[2] << ", " << traffic[3] << "}},";
+  }
+}
+
+TEST(DistributedEquivalence, WarmFleetKeepsItsBitsAcrossRosterForms) {
+  // A roster that goes contiguous -> churned -> contiguous sends each
+  // shard its slice as a range, then as an id list, then as a range again.
+  // Every round must equal run_sharded over the same claims, seeded the way
+  // the warm tests seed a reference: remap_warm_weights over the rounds'
+  // plain id vectors.
+  constexpr std::size_t kUsers = 48;
+  constexpr std::size_t kObjects = 4;
+  std::vector<std::vector<net::NodeId>> rosters(3);
+  rosters[0] = participant_ids(kUsers);  // [0, 48)
+  rosters[1] = rosters[0];               // 4 users leave, 4 new ones join
+  rosters[1][3] = 200;
+  rosters[1][17] = 201;
+  rosters[1][30] = 202;
+  rosters[1][41] = 203;
+  rosters[2] = participant_ids(kUsers, 8);  // survivors, returners, joiners
+
+  for (const char* name : {"crh", "gtm"}) {
+    const MethodSpec spec = spec_for(name);
+    const auto method = make_method(spec);
+    for (std::size_t k : {1, 3}) {
+      const std::string label = std::string(name) + " K=" + std::to_string(k);
+      Fleet fleet(k, spec, kObjects, /*warm_start=*/true);
+      crowd::WarmState reference_warm;
+      for (std::size_t r = 0; r < rosters.size(); ++r) {
+        const std::uint64_t round = r + 1;
+        const data::Dataset dataset =
+            random_dataset(90 + r, kUsers, kObjects, 0.25);
+        ASSERT_TRUE(fleet.coordinator->begin_round(round, rosters[r]))
+            << label;
+        for (std::size_t s = 0; s < kUsers; ++s) {
+          crowd::Report report;
+          report.round = round;
+          report.user_id = rosters[r][s];
+          for (const auto& entry : dataset.observations.user_entries(s)) {
+            report.objects.push_back(entry.object);
+            report.values.push_back(entry.value);
+          }
+          fleet.network.send(crowd::make_message(
+              report.user_id, kCoordinatorId, crowd::MessageType::kReport,
+              report.encode()));
+        }
+        fleet.sim.run();
+        const DistributedOutcome outcome = fleet.coordinator->close_round();
+        ASSERT_TRUE(outcome.aggregated) << label << " round " << round;
+        EXPECT_EQ(outcome.warm_started, r > 0) << label;
+
+        truth::WarmStart seed;
+        if (reference_warm.valid) {
+          seed.truths = reference_warm.result.truths;
+          seed.weights =
+              crowd::remap_warm_weights(reference_warm, rosters[r], kUsers);
+        }
+        const truth::Result reference = method->run_sharded(
+            data::ShardedMatrix::partition(dataset.observations, k,
+                                           kTestBlock),
+            seed);
+        expect_bitwise_equal(reference, outcome.result,
+                             label + " round " + std::to_string(round));
+        reference_warm.result = reference;
+        reference_warm.participants = rosters[r];
+        reference_warm.valid = true;
+      }
+    }
   }
 }
 

@@ -53,6 +53,9 @@ class SendTap final : public net::Transport {
         mix(static_cast<std::uint8_t>(env.body.size() >> (8 * i)));
       }
       for (const std::uint8_t b : env.body) mix(b);
+      if (env.op == static_cast<std::uint8_t>(ShardOp::kSetup)) {
+        setups.push_back(pinned::to_hex(env.body));
+      }
     }
     inner_->send(std::move(message));
   }
@@ -71,6 +74,7 @@ class SendTap final : public net::Transport {
   }
 
   std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::vector<std::string> setups;  ///< kSetup bodies sent, hex
 
  private:
   void mix(std::uint8_t b) {
@@ -82,7 +86,8 @@ class SendTap final : public net::Transport {
 };
 
 /// One round of `spec` on two shards over 16 users x 3 objects, block 4;
-/// returns the digest of the coordinator's shard requests.
+/// returns the digest of the coordinator's shard requests. The roster, ids
+/// 0..15, is contiguous, so each kSetup carries its slice as a range.
 std::uint64_t round_digest(const MethodSpec& spec) {
   net::Simulator sim;
   net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0}, 7);
@@ -129,6 +134,82 @@ std::uint64_t round_digest(const MethodSpec& spec) {
   return tap.digest;
 }
 
+TEST(StatsWire, SetupSliceIsARangeOrTodaysIdList) {
+  // The plan fields of the pinned round: round 300, 8 users, 1 shard, shard
+  // 0, 3 objects, block 4, no labels.
+  const std::string plan = "ac02080100030400";
+  SetupBody setup;
+  setup.round = pinned::kRound;
+  setup.num_users = 8;
+  setup.num_shards = 1;
+  setup.num_objects = 3;
+  setup.block_size = 4;
+
+  // A range is [0][base][count]: ids 1000..1007 in four bytes.
+  setup.range_base = 1000;
+  setup.range_count = 8;
+  EXPECT_EQ(pinned::to_hex(setup.encode()), plan + "00" + "e807" + "08");
+  SetupBody decoded = SetupBody::decode(setup.encode());
+  EXPECT_TRUE(decoded.participants.empty());
+  EXPECT_EQ(decoded.range_base, 1000u);
+  EXPECT_EQ(decoded.range_count, 8u);
+  EXPECT_EQ(decoded.slice_size(), 8u);
+
+  // An id list keeps its bytes: [count][ids...], one varint each, whatever
+  // the ids (the range fields do not travel with it).
+  setup.participants = {1000, 1002, 1001, 5, 1003, 1004, 1005, 1006};
+  EXPECT_EQ(pinned::to_hex(setup.encode()),
+            plan + "08" + "e807ea07e90705eb07ec07ed07ee07");
+  decoded = SetupBody::decode(setup.encode());
+  EXPECT_EQ(decoded.participants, setup.participants);
+  EXPECT_EQ(decoded.slice_size(), 8u);
+
+  // A range cut short, or with bytes past its count, is malformed.
+  EXPECT_THROW(SetupBody::decode(pinned::from_hex(plan + "00e807")),
+               DecodeError);
+  EXPECT_THROW(SetupBody::decode(pinned::from_hex(plan + "00e8070800")),
+               DecodeError);
+}
+
+TEST(StatsWire, CoordinatorSendsRangesOnlyForAContiguousRoster) {
+  // Two shards over 16 users at block 4: slices of rows [0, 8) and [8, 16).
+  const auto setups_for = [](const std::vector<net::NodeId>& roster) {
+    net::Simulator sim;
+    net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0}, 7);
+    SendTap tap(network);
+    CoordinatorConfig config;
+    config.id = kCoordinatorId;
+    config.num_objects = 3;
+    config.block_size = 4;
+    Coordinator coordinator(config, MethodSpec{}, tap);
+    ShardNode first(1000, network);
+    ShardNode second(1001, network);
+    coordinator.add_shard(1000);
+    coordinator.add_shard(1001);
+    EXPECT_TRUE(coordinator.begin_round(1, roster));
+    return tap.setups;
+  };
+  // Plan fields: round 1, 16 users, 2 shards, then the shard index, 3
+  // objects, block 4, no labels.
+  const auto plan = [](const char* shard) {
+    return std::string("011002") + shard + "030400";
+  };
+
+  std::vector<net::NodeId> roster;
+  for (net::NodeId id = 5000; id < 5016; ++id) roster.push_back(id);
+  EXPECT_EQ(setups_for(roster),
+            (std::vector<std::string>{plan("00") + "00" + "8827" + "08",
+                                      plan("01") + "00" + "9027" + "08"}));
+
+  // Churned: one id replaced. Every slice is an id list, the second too,
+  // although its own ids happen to run contiguously.
+  roster[5] = 77;
+  EXPECT_EQ(setups_for(roster),
+            (std::vector<std::string>{
+                plan("00") + "08" + "882789278a278b278c274d" + "8e278f27",
+                plan("01") + "08" + "902791279227932794279527" + "96279727"}));
+}
+
 TEST(StatsWire, EveryOpKeepsItsBytes) {
   net::Simulator sim;
   net::Network network(sim, net::LatencyModel{0.01, 0.0, 0.0}, 7);
@@ -169,10 +250,10 @@ TEST(StatsWire, EveryOpKeepsItsBytes) {
     std::uint64_t digest;
   };
   const RoundPin rounds[] = {
-      {"crh", MethodSpec::Kind::kCrh, 0x0a2153accd540523ULL},
-      {"gtm", MethodSpec::Kind::kGtm, 0x76bba2dfaa331c40ULL},
-      {"catd", MethodSpec::Kind::kCatd, 0x04767f8784be5e4dULL},
-      {"vote", MethodSpec::Kind::kVote, 0x17879988473c4c02ULL},
+      {"crh", MethodSpec::Kind::kCrh, 0xcb063fd542e1570bULL},
+      {"gtm", MethodSpec::Kind::kGtm, 0xd1f5464c682fb618ULL},
+      {"catd", MethodSpec::Kind::kCatd, 0xa08456b19c855ab5ULL},
+      {"vote", MethodSpec::Kind::kVote, 0xc75cb62a20766256ULL},
   };
   for (const RoundPin& pin : rounds) {
     MethodSpec spec;
